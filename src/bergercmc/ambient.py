@@ -146,12 +146,13 @@ def frame_at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     V = (iz, iw), E1 = (-wbar, zbar), E2 = (-i wbar, i zbar).  All three are
     unit and mutually orthogonal for the round metric; V is vertical, E1 and
-    E2 are horizontal, so {V/sqrt(a), E1, E2} is g_a-orthonormal.
+    E2 are horizontal, so {V/sqrt(a), E1, E2} is g_a-orthonormal.  A stack
+    of points q of shape (..., 4) gives frame vectors of the same shape.
     """
-    x1, y1, x2, y2 = q
-    V = np.array([-y1, x1, -y2, x2])
-    E1 = np.array([-x2, y2, x1, -y1])
-    E2 = np.array([-y2, -x2, y1, x1])
+    x1, y1, x2, y2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    V = np.stack([-y1, x1, -y2, x2], axis=-1)
+    E1 = np.stack([-x2, y2, x1, -y1], axis=-1)
+    E2 = np.stack([-y2, -x2, y1, x1], axis=-1)
     return V, E1, E2
 
 

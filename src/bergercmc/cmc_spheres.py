@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .ambient import as_alpha, frame_at, metric_eval_raw
+from .ambient import as_alpha, frame_at
 from .geometry2d import polyline_self_intersection_report
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
@@ -280,10 +280,11 @@ def _frame_ode_rhs(alpha: float, H: float):
     c1 = (alpha - 2.0) / sa  # coefficient of nabla_xi E1 = c1 E2
 
     def rhs(x, y):
-        gamma = y[0:4]
-        a = y[4:7]
-        b = y[7:10]
-        nn = y[10:13]
+        # Python floats, not small arrays: the solver calls this tens of
+        # thousands of times per meridian.  Each component repeats the
+        # operations of the array form, with (V, E1, E2) = frame_at(gamma),
+        # in the same order, so the solution is bitwise unchanged.
+        g0, g1, g2, g3, a0, a1, a2, b0, b1, b2, n0, n1, n2 = y.tolist()
 
         ch = math.cosh(x)
         den = (1.0 - alpha) + ha * ch * ch
@@ -293,23 +294,24 @@ def _frame_ode_rhs(alpha: float, H: float):
         nu = -(1.0 - alpha) * sa / (den * math.sqrt(ha) * ch)
 
         # Omega(a): frame rotation along the curve, antisymmetric
-        O01 = sa * a[2]
-        O02 = -sa * a[1]
-        O12 = -c1 * a[0]
+        O01 = sa * a2
+        O02 = -sa * a1
+        O12 = -c1 * a0
+        ra0, ra1, ra2 = O01 * a1 + O02 * a2, -O01 * a0 + O12 * a2, -O02 * a0 - O12 * a1
+        rb0, rb1, rb2 = O01 * b1 + O02 * b2, -O01 * b0 + O12 * b2, -O02 * b0 - O12 * b1
+        rn0, rn1, rn2 = O01 * n1 + O02 * n2, -O01 * n0 + O12 * n2, -O02 * n0 - O12 * n1
 
-        def rot(w):
-            return np.array([
-                O01 * w[1] + O02 * w[2],
-                -O01 * w[0] + O12 * w[2],
-                -O02 * w[0] - O12 * w[1],
-            ])
-
-        V, E1, E2 = frame_at(gamma)
-        dgamma = ev * (a[0] * V / sa + a[1] * E1 + a[2] * E2)
-        da = -ev * rot(a) + mu * nn
-        db = -ev * rot(b) + nu * nn
-        dn = -ev * rot(nn) - mu * a - nu * b
-        return np.concatenate([dgamma, da, db, dn])
+        return np.array([
+            ev * (a0 * -g1 / sa + a1 * -g2 + a2 * -g3),
+            ev * (a0 * g0 / sa + a1 * g3 + a2 * -g2),
+            ev * (a0 * -g3 / sa + a1 * g0 + a2 * g1),
+            ev * (a0 * g2 / sa + a1 * -g1 + a2 * g0),
+            -ev * ra0 + mu * n0, -ev * ra1 + mu * n1, -ev * ra2 + mu * n2,
+            -ev * rb0 + nu * n0, -ev * rb1 + nu * n1, -ev * rb2 + nu * n2,
+            -ev * rn0 - mu * a0 - nu * b0,
+            -ev * rn1 - mu * a1 - nu * b1,
+            -ev * rn2 - mu * a2 - nu * b2,
+        ])
 
     return rhs
 
@@ -361,23 +363,20 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024,
     coeff_n = out[:, 10:13]
 
     # ambient normals and orbit tangents from frame coefficients
-    normals = np.empty_like(points)
-    tangent_y = np.empty_like(points)
-    ev = np.sqrt(d.conf(xs))
-    for i in range(n):
-        V, E1, E2 = frame_at(points[i])
-        xi = V / sa
-        normals[i] = coeff_n[i, 0] * xi + coeff_n[i, 1] * E1 + coeff_n[i, 2] * E2
-        tangent_y[i] = ev[i] * (coeff_b[i, 0] * xi + coeff_b[i, 1] * E1 + coeff_b[i, 2] * E2)
+    V, E1, E2 = frame_at(points)
+    xi = V / sa
+    normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
+    ev = np.sqrt(d.conf(xs))[:, None]
+    tangent_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
 
-    # residual 1: finite-difference speed^2 of the curve against conf
+    # residual 1: finite-difference speed^2 g_a(dgam, dgam) against conf
     h = xs[1] - xs[0]
     metric_residual = np.full(n, np.nan)
     dgam = (points[2:] - points[:-2]) / (2.0 * h)
+    vdot = (dgam * V[1:-1]).sum(axis=1)
+    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
     conf_mid = d.conf(xs[1:-1])
-    for i in range(1, n - 1):
-        speed2 = metric_eval_raw(a, points[i], dgam[i - 1], dgam[i - 1])
-        metric_residual[i] = abs(speed2 - conf_mid[i - 1]) / conf_mid[i - 1]
+    metric_residual[1:-1] = np.abs(speed2 - conf_mid) / conf_mid
 
     # residual 2: g_a(N, xi) against tanh x (n-coefficient drift)
     C_residual = coeff_n[:, 0] - np.tanh(xs)

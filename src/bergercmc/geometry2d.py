@@ -1,9 +1,9 @@
 """Robust planar polyline self-intersection tests.
 
-Candidate segment pairs are collected with a uniform spatial hash on
-bounding boxes; the actual crossing test runs in exact rational arithmetic
-(floats convert exactly to Fractions), so a reported transverse crossing is
-never a rounding artifact.
+Candidate segment pairs are the pairs with overlapping bounding boxes,
+found by a sort-and-sweep in array code; the actual crossing test runs in
+exact rational arithmetic (floats convert exactly to Fractions), so a
+reported transverse crossing is never a rounding artifact.
 """
 
 from __future__ import annotations
@@ -55,21 +55,6 @@ def _between(a, b, c) -> bool:
             not ((c[0] == a[0] and c[1] == a[1]) or (c[0] == b[0] and c[1] == b[1])))
 
 
-def _segment_distance(p, q, r, s) -> float:
-    """Euclidean distance between two segments (float arithmetic)."""
-    def pt_seg(c, a, b):
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom == 0.0:
-            return float(np.linalg.norm(c - a))
-        t = float((c - a) @ ab) / denom
-        t = min(1.0, max(0.0, t))
-        return float(np.linalg.norm(c - (a + t * ab)))
-
-    p, q, r, s = (np.asarray(v, dtype=float) for v in (p, q, r, s))
-    return min(pt_seg(p, r, s), pt_seg(q, r, s), pt_seg(r, p, q), pt_seg(s, p, q))
-
-
 @dataclass
 class IntersectionReport:
     crossings: int
@@ -78,33 +63,44 @@ class IntersectionReport:
     resolution: float
 
 
-def _candidate_pairs(points: np.ndarray, index_gap: int):
-    """Segment index pairs whose bounding boxes may overlap (spatial hash)."""
-    n = len(points) - 1
-    seg_lo = np.minimum(points[:-1], points[1:])
-    seg_hi = np.maximum(points[:-1], points[1:])
-    cell = float(np.max(seg_hi - seg_lo))
-    if cell == 0.0:
-        return []
-    grid = {}
-    for i in range(n):
-        i0, j0 = int(seg_lo[i, 0] // cell), int(seg_lo[i, 1] // cell)
-        i1, j1 = int(seg_hi[i, 0] // cell), int(seg_hi[i, 1] // cell)
-        for ci in range(i0, i1 + 1):
-            for cj in range(j0, j1 + 1):
-                grid.setdefault((ci, cj), []).append(i)
-    pairs = set()
-    for bucket in grid.values():
-        bucket.sort()
-        for u in range(len(bucket)):
-            for v in range(u + 1, len(bucket)):
-                i, j = bucket[u], bucket[v]
-                if j - i > index_gap:
-                    # bbox overlap prefilter before the exact test
-                    if (seg_lo[i, 0] <= seg_hi[j, 0] and seg_lo[j, 0] <= seg_hi[i, 0] and
-                            seg_lo[i, 1] <= seg_hi[j, 1] and seg_lo[j, 1] <= seg_hi[i, 1]):
-                        pairs.add((i, j))
-    return sorted(pairs)
+def _candidate_pairs(points: np.ndarray, index_gap: int) -> np.ndarray:
+    """Sorted segment index pairs (i, j), j - i > index_gap, whose closed
+    bounding boxes overlap, by a sort-and-sweep (Bentley & Ottmann 1979).
+
+    The sweep runs along the axis of larger extent, along which a straight
+    curve is monotone and each segment meets only its neighbours.  Overlap
+    runs are expanded and filtered on the other axis as arrays: the cost is
+    linear in the number of pairs that overlap along the sweep axis.
+    """
+    lo = np.minimum(points[:-1], points[1:])
+    hi = np.maximum(points[:-1], points[1:])
+    ax = int(np.ptp(lo[:, 1]) > np.ptp(lo[:, 0]))
+    order = np.argsort(lo[:, ax])
+    # sorted position k overlaps along ax with the positions k + 1 .. stop[k] - 1
+    stop = np.searchsorted(lo[order, ax], hi[order, ax], side="right")
+    run = stop - np.arange(1, len(order) + 1)
+    k = np.repeat(np.arange(len(order)), run)
+    m = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(run) - run, run)
+    i, j = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
+    keep = (j - i > index_gap) & (lo[i, 1 - ax] <= hi[j, 1 - ax]) & (lo[j, 1 - ax] <= hi[i, 1 - ax])
+    i, j = i[keep], j[keep]
+    return np.column_stack([i, j])[np.lexsort((j, i))]
+
+
+def _point_segment_distance(c, a, b) -> np.ndarray:
+    """Row-wise distance from the points c to the segments [a, b]."""
+    ab = b - a
+    denom = (ab * ab).sum(axis=1)
+    t = ((c - a) * ab).sum(axis=1)
+    # a zero-length segment has ab == 0, so t = 0 leaves the distance |c - a|
+    t = np.clip(np.divide(t, denom, out=np.zeros_like(t), where=denom != 0.0), 0.0, 1.0)
+    return np.linalg.norm(c - (a + t[:, None] * ab), axis=1)
+
+
+def _segment_distances(p, q, r, s) -> np.ndarray:
+    """Row-wise Euclidean distance between the segments [p, q] and [r, s]."""
+    return np.minimum.reduce([_point_segment_distance(p, r, s), _point_segment_distance(q, r, s),
+                              _point_segment_distance(r, p, q), _point_segment_distance(s, p, q)])
 
 
 def polyline_self_intersection_report(points: np.ndarray,
@@ -115,15 +111,20 @@ def polyline_self_intersection_report(points: np.ndarray,
     endpoint.  The margin is the minimum distance between segment pairs
     whose separation along the curve exceeds arc_factor times the coarsest
     segment length, so it measures genuine near-self-contact rather than
-    neighbours along the curve.
+    neighbours along the curve.  Raises ValueError unless points is an
+    (n, 2) array of n >= 2 finite points.
     """
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise ValueError(f"polyline needs an (n, 2) array with n >= 2, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("polyline points must be finite")
     seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     res = float(np.max(seglen))
     arclen = np.concatenate([[0.0], np.cumsum(seglen)])
 
     crossing_pairs = []
-    for i, j in _candidate_pairs(pts, index_gap=1):
+    for i, j in _candidate_pairs(pts, index_gap=1).tolist():
         if segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1]):
             crossing_pairs.append((i, j))
 
@@ -139,17 +140,16 @@ def polyline_self_intersection_report(points: np.ndarray,
             ii, jj = ii[keep], jj[keep]
             d = np.linalg.norm(pts[ii] - pts[jj], axis=1)
             dmin = float(d.min())
-            # refine the point-pair minimum with segment distances nearby
+            # refine the point-pair minimum with the segments on either side
+            # of each close point pair
             close = np.nonzero(d <= dmin + 2.0 * res)[0]
             if len(close) > 2000:
                 close = close[np.argsort(d[close])[:2000]]
-            best = dmin
-            for a_, b_ in zip(ii[close], jj[close]):
-                for si in range(max(a_ - 1, 0), min(a_, nseg - 1) + 1):
-                    for sj in range(max(b_ - 1, 0), min(b_, nseg - 1) + 1):
-                        best = min(best, _segment_distance(pts[si], pts[si + 1],
-                                                           pts[sj], pts[sj + 1]))
-            margin = min(margin, best)
+            si = np.clip(ii[close, None] - [1, 0], 0, nseg - 1)
+            sj = np.clip(jj[close, None] - [1, 0], 0, nseg - 1)
+            si, sj = np.repeat(si, 2, axis=1).ravel(), np.tile(sj, 2).ravel()
+            dseg = _segment_distances(pts[si], pts[si + 1], pts[sj], pts[sj + 1])
+            margin = min(margin, dmin, float(dseg.min()))
 
     return IntersectionReport(crossings=len(crossing_pairs), pairs=crossing_pairs,
                               margin=margin, resolution=res)

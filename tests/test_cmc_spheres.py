@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bergercmc import cmc_spheres
 from bergercmc.cmc_spheres import (ReconstructionError,
                                    area_sphere, area_sphere_closed,
                                    fundamental_data, gauss_bonnet_integral,
@@ -12,7 +13,7 @@ from bergercmc.cmc_spheres import (ReconstructionError,
                                    is_embedded, minimal_area_closed,
                                    planarity_report, reconstruct_meridian,
                                    zchart_data)
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=3.0)
@@ -222,6 +223,81 @@ def test_normal_is_unit_and_orthogonal():
         q = m.points[i]
         assert metric_eval_raw(0.7, q, n, n) == pytest.approx(1.0, abs=1e-8)
         assert metric_eval_raw(0.7, q, n, dgam[i - 1]) == pytest.approx(0.0, abs=1e-4)
+
+
+def _frame_rhs_reference(alpha, H, x, y):
+    """The moving-frame right-hand side in array form, frame from frame_at."""
+    from bergercmc.ambient import frame_at
+
+    sa = math.sqrt(alpha)
+    ha = H**2 + alpha
+    c1 = (alpha - 2.0) / sa
+    gamma, a, b, nn = y[0:4], y[4:7], y[7:10], y[10:13]
+    ch = math.cosh(x)
+    den = (1.0 - alpha) + ha * ch * ch
+    ev = math.sqrt(ha * ch * ch / (den * den))
+    mu = H / (math.sqrt(ha) * ch)
+    nu = -(1.0 - alpha) * sa / (den * math.sqrt(ha) * ch)
+    O01, O02, O12 = sa * a[2], -sa * a[1], -c1 * a[0]
+
+    def rot(w):
+        return np.array([O01 * w[1] + O02 * w[2], -O01 * w[0] + O12 * w[2],
+                         -O02 * w[0] - O12 * w[1]])
+
+    V, E1, E2 = frame_at(gamma)
+    dgamma = ev * (a[0] * V / sa + a[1] * E1 + a[2] * E2)
+    return np.concatenate([dgamma, -ev * rot(a) + mu * nn, -ev * rot(b) + nu * nn,
+                           -ev * rot(nn) - mu * a - nu * b])
+
+
+def test_frame_rhs_matches_array_reference():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+        H = rng.uniform(0.0, 3.0)
+        x = rng.uniform(-9.0, 9.0)
+        y = rng.standard_normal(13)
+        got = cmc_spheres._frame_ode_rhs(alpha, H)(x, y)
+        np.testing.assert_allclose(got, _frame_rhs_reference(alpha, H, x, y), rtol=1e-15, atol=0)
+
+
+def test_meridian_postprocessing_matches_per_sample_loop(monkeypatch):
+    from bergercmc.ambient import frame_at, metric_eval_raw
+
+    sols = []
+
+    def capture(*args, **kwargs):
+        sols.append(solve_ivp(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(cmc_spheres, "solve_ivp", capture)
+    a, H, n = 0.01, 1.0, 2048  # even n on a symmetric range: x = 0 is not a sample
+    m = reconstruct_meridian(a, H, (-9, 9), n)
+    out = np.vstack([sols[1].y.T[::-1], sols[0].y.T])
+    assert np.array_equal(out[:, 0:4], m.points)
+    coeff_b, coeff_n = out[:, 7:10], out[:, 10:13]
+
+    sa = math.sqrt(a)
+    d = fundamental_data(a, H)
+    ev = np.sqrt(d.conf(m.x))
+    normals, tangent_y = np.empty_like(m.points), np.empty_like(m.points)
+    for i in range(n):
+        V, E1, E2 = frame_at(m.points[i])
+        xi = V / sa
+        normals[i] = coeff_n[i, 0] * xi + coeff_n[i, 1] * E1 + coeff_n[i, 2] * E2
+        tangent_y[i] = ev[i] * (coeff_b[i, 0] * xi + coeff_b[i, 1] * E1 + coeff_b[i, 2] * E2)
+    assert np.array_equal(normals, m.normals)
+    assert np.array_equal(tangent_y, m.tangent_y)
+
+    # the residual is |speed^2 / conf - 1|; 1e-12 relative to speed^2 is
+    # 1e-12 absolute on it
+    h = m.x[1] - m.x[0]
+    dgam = (m.points[2:] - m.points[:-2]) / (2.0 * h)
+    conf_mid = d.conf(m.x[1:-1])
+    loop = [abs(metric_eval_raw(a, m.points[i], dgam[i - 1], dgam[i - 1]) - conf_mid[i - 1])
+            / conf_mid[i - 1] for i in range(1, n - 1)]
+    assert np.isnan(m.metric_residual[[0, -1]]).all()
+    np.testing.assert_allclose(m.metric_residual[1:-1], loop, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

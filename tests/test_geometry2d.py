@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from bergercmc.geometry2d import (polyline_self_intersection_report,
+from bergercmc.geometry2d import (_candidate_pairs,
+                                  polyline_self_intersection_report,
                                   segments_cross)
 
 
@@ -59,3 +61,151 @@ def test_near_touch_margin_small():
     assert rep.crossings == 0
     assert rep.margin == pytest.approx(delta, rel=0.5)
     assert rep.margin < 10 * rep.resolution  # an undecided configuration
+
+
+def test_rejects_bad_input():
+    t = np.linspace(0, 1, 50)
+    good = np.column_stack([t, t**2])
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = good.copy()
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            polyline_self_intersection_report(pts)
+    for pts in (np.empty((0, 2)), good[:1], [], good[:, :1], good.ravel()):
+        with pytest.raises(ValueError, match="n >= 2"):
+            polyline_self_intersection_report(pts)
+    assert polyline_self_intersection_report(good[:2]).crossings == 0
+
+
+# ---------------------------------------------------------------------------
+# oracles: the spatial-hash candidate search and the per-pair clearance loop
+# ---------------------------------------------------------------------------
+
+def _hash_candidate_pairs(points, index_gap):
+    """Segment pairs with overlapping bounding boxes, from a uniform spatial hash."""
+    n = len(points) - 1
+    seg_lo = np.minimum(points[:-1], points[1:])
+    seg_hi = np.maximum(points[:-1], points[1:])
+    cell = float(np.max(seg_hi - seg_lo))
+    if cell == 0.0:
+        return []
+    grid = {}
+    for i in range(n):
+        i0, j0 = int(seg_lo[i, 0] // cell), int(seg_lo[i, 1] // cell)
+        i1, j1 = int(seg_hi[i, 0] // cell), int(seg_hi[i, 1] // cell)
+        for ci in range(i0, i1 + 1):
+            for cj in range(j0, j1 + 1):
+                grid.setdefault((ci, cj), []).append(i)
+    pairs = set()
+    for bucket in grid.values():
+        bucket.sort()
+        for u in range(len(bucket)):
+            for v in range(u + 1, len(bucket)):
+                i, j = bucket[u], bucket[v]
+                if j - i > index_gap:
+                    if (seg_lo[i, 0] <= seg_hi[j, 0] and seg_lo[j, 0] <= seg_hi[i, 0] and
+                            seg_lo[i, 1] <= seg_hi[j, 1] and seg_lo[j, 1] <= seg_hi[i, 1]):
+                        pairs.add((i, j))
+    return sorted(pairs)
+
+
+def _segment_distance(p, q, r, s):
+    def pt_seg(c, a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom == 0.0:
+            return float(np.linalg.norm(c - a))
+        t = float((c - a) @ ab) / denom
+        t = min(1.0, max(0.0, t))
+        return float(np.linalg.norm(c - (a + t * ab)))
+
+    return min(pt_seg(p, r, s), pt_seg(q, r, s), pt_seg(r, p, q), pt_seg(s, p, q))
+
+
+def _loop_margin(pts, arc_factor=20.0):
+    """Clearance margin refined pair by pair; also returns the close-pair count."""
+    seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    res = float(np.max(seglen))
+    arclen = np.concatenate([[0.0], np.cumsum(seglen)])
+    arc_min = arc_factor * res
+    nseg = len(seglen)
+    qp = cKDTree(pts).query_pairs(arc_min, output_type="ndarray")
+    ii, jj = qp[:, 0], qp[:, 1]
+    keep = arclen[jj] - arclen[ii] >= arc_min
+    ii, jj = ii[keep], jj[keep]
+    d = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    dmin = float(d.min())
+    close = np.nonzero(d <= dmin + 2.0 * res)[0]
+    nclose = len(close)
+    if nclose > 2000:
+        close = close[np.argsort(d[close])[:2000]]
+    best = dmin
+    for a_, b_ in zip(ii[close], jj[close]):
+        for si in range(max(a_ - 1, 0), min(a_, nseg - 1) + 1):
+            for sj in range(max(b_ - 1, 0), min(b_, nseg - 1) + 1):
+                best = min(best, _segment_distance(pts[si], pts[si + 1], pts[sj], pts[sj + 1]))
+    return min(arc_min, best), nclose
+
+
+def _with_repeats(pts, every):
+    """Insert a copy of every `every`-th point: zero-length segments."""
+    idx = np.repeat(np.arange(len(pts)), np.where(np.arange(len(pts)) % every == 0, 2, 1))
+    return pts[idx]
+
+
+def _oracle_curves():
+    rng = np.random.default_rng(7)
+    curves = {f"walk{k}": np.cumsum(rng.standard_normal((n, 2)), axis=0)
+              for k, n in enumerate((50, 400, 1500))}
+    t = np.linspace(0, 2 * np.pi, 801)
+    curves["figure8"] = np.column_stack([np.sin(2 * t), np.sin(t)])
+    # meridian-like: speed decays like sech^2, so the tail segments shrink
+    # geometrically and pile up near the two end points
+    x = np.linspace(-8, 8, 2048)
+    s = np.tanh(x)
+    curves["meridian_like"] = np.column_stack([s * np.cos(5 * s), 0.3 * np.sin(7 * s)])
+    u = np.linspace(0, 1, 300)
+    curves["horizontal"] = np.column_stack([u, np.zeros_like(u)])
+    curves["vertical"] = np.column_stack([np.full_like(u, 0.25), u])
+    curves["vertical_back"] = np.column_stack([np.full(600, 0.25), np.r_[u, u[::-1]]])
+    curves["walk_repeats"] = _with_repeats(curves["walk1"], 5)
+    curves["figure8_repeats"] = _with_repeats(curves["figure8"], 3)
+    return curves
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_curves()))
+def test_candidate_pairs_match_spatial_hash(name):
+    pts = _oracle_curves()[name]
+    for gap in (1, 3):
+        swept = [tuple(p) for p in _candidate_pairs(pts, gap).tolist()]
+        assert swept == _hash_candidate_pairs(pts, gap)
+
+
+def test_candidate_pairs_all_identical_points():
+    # the hash has no cell size here and returns no pairs; the sweep pairs
+    # every point with every other, and the exact test finds no crossing
+    pts = np.full((40, 2), 0.3)
+    assert _hash_candidate_pairs(pts, 1) == []
+    assert len(_candidate_pairs(pts, 1)) == 38 * 37 // 2
+    assert polyline_self_intersection_report(pts).crossings == 0
+
+
+def _prongs(npts, delta):
+    up = np.column_stack([np.linspace(0, 1, npts), np.zeros(npts)])
+    back = np.column_stack([np.linspace(1, 0, npts), np.full(npts, delta)])
+    return np.vstack([up, back])
+
+
+@pytest.mark.parametrize("name,pts,capped", [
+    ("figure8", _oracle_curves()["figure8"], False),
+    ("walk_repeats", _oracle_curves()["walk_repeats"], True),
+    ("figure8_repeats", _oracle_curves()["figure8_repeats"], False),
+    ("prongs", _prongs(200, 1e-4), False),
+    ("prongs_capped", _prongs(1000, 1e-4), True),
+    ("prongs_capped_repeats", _with_repeats(_prongs(1000, 1e-4), 7), True),
+])
+def test_margin_matches_pairwise_loop(name, pts, capped):
+    margin, nclose = _loop_margin(pts)
+    assert (nclose > 2000) == capped
+    got = polyline_self_intersection_report(pts).margin
+    assert got == pytest.approx(margin, rel=1e-12, abs=0.0)
