@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from bergercmc.cmc_spheres import is_embedded, reconstruct_meridian
+from bergercmc.svgplot import write_csv
 
 
 def verdict(alpha: float, H: float, n: int = 3000) -> bool | None:
@@ -55,10 +56,7 @@ def scan(outdir: str, n_alpha: int) -> None:
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "embeddedness_band.csv", "w", newline="") as fh:
-        fh.write("alpha,H_lo,H_hi\n")
-        for a, lo, hi in rows:
-            fh.write(f"{a!r},{lo!r},{hi!r}\n")
+    write_csv(out / "embeddedness_band.csv", ("alpha", "H_lo", "H_hi"), rows)
     print(f"wrote {out / 'embeddedness_band.csv'}")
 
 

@@ -45,6 +45,14 @@ def as_alpha(p) -> float:
     return a
 
 
+def as_H(H) -> float:
+    """Accept a finite nonnegative mean curvature."""
+    h = float(H)
+    if not (h >= 0.0 and math.isfinite(h)):
+        raise ContractViolation(f"mean curvature H must be finite and nonnegative, got {h}")
+    return h
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     """A point of S^3, stored as (Re z, Im z, Re w, Im w)."""
@@ -114,9 +122,7 @@ def metric_eval(p, X: AmbientVector, Y: AmbientVector) -> float:
     a = as_alpha(p)
     if X.base != Y.base:
         raise ContractViolation("metric_eval needs vectors at the same base point")
-    v = killing_vector(X.base.array())
-    x, y = X.array(), Y.array()
-    return float(x @ y + (a - 1.0) * (x @ v) * (y @ v))
+    return metric_eval_raw(a, X.base.array(), X.array(), Y.array())
 
 
 def metric_eval_raw(alpha: float, base: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:

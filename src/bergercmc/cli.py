@@ -19,31 +19,26 @@ import numpy as np
 from . import selfcheck
 from .ambient import ContractViolation, total_volume
 from .cmc_spheres import (ConsistencyError, QuadratureError, ReconstructionError,
-                          area_sphere, is_embedded, reconstruct_meridian)
-from .isoperimetry import (crossing_alpha, isoperimetric_candidate,
+                          area_sphere_closed, is_embedded, reconstruct_meridian)
+from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
                            sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
 from .stability import (alpha0, classify_sphere, jacobi_spectrum,
                         sphere_stability_boundary)
-from .svgplot import polyline_svg
+from .svgplot import polyline_svg, write_csv
 from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
                    torus_spectrum, torus_stability_threshold)
 
 NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
                     CutoffError)
+EMBEDDED_TAG = {True: "embedded", False: "non-embedded", None: "undecided"}
+EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
 
 
 def _outdir(args) -> Path:
     out = Path(args.out or os.environ.get("BERGERCMC_OUT", "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_boundary_csv(path, rows, header):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_constants(args) -> int:
@@ -58,7 +53,7 @@ def cmd_constants(args) -> int:
 
 def cmd_sphere(args) -> int:
     verdict = classify_sphere(args.alpha, args.H)
-    area = area_sphere(args.alpha, args.H)
+    area = area_sphere_closed(args.alpha, args.H)
     spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
@@ -74,9 +69,7 @@ def cmd_sphere(args) -> int:
         m = reconstruct_meridian(args.alpha, args.H, (-args.x_max, args.x_max),
                                  args.meridian_n)
         r = is_embedded(m)
-        tag = ("embedded" if r.embedded else
-               "non-embedded" if r.embedded is False else "undecided")
-        print(f"embeddedness = {tag} (margin {r.margin:.6g}, "
+        print(f"embeddedness = {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g}, "
               f"crossings {r.crossings})")
         mpath = _outdir(args) / f"meridian_alpha{args.alpha:g}_H{args.H:g}.csv"
         m.to_csv(mpath)
@@ -113,11 +106,11 @@ def cmd_regions(args) -> int:
 
     grid2 = np.linspace(a0 * 0.02, a0 * 0.995, args.n)
     rows2 = sphere_stability_boundary(grid2)
-    _write_boundary_csv(out / "figure2_sphere_boundary.csv", rows2, "alpha,H_of_alpha")
+    write_csv(out / "figure2_sphere_boundary.csv", ("alpha", "H_of_alpha"), rows2)
 
     grid3 = np.linspace(0.004, 1.0 / 3.0, args.n)
     rows3 = [(a, torus_stability_threshold(a)) for a in grid3]
-    _write_boundary_csv(out / "figure3_torus_boundary.csv", rows3, "alpha,H_threshold")
+    write_csv(out / "figure3_torus_boundary.csv", ("alpha", "H_threshold"), rows3)
 
     alpha_curve_csv(out / "alpha_roots.csv")
     if args.format == "csv+svg":
@@ -143,16 +136,10 @@ def cmd_embeddedness(args) -> int:
         for H in Hs:
             m = reconstruct_meridian(a, H, (-args.x_max, args.x_max), args.n)
             r = is_embedded(m)
-            flag = 1 if r.embedded else (0 if r.embedded is False else -1)
-            rows.append((a, H, flag, r.margin))
-            print(f"alpha={a:g} H={H:g}: "
-                  f"{'embedded' if flag == 1 else 'non-embedded' if flag == 0 else 'undecided'} "
-                  f"(margin {r.margin:.6g})")
+            rows.append((a, H, EMBEDDED_FLAG[r.embedded], r.margin))
+            print(f"alpha={a:g} H={H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
     path = out / "figure1_embeddedness.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("alpha,H,embedded,margin\n")
-        for a, H, flag, margin in rows:
-            fh.write(f"{a!r},{H!r},{flag},{float(margin)!r}\n")
+    write_csv(path, ("alpha", "H", "embedded", "margin"), rows)
     print(f"wrote {path}")
     return 0
 
@@ -165,11 +152,7 @@ def cmd_profiles(args) -> int:
         sp = sphere_profile(a, H_max=args.H_max, n=args.n)
         tp = torus_profile(a, H_max=args.H_max, n=args.n)
         path = out / f"figure4_profiles_alpha{a:.6g}.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("family,H,area,volume\n")
-            for prof in (sp, tp):
-                for h, ar, v in zip(prof.H, prof.area, prof.volume):
-                    fh.write(f"{prof.family},{float(h)!r},{float(ar)!r},{float(v)!r}\n")
+        write_csv(path, PROFILE_COLUMNS, sp.rows() + tp.rows())
         if sp.notes:
             print(f"alpha={a:.6g}: {sp.notes}")
         if args.format == "csv+svg":

@@ -25,11 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .ambient import as_alpha, frame_at
+from .ambient import as_alpha, as_H, frame_at
 from .geometry2d import polyline_self_intersection_report
+from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
+MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
+RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
+ORBIT_FIT_XMAX = 6.0  # orbit-generator fit uses |x| <= this
 
 
 class ReconstructionError(RuntimeError):
@@ -71,10 +75,7 @@ class SphereFundamentalData:
 
 def fundamental_data(p, H: float) -> SphereFundamentalData:
     """Fundamental data of the CMC sphere with mean curvature H >= 0."""
-    a = as_alpha(p)
-    if H < 0:
-        raise ValueError("mean curvature H must be nonnegative")
-    return SphereFundamentalData(alpha=a, H=float(H))
+    return SphereFundamentalData(alpha=as_alpha(p), H=as_H(H))
 
 
 def zchart_data(alpha: float, H: float, x):
@@ -255,15 +256,10 @@ class MeridianProfile:
 
     def to_csv(self, path) -> None:
         """CSV columns: x, re(z), im(z), re(w), im(w), metric_residual, C_residual."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x,re_z,im_z,re_w,im_w,metric_residual,C_residual\n")
-            for i in range(len(self.x)):
-                P = [float(v) for v in self.points[i]]
-                mr = float(self.metric_residual[i])
-                fh.write(
-                    f"{float(self.x[i])!r},{P[0]!r},{P[1]!r},{P[2]!r},{P[3]!r},"
-                    f"{(mr if math.isfinite(mr) else 0.0)!r},{float(self.C_residual[i])!r}\n"
-                )
+        mr = self.metric_residual
+        write_csv(path, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
+                  np.column_stack([self.x, self.points, np.where(np.isfinite(mr), mr, 0.0),
+                                   self.C_residual]))
 
 
 def _frame_ode_rhs(alpha: float, H: float):
@@ -316,9 +312,7 @@ def _frame_ode_rhs(alpha: float, H: float):
     return rhs
 
 
-def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024,
-                         rtol: float = 1e-10, atol: float = 1e-12,
-                         residual_tol: float = 1e-3) -> MeridianProfile:
+def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
     """Integrate the moving-frame system along y = 0 and validate the result.
 
     Starts at the equator point x = 0 with the frame fixed by the closed
@@ -351,7 +345,7 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024,
         sel = xs >= 0 if sign > 0 else xs <= 0
         t_eval = xs[sel] if sign > 0 else xs[sel][::-1]
         sol = solve_ivp(rhs, (0.0, xcut), y0, method="DOP853",
-                        t_eval=t_eval, rtol=rtol, atol=atol)
+                        t_eval=t_eval, rtol=MERIDIAN_RTOL, atol=MERIDIAN_ATOL)
         if not sol.success:
             raise ReconstructionError(f"ODE integration failed: {sol.message}")
         vals = sol.y.T if sign > 0 else sol.y.T[::-1]
@@ -385,10 +379,10 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024,
                            tangent_y=tangent_y, metric_residual=metric_residual,
                            C_residual=C_residual)
     worst = max(prof.max_metric_residual, prof.max_C_residual)
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise ReconstructionError(
             f"reconstruction invariants violated: metric {prof.max_metric_residual:.3e}, "
-            f"C {prof.max_C_residual:.3e} (tol {residual_tol})"
+            f"C {prof.max_C_residual:.3e} (tol {RESIDUAL_TOL})"
         )
     return prof
 
@@ -437,9 +431,9 @@ class OrbitGenerator:
     fit_residual: float
 
 
-def fit_orbit_generator(m: MeridianProfile, xmax_fit: float = 6.0) -> OrbitGenerator:
+def fit_orbit_generator(m: MeridianProfile) -> OrbitGenerator:
     """Least-squares fit of W in u(2) to d Phi / dy = W gamma along the meridian."""
-    sel = np.abs(m.x) <= min(xmax_fit, float(np.max(np.abs(m.x))))
+    sel = np.abs(m.x) <= min(ORBIT_FIT_XMAX, float(np.max(np.abs(m.x))))
     P = m.points[sel]
     B = m.tangent_y[sel]
     zr, zi, wr, wi = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
@@ -499,7 +493,7 @@ class EmbeddednessResult:
     notes: str = ""
 
 
-def is_embedded(m: MeridianProfile, residual_tol: float = 1e-3) -> EmbeddednessResult:
+def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     """Decide embeddedness of the CMC sphere from its meridian profile.
 
     The projected orbit-space curve is tested for transverse self-
@@ -508,7 +502,7 @@ def is_embedded(m: MeridianProfile, residual_tol: float = 1e-3) -> EmbeddednessR
     length.  A margin below 10x the polyline resolution yields an undecided
     verdict.
     """
-    if max(m.max_metric_residual, m.max_C_residual) > residual_tol:
+    if max(m.max_metric_residual, m.max_C_residual) > RESIDUAL_TOL:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
     gen = fit_orbit_generator(m)
     kap = np.sort(np.abs(gen.kappa))

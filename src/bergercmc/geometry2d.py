@@ -14,6 +14,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.spatial import cKDTree
 
+ARC_FACTOR = 20.0  # clearance pairs are more than this many segment lengths apart
+
 
 def _orient(ax, ay, bx, by, cx, cy):
     """Exact sign of the cross product (b - a) x (c - a)."""
@@ -103,13 +105,12 @@ def _segment_distances(p, q, r, s) -> np.ndarray:
                               _point_segment_distance(r, p, q), _point_segment_distance(s, p, q)])
 
 
-def polyline_self_intersection_report(points: np.ndarray,
-                                      arc_factor: float = 20.0) -> IntersectionReport:
+def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
     """Exact self-intersection count and clearance margin of an open polyline.
 
     Crossings are counted over all segment pairs that do not share an
     endpoint.  The margin is the minimum distance between segment pairs
-    whose separation along the curve exceeds arc_factor times the coarsest
+    whose separation along the curve exceeds ARC_FACTOR times the coarsest
     segment length, so it measures genuine near-self-contact rather than
     neighbours along the curve.  Raises ValueError unless points is an
     (n, 2) array of n >= 2 finite points.
@@ -129,7 +130,7 @@ def polyline_self_intersection_report(points: np.ndarray,
             crossing_pairs.append((i, j))
 
     # clearance margin among arc-separated parts of the curve
-    arc_min = arc_factor * res
+    arc_min = ARC_FACTOR * res
     margin = arc_min  # capped: beyond this the curve is safely clear
     nseg = len(seglen)
     qp = cKDTree(pts).query_pairs(arc_min, output_type="ndarray")

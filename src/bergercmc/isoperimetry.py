@@ -1,13 +1,17 @@
 """Area/volume profiles of the two CMC families and candidate ranking.
 
-Tori have closed-form profiles.  For spheres the area comes from the
-meridian quadrature and the enclosed volume from the first-variation
-identity dA = 2H dV, integrated from the half-volume minimal sphere:
-differentiating the area integrand in u = H^2 removes the H = 0
-singularity of dA/(2H) entirely, since
+Tori have closed-form profiles.  Sphere areas come from the closed form of
+the area integral.  The enclosed volume is integrated along the family from
+the half-volume minimal sphere, with the rate
 
-    dV/dH = d(area)/du |_{u = H^2} = 2 pi Int cosh^2 x
-            ((1-a) - (u+a) cosh^2 x) / den^3 dx.
+    dV/dH = d(area)/du |_{u = H^2} = -2 Int f dA,
+
+where f solves Lf = 1 (the Koiso function of the stability module).  The
+first equality is the first-variation identity dA = 2H dV written in
+u = H^2, which is regular at H = 0; the second makes the rate the closed
+Koiso integral, so the volume falls exactly where the spheres are stable.
+sphere_volume_rate keeps the quadrature of the u-derivative of the area
+integrand as an independent check of this identity.
 
 The isoperimetric candidate at a prescribed volume is the least-area
 stable member of the two families; for 1/3 <= a < 1 that settles the
@@ -25,12 +29,14 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .ambient import as_alpha, total_volume
-from .cmc_spheres import area_sphere, area_sphere_closed, minimal_area_closed
-from .stability import classify_sphere
+from .cmc_spheres import AREA_CUTOFF, area_sphere, area_sphere_closed, minimal_area_closed
+from .stability import classify_sphere, koiso_integral_closed
+from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume
 
 SPHERE = "Sphere"
 TORUS = "Torus"
+PROFILE_COLUMNS = ("family", "H", "area", "volume")
 
 
 @dataclass
@@ -42,8 +48,12 @@ class IsoperimetricProfile:
     volume: np.ndarray
     monotone: bool = True
     notes: str = ""
-    _area_interp: PchipInterpolator | None = field(default=None, repr=False)
-    _vol_interp: PchipInterpolator | None = field(default=None, repr=False)
+    _area_interp: PchipInterpolator = field(init=False, repr=False)
+    _vol_interp: PchipInterpolator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._area_interp = PchipInterpolator(self.H, self.area)
+        self._vol_interp = PchipInterpolator(self.H, self.volume)
 
     def area_at(self, H: float) -> float:
         return float(self._area_interp(H))
@@ -65,20 +75,23 @@ class IsoperimetricProfile:
             out.append(float(self.H[-1]))
         return out
 
+    def rows(self) -> list:
+        return [(self.family, h, a, v) for h, a, v in zip(self.H, self.area, self.volume)]
+
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("family,H,area,volume\n")
-            for h, a, v in zip(self.H, self.area, self.volume):
-                fh.write(f"{self.family},{float(h)!r},{float(a)!r},{float(v)!r}\n")
+        write_csv(path, PROFILE_COLUMNS, self.rows())
 
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
+    if not 0.0 < H_max < math.inf or n < 50:
+        raise ValueError("need H_max > 0 and n >= 50")
     s = np.linspace(0.0, 1.0, n)
     return H_max * s**2
 
 
 def sphere_volume_rate(alpha: float, H: float) -> float:
-    """dV/dH along the sphere family (negative where volume shrinks)."""
+    """dV/dH along the sphere family by quadrature (the check route of
+    -2 koiso_integral_closed; negative where volume shrinks)."""
     u = H * H
 
     def integrand(x):
@@ -86,34 +99,31 @@ def sphere_volume_rate(alpha: float, H: float) -> float:
         den = (1.0 - alpha) + (u + alpha) * c2
         return c2 * ((1.0 - alpha) - (u + alpha) * c2) / den**3
 
-    val, _ = quad(integrand, 0.0, 25.0, epsabs=1e-13, epsrel=1e-11, limit=200)
+    val, _ = quad(integrand, 0.0, AREA_CUTOFF, epsabs=1e-13, epsrel=1e-11, limit=200)
     return 4.0 * math.pi * val  # even integrand
 
 
 def sphere_profile(p, H_max: float = 20.0, n: int = 400,
                    H_grid=None) -> IsoperimetricProfile:
-    """Sphere-family profile on a graded H grid, volumes from the
-    first-variation ODE anchored at V(0) = pi^2 sqrt(a)."""
+    """Sphere-family profile on a graded H grid: closed-form areas, volumes
+    from the ODE dV/dH = -2 Int f dA anchored at V(0) = pi^2 sqrt(a)."""
     a = as_alpha(p)
-    if H_max <= 0 or n < 50:
-        raise ValueError("need H_max > 0 and n >= 50")
-    if H_grid is not None:
-        H = np.asarray(H_grid, dtype=float)
-        if H[0] != 0.0 or np.any(np.diff(H) <= 0):
-            raise ValueError("H_grid must increase from 0")
-        H_max = float(H[-1])
-    else:
-        H = _graded_grid(H_max, n)
-    area = np.array([area_sphere(a, h) for h in H])
+    H = _graded_grid(H_max, n) if H_grid is None else np.asarray(H_grid, dtype=float)
+    if H[0] != 0.0 or np.any(np.diff(H) <= 0):
+        raise ValueError("H_grid must increase from 0")
+    area = np.array([area_sphere_closed(a, h) for h in H])
 
-    sol = solve_ivp(lambda h, v: [sphere_volume_rate(a, h)],
-                    (0.0, H_max), [math.pi**2 * math.sqrt(a)],
+    def volume_rate(h):
+        return -2.0 * koiso_integral_closed(a, h)
+
+    sol = solve_ivp(lambda h, v: [volume_rate(h)],
+                    (0.0, float(H[-1])), [math.pi**2 * math.sqrt(a)],
                     method="DOP853", t_eval=H, rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"volume ODE failed: {sol.message}")
     vol = sol.y[0]
 
-    rate = np.array([sphere_volume_rate(a, h) for h in H])
+    rate = np.array([volume_rate(h) for h in H])
     monotone = bool(np.all(rate <= 1e-12))
     notes = ""
     if not monotone:
@@ -121,11 +131,8 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400,
         notes = (f"volume is not monotone in H (increasing near H in "
                  f"[{inc.min():.3f}, {inc.max():.3f}]): noncongruent spheres "
                  f"enclose equal volumes")
-    prof = IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area, volume=vol,
+    return IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area, volume=vol,
                                 monotone=monotone, notes=notes)
-    prof._area_interp = PchipInterpolator(H, area)
-    prof._vol_interp = PchipInterpolator(H, vol)
-    return prof
 
 
 def torus_area_volume_closed(alpha: float, H) -> tuple[np.ndarray, np.ndarray]:
@@ -138,14 +145,9 @@ def torus_area_volume_closed(alpha: float, H) -> tuple[np.ndarray, np.ndarray]:
 def torus_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile:
     """Torus-family profile; closed forms, dA = 2H dV holds identically."""
     a = as_alpha(p)
-    if H_max <= 0 or n < 50:
-        raise ValueError("need H_max > 0 and n >= 50")
     H = _graded_grid(H_max, n)
     area, vol = torus_area_volume_closed(a, H)
-    prof = IsoperimetricProfile(family=TORUS, alpha=a, H=H, area=area, volume=vol)
-    prof._area_interp = PchipInterpolator(H, area)
-    prof._vol_interp = PchipInterpolator(H, vol)
-    return prof
+    return IsoperimetricProfile(family=TORUS, alpha=a, H=H, area=area, volume=vol)
 
 
 def torus_H_at_volume(alpha: float, V: float) -> float:
@@ -169,7 +171,7 @@ def clifford_vs_minimal_sphere(p) -> tuple[float, float, str]:
     return a_torus, a_sphere, (SPHERE if a_sphere <= a_torus else TORUS)
 
 
-def crossing_alpha(validate: bool = True) -> float:
+def crossing_alpha() -> float:
     """The deformation where minimal sphere and Clifford torus have equal area.
 
     Root of 2 pi^2 sqrt(a) = 2 pi (1 + a artanh(sqrt(1-a))/sqrt(1-a)) on
@@ -180,10 +182,9 @@ def crossing_alpha(validate: bool = True) -> float:
         return 2.0 * math.pi**2 * math.sqrt(a) - minimal_area_closed(a)
 
     root = brentq(f, 1e-6, 1.0 / 3.0, xtol=1e-12, rtol=8.9e-16)
-    if validate:
-        quadr = area_sphere(root, 0.0)
-        if abs(quadr - minimal_area_closed(root)) > 1e-6 * quadr:
-            raise RuntimeError("closed-form area disagrees with quadrature at the root")
+    quadr = area_sphere(root, 0.0)
+    if abs(quadr - minimal_area_closed(root)) > 1e-6 * quadr:
+        raise RuntimeError("closed-form area disagrees with quadrature at the root")
     return root
 
 

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
+from .ambient import as_alpha
+from .svgplot import write_csv
+
 
 @dataclass(frozen=True)
 class RegionPolynomial:
@@ -39,15 +42,20 @@ class RegionPolynomial:
         return self.B**2 - 4.0 * self.A * self.C
 
 
+def _coefficients(t, e: float):
+    """(A, B, C) of P_t for the sign e = +-1.0; t a float or an array."""
+    A = -(t**4 + 2.0 * t**2 - 8.0 * e * t + 1.0)
+    B = 2.0 * (t**4 - 4.0 * e * t + 3.0)
+    C = -((1.0 - t**2) ** 2)
+    return A, B, C
+
+
 def region_polynomial(t: float, epsilon: int) -> RegionPolynomial:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if epsilon not in (+1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    e = float(epsilon)
-    A = -(t**4 + 2.0 * t**2 - 8.0 * e * t + 1.0)
-    B = 2.0 * (t**4 - 4.0 * e * t + 3.0)
-    C = -((1.0 - t**2) ** 2)
+    A, B, C = _coefficients(t, float(epsilon))
     return RegionPolynomial(t=float(t), epsilon=epsilon, A=A, B=B, C=C)
 
 
@@ -80,15 +88,6 @@ def alpha_root(t: float, epsilon: int) -> float:
     return -2.0 * P.C / (P.B + math.sqrt(disc))
 
 
-def beta_root(t: float, epsilon: int = 1) -> float:
-    """The companion root of P_t for eps = +1 (beta(t) <= alpha(t) for t > t0)."""
-    P = region_polynomial(t, epsilon)
-    disc = 32.0 * (t - 1.0) ** 2 * (1.0 + t**2)
-    if P.A == 0.0:
-        return math.inf
-    return (-P.B - math.copysign(math.sqrt(disc), P.A)) / (2.0 * P.A)
-
-
 def critical_constants(scan_points: int = 10001) -> tuple[float, float, float]:
     """(t0, alpha_1, alpha_hyperbolic): pole of the root formula, the
     maximum of alpha(t) below 1 and the minimum of alpha(t) above 1.
@@ -116,11 +115,7 @@ def critical_constants(scan_points: int = 10001) -> tuple[float, float, float]:
 
 def F_function(alpha: float, t) -> np.ndarray:
     """F(t; alpha) = P_t(alpha) with eps = sign(1 - alpha), vectorized in t."""
-    t = np.asarray(t, dtype=float)
-    e = 1.0 if alpha < 1.0 else -1.0
-    A = -(t**4 + 2.0 * t**2 - 8.0 * e * t + 1.0)
-    B = 2.0 * (t**4 - 4.0 * e * t + 3.0)
-    C = -((1.0 - t**2) ** 2)
+    A, B, C = _coefficients(np.asarray(t, dtype=float), 1.0 if alpha < 1.0 else -1.0)
     return (A * alpha + B) * alpha + C
 
 
@@ -131,8 +126,6 @@ def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
     so the reported minimum is not a grid artifact.  True exactly when
     alpha in [alpha_1, 1) or (1, 4/3].
     """
-    from .ambient import as_alpha
-
     alpha = as_alpha(p)
     if alpha == 1.0:
         raise ValueError("F is defined for alpha != 1 (epsilon is the sign of 1 - alpha)")
@@ -170,16 +163,12 @@ def stability_integrand(p, H: float, c: float) -> float:
     nonpositive on 1/3 <= a < 1 for all H >= 0, |c| <= 1, vanishing only
     at (1/3, 0, 0) (the Clifford torus case).
     """
-    from .ambient import as_alpha
-
     a = as_alpha(p)
     return -4.0 * H**2 - 4.0 * a + ((a - 1.0) ** 2 / a) * (1.0 - c**2) ** 2
 
 
 def alpha_curve_csv(path, n: int = 401) -> None:
     """CSV of the two root curves: columns t, alpha_root_plus, alpha_root_minus."""
-    ts = np.linspace(0.0, 1.0, n)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,alpha_root_plus,alpha_root_minus\n")
-        for t in ts:
-            fh.write(f"{float(t)!r},{alpha_root(float(t), +1)!r},{alpha_root(float(t), -1)!r}\n")
+    ts = np.linspace(0.0, 1.0, n).tolist()
+    write_csv(path, ("t", "alpha_root_plus", "alpha_root_minus"),
+              [(t, alpha_root(t, +1), alpha_root(t, -1)) for t in ts])

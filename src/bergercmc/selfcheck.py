@@ -17,10 +17,10 @@ from .cmc_spheres import (area_sphere, fundamental_data, gauss_bonnet_integral,
                           zchart_data)
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
-                           sphere_profile)
+                           sphere_profile, sphere_volume_rate)
 from .stability import (alpha0, classify_sphere, jacobi_potential_flat,
-                        jacobi_rayleigh_C, jacobi_spectrum, koiso_integral_closed,
-                        koiso_integral_quadrature, potential_from_data)
+                        jacobi_rayleigh_C, jacobi_spectrum, koiso_integral,
+                        koiso_integral_closed, potential_from_data)
 
 
 def check_metric_symmetry():
@@ -103,13 +103,19 @@ def check_potential_universality():
 def check_koiso():
     for a in (0.1, 0.5, 0.9, 1.5, 2.5):
         for H in (0.0, 0.7, 2.0):
-            closed = koiso_integral_closed(a, H)
-            quadr = koiso_integral_quadrature(a, H)
-            assert abs(closed - quadr) <= 1e-6 * max(abs(closed), abs(quadr)), "Koiso quadrature"
+            koiso_integral(a, H)  # raises ConsistencyError if quadrature disagrees
     a0 = alpha0()
     assert abs(a0 - 0.121) < 5e-4, "alpha0 printed value"
     assert abs(koiso_integral_closed(a0, 0.0)) < 1e-9, "alpha0 root property"
     assert not classify_sphere(0.05, 0.0).stable and classify_sphere(2.0, 0.0).stable
+
+
+def check_volume_rate():
+    for a in (0.004, alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0):
+        for H in (0.0, 1e-3, 1.0, 20.0):
+            closed = -2.0 * koiso_integral_closed(a, H)
+            quadr = sphere_volume_rate(a, H)
+            assert abs(closed - quadr) <= max(1e-9 * abs(quadr), 1e-12), "dV/dH = -2 Int f dA"
 
 
 def check_spectrum():
@@ -189,6 +195,7 @@ CHECKS = [
     ("areas", check_areas),
     ("potential-universality", check_potential_universality),
     ("koiso", check_koiso),
+    ("volume-rate", check_volume_rate),
     ("jacobi-spectrum", check_spectrum),
     ("torus", check_torus),
     ("regions", check_regions),

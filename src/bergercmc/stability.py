@@ -30,11 +30,14 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
-from .ambient import as_alpha
-from .cmc_spheres import ConsistencyError, SphereFundamentalData, fundamental_data
+from .ambient import as_alpha, as_H
+from .cmc_spheres import AREA_CUTOFF, ConsistencyError, SphereFundamentalData, fundamental_data
+from .svgplot import write_csv
 
 KOISO_INTEGRAL = "KoisoIntegral"
 LAMBDA1_GAP = "Lambda1Gap"
+KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
+PER_MODE = 6  # eigenvalues computed per Fourier mode
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,7 @@ class SpectrumResult:
         return self.zeros
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("k,lambda\n")
-            for k, lam in zip(self.modes, self.eigenvalues):
-                fh.write(f"{int(k)},{float(lam)!r}\n")
+        write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
 
 
 # ---------------------------------------------------------------------------
@@ -136,28 +136,28 @@ def koiso_integral_quadrature(p, H: float) -> float:
     def integrand(x):
         return float(koiso_solution(a, H, x)) * float(d.conf(x))
 
-    val, _ = quad(integrand, 0.0, 25.0, epsabs=1e-14, epsrel=1e-12, limit=200)
+    val, _ = quad(integrand, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12, limit=200)
     return 4.0 * math.pi * val  # integrand is even
 
 
-def koiso_integral(p, H: float, check: bool = True, rtol: float = 1e-6) -> float:
+def koiso_integral(p, H: float) -> float:
     """Int f dA by the closed form, cross-checked against quadrature."""
     closed = koiso_integral_closed(p, H)
-    if check:
-        quadr = koiso_integral_quadrature(p, H)
-        scale = max(abs(closed), abs(quadr), 1e-12)
-        if abs(closed - quadr) > rtol * scale:
-            raise ConsistencyError(
-                f"Koiso integral mismatch: closed {closed} vs quadrature {quadr}")
+    quadr = koiso_integral_quadrature(p, H)
+    scale = max(abs(closed), abs(quadr), 1e-12)
+    if abs(closed - quadr) > KOISO_RTOL * scale:
+        raise ConsistencyError(
+            f"Koiso integral mismatch: closed {closed} vs quadrature {quadr}")
     return closed
 
 
 def classify_sphere(p, H: float) -> StabilityVerdict:
     """Koiso criterion: S_a(H) is stable iff Int f dA >= 0."""
     a = as_alpha(p)
+    H = as_H(H)
     margin = koiso_integral_closed(a, H)
     return StabilityVerdict(stable=margin >= 0.0, margin=margin,
-                            criterion=KOISO_INTEGRAL, alpha=a, H=float(H))
+                            criterion=KOISO_INTEGRAL, alpha=a, H=H)
 
 
 def alpha0() -> float:
@@ -241,7 +241,7 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
 
 
 def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000,
-                    per_mode: int = 6, refine_check: bool = False) -> SpectrumResult:
+                    refine_check: bool = False) -> SpectrumResult:
     """Low end of the Jacobi spectrum of S_a(H), merged over Fourier modes.
 
     Modes k and -k coincide, so k != 0 eigenvalues enter twice.  Zero
@@ -256,8 +256,8 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000,
     if n < 200:
         raise ValueError("need n >= 200 grid cells")
     if refine_check:
-        coarse = jacobi_spectrum(a, H, k_max=k_max, n=n, per_mode=per_mode)
-        fine = jacobi_spectrum(a, H, k_max=k_max, n=2 * n, per_mode=per_mode)
+        coarse = jacobi_spectrum(a, H, k_max=k_max, n=n)
+        fine = jacobi_spectrum(a, H, k_max=k_max, n=2 * n)
         drift = np.abs(coarse.eigenvalues - fine.eigenvalues)
         rel = float(np.max(drift / np.maximum(1.0, np.abs(fine.eigenvalues))))
         if rel > 1e-4:
@@ -266,7 +266,7 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000,
         return fine
     lams, ks = [], []
     for k in range(k_max + 1):
-        vals = _mode_eigenvalues(a, H, k, n, per_mode)
+        vals = _mode_eigenvalues(a, H, k, n, PER_MODE)
         reps = 1 if k == 0 else 2
         for v in vals:
             for _ in range(reps):
@@ -305,6 +305,6 @@ def jacobi_rayleigh_C(p, H: float) -> float:
     def den(x):
         return math.tanh(x) ** 2 * float(d.conf(x))
 
-    qn, _ = quad(num, 0.0, 25.0, epsabs=1e-14, epsrel=1e-12)
-    qd, _ = quad(den, 0.0, 25.0, epsabs=1e-14, epsrel=1e-12)
+    qn, _ = quad(num, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12)
+    qd, _ = quad(den, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12)
     return abs(qn) / qd

@@ -1,18 +1,35 @@
-"""Minimal deterministic SVG polyline plots (verification aids, no deps)."""
+"""Deterministic file output: CSV tables and minimal SVG polyline plots."""
 
 from __future__ import annotations
 
 import numpy as np
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+WIDTH, HEIGHT = 640, 480  # SVG canvas in pixels
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _cell(v) -> str:
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v
+    return repr(float(v))
 
 
-def polyline_svg(path, curves, title="", xlabel="", ylabel="",
-                 width=640, height=480) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file with one header line.
+
+    Integer cells are written as integers, strings as they are and every
+    other cell as the shortest round-trip float repr, so equal input gives
+    byte-identical files.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
+
+
+def polyline_svg(path, curves, title="", xlabel="", ylabel="") -> None:
     """Write polyline curves to an SVG file.
 
     curves: iterable of (x, y, label) with array-likes x, y.  Axes with five
@@ -30,7 +47,7 @@ def polyline_svg(path, curves, title="", xlabel="", ylabel="",
     if y1 == y0:
         y1 = y0 + 1.0
     ml, mr, mt, mb = 70, 20, 40, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
 
     def X(x):
         return ml + (x - x0) / (x1 - x0) * pw
@@ -39,9 +56,9 @@ def polyline_svg(path, curves, title="", xlabel="", ylabel="",
         return mt + (y1 - y) / (y1 - y0) * ph
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH/2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="black"/>',
     ]
     for i in range(5):
@@ -50,12 +67,12 @@ def polyline_svg(path, curves, title="", xlabel="", ylabel="",
         lines.append(f'<line x1="{X(tx):.2f}" y1="{mt+ph}" x2="{X(tx):.2f}" '
                      f'y2="{mt+ph+5}" stroke="black"/>')
         lines.append(f'<text x="{X(tx):.2f}" y="{mt+ph+18}" text-anchor="middle" '
-                     f'font-size="11">{_fmt(tx)}</text>')
+                     f'font-size="11">{tx:.6g}</text>')
         lines.append(f'<line x1="{ml-5}" y1="{Y(ty):.2f}" x2="{ml}" '
                      f'y2="{Y(ty):.2f}" stroke="black"/>')
         lines.append(f'<text x="{ml-8}" y="{Y(ty)+4:.2f}" text-anchor="end" '
-                     f'font-size="11">{_fmt(ty)}</text>')
-    lines.append(f'<text x="{ml+pw/2:.1f}" y="{height-10}" text-anchor="middle" '
+                     f'font-size="11">{ty:.6g}</text>')
+    lines.append(f'<text x="{ml+pw/2:.1f}" y="{HEIGHT-10}" text-anchor="middle" '
                  f'font-size="12">{xlabel}</text>')
     lines.append(f'<text x="18" y="{mt+ph/2:.1f}" text-anchor="middle" font-size="12" '
                  f'transform="rotate(-90 18 {mt+ph/2:.1f})">{ylabel}</text>')

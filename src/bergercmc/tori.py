@@ -18,8 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha
+from .ambient import as_alpha, as_H
 from .stability import LAMBDA1_GAP, StabilityVerdict
+from .svgplot import write_csv
+
+GROUP_TOL = 1e-9  # eigenvalues within this relative distance are one eigenvalue
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,14 @@ class LatticeBasis:
 def torus_data(p, H: float) -> TorusData:
     """Radii and induced metric of the CMC Hopf torus T_a(H)."""
     a = as_alpha(p)
-    if H < 0:
-        raise ValueError("mean curvature H must be nonnegative")
+    H = as_H(H)
     r1sq = 0.5 + H / (2.0 * math.sqrt(1.0 + H**2))
     r2sq = 1.0 - r1sq
     g11 = r1sq * (1.0 - (1.0 - a) * r1sq)
     g22 = r2sq * (1.0 - (1.0 - a) * r2sq)
     g12 = -r1sq * r2sq * (1.0 - a)
     g = np.array([[g11, g12], [g12, g22]])
-    return TorusData(alpha=a, H=float(H), r1=math.sqrt(r1sq), r2=math.sqrt(r2sq), metric=g)
+    return TorusData(alpha=a, H=H, r1=math.sqrt(r1sq), r2=math.sqrt(r2sq), metric=g)
 
 
 def lattice_and_dual(t: TorusData) -> tuple[LatticeBasis, LatticeBasis]:
@@ -92,17 +94,14 @@ class TorusSpectrum:
     shell_min: float  # smallest form value on the enumeration boundary
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("lambda,multiplicity\n")
-            for lam, m in zip(self.eigenvalues, self.multiplicities):
-                fh.write(f"{float(lam)!r},{int(m)}\n")
+        write_csv(path, ("lambda", "multiplicity"), zip(self.eigenvalues, self.multiplicities))
 
 
 class CutoffError(RuntimeError):
     """The enumeration box cannot certify lambda_1; enlarge N."""
 
 
-def torus_spectrum(t: TorusData, N: int = 8, group_tol: float = 1e-9) -> TorusSpectrum:
+def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     """Laplace spectrum {|m v1* + n v2*|^2} by brute-force dual enumeration.
 
     Certified: the minimum of the quadratic form on the continuous boundary
@@ -129,7 +128,7 @@ def torus_spectrum(t: TorusData, N: int = 8, group_tol: float = 1e-9) -> TorusSp
 
     shell = min(edge_min(N, 0), edge_min(-N, 0), edge_min(N, 1), edge_min(-N, 1))
 
-    positive = vals[vals > group_tol]
+    positive = vals[vals > GROUP_TOL]
     lambda1 = float(positive[0])
     if shell <= lambda1:
         raise CutoffError(
@@ -137,7 +136,7 @@ def torus_spectrum(t: TorusData, N: int = 8, group_tol: float = 1e-9) -> TorusSp
 
     uniq, counts = [], []
     for v in vals:
-        if uniq and v - uniq[-1] < group_tol * max(1.0, uniq[-1]):
+        if uniq and v - uniq[-1] < GROUP_TOL * max(1.0, uniq[-1]):
             counts[-1] += 1
         else:
             uniq.append(float(v))
@@ -161,8 +160,7 @@ def lambda1_closed_form(p, H: float) -> float:
     2 sqrt(H^2+1)/(H + sqrt(H^2+1)) + (1-a)/a applies.
     """
     a = as_alpha(p)
-    if H < 0:
-        raise ValueError("H must be nonnegative")
+    H = as_H(H)
     if a <= 1.0 / 3.0 and H <= torus_stability_threshold(a):
         return 4.0 * (H**2 + 1.0)
     c = math.sqrt(H**2 + 1.0)
@@ -172,10 +170,11 @@ def lambda1_closed_form(p, H: float) -> float:
 def classify_torus(p, H: float) -> StabilityVerdict:
     """Jacobi operator Delta + 4(H^2+1): stable iff lambda_1 >= 4(H^2+1)."""
     a = as_alpha(p)
+    H = as_H(H)
     lam1 = lambda1_closed_form(a, H)
     margin = lam1 - 4.0 * (H**2 + 1.0)
     return StabilityVerdict(stable=margin >= 0.0, margin=margin,
-                            criterion=LAMBDA1_GAP, alpha=a, H=float(H))
+                            criterion=LAMBDA1_GAP, alpha=a, H=H)
 
 
 def torus_area_volume(p, H: float) -> tuple[float, float]:
@@ -191,7 +190,3 @@ def torus_area_volume(p, H: float) -> tuple[float, float]:
     volume = 2.0 * math.pi**2 * math.sqrt(a) * t.r2**2
     return area, volume
 
-
-def round_solid_torus_volume(s: float) -> float:
-    """Round-metric volume of {|z|^2 >= s} in S^3: 2 pi^2 (1 - s)."""
-    return 2.0 * math.pi**2 * (1.0 - s)

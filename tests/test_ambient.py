@@ -22,6 +22,13 @@ def test_berger_param_validation():
         BergerParam(-1.0)
 
 
+def test_mean_curvature_validation():
+    assert ambient.as_H(0) == 0.0 and ambient.as_H(2.5) == 2.5
+    for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(ContractViolation):
+            ambient.as_H(bad)
+
+
 def test_point_and_vector_invariants():
     with pytest.raises(ContractViolation):
         AmbientPoint((1.0, 0.0, 0.0, 1e-3))

@@ -1,0 +1,53 @@
+"""The benchmark tracer wraps module attributes of bergercmc by name.
+
+Importing it and installing it here makes a rename or deletion of a traced
+name fail the test suite, not only a traced benchmark run.  The bench
+directory is only read.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))  # tracer.py imports benchstats
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_install_wraps_every_traced_name_and_uninstall_restores(tracer):
+    mods = {m: importlib.import_module(f"bergercmc.{m}") for m, *_ in tracer.SPEC}
+    before = {(m, attr): getattr(mods[m], attr) for m, attr, *_ in tracer.SPEC}
+    patches = tracer.install(tracer.Tracer())
+    try:
+        for (m, attr), orig in before.items():
+            assert getattr(mods[m], attr) is not orig, f"{m}.{attr} not wrapped"
+    finally:
+        tracer.uninstall(patches)
+    for (m, attr), orig in before.items():
+        assert getattr(mods[m], attr) is orig, f"{m}.{attr} not restored"
+
+
+def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer):
+    from bergercmc import isoperimetry
+
+    t = tracer.Tracer()
+    patches = tracer.install(t)
+    try:
+        prof = isoperimetry.sphere_profile(0.5, n=100)
+        isoperimetry.isoperimetric_candidate(0.5, math.pi**2 * math.sqrt(0.5), profile=prof)
+    finally:
+        tracer.uninstall(patches)
+    calls, _, _ = tracer.aggregate(t.spans)
+    assert calls["isoperimetry.profile"] == 1
+    assert calls["isoperimetry.volume_ode"] == 1
+    assert calls["isoperimetry.quad"] == 0
+    assert calls["cmc_spheres.quad"] == 0

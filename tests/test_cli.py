@@ -2,6 +2,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from bergercmc.cli import main
 
 
@@ -83,6 +85,26 @@ def test_profiles_with_svg(tmp_path, capsys):
 def test_config_error_exit_code(capsys):
     assert main(["torus", "--alpha", "-1", "--H", "0"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sphere", "torus"])
+@pytest.mark.parametrize("H", ["nan", "inf", "-1"])
+def test_bad_mean_curvature_exit_code(command, H, capsys):
+    assert main([command, "--alpha", "0.5", "--H", H]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "mean curvature H" in err
+
+
+@pytest.mark.parametrize("H_max", ["nan", "inf", "0"])
+def test_bad_profile_range_exit_code(H_max, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "profiles", "--alphas", "0.5", "--H-max", H_max]) == 2
+    assert "need H_max > 0" in capsys.readouterr().err
+
+
+def test_torus_nan_exits_2_without_traceback(tmp_path):
+    proc, _ = run_cli(["torus", "--alpha", "0.5", "--H", "nan"], tmp_path, "nan")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_embeddedness_scan(tmp_path, capsys):

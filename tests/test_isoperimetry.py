@@ -9,6 +9,7 @@ from bergercmc.isoperimetry import (SPHERE, TORUS, clifford_vs_minimal_sphere,
                                     round_cap_area_volume, sphere_profile,
                                     sphere_volume_rate, torus_H_at_volume,
                                     torus_profile)
+from bergercmc.stability import alpha0, koiso_integral_closed
 
 CROSSING_REF = 0.1664476396914846
 
@@ -68,6 +69,15 @@ def test_volume_rate_is_first_variation():
         from bergercmc.cmc_spheres import area_sphere_closed
         dA = (area_sphere_closed(a, H + h) - area_sphere_closed(a, H - h)) / (2 * h)
         assert sphere_volume_rate(a, H) == pytest.approx(dA / (2 * H), rel=1e-6)
+
+
+@pytest.mark.parametrize("a", [0.004, alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0])
+@pytest.mark.parametrize("H", [0.0, 1e-3, 1.0, 20.0])
+def test_closed_volume_rate_is_minus_twice_koiso_integral(a, H):
+    # the profile's ODE rate against the quadrature of d(area)/du; the
+    # absolute floor covers (alpha0, 0), where the rate vanishes
+    closed = -2.0 * koiso_integral_closed(a, H)
+    assert closed == pytest.approx(sphere_volume_rate(a, H), rel=1e-9, abs=1e-12)
 
 
 def test_non_monotone_detection_small_alpha():

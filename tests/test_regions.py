@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bergercmc.regions import (F_function, F_nonnegative, alpha_root, beta_root,
-                               critical_constants, poly_eval, region_polynomial,
-                               stability_integrand, t0_constant)
+from bergercmc.regions import (F_function, F_nonnegative, alpha_root, critical_constants,
+                               poly_eval, region_polynomial, stability_integrand,
+                               t0_constant)
 
 TS = st.floats(min_value=0.0, max_value=1.0)
 EPS = st.sampled_from([+1, -1])
@@ -62,6 +62,15 @@ def test_root_regular_across_pole():
     left = alpha_root(t0 - 1e-8, +1)
     right = alpha_root(t0 + 1e-8, +1)
     assert left == pytest.approx(right, abs=1e-6)
+
+
+def beta_root(t: float, epsilon: int = 1) -> float:
+    """The companion root of P_t for eps = +1 (beta(t) <= alpha(t) for t > t0)."""
+    P = region_polynomial(t, epsilon)
+    disc = 32.0 * (t - 1.0) ** 2 * (1.0 + t**2)
+    if P.A == 0.0:
+        return math.inf
+    return (-P.B - math.copysign(math.sqrt(disc), P.A)) / (2.0 * P.A)
 
 
 def test_beta_below_alpha_above_pole():

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergercmc.stability import LAMBDA1_GAP
-from bergercmc.tori import (classify_torus, lambda1_closed_form,
-                            lattice_and_dual, round_solid_torus_volume,
+from bergercmc.tori import (classify_torus, lambda1_closed_form, lattice_and_dual,
                             torus_area_volume, torus_data, torus_spectrum,
                             torus_stability_threshold)
 
@@ -177,6 +176,11 @@ def test_area_volume_values_quarter():
     r2sq = 0.5 - 1 / (2 * math.sqrt(2))
     assert vol == pytest.approx(2 * math.pi**2 * 0.5 * r2sq, rel=1e-12)
     assert vol == pytest.approx(1.4453701007252397, rel=1e-14)
+
+
+def round_solid_torus_volume(s: float) -> float:
+    """Round-metric volume of {|z|^2 >= s} in S^3: 2 pi^2 (1 - s)."""
+    return 2.0 * math.pi**2 * (1.0 - s)
 
 
 @given(ALPHAS, HS)
