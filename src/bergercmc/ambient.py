@@ -20,6 +20,11 @@ import numpy as np
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
+# Largest accepted mean curvature, well below where the routes break: the
+# torus radius r2^2 = 1/2 - H/(2 sqrt(1 + H^2)) rounds to 0 from about
+# H = 1e8, and the sphere's spectrum and closed forms fail from about
+# H = 1e77.
+H_MAX = 1e6
 
 
 class ContractViolation(ValueError):
@@ -46,10 +51,10 @@ def as_alpha(p) -> float:
 
 
 def as_H(H) -> float:
-    """Accept a finite nonnegative mean curvature."""
+    """Accept a mean curvature 0 <= H <= H_MAX (so not NaN or inf)."""
     h = float(H)
-    if not (h >= 0.0 and math.isfinite(h)):
-        raise ContractViolation(f"mean curvature H must be finite and nonnegative, got {h}")
+    if not 0.0 <= h <= H_MAX:
+        raise ContractViolation(f"mean curvature H must lie in [0, {H_MAX:g}], got {h}")
     return h
 
 

@@ -18,12 +18,13 @@ import numpy as np
 
 from . import selfcheck
 from .ambient import ContractViolation, total_volume
-from .cmc_spheres import (ConsistencyError, QuadratureError, ReconstructionError,
-                          area_sphere_closed, is_embedded, reconstruct_meridian)
-from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
-                           sphere_profile, torus_profile)
+from .cmc_spheres import (MERIDIAN_MIN_N, ConsistencyError, QuadratureError,
+                          ReconstructionError, area_sphere_closed, is_embedded,
+                          reconstruct_meridian)
+from .isoperimetry import (PROFILE_COLUMNS, PROFILE_MIN_N, crossing_alpha,
+                           isoperimetric_candidate, sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
-from .stability import (alpha0, classify_sphere, jacobi_spectrum,
+from .stability import (SPECTRUM_MIN_N, alpha0, classify_sphere, jacobi_spectrum,
                         sphere_stability_boundary)
 from .svgplot import polyline_svg, write_csv
 from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
@@ -33,6 +34,10 @@ NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
                     CutoffError)
 EMBEDDED_TAG = {True: "embedded", False: "non-embedded", None: "undecided"}
 EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
+# smallest supported --n of each subcommand that has one; a boundary curve
+# of regions needs two points
+MIN_N = {"sphere": SPECTRUM_MIN_N, "regions": 2, "embeddedness": MERIDIAN_MIN_N,
+         "profiles": PROFILE_MIN_N}
 
 
 def _outdir(args) -> Path:
@@ -244,6 +249,9 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }[args.command]
     try:
+        least = MIN_N.get(args.command)
+        if least is not None and args.n < least:
+            raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
         return handler(args)
     except (ContractViolation, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

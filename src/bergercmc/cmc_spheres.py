@@ -34,6 +34,7 @@ QUAD_RELTOL = 1e-8
 MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
 ORBIT_FIT_XMAX = 6.0  # orbit-generator fit uses |x| <= this
+MERIDIAN_MIN_N = 64  # fewest meridian samples
 
 
 class ReconstructionError(RuntimeError):
@@ -321,8 +322,8 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     outward in both directions.
     """
     a = as_alpha(p)
-    if n < 64:
-        raise ValueError("need n >= 64 meridian samples")
+    if n < MERIDIAN_MIN_N:
+        raise ValueError(f"need n >= {MERIDIAN_MIN_N} meridian samples")
     lo, hi = float(x_range[0]), float(x_range[1])
     if not (lo < 0.0 < hi):
         raise ValueError("x_range must contain the equator x = 0")

@@ -3,7 +3,12 @@
 Candidate segment pairs are the pairs with overlapping bounding boxes,
 found by a sort-and-sweep in array code; the actual crossing test runs in
 exact rational arithmetic (floats convert exactly to Fractions), so a
-reported transverse crossing is never a rounding artifact.
+reported transverse crossing is never a rounding artifact.  The clearance
+margin comes from the point pairs that are near in the plane but far along
+the curve, found by an arc-chunked search: a k-d tree over the heads of
+short arc runs, whose run pairs are dropped unless their largest arc
+separation is long enough, so the many pairs that are near only because
+they are neighbours along the curve are never formed.
 """
 
 from __future__ import annotations
@@ -65,6 +70,11 @@ class IntersectionReport:
     resolution: float
 
 
+def _ramp(count: np.ndarray) -> np.ndarray:
+    """0, 1, ..., count[k] - 1 for each k in turn, as one array."""
+    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+
+
 def _candidate_pairs(points: np.ndarray, index_gap: int) -> np.ndarray:
     """Sorted segment index pairs (i, j), j - i > index_gap, whose closed
     bounding boxes overlap, by a sort-and-sweep (Bentley & Ottmann 1979).
@@ -82,7 +92,7 @@ def _candidate_pairs(points: np.ndarray, index_gap: int) -> np.ndarray:
     stop = np.searchsorted(lo[order, ax], hi[order, ax], side="right")
     run = stop - np.arange(1, len(order) + 1)
     k = np.repeat(np.arange(len(order)), run)
-    m = k + 1 + np.arange(len(k)) - np.repeat(np.cumsum(run) - run, run)
+    m = k + 1 + _ramp(run)
     i, j = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
     keep = (j - i > index_gap) & (lo[i, 1 - ax] <= hi[j, 1 - ax]) & (lo[j, 1 - ax] <= hi[i, 1 - ax])
     i, j = i[keep], j[keep]
@@ -103,6 +113,48 @@ def _segment_distances(p, q, r, s) -> np.ndarray:
     """Row-wise Euclidean distance between the segments [p, q] and [r, s]."""
     return np.minimum.reduce([_point_segment_distance(p, r, s), _point_segment_distance(q, r, s),
                               _point_segment_distance(r, p, q), _point_segment_distance(s, p, q)])
+
+
+def _far_pairs(pts, arclen, h, arc_min):
+    """Point index pairs (i, j), i < j, at most arc_min apart in the plane
+    and at least arc_min apart along the curve, with their distances,
+    without enumerating the pairs that are near along the curve.
+
+    The polyline is cut into runs of consecutive points whose arc span is
+    below h > 0; as chord <= arc, every point lies within h of its run's
+    head.  Two points at most arc_min apart therefore belong to runs whose
+    heads are at most arc_min + 2 h apart.  Of those run pairs (a, b), the
+    ones whose largest arc separation is below arc_min are dropped, and so
+    is each point of run a whose largest arc separation from run b is below
+    arc_min; only the rest is expanded into point pairs.  Returns the pairs
+    that cKDTree(pts).query_pairs(arc_min) holds with arclen[j] - arclen[i]
+    >= arc_min, in order of run pair, then i, then j.
+    """
+    run = np.floor(arclen / h)
+    start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+    size = np.diff(np.r_[start, len(pts)])
+    last = start + size - 1
+    # the measured distances to the heads (below h) set the query radius, so
+    # rounding in arclen cannot lose a pair
+    rho = np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1)
+    runs = cKDTree(pts[start]).query_pairs(arc_min + 2.0 * float(rho.max()),
+                                           output_type="ndarray")
+    a, b = runs[:, 0], runs[:, 1]  # a < b
+    keep = arclen[last[b]] - arclen[start[a]] >= arc_min
+    a, b = a[keep], b[keep]
+    # expand each run pair into (i, b) for the points i of run a ...
+    i = np.repeat(start[a], size[a]) + _ramp(size[a])
+    b = np.repeat(b, size[a])
+    keep = arclen[last[b]] - arclen[i] >= arc_min
+    i, b = i[keep], b[keep]
+    # ... and each (i, b) into (i, j) for the points j of run b
+    j = np.repeat(start[b], size[b]) + _ramp(size[b])
+    i = np.repeat(i, size[b])
+    dx = pts[i, 0] - pts[j, 0]
+    dy = pts[i, 1] - pts[j, 1]
+    sq = dx * dx + dy * dy  # np.linalg.norm's sum, so its sqrt matches bit for bit
+    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min)
+    return i[keep], j[keep], np.sqrt(sq[keep])
 
 
 def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
@@ -133,13 +185,9 @@ def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
     arc_min = ARC_FACTOR * res
     margin = arc_min  # capped: beyond this the curve is safely clear
     nseg = len(seglen)
-    qp = cKDTree(pts).query_pairs(arc_min, output_type="ndarray")
-    if len(qp):
-        ii, jj = qp[:, 0], qp[:, 1]
-        keep = arclen[jj] - arclen[ii] >= arc_min
-        if keep.any():
-            ii, jj = ii[keep], jj[keep]
-            d = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    if res > 0.0:  # else every point coincides, and the margin is arc_min = 0
+        ii, jj, d = _far_pairs(pts, arclen, res, arc_min)
+        if len(d):
             dmin = float(d.min())
             # refine the point-pair minimum with the segments on either side
             # of each close point pair

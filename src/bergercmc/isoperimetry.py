@@ -37,6 +37,7 @@ from .tori import classify_torus, torus_area_volume
 SPHERE = "Sphere"
 TORUS = "Torus"
 PROFILE_COLUMNS = ("family", "H", "area", "volume")
+PROFILE_MIN_N = 50  # fewest points of a graded H grid
 
 
 @dataclass
@@ -83,8 +84,8 @@ class IsoperimetricProfile:
 
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
-    if not 0.0 < H_max < math.inf or n < 50:
-        raise ValueError("need H_max > 0 and n >= 50")
+    if not 0.0 < H_max < math.inf or n < PROFILE_MIN_N:
+        raise ValueError(f"need H_max > 0 and n >= {PROFILE_MIN_N}")
     s = np.linspace(0.0, 1.0, n)
     return H_max * s**2
 
@@ -109,8 +110,8 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400,
     from the ODE dV/dH = -2 Int f dA anchored at V(0) = pi^2 sqrt(a)."""
     a = as_alpha(p)
     H = _graded_grid(H_max, n) if H_grid is None else np.asarray(H_grid, dtype=float)
-    if H[0] != 0.0 or np.any(np.diff(H) <= 0):
-        raise ValueError("H_grid must increase from 0")
+    if not (np.isfinite(H).all() and H[0] == 0.0 and (np.diff(H) > 0).all()):
+        raise ValueError("H_grid must increase from 0 through finite values")
     area = np.array([area_sphere_closed(a, h) for h in H])
 
     def volume_rate(h):

@@ -38,6 +38,7 @@ KOISO_INTEGRAL = "KoisoIntegral"
 LAMBDA1_GAP = "Lambda1Gap"
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
+SPECTRUM_MIN_N = 200  # fewest grid cells of the Jacobi spectrum
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,8 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000,
     a = as_alpha(p)
     if k_max < 2:
         raise ValueError("need k_max >= 2 to see all candidate zero modes")
-    if n < 200:
-        raise ValueError("need n >= 200 grid cells")
+    if n < SPECTRUM_MIN_N:
+        raise ValueError(f"need n >= {SPECTRUM_MIN_N} grid cells")
     if refine_check:
         coarse = jacobi_spectrum(a, H, k_max=k_max, n=n)
         fine = jacobi_spectrum(a, H, k_max=k_max, n=2 * n)

@@ -27,6 +27,10 @@ def test_mean_curvature_validation():
     for bad in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
         with pytest.raises(ContractViolation):
             ambient.as_H(bad)
+    assert ambient.as_H(ambient.H_MAX) == ambient.H_MAX
+    for big in (math.nextafter(ambient.H_MAX, math.inf), 1e10, 1e100, 1e200):
+        with pytest.raises(ContractViolation, match="mean curvature H"):
+            ambient.as_H(big)
 
 
 def test_point_and_vector_invariants():

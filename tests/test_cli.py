@@ -88,7 +88,7 @@ def test_config_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize("command", ["sphere", "torus"])
-@pytest.mark.parametrize("H", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("H", ["nan", "inf", "-1", "1e10", "1e100", "1e200"])
 def test_bad_mean_curvature_exit_code(command, H, capsys):
     assert main([command, "--alpha", "0.5", "--H", H]) == 2
     err = capsys.readouterr().err
@@ -99,6 +99,26 @@ def test_bad_mean_curvature_exit_code(command, H, capsys):
 def test_bad_profile_range_exit_code(H_max, tmp_path, capsys):
     assert main(["--out", str(tmp_path), "profiles", "--alphas", "0.5", "--H-max", H_max]) == 2
     assert "need H_max > 0" in capsys.readouterr().err
+
+
+def test_huge_mean_curvature_without_traceback(tmp_path):
+    proc, _ = run_cli(["sphere", "--alpha", "0.5", "--H", "1e200"], tmp_path, "huge")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,least", [
+    (["sphere", "--alpha", "0.5", "--H", "1"], 200),
+    (["regions", "--format", "csv+svg"], 2),
+    (["embeddedness", "--alphas", "0.02", "--Hs", "1"], 64),
+    (["profiles", "--alphas", "0.5", "--format", "csv+svg"], 50),
+])
+def test_grid_size_below_minimum_exit_code(args, least, tmp_path, capsys):
+    for n in (0, least - 1):
+        assert main(["--out", str(tmp_path), *args, "--n", str(n)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"--n must be at least {least}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_torus_nan_exits_2_without_traceback(tmp_path):

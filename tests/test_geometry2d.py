@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from bergercmc.geometry2d import (_candidate_pairs,
+from bergercmc.cmc_spheres import (fit_orbit_generator, orbit_space_curve,
+                                   reconstruct_meridian)
+from bergercmc.geometry2d import (_candidate_pairs, _far_pairs,
                                   polyline_self_intersection_report,
                                   segments_cross)
 
@@ -77,6 +81,18 @@ def test_rejects_bad_input():
     assert polyline_self_intersection_report(good[:2]).crossings == 0
 
 
+@pytest.mark.parametrize("pts,margin,resolution", [
+    (np.full((40, 2), 0.3), 0.0, 0.0),  # every point coincides: zero resolution
+    (np.ones((2, 2)), 0.0, 0.0),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), 20.0, 1.0),  # one repeated point
+])
+def test_degenerate_curves(pts, margin, resolution):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = polyline_self_intersection_report(pts)
+    assert (rep.crossings, rep.margin, rep.resolution) == (0, margin, resolution)
+
+
 # ---------------------------------------------------------------------------
 # oracles: the spatial-hash candidate search and the per-pair clearance loop
 # ---------------------------------------------------------------------------
@@ -122,17 +138,23 @@ def _segment_distance(p, q, r, s):
     return min(pt_seg(p, r, s), pt_seg(q, r, s), pt_seg(r, p, q), pt_seg(s, p, q))
 
 
-def _loop_margin(pts, arc_factor=20.0):
-    """Clearance margin refined pair by pair; also returns the close-pair count."""
+def _query_far_pairs(pts, arc_factor=20.0):
+    """Clearance pairs from query_pairs over all points, then the arc filter."""
     seglen = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     res = float(np.max(seglen))
     arclen = np.concatenate([[0.0], np.cumsum(seglen)])
     arc_min = arc_factor * res
-    nseg = len(seglen)
     qp = cKDTree(pts).query_pairs(arc_min, output_type="ndarray")
-    ii, jj = qp[:, 0], qp[:, 1]
-    keep = arclen[jj] - arclen[ii] >= arc_min
-    ii, jj = ii[keep], jj[keep]
+    keep = arclen[qp[:, 1]] - arclen[qp[:, 0]] >= arc_min
+    return qp[keep, 0], qp[keep, 1], arclen, res, arc_min
+
+
+def _loop_margin(pts, arc_factor=20.0):
+    """Clearance margin refined pair by pair; also returns the close-pair count."""
+    ii, jj, _, res, arc_min = _query_far_pairs(pts, arc_factor)
+    nseg = len(pts) - 1
+    if not len(ii):
+        return arc_min, 0
     d = np.linalg.norm(pts[ii] - pts[jj], axis=1)
     dmin = float(d.min())
     close = np.nonzero(d <= dmin + 2.0 * res)[0]
@@ -209,3 +231,41 @@ def test_margin_matches_pairwise_loop(name, pts, capped):
     assert (nclose > 2000) == capped
     got = polyline_self_intersection_report(pts).margin
     assert got == pytest.approx(margin, rel=1e-12, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the clearance pairs from query_pairs over all points
+# ---------------------------------------------------------------------------
+
+def _meridian_curve(alpha, H, n):
+    m = reconstruct_meridian(alpha, H, (-8.0, 8.0), n)
+    return orbit_space_curve(m, fit_orbit_generator(m))
+
+
+def _far_pair_curves():
+    curves = {name: (lambda pts=pts: pts) for name, pts in _oracle_curves().items()}
+    curves["prongs"] = lambda: _prongs(200, 1e-4)
+    curves["prongs_capped"] = lambda: _prongs(1000, 1e-4)
+    curves["prongs_capped_repeats"] = lambda: _with_repeats(_prongs(1000, 1e-4), 7)
+    curves["meridian_a0.01_H1_n2048"] = lambda: _meridian_curve(0.01, 1.0, 2048)
+    curves["round_sphere_n4096"] = lambda: _meridian_curve(1.0, 0.0, 4096)
+    # unit steps, legs exactly arc_min = 20 apart: the pairs on the boundary count
+    leg = np.arange(31.0)
+    curves["u_turn_at_arc_min"] = lambda: np.vstack([
+        np.column_stack([np.zeros(31), leg]),
+        np.column_stack([np.arange(1.0, 20.0), np.full(19, 30.0)]),
+        np.column_stack([np.full(31, 20.0), leg[::-1]])])
+    return curves
+
+
+@pytest.mark.parametrize("name", sorted(_far_pair_curves()))
+def test_far_pairs_match_query_pairs(name):
+    pts = _far_pair_curves()[name]()
+    ii, jj, arclen, res, arc_min = _query_far_pairs(pts)
+    want = set(zip(ii.tolist(), jj.tolist()))
+    i, j, d = _far_pairs(pts, arclen, res, arc_min)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
+    assert polyline_self_intersection_report(pts).margin == _loop_margin(pts)[0]

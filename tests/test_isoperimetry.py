@@ -62,6 +62,13 @@ def test_first_variation_identity_sphere():
     assert np.max(rel) < 1e-4
 
 
+@pytest.mark.parametrize("grid", [[0, 1, math.nan, 3], [0, 1, math.inf], [math.nan, 1, 2],
+                                  [0, 2, 1], [1, 2, 3]])
+def test_profile_rejects_bad_H_grid(grid):
+    with pytest.raises(ValueError, match="H_grid must increase from 0"):
+        sphere_profile(0.5, H_grid=grid)
+
+
 def test_volume_rate_is_first_variation():
     a = 0.7
     for H in (0.4, 1.1):
