@@ -20,7 +20,7 @@ from . import selfcheck
 from .ambient import ContractViolation, total_volume
 from .cmc_spheres import (MERIDIAN_MIN_N, ConsistencyError, QuadratureError,
                           ReconstructionError, area_sphere_closed, is_embedded,
-                          reconstruct_meridian)
+                          meridian_range, reconstruct_meridian)
 from .isoperimetry import (PROFILE_COLUMNS, PROFILE_MIN_N, crossing_alpha,
                            isoperimetric_candidate, sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
@@ -38,6 +38,20 @@ EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
 # of regions needs two points
 MIN_N = {"sphere": SPECTRUM_MIN_N, "regions": 2, "embeddedness": MERIDIAN_MIN_N,
          "profiles": PROFILE_MIN_N}
+
+
+def _check_args(args) -> None:
+    """Reject bad sizes and meridian ranges before a command writes anything."""
+    least = MIN_N.get(args.command)
+    if least is not None and args.n < least:
+        raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
+    if args.command == "sphere" and args.meridian_n:
+        if args.meridian_n < MERIDIAN_MIN_N:
+            raise ValueError(f"--meridian-n must be 0 or at least {MERIDIAN_MIN_N}, "
+                             f"got {args.meridian_n}")
+        meridian_range((-args.x_max, args.x_max))
+    if args.command == "embeddedness":
+        meridian_range((-args.x_max, args.x_max))
 
 
 def _outdir(args) -> Path:
@@ -249,9 +263,7 @@ def main(argv=None) -> int:
         "selftest": cmd_selftest,
     }[args.command]
     try:
-        least = MIN_N.get(args.command)
-        if least is not None and args.n < least:
-            raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
+        _check_args(args)
         return handler(args)
     except (ContractViolation, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -35,6 +35,11 @@ MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
 ORBIT_FIT_XMAX = 6.0  # orbit-generator fit uses |x| <= this
 MERIDIAN_MIN_N = 64  # fewest meridian samples
+MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
+# (z, w) -> (conj z, -conj w) is an isometry of every Berger sphere that maps
+# S_a(H) to itself and swaps its halves x > 0 and x < 0; on the moving-frame
+# state (gamma, a, b, n) it acts by these signs, and rhs(-x, R y) = -R rhs(x, y)
+REFLECT = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=float)
 
 
 class ReconstructionError(RuntimeError):
@@ -313,44 +318,58 @@ def _frame_ode_rhs(alpha: float, H: float):
     return rhs
 
 
-def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
-    """Integrate the moving-frame system along y = 0 and validate the result.
-
-    Starts at the equator point x = 0 with the frame fixed by the closed
-    forms (the xi-components of tangent frame and normal are determined by
-    A and C; the remaining rotation is a congruence gauge) and integrates
-    outward in both directions.
-    """
-    a = as_alpha(p)
-    if n < MERIDIAN_MIN_N:
-        raise ValueError(f"need n >= {MERIDIAN_MIN_N} meridian samples")
+def meridian_range(x_range) -> tuple[float, float]:
+    """Validated meridian endpoints (lo, hi): finite, lo < 0 < hi, both within
+    MERIDIAN_X_LIMIT of the equator."""
     lo, hi = float(x_range[0]), float(x_range[1])
-    if not (lo < 0.0 < hi):
-        raise ValueError("x_range must contain the equator x = 0")
+    if not -MERIDIAN_X_LIMIT <= lo < 0.0 < hi <= MERIDIAN_X_LIMIT:
+        raise ValueError(f"x_range must contain the equator x = 0 and lie within "
+                         f"+-{MERIDIAN_X_LIMIT:g}, got ({lo}, {hi})")
+    return lo, hi
 
-    d = fundamental_data(a, H)
+
+def _frame_states(a: float, H: float, xs: np.ndarray) -> np.ndarray:
+    """Moving-frame state (gamma, a, b, n) at the samples xs, one row each."""
     sa = math.sqrt(a)
     rho = math.sqrt(H**2 + a)
-
     gamma0 = np.array([1.0, 0.0, 0.0, 0.0])
     a0 = np.array([-H / rho, sa / rho, 0.0])
     b0 = np.array([sa / rho, H / rho, 0.0])
     n0 = np.array([0.0, 0.0, 1.0])
     y0 = np.concatenate([gamma0, a0, b0, n0])
 
-    xs = np.linspace(lo, hi, n)
-    rhs = _frame_ode_rhs(a, H)
-    out = np.empty((n, 13))
+    t_eval, where = np.unique(np.abs(xs), return_inverse=True)
+    sol = solve_ivp(_frame_ode_rhs(a, H), (0.0, t_eval[-1]), y0, method="DOP853",
+                    t_eval=t_eval, rtol=MERIDIAN_RTOL, atol=MERIDIAN_ATOL)
+    if not sol.success:
+        raise ReconstructionError(f"ODE integration failed: {sol.message}")
+    out = sol.y.T[where]
+    # + 0.0 turns the -0.0 of a reflected identically-zero component (H = 0)
+    # into the +0.0 the backward integration writes; the orbit fit sees signs
+    out[xs < 0.0] = out[xs < 0.0] * REFLECT + 0.0
+    return out
 
-    for sign, xcut in ((1.0, hi), (-1.0, lo)):
-        sel = xs >= 0 if sign > 0 else xs <= 0
-        t_eval = xs[sel] if sign > 0 else xs[sel][::-1]
-        sol = solve_ivp(rhs, (0.0, xcut), y0, method="DOP853",
-                        t_eval=t_eval, rtol=MERIDIAN_RTOL, atol=MERIDIAN_ATOL)
-        if not sol.success:
-            raise ReconstructionError(f"ODE integration failed: {sol.message}")
-        vals = sol.y.T if sign > 0 else sol.y.T[::-1]
-        out[sel] = vals
+
+def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
+    """Integrate the moving-frame system along y = 0 and validate the result.
+
+    Starts at the equator point x = 0 with the frame fixed by the closed
+    forms (the xi-components of tangent frame and normal are determined by
+    A and C; the remaining rotation is a congruence gauge) and integrates
+    once, from 0 to the larger of -lo and hi, through every requested |x|.
+    The samples with x < 0 are the REFLECT images of those at |x|: the
+    backward integration gives them bit for bit, since DOP853 sees the step
+    only through |h| and norms and its dense output is sign-symmetric.
+    """
+    a = as_alpha(p)
+    if n < MERIDIAN_MIN_N:
+        raise ValueError(f"need n >= {MERIDIAN_MIN_N} meridian samples")
+    lo, hi = meridian_range(x_range)
+
+    d = fundamental_data(a, H)
+    sa = math.sqrt(a)
+    xs = np.linspace(lo, hi, n)
+    out = _frame_states(a, H, xs)
 
     points = out[:, 0:4]
     coeff_a = out[:, 4:7]

@@ -28,11 +28,11 @@ from scipy.integrate import quad, solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .ambient import as_alpha, total_volume
+from .ambient import H_MAX, as_alpha, as_H, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere, area_sphere_closed, minimal_area_closed
 from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
-from .tori import classify_torus, torus_area_volume
+from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 
 SPHERE = "Sphere"
 TORUS = "Torus"
@@ -87,7 +87,7 @@ def _graded_grid(H_max: float, n: int) -> np.ndarray:
     if not 0.0 < H_max < math.inf or n < PROFILE_MIN_N:
         raise ValueError(f"need H_max > 0 and n >= {PROFILE_MIN_N}")
     s = np.linspace(0.0, 1.0, n)
-    return H_max * s**2
+    return as_H(H_max) * s**2
 
 
 def sphere_volume_rate(alpha: float, H: float) -> float:
@@ -156,8 +156,8 @@ def torus_H_at_volume(alpha: float, V: float) -> float:
     half = math.pi**2 * math.sqrt(alpha)
     if not 0.0 < V <= half:
         raise ValueError("torus volumes cover (0, half-total]")
-    s = 1.0 - V / half
-    return s / math.sqrt(1.0 - s**2)
+    t = V / half  # s = 1 - t, and 1 - s^2 = t (2 - t) without cancellation
+    return (1.0 - t) / math.sqrt(t * (2.0 - t))
 
 
 def clifford_vs_minimal_sphere(p) -> tuple[float, float, str]:
@@ -201,6 +201,22 @@ class CandidateReport:
     notes: str
 
 
+def candidate_reach(a: float, prof: IsoperimetricProfile) -> tuple[float, float]:
+    """The volumes (lo, total - lo) isoperimetric_candidate serves.
+
+    The profile spheres enclose their volumes directly or as the complement
+    (at small alpha some exceed the total), the stable tori (H <= H*(a),
+    only for a <= 1/3) theirs, and the torus at min(V, total - V) needs a
+    mean curvature of at most H_MAX.
+    """
+    total = total_volume(a)
+    lo = min(prof.volume.min(), total - prof.volume.max())
+    if a <= 1.0 / 3.0:
+        lo = min(lo, torus_area_volume(a, torus_stability_threshold(a))[1])
+    lo = max(lo, torus_area_volume(a, H_MAX)[1])
+    return float(lo), float(total - lo)
+
+
 def isoperimetric_candidate(p, V: float, profile: IsoperimetricProfile | None = None,
                             H_max: float = 20.0, n: int = 400) -> CandidateReport:
     """Least-area stable CMC candidate enclosing volume V.
@@ -218,6 +234,11 @@ def isoperimetric_candidate(p, V: float, profile: IsoperimetricProfile | None = 
         raise ValueError(f"volume must lie in (0, {total}), got {V}")
 
     prof = profile if profile is not None else sphere_profile(a, H_max=H_max, n=n)
+    lo, hi = candidate_reach(a, prof)
+    reach = (f"spheres with H <= {prof.H[-1]:g} and stable tori enclose volumes in "
+             f"[{lo:.6g}, {hi:.6g}]")
+    if not lo <= V <= hi:
+        raise ValueError(f"no candidate encloses V={V} at alpha={a}: {reach}")
     notes = []
     if prof.notes:
         notes.append(prof.notes)
@@ -245,7 +266,7 @@ def isoperimetric_candidate(p, V: float, profile: IsoperimetricProfile | None = 
 
     stable = [c for c in candidates if c["stable"]]
     if not stable:
-        raise RuntimeError(f"no stable candidate found for V={V} at alpha={a}")
+        raise ValueError(f"no stable candidate encloses V={V} at alpha={a}: {reach}")
     best = min(stable, key=lambda c: c["area"])
 
     runners = sorted((c for c in stable if c is not best), key=lambda c: c["area"])

@@ -56,8 +56,9 @@ def torus_data(p, H: float) -> TorusData:
     """Radii and induced metric of the CMC Hopf torus T_a(H)."""
     a = as_alpha(p)
     H = as_H(H)
-    r1sq = 0.5 + H / (2.0 * math.sqrt(1.0 + H**2))
-    r2sq = 1.0 - r1sq
+    c = math.sqrt(1.0 + H**2)
+    r1sq = 0.5 + H / (2.0 * c)
+    r2sq = 1.0 / (2.0 * c * (c + H))  # = 1 - r1sq, which cancels for large H
     g11 = r1sq * (1.0 - (1.0 - a) * r1sq)
     g22 = r2sq * (1.0 - (1.0 - a) * r2sq)
     g12 = -r1sq * r2sq * (1.0 - a)

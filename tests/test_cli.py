@@ -170,3 +170,54 @@ def test_sphere_meridian_export(tmp_path, capsys):
     csv = tmp_path / "meridian_alpha0.5_H1.csv"
     assert csv.read_text().splitlines()[0] == \
         "x,re_z,im_z,re_w,im_w,metric_residual,C_residual"
+
+
+@pytest.mark.parametrize("extra", [["--x-max", "inf"], ["--x-max", "1e300"], ["--x-max", "nan"],
+                                   ["--x-max", "701"], ["--x-max", "-8"], ["--x-max", "0"],
+                                   ["--meridian-n", "10"], ["--meridian-n", "-5"]])
+def test_bad_meridian_arguments_exit_code(extra, tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1",
+            "--meridian-n", "2048", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("x_max", ["inf", "1e300", "701", "0"])
+def test_bad_embeddedness_range_exit_code(x_max, tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "embeddedness", "--alphas", "0.5", "--Hs", "1",
+            "--x-max", x_max]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_infinite_x_max_without_traceback(tmp_path):
+    proc, out = run_cli(["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048",
+                         "--x-max", "inf"], tmp_path, "xinf")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("V", ["1e-5", "1e-10", "1e-300", "5e-324", "13.9575"])
+def test_unreachable_candidate_volume_exit_code(V, capsys):
+    assert main(["candidate", "--alpha", "0.5", "--V", V]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and captured.out == ""
+    assert "enclose volumes in [0.000521772, 13.9572]" in captured.err
+
+
+def test_tiny_candidate_volume_without_traceback(tmp_path):
+    proc, _ = run_cli(["candidate", "--alpha", "0.5", "--V", "1e-300"], tmp_path, "tinyV")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("H_max", ["1e100", "1.000001e6"])
+def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "profiles", "--alphas", "0.5", "--H-max", H_max]) == 2
+    assert "mean curvature H" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -261,19 +261,125 @@ def test_frame_rhs_matches_array_reference():
         np.testing.assert_allclose(got, _frame_rhs_reference(alpha, H, x, y), rtol=1e-15, atol=0)
 
 
-def test_meridian_postprocessing_matches_per_sample_loop(monkeypatch):
+def _two_sided_states(a, H, xs):
+    """The frame states from two solves, outward from x = 0 in each direction."""
+    sa, rho = math.sqrt(a), math.sqrt(H**2 + a)
+    y0 = np.array([1.0, 0.0, 0.0, 0.0, -H / rho, sa / rho, 0.0,
+                   sa / rho, H / rho, 0.0, 0.0, 0.0, 1.0])
+    rhs = cmc_spheres._frame_ode_rhs(a, H)
+    out = np.empty((len(xs), 13))
+    for sign, xcut in ((1.0, xs[-1]), (-1.0, xs[0])):
+        sel = xs >= 0 if sign > 0 else xs <= 0
+        t_eval = xs[sel] if sign > 0 else xs[sel][::-1]
+        sol = solve_ivp(rhs, (0.0, xcut), y0, method="DOP853", t_eval=t_eval,
+                        rtol=cmc_spheres.MERIDIAN_RTOL, atol=cmc_spheres.MERIDIAN_ATOL)
+        if not sol.success:
+            raise ReconstructionError(f"ODE integration failed: {sol.message}")
+        out[sel] = sol.y.T if sign > 0 else sol.y.T[::-1]
+    return out
+
+
+def _oracle_meridian(monkeypatch, a, H, x_range, n):
+    """reconstruct_meridian with the frame states of the two-sided oracle."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cmc_spheres, "_frame_states", _two_sided_states)
+        return reconstruct_meridian(a, H, x_range, n)
+
+
+def _profile_arrays(m):
+    return (m.x, m.points, m.normals, m.tangent_y, m.metric_residual, m.C_residual)
+
+
+# H = 0, a = 1, a > 1, small a; odd and even n; x_max 6, 8, 9, 12; the
+# last two raise ReconstructionError (too coarse for their alpha)
+ORACLE_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0, 1024),
+                (1.0, 1.0, 8.0, 1025), (2.0, 0.0, 12.0, 4097), (2.0, 1.5, 6.0, 512),
+                (50.0, 0.5, 6.0, 4095), (50.0, 0.0, 8.0, 4096), (0.02, 1.0, 9.0, 3001),
+                (0.01, 1.0, 9.0, 2048), (0.005, 0.3, 12.0, 4096),
+                (50.0, 1.0, 8.0, 2048), (1e-3, 1.0, 8.0, 2048)]
+
+
+@pytest.mark.parametrize("a,H,x_max,n", ORACLE_CASES)
+def test_single_solve_matches_two_sided_oracle_bitwise(a, H, x_max, n, monkeypatch):
+    # tobytes: signed zeros count (at H = 0 some components vanish identically)
+    try:
+        want = _oracle_meridian(monkeypatch, a, H, (-x_max, x_max), n)
+    except ReconstructionError as exc:
+        with pytest.raises(ReconstructionError) as got:
+            reconstruct_meridian(a, H, (-x_max, x_max), n)
+        assert str(got.value) == str(exc)
+        return
+    m = reconstruct_meridian(a, H, (-x_max, x_max), n)
+    for g, w in zip(_profile_arrays(m), _profile_arrays(want)):
+        assert g.tobytes() == w.tobytes()
+    r, rw = is_embedded(m), is_embedded(want)
+    assert (r.embedded, r.crossings) == (rw.embedded, rw.crossings)
+    assert float(r.margin).hex() == float(rw.margin).hex()
+    assert float(r.resolution).hex() == float(rw.resolution).hex()
+
+
+def test_frame_rhs_reflection_identity():
+    # rhs(-x, R y) = -R rhs(x, y) operation for operation: cosh is even and
+    # every other term only changes sign
+    R = cmc_spheres.REFLECT
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+        H = rng.choice([0.0, rng.uniform(0.0, 3.0)])
+        x = rng.uniform(0.0, 12.0)
+        y = rng.standard_normal(13)
+        rhs = cmc_spheres._frame_ode_rhs(alpha, H)
+        assert rhs(-x, R * y).tobytes() == (-(R * rhs(x, y))).tobytes()
+
+
+def test_one_solve_per_meridian(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(cmc_spheres, "solve_ivp", counting)
+    for x_range, n in (((-8, 8), 1024), ((-8, 8), 1025), ((-5, 9), 700), ((-9, 4), 700)):
+        calls.clear()
+        reconstruct_meridian(0.5, 1.0, x_range, n)
+        assert calls == [(0.0, max(-x_range[0], x_range[1]))]
+
+
+@pytest.mark.parametrize("x_range", [(-6.0, 9.0), (-9.0, 4.5), (-12.0, 8.0), (-3.0, 7.0)])
+def test_asymmetric_range_close_to_oracle(x_range, monkeypatch):
+    # the shorter side's last step is no longer clipped at its endpoint, so
+    # only its samples in that step may move, within the ODE tolerances
+    a, H, n = 0.3, 0.8, 1500
+    m = reconstruct_meridian(a, H, x_range, n)
+    want = _oracle_meridian(monkeypatch, a, H, x_range, n)
+    assert np.array_equal(m.x, want.x)
+    for g, w in ((m.points, want.points), (m.normals, want.normals),
+                 (m.tangent_y, want.tangent_y), (m.C_residual, want.C_residual)):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("x_range", [(-math.inf, 8.0), (-8.0, math.inf), (-math.nan, 8.0),
+                                     (-8.0, 1e300), (-701.0, 8.0), (-8.0, 700.5),
+                                     (0.0, 8.0), (-8.0, -1.0)])
+def test_meridian_range_rejects_bad_endpoints(x_range):
+    with pytest.raises(ValueError, match="x_range"):
+        reconstruct_meridian(0.5, 1.0, x_range, 128)
+
+
+def test_meridian_range_limit():
+    lim = cmc_spheres.MERIDIAN_X_LIMIT
+    assert lim < 709.0  # math.cosh overflows from about 710.5
+    math.cosh(lim)
+    assert cmc_spheres.meridian_range((-lim, lim)) == (-lim, lim)
+
+
+def test_meridian_postprocessing_matches_per_sample_loop():
     from bergercmc.ambient import frame_at, metric_eval_raw
 
-    sols = []
-
-    def capture(*args, **kwargs):
-        sols.append(solve_ivp(*args, **kwargs))
-        return sols[-1]
-
-    monkeypatch.setattr(cmc_spheres, "solve_ivp", capture)
     a, H, n = 0.01, 1.0, 2048  # even n on a symmetric range: x = 0 is not a sample
     m = reconstruct_meridian(a, H, (-9, 9), n)
-    out = np.vstack([sols[1].y.T[::-1], sols[0].y.T])
+    out = _two_sided_states(a, H, m.x)
     assert np.array_equal(out[:, 0:4], m.points)
     coeff_b, coeff_n = out[:, 7:10], out[:, 10:13]
 

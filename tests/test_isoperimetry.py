@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bergercmc.ambient import total_volume
-from bergercmc.isoperimetry import (SPHERE, TORUS, clifford_vs_minimal_sphere,
+from bergercmc.isoperimetry import (SPHERE, TORUS, candidate_reach, clifford_vs_minimal_sphere,
                                     crossing_alpha, isoperimetric_candidate,
                                     round_cap_area_volume, sphere_profile,
                                     sphere_volume_rate, torus_H_at_volume,
@@ -236,3 +236,32 @@ def test_profile_third_half_volume_values():
     assert prof.area[0] == pytest.approx(9.2233431556, abs=1e-6)
     assert prof.volume[0] == pytest.approx(math.pi**2 / math.sqrt(3), rel=1e-12)
     assert prof.volume[0] == pytest.approx(5.6982187578, abs=1e-9)
+
+
+def test_torus_volume_inversion_tiny_volumes():
+    # 1 - s^2 with s = 1 - V/half rounds to 0 for tiny V; t (2 - t) does not
+    import mpmath
+
+    from bergercmc.tori import torus_area_volume
+    a = 0.5
+    half = math.pi**2 * math.sqrt(a)
+    for V in (1e-5, 1e-10, 1e-16, 1e-300):
+        H = torus_H_at_volume(a, V)
+        t = mpmath.mpf(V) / mpmath.mpf(half)
+        want = (1 - t) / mpmath.sqrt(t * (2 - t))
+        assert abs(H - want) <= 4e-16 * want
+        if H <= 1e6:
+            assert torus_area_volume(a, H)[1] == pytest.approx(V, rel=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.004, 0.05, 0.3, 0.5, 3.0])
+def test_candidate_reach(a):
+    prof = sphere_profile(a, n=300)
+    total = total_volume(a)
+    lo, hi = candidate_reach(a, prof)
+    assert 0.0 < lo < 0.5 * total and hi == total - lo
+    for V in (lo * (1 + 1e-9), 0.5 * total, total - lo * (1 + 1e-9)):
+        assert isoperimetric_candidate(a, V, profile=prof).family in (SPHERE, TORUS)
+    for V in (math.nextafter(lo, 0.0), math.nextafter(hi, total)):
+        with pytest.raises(ValueError, match="enclose volumes in"):
+            isoperimetric_candidate(a, V, profile=prof)

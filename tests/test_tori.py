@@ -221,3 +221,19 @@ def test_first_variation_identity_exact():
             _, vp = torus_area_volume(a, H + h)
             _, vm = torus_area_volume(a, H - h)
             assert (vp - vm) / (2 * h) == pytest.approx(dV, rel=1e-6)
+
+
+def test_torus_radii_match_mpmath_up_to_H_MAX():
+    # r2^2 = 1/(2c(c + H)), c = sqrt(1 + H^2): no cancellation against r1^2
+    import mpmath
+
+    from bergercmc.ambient import H_MAX
+    with mpmath.workdps(50):
+        for H in np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, H_MAX, 60)]):
+            t = torus_data(0.5, H)
+            h = mpmath.mpf(float(H))
+            c = mpmath.sqrt(1 + h**2)
+            r1 = mpmath.sqrt(mpmath.mpf(1) / 2 + h / (2 * c))
+            r2 = mpmath.sqrt(1 - r1**2)
+            assert abs(t.r1 - r1) <= 4e-16 * r1
+            assert abs(t.r2 - r2) <= 4e-16 * r2
