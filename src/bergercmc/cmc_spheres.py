@@ -6,15 +6,26 @@ cylinder chart w = x + iy (z = e^w on the Riemann sphere), where the
 normal-vertical angle function is C(x) = tanh x and everything depends on
 x only:
 
-    den(x)  = (1 - a) + (H^2 + a) cosh^2 x
+    den(x)  = (1 - a) + (H^2 + a) cosh^2 x = q(x) cosh^2 x
     conf(x) = (H^2 + a) cosh^2 x / den^2          (metric conf |dw|^2)
     A(x)    = -(H + i sqrt(a)) / (2 den)          (<Phi_w, xi>)
     p(x)    = (1 - a)(H + i sqrt(a)) / (2 den^2)  (Hopf-differential datum)
 
+with q(x) = H^2 + a tanh^2 x + sech^2 x.  The meridian y = 0 has a closed
+form too: with c = 1 + H^2, t = tanh x, s = sech x,
+
+    gamma(x) = e^{i phi} (s + H^2 - i sqrt(a) H t, sqrt(a) t + i H (1 - s)) / sqrt(c q),
+    phi(x)   = Int_0^x (a - 1) H sech^2 / (sqrt(a) q)
+             = -(H k / sqrt(a)) atanh(k t),  k = sqrt((1 - a)/c)   (a < 1)
+             = +(H k / sqrt(a)) atan(k t),   k = sqrt((a - 1)/c)   (a > 1),
+
+and the surface is (x, y) -> exp(yW) gamma(x) with W = [[i, -H], [H, i H^2]]/c.
+
 The module evaluates these, checks the integrability conditions and the
-Gauss equation, computes areas, reconstructs the meridian curve in S^3 by
-integrating the moving-frame system, and decides embeddedness through the
-orbit-space projection of the meridian.
+Gauss equation, computes areas, evaluates the meridian curve in S^3 with
+its normal (the moving-frame ODE stays as the independent oracle route),
+and decides embeddedness through the orbit-space projection of the
+meridian.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ REFLECT = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=float)
 
 
 class ReconstructionError(RuntimeError):
-    """Moving-frame integration violated a profile invariant."""
+    """A meridian violated a profile invariant, or its ODE oracle failed."""
 
 
 class ConsistencyError(RuntimeError):
@@ -58,21 +69,30 @@ class SphereFundamentalData:
     H: float
 
     def den(self, x):
+        """Overflows beyond |x| ~ 355; conf, A and p use sech^2 x / q instead."""
         x = np.asarray(x, dtype=float)
         return (1.0 - self.alpha) + (self.H**2 + self.alpha) * np.cosh(x) ** 2
+
+    def _sech2_q(self, x):
+        """(sech^2 x, q(x)) with q = den sech^2 = H^2 + a tanh^2 x + sech^2 x >= min(1, a)."""
+        x = np.asarray(x, dtype=float)
+        t, s = np.tanh(x), 1.0 / np.cosh(x)
+        return s * s, self.H**2 + self.alpha * t * t + s * s
 
     def C(self, x):
         return np.tanh(np.asarray(x, dtype=float))
 
     def conf(self, x):
-        x = np.asarray(x, dtype=float)
-        return (self.H**2 + self.alpha) * np.cosh(x) ** 2 / self.den(x) ** 2
+        s2, q = self._sech2_q(x)
+        return (self.H**2 + self.alpha) * s2 / (q * q)
 
     def A(self, x):
-        return -(self.H + 1j * math.sqrt(self.alpha)) / (2.0 * self.den(x))
+        s2, q = self._sech2_q(x)
+        return -(self.H + 1j * math.sqrt(self.alpha)) * s2 / (2.0 * q)
 
     def p(self, x):
-        return (1.0 - self.alpha) * (self.H + 1j * math.sqrt(self.alpha)) / (2.0 * self.den(x) ** 2)
+        s2, q = self._sech2_q(x)
+        return (1.0 - self.alpha) * (self.H + 1j * math.sqrt(self.alpha)) * (s2 / q) ** 2 / 2.0
 
     def sigma_norm2(self, x):
         """|sigma|^2 = 2 H^2 + 8 conf^-2 |p|^2 (conformal-chart norm)."""
@@ -234,13 +254,14 @@ def gauss_bonnet_integral(d: SphereFundamentalData) -> float:
 
 @dataclass
 class MeridianProfile:
-    """Reconstructed meridian of S_a(H) with its adapted frame and residuals.
+    """Meridian of S_a(H) with its adapted frame and residuals.
 
     points[i] is the curve in S^3 (4 real coordinates), normals[i] the
     g_a-unit normal.  metric_residual compares the finite-difference speed^2
-    of the curve against conf(x); C_residual compares g_a(N, xi) against
-    tanh x.  tangent_y[i] is d Phi / dy along the orbit direction, used for
-    the orbit-generator fit.
+    of the curve against conf(x) (NaN at the two endpoints, which have no
+    central difference); C_residual is the closed-form identity
+    g_a(N, xi) = tanh x.  tangent_y[i] is d Phi / dy = W gamma along the
+    orbit direction, used for the orbit-generator fit.
     """
 
     alpha: float
@@ -254,11 +275,17 @@ class MeridianProfile:
 
     @property
     def max_metric_residual(self) -> float:
-        return float(np.nanmax(self.metric_residual))
+        """Largest interior residual; NaN if an interior sample is NaN."""
+        return float(np.max(self.metric_residual[1:-1]))
 
     @property
     def max_C_residual(self) -> float:
         return float(np.max(np.abs(self.C_residual)))
+
+    @property
+    def holds_contract(self) -> bool:
+        """Both residuals within RESIDUAL_TOL; a NaN or inf is a violation."""
+        return self.max_metric_residual <= RESIDUAL_TOL and self.max_C_residual <= RESIDUAL_TOL
 
     def to_csv(self, path) -> None:
         """CSV columns: x, re(z), im(z), re(w), im(w), metric_residual, C_residual."""
@@ -350,61 +377,106 @@ def _frame_states(a: float, H: float, xs: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
-    """Integrate the moving-frame system along y = 0 and validate the result.
+def _ode_meridian(a: float, H: float, xs: np.ndarray):
+    """Oracle route: (points, normals, tangent_y, C_residual) from the ODE states."""
+    out = _frame_states(a, H, xs)
+    points = out[:, 0:4]
+    coeff_b = out[:, 7:10]
+    coeff_n = out[:, 10:13]
+    V, E1, E2 = frame_at(points)
+    xi = V / math.sqrt(a)
+    normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
+    ev = np.sqrt(fundamental_data(a, H).conf(xs))[:, None]
+    tangent_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
+    return points, normals, tangent_y, coeff_n[:, 0] - np.tanh(xs)
 
-    Starts at the equator point x = 0 with the frame fixed by the closed
-    forms (the xi-components of tangent frame and normal are determined by
-    A and C; the remaining rotation is a congruence gauge) and integrates
-    once, from 0 to the larger of -lo and hi, through every requested |x|.
-    The samples with x < 0 are the REFLECT images of those at |x|: the
-    backward integration gives them bit for bit, since DOP853 sees the step
-    only through |h| and norms and its dense output is sign-symmetric.
+
+def _meridian_phase(a: float, H: float, t: np.ndarray) -> np.ndarray:
+    """phi = Int_0^x (a - 1) H sech^2 / (sqrt(a) q) as a function of t = tanh x."""
+    c = 1.0 + H * H
+    if a < 1.0:
+        k = math.sqrt((1.0 - a) / c)
+        return -(H * k / math.sqrt(a)) * np.arctanh(k * t)
+    if a > 1.0:
+        k = math.sqrt((a - 1.0) / c)
+        return (H * k / math.sqrt(a)) * np.arctan(k * t)
+    return np.zeros_like(t)
+
+
+def _as_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.column_stack([z.real, z.imag, w.real, w.imag])
+
+
+def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
+    """The closed-form meridian at the samples xs, residuals not yet checked."""
+    sa = math.sqrt(a)
+    t = np.tanh(xs)
+    s = 1.0 / np.cosh(xs)
+    # q = den sech^2 x; H^2 + a t^2 + s^2 sums nonnegative terms, where
+    # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
+    q = H * H + a * t * t + s * s
+    e = np.exp(1j * _meridian_phase(a, H, t)) / np.sqrt((1.0 + H * H) * q)
+    z = e * ((s + H * H) - 1j * (sa * H) * t)
+    w = e * (sa * t + 1j * H * (1.0 - s))
+    # gamma_x and W gamma both carry a factor sech x, taken out: else the
+    # squared norm of their cross product, of order sech^4 x, underflows to 0
+    # from |x| ~ 187 and the normal is 0/0
+    f = ((a - 1.0) * s / q) * (1j * H / sa - t)
+    zx = f * z + e * (-t - 1j * (sa * H) * s)
+    wx = f * w + e * (sa * s + 1j * H * t)
+    zy, wy = 1j * e, H * e
+
+    def frame_coeffs(X1, X2):
+        """g_a-orthonormal coefficients of (X1, X2) on (xi, E1, E2) at gamma."""
+        om = z * X2 - w * X1
+        return np.stack([sa * (X1 * z.conj() + X2 * w.conj()).imag, om.real, om.imag], axis=1)
+
+    nvec = np.cross(frame_coeffs(zy, wy), frame_coeffs(zx, wx))  # N = E2 at x = 0
+    nvec /= np.linalg.norm(nvec, axis=1)[:, None]
+    # N = n0 xi + n1 E1 + n2 E2 with xi = i gamma / sqrt(a), E1 = (-conj w, conj z), E2 = i E1
+    n0, n12 = nvec[:, 0] / sa, nvec[:, 1] + 1j * nvec[:, 2]
+    normals = _as_real(1j * n0 * z - n12 * w.conj(), 1j * n0 * w + n12 * z.conj())
+    points = _as_real(z, w)
+
+    # residual 1: finite-difference speed^2 g_a(dgam, dgam) against
+    # conf = (H^2 + a) s^2 / q^2, both divided by s so that neither
+    # underflows to 0 within MERIDIAN_X_LIMIT
+    h = xs[1] - xs[0]
+    dgam = (points[2:] - points[:-2]) / (2.0 * h)
+    vdot = (dgam * _as_real(1j * z, 1j * w)[1:-1]).sum(axis=1)
+    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
+    sm, qm = s[1:-1], q[1:-1]
+    conf_s = (H * H + a) * sm / (qm * qm)
+    metric_residual = np.full(len(xs), np.nan)
+    metric_residual[1:-1] = np.abs(speed2 / sm - conf_s) / conf_s
+
+    return MeridianProfile(alpha=a, H=H, x=xs, points=points, normals=normals,
+                           tangent_y=_as_real(s * zy, s * wy), metric_residual=metric_residual,
+                           C_residual=nvec[:, 0] - t)
+
+
+def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
+    """The meridian y = 0 of S_a(H) on n equispaced samples, validated.
+
+    Evaluates the closed form of the module docstring: the curve gamma,
+    the orbit tangent W gamma and the g_a-unit normal N, built from the
+    analytic gamma_x and W gamma in the frame (xi, E1, E2) and oriented so
+    that N = E2 at the equator x = 0, as in the moving-frame ODE
+    (_frame_states), which stays as the independent oracle.  Raises
+    ReconstructionError if a residual breaks RESIDUAL_TOL.
     """
-    a = as_alpha(p)
+    a, H = as_alpha(p), as_H(H)
     if n < MERIDIAN_MIN_N:
         raise ValueError(f"need n >= {MERIDIAN_MIN_N} meridian samples")
     lo, hi = meridian_range(x_range)
-
-    d = fundamental_data(a, H)
-    sa = math.sqrt(a)
-    xs = np.linspace(lo, hi, n)
-    out = _frame_states(a, H, xs)
-
-    points = out[:, 0:4]
-    coeff_a = out[:, 4:7]
-    coeff_b = out[:, 7:10]
-    coeff_n = out[:, 10:13]
-
-    # ambient normals and orbit tangents from frame coefficients
-    V, E1, E2 = frame_at(points)
-    xi = V / sa
-    normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
-    ev = np.sqrt(d.conf(xs))[:, None]
-    tangent_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
-
-    # residual 1: finite-difference speed^2 g_a(dgam, dgam) against conf
-    h = xs[1] - xs[0]
-    metric_residual = np.full(n, np.nan)
-    dgam = (points[2:] - points[:-2]) / (2.0 * h)
-    vdot = (dgam * V[1:-1]).sum(axis=1)
-    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
-    conf_mid = d.conf(xs[1:-1])
-    metric_residual[1:-1] = np.abs(speed2 - conf_mid) / conf_mid
-
-    # residual 2: g_a(N, xi) against tanh x (n-coefficient drift)
-    C_residual = coeff_n[:, 0] - np.tanh(xs)
-
-    prof = MeridianProfile(alpha=a, H=float(H), x=xs, points=points, normals=normals,
-                           tangent_y=tangent_y, metric_residual=metric_residual,
-                           C_residual=C_residual)
-    worst = max(prof.max_metric_residual, prof.max_C_residual)
-    if worst > RESIDUAL_TOL:
-        raise ReconstructionError(
-            f"reconstruction invariants violated: metric {prof.max_metric_residual:.3e}, "
-            f"C {prof.max_C_residual:.3e} (tol {RESIDUAL_TOL})"
-        )
-    return prof
+    prof = _meridian_profile(a, H, np.linspace(lo, hi, n))
+    if prof.holds_contract:
+        return prof
+    msg = (f"reconstruction invariants violated: metric {prof.max_metric_residual:.3e}, "
+           f"C {prof.max_C_residual:.3e} (tol {RESIDUAL_TOL})")
+    # a traceback keeps this frame's locals alive, so they hold no meridian arrays
+    del prof
+    raise ReconstructionError(msg)
 
 
 def planarity_report(points: np.ndarray) -> dict:
@@ -522,7 +594,7 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     length.  A margin below 10x the polyline resolution yields an undecided
     verdict.
     """
-    if max(m.max_metric_residual, m.max_C_residual) > RESIDUAL_TOL:
+    if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
     gen = fit_orbit_generator(m)
     kap = np.sort(np.abs(gen.kappa))

@@ -138,8 +138,9 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400,
 
 def torus_area_volume_closed(alpha: float, H) -> tuple[np.ndarray, np.ndarray]:
     H = np.asarray(H, dtype=float)
+    c = np.sqrt(1.0 + H**2)
     area = 2.0 * math.pi**2 * np.sqrt(alpha / (1.0 + H**2))
-    vol = math.pi**2 * math.sqrt(alpha) * (1.0 - H / np.sqrt(1.0 + H**2))
+    vol = math.pi**2 * math.sqrt(alpha) / (c * (c + H))  # 1 - H/c without the cancellation
     return area, vol
 
 

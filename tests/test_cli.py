@@ -221,3 +221,16 @@ def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
     assert main(["--out", str(tmp_path), "profiles", "--alphas", "0.5", "--H-max", H_max]) == 2
     assert "mean curvature H" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048", "--x-max", x]
+    for x in ("200", "300", "400", "700")] + [["embeddedness", "--x-max", "300"]],
+    ids=["sphere200", "sphere300", "sphere400", "sphere700", "embeddedness300"])
+def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
+    # the finite-difference speed contract rejects these grids; conf, the
+    # residuals and the normals must get there without overflow or 0/0
+    proc, _ = run_cli(args, tmp_path, "wide")
+    assert proc.returncode == 3
+    assert "numerical contract failure: reconstruction invariants violated" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -279,19 +279,7 @@ def _two_sided_states(a, H, xs):
     return out
 
 
-def _oracle_meridian(monkeypatch, a, H, x_range, n):
-    """reconstruct_meridian with the frame states of the two-sided oracle."""
-    with monkeypatch.context() as mp:
-        mp.setattr(cmc_spheres, "_frame_states", _two_sided_states)
-        return reconstruct_meridian(a, H, x_range, n)
-
-
-def _profile_arrays(m):
-    return (m.x, m.points, m.normals, m.tangent_y, m.metric_residual, m.C_residual)
-
-
-# H = 0, a = 1, a > 1, small a; odd and even n; x_max 6, 8, 9, 12; the
-# last two raise ReconstructionError (too coarse for their alpha)
+# H = 0, a = 1, a > 1, small a; odd and even n; x_max 6, 8, 9, 12
 ORACLE_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0, 1024),
                 (1.0, 1.0, 8.0, 1025), (2.0, 0.0, 12.0, 4097), (2.0, 1.5, 6.0, 512),
                 (50.0, 0.5, 6.0, 4095), (50.0, 0.0, 8.0, 4096), (0.02, 1.0, 9.0, 3001),
@@ -301,21 +289,16 @@ ORACLE_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0, 102
 
 @pytest.mark.parametrize("a,H,x_max,n", ORACLE_CASES)
 def test_single_solve_matches_two_sided_oracle_bitwise(a, H, x_max, n, monkeypatch):
+    xs = np.linspace(-x_max, x_max, n)
+    # as values the states agree everywhere; only the x = 0 sample's unused
+    # Phi_x coefficient -H/rho may differ in the sign of its zero at H = 0
+    assert np.array_equal(cmc_spheres._frame_states(a, H, xs), _two_sided_states(a, H, xs))
+    got = cmc_spheres._ode_meridian(a, H, xs)
+    monkeypatch.setattr(cmc_spheres, "_frame_states", _two_sided_states)
+    want = cmc_spheres._ode_meridian(a, H, xs)
     # tobytes: signed zeros count (at H = 0 some components vanish identically)
-    try:
-        want = _oracle_meridian(monkeypatch, a, H, (-x_max, x_max), n)
-    except ReconstructionError as exc:
-        with pytest.raises(ReconstructionError) as got:
-            reconstruct_meridian(a, H, (-x_max, x_max), n)
-        assert str(got.value) == str(exc)
-        return
-    m = reconstruct_meridian(a, H, (-x_max, x_max), n)
-    for g, w in zip(_profile_arrays(m), _profile_arrays(want)):
+    for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
-    r, rw = is_embedded(m), is_embedded(want)
-    assert (r.embedded, r.crossings) == (rw.embedded, rw.crossings)
-    assert float(r.margin).hex() == float(rw.margin).hex()
-    assert float(r.resolution).hex() == float(rw.resolution).hex()
 
 
 def test_frame_rhs_reflection_identity():
@@ -342,21 +325,21 @@ def test_one_solve_per_meridian(monkeypatch):
     monkeypatch.setattr(cmc_spheres, "solve_ivp", counting)
     for x_range, n in (((-8, 8), 1024), ((-8, 8), 1025), ((-5, 9), 700), ((-9, 4), 700)):
         calls.clear()
-        reconstruct_meridian(0.5, 1.0, x_range, n)
+        cmc_spheres._frame_states(0.5, 1.0, np.linspace(*x_range, n))
         assert calls == [(0.0, max(-x_range[0], x_range[1]))]
+        # the production meridian is the closed form: no ODE solve at all
+        calls.clear()
+        reconstruct_meridian(0.5, 1.0, x_range, 2048)
+        assert calls == []
 
 
 @pytest.mark.parametrize("x_range", [(-6.0, 9.0), (-9.0, 4.5), (-12.0, 8.0), (-3.0, 7.0)])
-def test_asymmetric_range_close_to_oracle(x_range, monkeypatch):
+def test_asymmetric_range_close_to_oracle(x_range):
     # the shorter side's last step is no longer clipped at its endpoint, so
     # only its samples in that step may move, within the ODE tolerances
-    a, H, n = 0.3, 0.8, 1500
-    m = reconstruct_meridian(a, H, x_range, n)
-    want = _oracle_meridian(monkeypatch, a, H, x_range, n)
-    assert np.array_equal(m.x, want.x)
-    for g, w in ((m.points, want.points), (m.normals, want.normals),
-                 (m.tangent_y, want.tangent_y), (m.C_residual, want.C_residual)):
-        np.testing.assert_allclose(g, w, rtol=0, atol=1e-11)
+    xs = np.linspace(*x_range, 1500)
+    got = cmc_spheres._frame_states(0.3, 0.8, xs)
+    np.testing.assert_allclose(got, _two_sided_states(0.3, 0.8, xs), rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("x_range", [(-math.inf, 8.0), (-8.0, math.inf), (-math.nan, 8.0),
@@ -378,25 +361,28 @@ def test_meridian_postprocessing_matches_per_sample_loop():
     from bergercmc.ambient import frame_at, metric_eval_raw
 
     a, H, n = 0.01, 1.0, 2048  # even n on a symmetric range: x = 0 is not a sample
-    m = reconstruct_meridian(a, H, (-9, 9), n)
-    out = _two_sided_states(a, H, m.x)
-    assert np.array_equal(out[:, 0:4], m.points)
+    xs = np.linspace(-9, 9, n)
+    points, normals, tangent_y, C_residual = cmc_spheres._ode_meridian(a, H, xs)
+    out = _two_sided_states(a, H, xs)
+    assert np.array_equal(out[:, 0:4], points)
     coeff_b, coeff_n = out[:, 7:10], out[:, 10:13]
+    assert np.array_equal(coeff_n[:, 0] - np.tanh(xs), C_residual)
 
     sa = math.sqrt(a)
     d = fundamental_data(a, H)
-    ev = np.sqrt(d.conf(m.x))
-    normals, tangent_y = np.empty_like(m.points), np.empty_like(m.points)
+    ev = np.sqrt(d.conf(xs))
+    loop_normals, loop_tangent_y = np.empty_like(points), np.empty_like(points)
     for i in range(n):
-        V, E1, E2 = frame_at(m.points[i])
+        V, E1, E2 = frame_at(points[i])
         xi = V / sa
-        normals[i] = coeff_n[i, 0] * xi + coeff_n[i, 1] * E1 + coeff_n[i, 2] * E2
-        tangent_y[i] = ev[i] * (coeff_b[i, 0] * xi + coeff_b[i, 1] * E1 + coeff_b[i, 2] * E2)
-    assert np.array_equal(normals, m.normals)
-    assert np.array_equal(tangent_y, m.tangent_y)
+        loop_normals[i] = coeff_n[i, 0] * xi + coeff_n[i, 1] * E1 + coeff_n[i, 2] * E2
+        loop_tangent_y[i] = ev[i] * (coeff_b[i, 0] * xi + coeff_b[i, 1] * E1 + coeff_b[i, 2] * E2)
+    assert np.array_equal(loop_normals, normals)
+    assert np.array_equal(loop_tangent_y, tangent_y)
 
-    # the residual is |speed^2 / conf - 1|; 1e-12 relative to speed^2 is
-    # 1e-12 absolute on it
+    # the production residual of the closed-form curve is |speed^2 / conf - 1|;
+    # 1e-12 relative to speed^2 is 1e-12 absolute on it
+    m = reconstruct_meridian(a, H, (-9, 9), n)
     h = m.x[1] - m.x[0]
     dgam = (m.points[2:] - m.points[:-2]) / (2.0 * h)
     conf_mid = d.conf(m.x[1:-1])
@@ -404,6 +390,99 @@ def test_meridian_postprocessing_matches_per_sample_loop():
             / conf_mid[i - 1] for i in range(1, n - 1)]
     assert np.isnan(m.metric_residual[[0, -1]]).all()
     np.testing.assert_allclose(m.metric_residual[1:-1], loop, rtol=0, atol=1e-12)
+
+
+# H = 0, a = 1, a > 1, small a; odd and even n.  At a = 50 and a = 1e-3 the
+# ODE itself is off by up to 3.6e-9 (its C_residual reaches 5e-10), so those
+# stay out of a 1e-9 comparison.
+CLOSED_FORM_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0, 1025),
+                     (1.0, 1.0, 8.0, 1024), (2.0, 0.0, 12.0, 4097), (2.0, 1.5, 6.0, 513),
+                     (0.5, 1.0, 8.0, 2048), (0.02, 1.0, 9.0, 3001), (0.01, 1.0, 9.0, 2048)]
+
+
+@pytest.mark.parametrize("a,H,x_max,n", CLOSED_FORM_CASES)
+def test_closed_form_matches_ode_oracle(a, H, x_max, n):
+    m = reconstruct_meridian(a, H, (-x_max, x_max), n)
+    points, normals, tangent_y, C_residual = cmc_spheres._ode_meridian(a, H, m.x)
+    for got, want in ((m.points, points), (m.tangent_y, tangent_y), (m.normals, normals)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+    # g_a(N, xi) = tanh x holds to roundoff; the ODE keeps it to about 1e-10
+    assert m.max_C_residual <= 1e-15
+    assert np.max(np.abs(C_residual)) <= 1e-9
+
+
+def test_embed_scan_pool_parity():
+    # every pool point of the figure-1 benchmark: the same verdicts and
+    # crossing counts as the ODE meridian gave, and the same 20 errors
+    import json
+    from pathlib import Path
+
+    ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "embed_scan.json"
+    pool = json.loads(ref.read_text())["pool"]
+    assert len(pool) == 200
+    errors = 0
+    for case in pool:
+        p, want = case["params"], case["ref"]
+        x_range = (-p["x_max"], p["x_max"])
+        if want.get("error") == "ReconstructionError":
+            errors += 1
+            with pytest.raises(ReconstructionError):
+                reconstruct_meridian(p["alpha"], p["H"], x_range, p["n"])
+            continue
+        r = is_embedded(reconstruct_meridian(p["alpha"], p["H"], x_range, p["n"]))
+        assert (r.embedded, r.crossings) == (want["embedded"], want["crossings"]), p
+    assert errors == 20
+
+
+@given(st.floats(min_value=-6.0, max_value=4.0), st.floats(min_value=0.0, max_value=1e3),
+       st.sampled_from([8.0, 300.0, cmc_spheres.MERIDIAN_X_LIMIT]),
+       st.sampled_from([64, 1001, 2048]))
+def test_closed_form_extreme_parameters(log_a, H, x_max, n):
+    a = 10.0**log_a
+    with np.errstate(all="raise", under="ignore"):
+        m = cmc_spheres._meridian_profile(a, H, np.linspace(-x_max, x_max, n))
+    assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-14
+    assert np.isfinite(m.normals).all() and np.isfinite(m.tangent_y).all()
+    assert m.max_C_residual <= 1e-11
+
+
+def test_reconstruction_error_traceback_holds_no_meridian_arrays():
+    # a failing case's traceback must not keep the meridian alive
+    n = 700
+    with pytest.raises(ReconstructionError) as info:
+        reconstruct_meridian(0.01, 1.0, (-9, 9), n)
+    tb = info.value.__traceback__
+    while tb is not None:
+        for name, value in tb.tb_frame.f_locals.items():
+            assert not isinstance(value, cmc_spheres.MeridianProfile), name
+            assert not (isinstance(value, np.ndarray) and n in value.shape), name
+        tb = tb.tb_next
+
+
+@pytest.mark.parametrize("field", ["metric_residual", "C_residual"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_interior_residual_breaks_contract(field, bad):
+    m = reconstruct_meridian(0.5, 1.0, (-8, 8), 1024)
+    assert m.holds_contract  # the NaN endpoints of metric_residual do not count
+    getattr(m, field)[500] = bad
+    assert not m.holds_contract
+    with pytest.raises(ReconstructionError):
+        is_embedded(m)
+
+
+def test_fundamental_data_finite_out_to_x_limit():
+    # conf, A and p in sech^2 x / q: no overflow or 0/0 out to the meridian's
+    # x limit (the cosh^2 x / den^2 form overflowed from |x| ~ 178)
+    x = np.linspace(-cmc_spheres.MERIDIAN_X_LIMIT, cmc_spheres.MERIDIAN_X_LIMIT, 4001)
+    for a, H in ((0.5, 1.0), (1e-6, 1e3), (1e4, 0.0)):
+        d = fundamental_data(a, H)
+        with np.errstate(all="raise", under="ignore"):
+            vals = (d.conf(x), d.A(x), d.p(x))
+        assert all(np.isfinite(v).all() for v in vals)
+        # the cosh^2 x / den^2 form where it does not overflow
+        xm = x[np.abs(x) < 20.0]
+        ch2 = np.cosh(xm) ** 2
+        np.testing.assert_allclose(d.conf(xm), (H**2 + a) * ch2 / d.den(xm) ** 2, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

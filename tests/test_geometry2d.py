@@ -126,14 +126,19 @@ def _hash_candidate_pairs(points, index_gap):
 
 
 def _segment_distance(p, q, r, s):
+    # elementwise sums, as in _point_segment_distance: a BLAS dot product may
+    # round differently (1 ulp on the a = 0.01 meridian)
+    def norm(v):
+        return float(np.sqrt((v * v).sum()))
+
     def pt_seg(c, a, b):
         ab = b - a
-        denom = float(ab @ ab)
+        denom = float((ab * ab).sum())
         if denom == 0.0:
-            return float(np.linalg.norm(c - a))
-        t = float((c - a) @ ab) / denom
+            return norm(c - a)
+        t = float(((c - a) * ab).sum()) / denom
         t = min(1.0, max(0.0, t))
-        return float(np.linalg.norm(c - (a + t * ab)))
+        return norm(c - (a + t * ab))
 
     return min(pt_seg(p, r, s), pt_seg(q, r, s), pt_seg(r, p, q), pt_seg(s, p, q))
 

@@ -265,3 +265,20 @@ def test_candidate_reach(a):
     for V in (math.nextafter(lo, 0.0), math.nextafter(hi, total)):
         with pytest.raises(ValueError, match="enclose volumes in"):
             isoperimetric_candidate(a, V, profile=prof)
+
+
+def test_torus_profile_volume_against_mpmath():
+    # pi^2 sqrt(a) (1 - H/sqrt(1 + H^2)) cancels for large H; the closed form
+    # takes 1/(c (c + H)), c = sqrt(1 + H^2)
+    import mpmath
+
+    from bergercmc.ambient import H_MAX
+    from bergercmc.isoperimetry import torus_area_volume_closed
+    H = np.concatenate([[0.0, 1e-8, 0.3, 1.0], np.geomspace(1.0, H_MAX, 61)[1:]])
+    a = 0.3
+    _, vol = torus_area_volume_closed(a, H)
+    with mpmath.workdps(50):
+        for h, v in zip(H, vol):
+            h = mpmath.mpf(float(h))
+            want = mpmath.pi**2 * mpmath.sqrt(mpmath.mpf(a)) * (1 - h / mpmath.sqrt(1 + h**2))
+            assert abs(v - want) <= 1e-14 * want, float(h)
