@@ -11,7 +11,8 @@ x only:
     A(x)    = -(H + i sqrt(a)) / (2 den)          (<Phi_w, xi>)
     p(x)    = (1 - a)(H + i sqrt(a)) / (2 den^2)  (Hopf-differential datum)
 
-with q(x) = H^2 + a tanh^2 x + sech^2 x.  The meridian y = 0 has a closed
+with q(x) = H^2 + a tanh^2 x + sech^2 x; the code evaluates them through
+sech^2 x / q, which cannot overflow.  The meridian y = 0 has a closed
 form too: with c = 1 + H^2, t = tanh x, s = sech x,
 
     gamma(x) = e^{i phi} (s + H^2 - i sqrt(a) H t, sqrt(a) t + i H (1 - s)) / sqrt(c q),
@@ -19,7 +20,10 @@ form too: with c = 1 + H^2, t = tanh x, s = sech x,
              = -(H k / sqrt(a)) atanh(k t),  k = sqrt((1 - a)/c)   (a < 1)
              = +(H k / sqrt(a)) atan(k t),   k = sqrt((a - 1)/c)   (a > 1),
 
-and the surface is (x, y) -> exp(yW) gamma(x) with W = [[i, -H], [H, i H^2]]/c.
+and the surface is (x, y) -> exp(yW) gamma(x) with the exact generator
+W = [[i, -H], [H, i H^2]]/c.  W has the eigenvalues 0 and i; its kernel
+vector (H, i)/sqrt(c) gives the invariant coordinate (H z - i w)/sqrt(c)
+of the orbit space.
 
 The module evaluates these, checks the integrability conditions and the
 Gauss equation, computes areas, evaluates the meridian curve in S^3 with
@@ -44,7 +48,6 @@ AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
 MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
-ORBIT_FIT_XMAX = 6.0  # orbit-generator fit uses |x| <= this
 MERIDIAN_MIN_N = 64  # fewest meridian samples
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
 # (z, w) -> (conj z, -conj w) is an isometry of every Berger sphere that maps
@@ -68,11 +71,6 @@ class SphereFundamentalData:
     alpha: float
     H: float
 
-    def den(self, x):
-        """Overflows beyond |x| ~ 355; conf, A and p use sech^2 x / q instead."""
-        x = np.asarray(x, dtype=float)
-        return (1.0 - self.alpha) + (self.H**2 + self.alpha) * np.cosh(x) ** 2
-
     def _sech2_q(self, x):
         """(sech^2 x, q(x)) with q = den sech^2 = H^2 + a tanh^2 x + sech^2 x >= min(1, a)."""
         x = np.asarray(x, dtype=float)
@@ -95,8 +93,9 @@ class SphereFundamentalData:
         return (1.0 - self.alpha) * (self.H + 1j * math.sqrt(self.alpha)) * (s2 / q) ** 2 / 2.0
 
     def sigma_norm2(self, x):
-        """|sigma|^2 = 2 H^2 + 8 conf^-2 |p|^2 (conformal-chart norm)."""
-        return 2.0 * self.H**2 + 8.0 * np.abs(self.p(x)) ** 2 / self.conf(x) ** 2
+        """|sigma|^2 = 2 H^2 + 8 conf^-2 |p|^2 = 2 H^2 + 2 (1 - a)^2 sech^4 x / (H^2 + a)."""
+        s2, _ = self._sech2_q(x)
+        return 2.0 * self.H**2 + 2.0 * (1.0 - self.alpha) ** 2 * s2 * s2 / (self.H**2 + self.alpha)
 
 
 def fundamental_data(p, H: float) -> SphereFundamentalData:
@@ -171,7 +170,8 @@ def gauss_curvature(d: SphereFundamentalData, x: float, tol: float = 1e-6) -> fl
     """Gauss curvature K(x), computed two independent ways.
 
     (a) conformal route: K = -(1/2) conf^-1 (log conf)'', with the
-        logarithmic derivative of the closed form taken exactly;
+        logarithmic derivative of the closed form taken exactly, which
+        leaves K = (2P (P + (1 - a)(2 - sech^2 x)) - q^2) / P, P = H^2 + a;
     (b) ambient route: the Gauss equation
         K = 2 H^2 - |sigma|^2 / 2 + a + 4 (1 - a) C^2.
     The two must agree to `tol` relative, else a ConsistencyError is raised.
@@ -179,14 +179,8 @@ def gauss_curvature(d: SphereFundamentalData, x: float, tol: float = 1e-6) -> fl
     a, H = d.alpha, d.H
     xs = float(x)
     P = H**2 + a
-    den = float(d.den(xs))
-    conf = float(d.conf(xs))
-    c2 = math.cosh(xs) ** 2
-    sech2 = 1.0 / c2
-    # den''*den - den'^2 expanded symbolically; the raw difference of the two
-    # ~e^{4|x|} terms cancels catastrophically for |x| over ~15
-    wronsk = 2.0 * P * (P * c2 + (1.0 - a) * (2.0 * c2 - 1.0))
-    k_conformal = (wronsk / den**2 - sech2) / conf
+    s2, q = d._sech2_q(xs)
+    k_conformal = float((2.0 * P * (P + (1.0 - a) * (2.0 - s2)) - q * q) / P)
 
     C2 = math.tanh(xs) ** 2
     k_gauss = 2.0 * H**2 - 0.5 * float(d.sigma_norm2(xs)) + a + 4.0 * (1.0 - a) * C2
@@ -260,8 +254,7 @@ class MeridianProfile:
     g_a-unit normal.  metric_residual compares the finite-difference speed^2
     of the curve against conf(x) (NaN at the two endpoints, which have no
     central difference); C_residual is the closed-form identity
-    g_a(N, xi) = tanh x.  tangent_y[i] is d Phi / dy = W gamma along the
-    orbit direction, used for the orbit-generator fit.
+    g_a(N, xi) = tanh x.
     """
 
     alpha: float
@@ -269,7 +262,6 @@ class MeridianProfile:
     x: np.ndarray
     points: np.ndarray
     normals: np.ndarray
-    tangent_y: np.ndarray
     metric_residual: np.ndarray
     C_residual: np.ndarray
 
@@ -372,13 +364,13 @@ def _frame_states(a: float, H: float, xs: np.ndarray) -> np.ndarray:
         raise ReconstructionError(f"ODE integration failed: {sol.message}")
     out = sol.y.T[where]
     # + 0.0 turns the -0.0 of a reflected identically-zero component (H = 0)
-    # into the +0.0 the backward integration writes; the orbit fit sees signs
+    # into the +0.0 the backward integration writes
     out[xs < 0.0] = out[xs < 0.0] * REFLECT + 0.0
     return out
 
 
 def _ode_meridian(a: float, H: float, xs: np.ndarray):
-    """Oracle route: (points, normals, tangent_y, C_residual) from the ODE states."""
+    """Oracle route: (points, normals, Phi_y, C_residual) from the ODE states."""
     out = _frame_states(a, H, xs)
     points = out[:, 0:4]
     coeff_b = out[:, 7:10]
@@ -387,8 +379,8 @@ def _ode_meridian(a: float, H: float, xs: np.ndarray):
     xi = V / math.sqrt(a)
     normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
     ev = np.sqrt(fundamental_data(a, H).conf(xs))[:, None]
-    tangent_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
-    return points, normals, tangent_y, coeff_n[:, 0] - np.tanh(xs)
+    phi_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
+    return points, normals, phi_y, coeff_n[:, 0] - np.tanh(xs)
 
 
 def _meridian_phase(a: float, H: float, t: np.ndarray) -> np.ndarray:
@@ -451,16 +443,15 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     metric_residual[1:-1] = np.abs(speed2 / sm - conf_s) / conf_s
 
     return MeridianProfile(alpha=a, H=H, x=xs, points=points, normals=normals,
-                           tangent_y=_as_real(s * zy, s * wy), metric_residual=metric_residual,
-                           C_residual=nvec[:, 0] - t)
+                           metric_residual=metric_residual, C_residual=nvec[:, 0] - t)
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
     """The meridian y = 0 of S_a(H) on n equispaced samples, validated.
 
-    Evaluates the closed form of the module docstring: the curve gamma,
-    the orbit tangent W gamma and the g_a-unit normal N, built from the
-    analytic gamma_x and W gamma in the frame (xi, E1, E2) and oriented so
+    Evaluates the closed form of the module docstring: the curve gamma and
+    the g_a-unit normal N, built from the analytic gamma_x and the orbit
+    tangent W gamma in the frame (xi, E1, E2) and oriented so
     that N = E2 at the equator x = 0, as in the moving-frame ODE
     (_frame_states), which stays as the independent oracle.  Raises
     ReconstructionError if a residual breaks RESIDUAL_TOL.
@@ -494,7 +485,9 @@ def planarity_report(points: np.ndarray) -> dict:
     # algebraic circle fit: u^2 + v^2 = 2 a u + 2 b v + c
     M = np.column_stack([2.0 * uv[:, 0], 2.0 * uv[:, 1], np.ones(len(uv))])
     rhs = (uv**2).sum(axis=1)
-    (ca, cb, cc), *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    # normal equations: the centred columns u, v are orthogonal to 1 and to
+    # each other, so M^T M is (nearly) diagonal and well conditioned
+    ca, cb, cc = np.linalg.solve(M.T @ M, M.T @ rhs)
     radius = math.sqrt(max(cc + ca**2 + cb**2, 0.0))
     dist = np.linalg.norm(uv - np.array([ca, cb]), axis=1)
     return {
@@ -512,63 +505,43 @@ class OrbitGenerator:
     """u(2) generator W of the 1-parameter isometry group of the surface.
 
     The surface is (x, y) |-> exp(yW) gamma(x); kappa are the eigenvalues
-    of W/i (real since W is skew-Hermitian).  For a sphere one of them is
-    ~0 (its eigenvector gives the invariant orbit-space coordinate) and the
-    other is ~+-1.
+    of W/i and the columns of vectors their unit eigenvectors.  kappa is
+    (0, 1): the kernel vector gives the invariant orbit-space coordinate,
+    and the y-flow closes with period 2 pi.
     """
 
     matrix: np.ndarray
     kappa: np.ndarray
     vectors: np.ndarray
-    fit_residual: float
+
+    def tangent(self, points: np.ndarray) -> np.ndarray:
+        """d Phi / dy = W gamma at the rows (Re z, Im z, Re w, Im w) of points."""
+        v = (points[:, 0::2] + 1j * points[:, 1::2]) @ self.matrix.T
+        return _as_real(v[:, 0], v[:, 1])
 
 
 def fit_orbit_generator(m: MeridianProfile) -> OrbitGenerator:
-    """Least-squares fit of W in u(2) to d Phi / dy = W gamma along the meridian."""
-    sel = np.abs(m.x) <= min(ORBIT_FIT_XMAX, float(np.max(np.abs(m.x))))
-    P = m.points[sel]
-    B = m.tangent_y[sel]
-    zr, zi, wr, wi = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-    b1r, b1i, b2r, b2i = B[:, 0], B[:, 1], B[:, 2], B[:, 3]
-    nrow = P.shape[0]
-    Amat = np.zeros((4 * nrow, 4))
-    rhs = np.zeros(4 * nrow)
-    # unknowns: (a11, a22, cr, ci) in W = [[i a11, c], [-conj(c), i a22]]
-    Amat[0::4, 0] = -zi
-    Amat[0::4, 2] = wr
-    Amat[0::4, 3] = -wi
-    rhs[0::4] = b1r
-    Amat[1::4, 0] = zr
-    Amat[1::4, 2] = wi
-    Amat[1::4, 3] = wr
-    rhs[1::4] = b1i
-    Amat[2::4, 1] = -wi
-    Amat[2::4, 2] = -zr
-    Amat[2::4, 3] = -zi
-    rhs[2::4] = b2r
-    Amat[3::4, 1] = wr
-    Amat[3::4, 2] = -zi
-    Amat[3::4, 3] = zr
-    rhs[3::4] = b2i
-    theta, *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
-    a11, a22, cr, ci = theta
-    W = np.array([[1j * a11, cr + 1j * ci], [-(cr - 1j * ci), 1j * a22]])
-    resid = float(np.linalg.norm(Amat @ theta - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    kappa, vecs = np.linalg.eigh(-1j * W)  # W = i * Hermitian
-    return OrbitGenerator(matrix=W, kappa=kappa, vectors=vecs, fit_residual=resid)
+    """The exact generator W = [[i, -H], [H, i H^2]]/(1 + H^2) of S_a(H).
+
+    d Phi / dy = W gamma along the meridian for every a; the eigenvectors
+    are (H, i)/sqrt(1 + H^2) (kappa 0) and (1, -i H)/sqrt(1 + H^2) (kappa 1).
+    """
+    H = m.H
+    c = 1.0 + H * H
+    W = np.array([[1j, -H], [H, 1j * H * H]]) / c
+    vecs = np.array([[H, 1.0], [1j, -1j * H]]) / math.sqrt(c)
+    return OrbitGenerator(matrix=W, kappa=np.array([0.0, 1.0]), vectors=vecs)
 
 
-def orbit_space_curve(m: MeridianProfile, gen: OrbitGenerator | None = None) -> np.ndarray:
+def orbit_space_curve(m: MeridianProfile, gen: OrbitGenerator) -> np.ndarray:
     """Project the meridian to the orbit space of its isometry group.
 
-    The invariant coordinate is the component of gamma along the eigenvector
-    of W with the (near-)zero rotation speed; the meridian becomes a planar
+    The invariant coordinate is the component of gamma along the kernel
+    vector of W, (H z - i w)/sqrt(1 + H^2); the meridian becomes a planar
     curve inside the closed unit disk, and the immersed sphere is embedded
     iff this curve is simple.
     """
-    gen = gen or fit_orbit_generator(m)
-    order = np.argsort(np.abs(gen.kappa))
-    u_inv = gen.vectors[:, order[0]]
+    u_inv = gen.vectors[:, 0]
     Z = m.points[:, 0] + 1j * m.points[:, 1]
     Wc = m.points[:, 2] + 1j * m.points[:, 3]
     wprime = np.conj(u_inv[0]) * Z + np.conj(u_inv[1]) * Wc
@@ -581,35 +554,27 @@ class EmbeddednessResult:
     margin: float
     resolution: float
     crossings: int
-    generator: OrbitGenerator
     notes: str = ""
 
 
 def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     """Decide embeddedness of the CMC sphere from its meridian profile.
 
-    The projected orbit-space curve is tested for transverse self-
-    intersections with exact rational segment predicates; the margin is the
-    minimum distance between parts of the curve that are far apart in arc
-    length.  A margin below 10x the polyline resolution yields an undecided
-    verdict.
+    The meridian is projected onto the invariant coordinate of the exact
+    orbit generator (orbit_space_curve) and the planar curve is tested for
+    transverse self-intersections with exact rational segment predicates;
+    the margin is the minimum distance between parts of the curve that are
+    far apart in arc length.  A margin below 10x the polyline resolution
+    yields an undecided verdict.
     """
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
-    gen = fit_orbit_generator(m)
-    kap = np.sort(np.abs(gen.kappa))
-    notes = ""
-    if gen.fit_residual > 1e-6:
-        notes += f"orbit-generator fit residual {gen.fit_residual:.2e}; "
-    if kap[1] < 0.5 or kap[0] > 0.05 * kap[1]:
-        return EmbeddednessResult(None, 0.0, 0.0, 0, gen,
-                                  notes + f"degenerate orbit eigenvalues {gen.kappa}")
-    curve = orbit_space_curve(m, gen)
+    curve = orbit_space_curve(m, fit_orbit_generator(m))
     report = polyline_self_intersection_report(curve)
     if report.crossings > 0:
         return EmbeddednessResult(False, report.margin, report.resolution,
-                                  report.crossings, gen, notes + "transverse self-intersection")
+                                  report.crossings, "transverse self-intersection")
     if report.margin < 10.0 * report.resolution:
-        return EmbeddednessResult(None, report.margin, report.resolution, 0, gen,
-                                  notes + "margin below 10x resolution; refine grid")
-    return EmbeddednessResult(True, report.margin, report.resolution, 0, gen, notes)
+        return EmbeddednessResult(None, report.margin, report.resolution, 0,
+                                  "margin below 10x resolution; refine grid")
+    return EmbeddednessResult(True, report.margin, report.resolution, 0)

@@ -29,7 +29,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .ambient import H_MAX, as_alpha, as_H, total_volume
-from .cmc_spheres import AREA_CUTOFF, area_sphere, area_sphere_closed, minimal_area_closed
+from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, minimal_area_closed
 from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
@@ -136,19 +136,11 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400,
                                 monotone=monotone, notes=notes)
 
 
-def torus_area_volume_closed(alpha: float, H) -> tuple[np.ndarray, np.ndarray]:
-    H = np.asarray(H, dtype=float)
-    c = np.sqrt(1.0 + H**2)
-    area = 2.0 * math.pi**2 * np.sqrt(alpha / (1.0 + H**2))
-    vol = math.pi**2 * math.sqrt(alpha) / (c * (c + H))  # 1 - H/c without the cancellation
-    return area, vol
-
-
 def torus_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile:
     """Torus-family profile; closed forms, dA = 2H dV holds identically."""
     a = as_alpha(p)
     H = _graded_grid(H_max, n)
-    area, vol = torus_area_volume_closed(a, H)
+    area, vol = torus_area_volume(a, H)
     return IsoperimetricProfile(family=TORUS, alpha=a, H=H, area=area, volume=vol)
 
 
@@ -177,17 +169,12 @@ def crossing_alpha() -> float:
     """The deformation where minimal sphere and Clifford torus have equal area.
 
     Root of 2 pi^2 sqrt(a) = 2 pi (1 + a artanh(sqrt(1-a))/sqrt(1-a)) on
-    (0, 1/3); near 0.166.  The closed form side is re-validated against the
-    area quadrature at the root.
+    (0, 1/3); near 0.166.
     """
     def f(a):
         return 2.0 * math.pi**2 * math.sqrt(a) - minimal_area_closed(a)
 
-    root = brentq(f, 1e-6, 1.0 / 3.0, xtol=1e-12, rtol=8.9e-16)
-    quadr = area_sphere(root, 0.0)
-    if abs(quadr - minimal_area_closed(root)) > 1e-6 * quadr:
-        raise RuntimeError("closed-form area disagrees with quadrature at the root")
-    return root
+    return brentq(f, 1e-6, 1.0 / 3.0, xtol=1e-12, rtol=8.9e-16)
 
 
 @dataclass

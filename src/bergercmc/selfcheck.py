@@ -11,10 +11,10 @@ import math
 import numpy as np
 
 from . import ambient, regions, tori
-from .cmc_spheres import (_ode_meridian, area_sphere, fundamental_data,
-                          gauss_bonnet_integral, gauss_curvature, integrability_residual,
-                          is_embedded, minimal_area_closed, planarity_report,
-                          reconstruct_meridian, zchart_data)
+from .cmc_spheres import (_ode_meridian, area_sphere, fit_orbit_generator,
+                          fundamental_data, gauss_bonnet_integral, gauss_curvature,
+                          integrability_residual, is_embedded, minimal_area_closed,
+                          planarity_report, reconstruct_meridian, zchart_data)
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
                            sphere_profile, sphere_volume_rate)
@@ -181,7 +181,8 @@ def check_reconstruction():
     for a, H in ((1.0, 0.0), (0.5, 1.0)):
         m = reconstruct_meridian(a, H, (-8, 8), 2048)
         ode = _ode_meridian(a, H, m.x)  # the moving-frame ODE route
-        for got, want in zip((m.points, m.normals, m.tangent_y), ode):
+        want_y = fit_orbit_generator(m).tangent(m.points)  # exact W gamma
+        for got, want in zip((m.points, m.normals, want_y), ode):
             assert np.max(np.abs(got - want)) <= 1e-9, "closed-form meridian vs ODE"
     m = reconstruct_meridian(1.0, 0.0, (-8, 8), 2048)
     assert m.max_metric_residual < 1e-4 and m.max_C_residual < 1e-6

@@ -241,30 +241,19 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
     return vals
 
 
-def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000,
-                    refine_check: bool = False) -> SpectrumResult:
+def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResult:
     """Low end of the Jacobi spectrum of S_a(H), merged over Fourier modes.
 
     Modes k and -k coincide, so k != 0 eigenvalues enter twice.  Zero
     eigenvalues are classified by |lambda| < 1e-3 times the spread between
     the 3rd and 4th smallest |lambda| (the nullity is exactly three, which
-    makes this relative rule grid-robust).  With refine_check the grid is
-    doubled and every reported eigenvalue must move by less than 1e-4.
+    makes this relative rule grid-robust).
     """
     a = as_alpha(p)
     if k_max < 2:
         raise ValueError("need k_max >= 2 to see all candidate zero modes")
     if n < SPECTRUM_MIN_N:
         raise ValueError(f"need n >= {SPECTRUM_MIN_N} grid cells")
-    if refine_check:
-        coarse = jacobi_spectrum(a, H, k_max=k_max, n=n)
-        fine = jacobi_spectrum(a, H, k_max=k_max, n=2 * n)
-        drift = np.abs(coarse.eigenvalues - fine.eigenvalues)
-        rel = float(np.max(drift / np.maximum(1.0, np.abs(fine.eigenvalues))))
-        if rel > 1e-4:
-            raise ConsistencyError(
-                f"spectrum not converged: doubling n moves eigenvalues by {rel:.2e}")
-        return fine
     lams, ks = [], []
     for k in range(k_max + 1):
         vals = _mode_eigenvalues(a, H, k, n, PER_MODE)

@@ -178,16 +178,23 @@ def classify_torus(p, H: float) -> StabilityVerdict:
                             criterion=LAMBDA1_GAP, alpha=a, H=H)
 
 
-def torus_area_volume(p, H: float) -> tuple[float, float]:
+def torus_area_volume(p, H):
     """Area of T_a(H) and the volume of the smaller side it bounds.
 
     area = 2 pi^2 sqrt(a/(1+H^2)) (that is 4 pi^2 sqrt(det g)); the side
     {|z| >= r1} has g_a-volume sqrt(a) * 2 pi^2 (1 - r1^2) = 2 pi^2
-    sqrt(a) r2^2, which is at most half of the total for H >= 0.
+    sqrt(a) r2^2 = pi^2 sqrt(a) / (c (c + H)), c = sqrt(1 + H^2), which is
+    at most half of the total for H >= 0.  H may be an array; the result
+    then holds arrays of the same shape.
     """
     a = as_alpha(p)
-    t = torus_data(a, H)
-    area = 2.0 * math.pi**2 * math.sqrt(a / (1.0 + H**2))
-    volume = 2.0 * math.pi**2 * math.sqrt(a) * t.r2**2
+    H = np.asarray(H, dtype=float)
+    as_H(H.min())  # a NaN entry propagates to the min and the max,
+    as_H(H.max())  # so these two calls check every entry
+    c = np.sqrt(1.0 + H**2)
+    area = 2.0 * math.pi**2 * np.sqrt(a / (1.0 + H**2))
+    volume = math.pi**2 * math.sqrt(a) / (c * (c + H))  # 1 - H/c without the cancellation
+    if H.ndim == 0:
+        return float(area), float(volume)
     return area, volume
 

@@ -51,3 +51,22 @@ def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer):
     assert calls["isoperimetry.volume_ode"] == 1
     assert calls["isoperimetry.quad"] == 0
     assert calls["cmc_spheres.quad"] == 0
+
+
+def test_embeddedness_spans_measure_the_figure1_layers(tracer):
+    # the benchmark's figure-1 layer metrics read these spans: the orbit
+    # projection and the polyline report run, and the meridian needs no ODE
+    from bergercmc import cmc_spheres
+
+    t = tracer.Tracer()
+    patches = tracer.install(t)
+    try:
+        m = cmc_spheres.reconstruct_meridian(0.5, 1.0, (-8.0, 8.0), 1024)
+        cmc_spheres.is_embedded(m)
+    finally:
+        tracer.uninstall(patches)
+    calls, _, _ = tracer.aggregate(t.spans)
+    assert calls["cmc_spheres.meridian"] == 1
+    assert calls["cmc_spheres.orbit"] >= 1
+    assert calls["cmc_spheres.meridian_ode"] == 0
+    assert calls["geometry2d.report"] == 1

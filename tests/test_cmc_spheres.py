@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
 from bergercmc.cmc_spheres import (ReconstructionError,
-                                   area_sphere, area_sphere_closed,
+                                   area_sphere, area_sphere_closed, fit_orbit_generator,
                                    fundamental_data, gauss_bonnet_integral,
                                    gauss_curvature, integrability_residual,
                                    is_embedded, minimal_area_closed,
@@ -130,6 +130,48 @@ def test_gauss_curvature_cross_route():
         gauss_curvature(fundamental_data(a, H), x)
     d = fundamental_data(1 / 3, 0.0)
     assert gauss_curvature(d, 0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
+# The forms that sigma_norm2 and gauss_curvature had before, as oracles:
+# 8 |p|^2 / conf^2 divides two underflowed values (NaN from |x| ~ 200), and
+# cosh^2 x overflows from |x| ~ 355.
+def _sigma_norm2_via_p(d, x):
+    return 2.0 * d.H**2 + 8.0 * np.abs(d.p(x)) ** 2 / d.conf(x) ** 2
+
+
+def _k_conformal_via_den(d, x):
+    a, P = d.alpha, d.H**2 + d.alpha
+    c2 = math.cosh(x) ** 2
+    den = (1.0 - a) + P * c2
+    wronsk = 2.0 * P * (P * c2 + (1.0 - a) * (2.0 * c2 - 1.0))
+    return (wronsk / den**2 - 1.0 / c2) / float(d.conf(x))
+
+
+@pytest.mark.parametrize("a", [0.01, 0.1, 1 / 3, 0.5, 1.0, 2.0, 50.0])
+@pytest.mark.parametrize("H", [0.0, 0.7, 3.0])
+def test_sigma_norm2_and_curvature_match_former_forms(a, H):
+    d = fundamental_data(a, H)
+    x = np.linspace(-15.0, 15.0, 61)
+    np.testing.assert_allclose(d.sigma_norm2(x), _sigma_norm2_via_p(d, x), rtol=1e-14)
+    for xi in x:
+        want = _k_conformal_via_den(d, xi)
+        assert abs(gauss_curvature(d, xi) - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 20.0, 200.0, 400.0, 700.0])
+def test_sigma_norm2_and_curvature_finite_at_large_x(x):
+    # no overflow or 0/0 out to the meridian's x limit; at the poles
+    # |sigma|^2 -> 2 H^2 and K -> H^2 + a + 4 (1 - a)
+    for a, H in ((0.5, 1.0), (0.01, 0.7), (1e-6, 1e3), (1e4, 0.0)):
+        d = fundamental_data(a, H)
+        for xs in (x, -x):
+            with np.errstate(all="raise", under="ignore"):
+                sig = float(d.sigma_norm2(xs))
+                K = gauss_curvature(d, xs)
+            assert math.isfinite(sig) and math.isfinite(K)
+            if abs(xs) >= 200.0:
+                assert sig == 2.0 * H**2
+                assert K == pytest.approx(H**2 + a + 4.0 * (1.0 - a), rel=1e-12)
 
 
 def test_area_examples():
@@ -403,12 +445,56 @@ CLOSED_FORM_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0
 @pytest.mark.parametrize("a,H,x_max,n", CLOSED_FORM_CASES)
 def test_closed_form_matches_ode_oracle(a, H, x_max, n):
     m = reconstruct_meridian(a, H, (-x_max, x_max), n)
-    points, normals, tangent_y, C_residual = cmc_spheres._ode_meridian(a, H, m.x)
-    for got, want in ((m.points, points), (m.tangent_y, tangent_y), (m.normals, normals)):
+    points, normals, phi_y, C_residual = cmc_spheres._ode_meridian(a, H, m.x)
+    w_gamma = fit_orbit_generator(m).tangent(m.points)  # the exact W
+    for got, want in ((m.points, points), (w_gamma, phi_y), (m.normals, normals)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     # g_a(N, xi) = tanh x holds to roundoff; the ODE keeps it to about 1e-10
     assert m.max_C_residual <= 1e-15
     assert np.max(np.abs(C_residual)) <= 1e-9
+
+
+ORBIT_FIT_XMAX = 6.0  # the least-squares fit uses |x| <= this
+
+
+def _lstsq_orbit_generator(x, points, tangent_y):
+    """Least-squares fit of W in u(2) to d Phi / dy = W gamma along a meridian."""
+    sel = np.abs(x) <= min(ORBIT_FIT_XMAX, float(np.max(np.abs(x))))
+    P = points[sel]
+    B = tangent_y[sel]
+    zr, zi, wr, wi = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
+    b1r, b1i, b2r, b2i = B[:, 0], B[:, 1], B[:, 2], B[:, 3]
+    nrow = P.shape[0]
+    Amat = np.zeros((4 * nrow, 4))
+    rhs = np.zeros(4 * nrow)
+    # unknowns: (a11, a22, cr, ci) in W = [[i a11, c], [-conj(c), i a22]]
+    Amat[0::4, 0] = -zi
+    Amat[0::4, 2] = wr
+    Amat[0::4, 3] = -wi
+    rhs[0::4] = b1r
+    Amat[1::4, 0] = zr
+    Amat[1::4, 2] = wi
+    Amat[1::4, 3] = wr
+    rhs[1::4] = b1i
+    Amat[2::4, 1] = -wi
+    Amat[2::4, 2] = -zr
+    Amat[2::4, 3] = -zi
+    rhs[2::4] = b2r
+    Amat[3::4, 1] = wr
+    Amat[3::4, 2] = -zi
+    Amat[3::4, 3] = zr
+    rhs[3::4] = b2i
+    (a11, a22, cr, ci), *_ = np.linalg.lstsq(Amat, rhs, rcond=None)
+    return np.array([[1j * a11, cr + 1j * ci], [-(cr - 1j * ci), 1j * a22]])
+
+
+@pytest.mark.parametrize("a,H,x_max,n", CLOSED_FORM_CASES)
+def test_exact_orbit_generator_matches_lstsq_oracle(a, H, x_max, n):
+    # W fitted to the moving-frame ODE's gamma and Phi_y
+    m = reconstruct_meridian(a, H, (-x_max, x_max), n)
+    points, _, phi_y, _ = cmc_spheres._ode_meridian(a, H, m.x)
+    fitted = _lstsq_orbit_generator(m.x, points, phi_y)
+    np.testing.assert_allclose(fit_orbit_generator(m).matrix, fitted, rtol=0, atol=1e-10)
 
 
 def test_embed_scan_pool_parity():
@@ -442,7 +528,8 @@ def test_closed_form_extreme_parameters(log_a, H, x_max, n):
     with np.errstate(all="raise", under="ignore"):
         m = cmc_spheres._meridian_profile(a, H, np.linspace(-x_max, x_max, n))
     assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-14
-    assert np.isfinite(m.normals).all() and np.isfinite(m.tangent_y).all()
+    assert np.isfinite(m.normals).all()
+    assert np.isfinite(fit_orbit_generator(m).tangent(m.points)).all()
     assert m.max_C_residual <= 1e-11
 
 
@@ -482,7 +569,8 @@ def test_fundamental_data_finite_out_to_x_limit():
         # the cosh^2 x / den^2 form where it does not overflow
         xm = x[np.abs(x) < 20.0]
         ch2 = np.cosh(xm) ** 2
-        np.testing.assert_allclose(d.conf(xm), (H**2 + a) * ch2 / d.den(xm) ** 2, rtol=1e-14)
+        den = (1.0 - a) + (H**2 + a) * ch2
+        np.testing.assert_allclose(d.conf(xm), (H**2 + a) * ch2 / den**2, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +632,20 @@ def test_minimal_meridian_is_great_circle():
 
 
 def test_orbit_generator_eigenvalues():
-    # the y-flow closes with period 2 pi: rotation speeds are (0, +-1)
-    from bergercmc.cmc_spheres import fit_orbit_generator
+    # the y-flow closes with period 2 pi: rotation speeds are (0, 1), and the
+    # kernel vector gives the invariant coordinate (H z - i w)/sqrt(1 + H^2)
+    from bergercmc.cmc_spheres import orbit_space_curve
 
-    for a, H in ((0.3, 0.0), (1.0, 1.0), (2.0, 0.5)):
+    for a, H in ((0.3, 0.0), (1.0, 1.0), (2.0, 0.5), (0.01, 3.0)):
         m = reconstruct_meridian(a, H, (-8, 8), 1024)
         gen = fit_orbit_generator(m)
-        kap = np.sort(np.abs(gen.kappa))
-        assert kap[0] < 1e-6
-        assert abs(kap[1] - 1.0) < 1e-6
+        W, U = gen.matrix, gen.vectors
+        assert list(gen.kappa) == [0.0, 1.0]
+        np.testing.assert_allclose(W + W.conj().T, 0.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(U.conj().T @ U, np.eye(2), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(W @ U, 1j * U * gen.kappa, rtol=0, atol=1e-15)
+        z = m.points[:, 0] + 1j * m.points[:, 1]
+        w = m.points[:, 2] + 1j * m.points[:, 3]
+        curve = orbit_space_curve(m, gen)
+        np.testing.assert_allclose(curve[:, 0] + 1j * curve[:, 1],
+                                   (H * z - 1j * w) / math.sqrt(1.0 + H * H), rtol=0, atol=1e-15)

@@ -160,6 +160,14 @@ def test_crossing_alpha_defining_property():
     assert clifford_vs_minimal_sphere(ca + 0.02)[2] == SPHERE
 
 
+def test_crossing_alpha_area_against_quadrature():
+    # the closed minimal-sphere area at the root, checked by the area quadrature
+    from bergercmc.cmc_spheres import area_sphere, minimal_area_closed
+
+    ca = crossing_alpha()
+    assert area_sphere(ca, 0.0) == pytest.approx(minimal_area_closed(ca), rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # candidate selection
 # ---------------------------------------------------------------------------
@@ -273,10 +281,10 @@ def test_torus_profile_volume_against_mpmath():
     import mpmath
 
     from bergercmc.ambient import H_MAX
-    from bergercmc.isoperimetry import torus_area_volume_closed
+    from bergercmc.tori import torus_area_volume
     H = np.concatenate([[0.0, 1e-8, 0.3, 1.0], np.geomspace(1.0, H_MAX, 61)[1:]])
     a = 0.3
-    _, vol = torus_area_volume_closed(a, H)
+    _, vol = torus_area_volume(a, H)
     with mpmath.workdps(50):
         for h, v in zip(H, vol):
             h = mpmath.mpf(float(h))

@@ -234,8 +234,12 @@ def test_spectrum_rejects_bad_args():
 
 
 def test_spectrum_refine_check():
-    s = jacobi_spectrum(0.5, 1.0, n=2000, refine_check=True)
-    assert s.index == 1 and s.nullity == 3
+    # doubling the grid moves every reported eigenvalue by less than 1e-4
+    coarse = jacobi_spectrum(0.5, 1.0, n=2000)
+    fine = jacobi_spectrum(0.5, 1.0, n=4000)
+    drift = np.abs(coarse.eigenvalues - fine.eigenvalues)
+    assert np.max(drift / np.maximum(1.0, np.abs(fine.eigenvalues))) <= 1e-4
+    assert fine.index == 1 and fine.nullity == 3
 
 
 def test_koiso_checked_at_alpha_one():

@@ -193,6 +193,25 @@ def test_area_from_lattice_and_volume_from_round_formula(alpha, H):
     assert vol <= math.pi**2 * math.sqrt(alpha) * (1 + 1e-12)  # smaller side
 
 
+def test_area_volume_arrays_match_scalars():
+    H = np.array([0.0, 1e-8, 0.3, 1.0, 25.0, 1e3, 1e6])
+    area, vol = torus_area_volume(0.3, H)
+    assert area.shape == vol.shape == H.shape
+    for h, ar, v in zip(H, area, vol):
+        got = torus_area_volume(0.3, float(h))
+        assert type(got[0]) is float and type(got[1]) is float
+        assert got == (ar, v)
+
+
+@pytest.mark.parametrize("H", [math.nan, -1e-3, 1e6 * (1 + 1e-12), math.inf,
+                               [0.0, math.nan, 1.0], [0.0, -1.0], [1.0, 2e6]])
+def test_area_volume_rejects_bad_H(H):
+    from bergercmc.ambient import ContractViolation
+
+    with pytest.raises(ContractViolation, match="mean curvature H"):
+        torus_area_volume(0.3, H)
+
+
 def test_volume_monte_carlo_oracle():
     # seeded MC sanity check of the solid-torus volume at one parameter point
     alpha, H = 0.25, 1.0
