@@ -27,8 +27,9 @@ from .regions import alpha_curve_csv, critical_constants, theorem_area_note
 from .stability import (SPECTRUM_MIN_N, alpha0, classify_sphere, jacobi_spectrum,
                         sphere_stability_boundary)
 from .svgplot import polyline_svg, write_csv
-from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
-                   torus_spectrum, torus_stability_threshold)
+from .tori import (TORUS_MAX_N, TORUS_MIN_N, CutoffError, classify_torus,
+                   lambda1_closed_form, torus_data, torus_spectrum,
+                   torus_stability_threshold)
 
 NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
                     CutoffError)
@@ -45,6 +46,8 @@ def _check_args(args) -> None:
     least = MIN_N.get(args.command)
     if least is not None and args.n < least:
         raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
+    if args.command == "torus" and not TORUS_MIN_N <= args.N <= TORUS_MAX_N:
+        raise ValueError(f"--N must lie in [{TORUS_MIN_N}, {TORUS_MAX_N}], got {args.N}")
     if args.command == "sphere" and args.meridian_n:
         if args.meridian_n < MERIDIAN_MIN_N:
             raise ValueError(f"--meridian-n must be 0 or at least {MERIDIAN_MIN_N}, "

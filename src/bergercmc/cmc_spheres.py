@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .ambient import as_alpha, as_H, frame_at
 from .geometry2d import polyline_self_intersection_report
@@ -48,12 +47,25 @@ AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
 MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
+GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 MERIDIAN_MIN_N = 64  # fewest meridian samples
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
 # (z, w) -> (conj z, -conj w) is an isometry of every Berger sphere that maps
 # S_a(H) to itself and swaps its halves x > 0 and x < 0; on the moving-frame
 # state (gamma, a, b, n) it acts by these signs, and rhs(-x, R y) = -R rhs(x, y)
 REFLECT = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=float)
+
+
+# scipy loads on first call, so importing this module costs no scipy import;
+# the names stay module attributes that callers can wrap or replace
+def quad(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 class ReconstructionError(RuntimeError):
@@ -166,7 +178,7 @@ def integrability_residual(d: SphereFundamentalData, x_range=(-5.0, 5.0), n: int
 # curvature and area
 # ---------------------------------------------------------------------------
 
-def gauss_curvature(d: SphereFundamentalData, x: float, tol: float = 1e-6) -> float:
+def gauss_curvature(d: SphereFundamentalData, x: float) -> float:
     """Gauss curvature K(x), computed two independent ways.
 
     (a) conformal route: K = -(1/2) conf^-1 (log conf)'', with the
@@ -174,7 +186,7 @@ def gauss_curvature(d: SphereFundamentalData, x: float, tol: float = 1e-6) -> fl
         leaves K = (2P (P + (1 - a)(2 - sech^2 x)) - q^2) / P, P = H^2 + a;
     (b) ambient route: the Gauss equation
         K = 2 H^2 - |sigma|^2 / 2 + a + 4 (1 - a) C^2.
-    The two must agree to `tol` relative, else a ConsistencyError is raised.
+    The two must agree to GAUSS_RTOL relative, else a ConsistencyError is raised.
     """
     a, H = d.alpha, d.H
     xs = float(x)
@@ -186,7 +198,7 @@ def gauss_curvature(d: SphereFundamentalData, x: float, tol: float = 1e-6) -> fl
     k_gauss = 2.0 * H**2 - 0.5 * float(d.sigma_norm2(xs)) + a + 4.0 * (1.0 - a) * C2
 
     scale = max(abs(k_conformal), abs(k_gauss), 1e-30)
-    if abs(k_conformal - k_gauss) > tol * scale:
+    if abs(k_conformal - k_gauss) > GAUSS_RTOL * scale:
         raise ConsistencyError(
             f"Gauss curvature routes disagree at x={xs}: "
             f"conformal {k_conformal} vs Gauss equation {k_gauss}"

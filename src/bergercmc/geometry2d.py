@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 ARC_FACTOR = 20.0  # clearance pairs are more than this many segment lengths apart
 
@@ -130,6 +129,8 @@ def _far_pairs(pts, arclen, h, arc_min):
     that cKDTree(pts).query_pairs(arc_min) holds with arclen[j] - arclen[i]
     >= arc_min, in order of run pair, then i, then j.
     """
+    from scipy.spatial import cKDTree
+
     run = np.floor(arclen / h)
     start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
     size = np.diff(np.r_[start, len(pts)])

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .ambient import H_MAX, as_alpha, as_H, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, minimal_area_closed
@@ -34,10 +32,25 @@ from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
+
 SPHERE = "Sphere"
 TORUS = "Torus"
 PROFILE_COLUMNS = ("family", "H", "area", "volume")
 PROFILE_MIN_N = 50  # fewest points of a graded H grid
+
+
+# scipy loads on first call, so importing this module costs no scipy import;
+# the names stay module attributes that callers can wrap or replace
+def quad(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+def solve_ivp(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 @dataclass
@@ -53,6 +66,8 @@ class IsoperimetricProfile:
     _vol_interp: PchipInterpolator = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.interpolate import PchipInterpolator
+
         self._area_interp = PchipInterpolator(self.H, self.area)
         self._vol_interp = PchipInterpolator(self.H, self.volume)
 
@@ -64,6 +79,8 @@ class IsoperimetricProfile:
 
     def invert_volume(self, V: float) -> list[float]:
         """All H on the grid range with volume(H) = V (several if non-monotone)."""
+        from scipy.optimize import brentq
+
         out = []
         vals = self.volume - V
         for i in range(len(vals) - 1):
@@ -171,6 +188,8 @@ def crossing_alpha() -> float:
     Root of 2 pi^2 sqrt(a) = 2 pi (1 + a artanh(sqrt(1-a))/sqrt(1-a)) on
     (0, 1/3); near 0.166.
     """
+    from scipy.optimize import brentq
+
     def f(a):
         return 2.0 * math.pi**2 * math.sqrt(a) - minimal_area_closed(a)
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .ambient import as_alpha
 from .svgplot import write_csv
@@ -66,6 +65,8 @@ def poly_eval(t: float, epsilon: int, alpha: float) -> float:
 
 def t0_constant() -> float:
     """The unique zero of A(t) = -(t^4 + 2t^2 - 8t + 1) in (0, 1)."""
+    from scipy.optimize import brentq
+
     return brentq(lambda t: t**4 + 2.0 * t**2 - 8.0 * t + 1.0, 0.0, 1.0,
                   xtol=1e-14, rtol=8.9e-16)
 
@@ -95,6 +96,8 @@ def critical_constants(scan_points: int = 10001) -> tuple[float, float, float]:
     alpha_1 is located by a dense scan refined with bounded minimization;
     the hyperbolic minimum is checked to sit at t = 1 where it equals 4/3.
     """
+    from scipy.optimize import minimize_scalar
+
     t0 = t0_constant()
 
     ts = np.linspace(0.0, 1.0, scan_points)

@@ -26,9 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .ambient import as_alpha, as_H
 from .cmc_spheres import AREA_CUTOFF, ConsistencyError, SphereFundamentalData, fundamental_data
@@ -38,7 +35,20 @@ KOISO_INTEGRAL = "KoisoIntegral"
 LAMBDA1_GAP = "Lambda1Gap"
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
+TINY = float(np.finfo(float).tiny)  # smallest normal float
 SPECTRUM_MIN_N = 200  # fewest grid cells of the Jacobi spectrum
+
+
+# scipy loads on first call, so importing this module costs no scipy import;
+# the names stay module attributes that callers can wrap or replace
+def quad(*args, **kwargs):
+    import scipy.integrate
+    return scipy.integrate.quad(*args, **kwargs)
+
+
+def eigh_tridiagonal(*args, **kwargs):
+    import scipy.linalg
+    return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -167,6 +177,8 @@ def alpha0() -> float:
     Root of artanh(sqrt(1-a)) = 3 sqrt(1-a) / (2 - 3a) on (0, 1/3); the
     minimal sphere S_a(0) changes stability here.
     """
+    from scipy.optimize import brentq
+
     def f(a):
         s = math.sqrt(1.0 - a)
         return math.atanh(s) - 3.0 * s / (2.0 - 3.0 * a)
@@ -188,6 +200,8 @@ def sphere_stability_boundary(alpha_grid) -> np.ndarray:
     Returns an array of rows (a, H(a)); raises for a >= alpha0 where no
     positive root exists.
     """
+    from scipy.optimize import brentq
+
     a0 = alpha0()
     out = []
     for a in np.atleast_1d(np.asarray(alpha_grid, dtype=float)):
@@ -207,6 +221,12 @@ def sphere_stability_boundary(alpha_grid) -> np.ndarray:
 # direct spectral verification
 # ---------------------------------------------------------------------------
 
+def _grid(n: int):
+    """Cell width, cell centres and cell edges of n cells on t in [-1, 1]."""
+    h = 2.0 / n
+    return h, -1.0 + (np.arange(n) + 0.5) * h, -1.0 + np.arange(n + 1) * h
+
+
 def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
     """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1].
 
@@ -220,9 +240,7 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
     scheme converges at second order for every mode, and the k = 1 zero mode
     is the exact constant g = 1.
     """
-    h = 2.0 / n
-    t_node = -1.0 + (np.arange(n) + 0.5) * h
-    t_edge = -1.0 + np.arange(n + 1) * h
+    h, t_node, t_edge = _grid(n)
     sig_node = 1.0 - t_node**2
     sig_edge = 1.0 - t_edge**2
     w = (H**2 + alpha) / (1.0 + H**2 - (1.0 - alpha) * t_node**2) ** 2
@@ -254,6 +272,13 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         raise ValueError("need k_max >= 2 to see all candidate zero modes")
     if n < SPECTRUM_MIN_N:
         raise ValueError(f"need n >= {SPECTRUM_MIN_N} grid cells")
+    # the mode-k mass carries sigma^k, smallest at the outermost node; below
+    # the normal floats the mass matrix loses digits and then reaches 0
+    sig_min = float(np.min(1.0 - _grid(n)[1] ** 2))
+    if sig_min**k_max < TINY:
+        k_top = math.floor(math.log(TINY) / math.log(sig_min))
+        raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
+                         f"weight sigma^k stays a normal float only up to k_max={k_top}")
     lams, ks = [], []
     for k in range(k_max + 1):
         vals = _mode_eigenvalues(a, H, k, n, PER_MODE)

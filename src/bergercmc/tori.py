@@ -23,6 +23,7 @@ from .stability import LAMBDA1_GAP, StabilityVerdict
 from .svgplot import write_csv
 
 GROUP_TOL = 1e-9  # eigenvalues within this relative distance are one eigenvalue
+TORUS_MIN_N, TORUS_MAX_N = 3, 1000  # enumeration cutoffs; (2N + 1)^2 <= 4.0M lattice points
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     of the [-N, N]^2 box bounds every lattice point outside the box, so the
     reported lambda_1 is exact once that minimum exceeds it.
     """
-    if N < 3:
-        raise ValueError("need enumeration cutoff N >= 3")
+    if not TORUS_MIN_N <= N <= TORUS_MAX_N:
+        raise ValueError(f"need enumeration cutoff {TORUS_MIN_N} <= N <= {TORUS_MAX_N}, got {N}")
     _, dual = lattice_and_dual(t)
     G = dual.gram()  # |m v1* + n v2*|^2 = (m,n) G (m,n)^T
     m, n = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")

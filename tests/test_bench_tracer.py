@@ -70,3 +70,40 @@ def test_embeddedness_spans_measure_the_figure1_layers(tracer):
     assert calls["cmc_spheres.orbit"] >= 1
     assert calls["cmc_spheres.meridian_ode"] == 0
     assert calls["geometry2d.report"] == 1
+
+
+def test_scipy_wrappers_get_one_span_name_per_module(tracer):
+    # each module defines its own first-use scipy wrappers; install() wraps a
+    # bergercmc-defined function under every name that binds it, so a shared
+    # object would merge the per-module spans into one
+    from bergercmc import cmc_spheres, isoperimetry, stability
+
+    own = {(mod, attr): getattr(mod, attr)
+           for mod, attr in ((cmc_spheres, "quad"), (cmc_spheres, "solve_ivp"),
+                             (isoperimetry, "quad"), (isoperimetry, "solve_ivp"),
+                             (stability, "quad"), (stability, "eigh_tridiagonal"))}
+    assert len({id(fn) for fn in own.values()}) == len(own)
+    for (mod, _), fn in own.items():
+        assert fn.__module__ == mod.__name__
+
+    t = tracer.Tracer()
+    patches = tracer.install(t)
+    try:
+        stability.koiso_integral(0.5, 1.0)
+        calls, _, _ = tracer.aggregate(t.spans)
+        assert calls["stability.quad"] >= 1
+        assert calls["isoperimetry.quad"] == 0
+        assert calls["cmc_spheres.quad"] == 0
+
+        stability.jacobi_spectrum(0.5, 1.0, k_max=3, n=400)
+        calls, _, _ = tracer.aggregate(t.spans)
+        assert calls["stability.eigh"] == 4
+
+        isoperimetry.sphere_profile(0.5, n=60)
+        calls, _, _ = tracer.aggregate(t.spans)
+        assert calls["isoperimetry.volume_ode"] == 1
+        assert t.counts["isoperimetry.volume_ode.nfev"] > 0
+    finally:
+        tracer.uninstall(patches)
+    for (mod, attr), fn in own.items():
+        assert getattr(mod, attr) is fn, f"{mod.__name__}.{attr} not restored"

@@ -121,6 +121,36 @@ def test_grid_size_below_minimum_exit_code(args, least, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("N", ["1001", "100000", "2"])
+def test_torus_cutoff_out_of_range_exit_code(N, tmp_path, monkeypatch, capsys):
+    import bergercmc.cli as cli
+
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("the command ran before the --N check")
+
+    monkeypatch.setattr(cli, "torus_data", no_work)
+    assert main(["--out", str(tmp_path / "out"), "torus", "--alpha", "0.5", "--H", "0",
+                 "--N", N]) == 2
+    assert f"configuration error: --N must lie in [3, 1000], got {N}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_torus_huge_cutoff_without_traceback(tmp_path):
+    proc, out = run_cli(["torus", "--alpha", "0.5", "--H", "0", "--N", "100000"], tmp_path, "N")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and list(out.iterdir()) == []
+
+
+def test_sphere_k_max_beyond_grid_without_warning(tmp_path):
+    proc, out = run_cli(["sphere", "--alpha", "0.5", "--H", "1", "--k-max", "100000",
+                         "--n", "200"], tmp_path, "kmax")
+    assert proc.returncode == 2
+    assert "configuration error" in proc.stderr and "up to k_max=153" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == "" and list(out.iterdir()) == []
+
+
 def test_torus_nan_exits_2_without_traceback(tmp_path):
     proc, _ = run_cli(["torus", "--alpha", "0.5", "--H", "nan"], tmp_path, "nan")
     assert proc.returncode == 2

@@ -233,6 +233,36 @@ def test_spectrum_rejects_bad_args():
         jacobi_spectrum(0.5, 1.0, n=100)
 
 
+def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
+    # on n = 200 cells sigma^k at the outermost node, 0.009975^k, leaves the
+    # normal floats at k = 154; the check refuses that before solving a mode
+    from bergercmc import stability
+
+    with np.errstate(all="raise", under="ignore"):
+        spec = jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
+    assert np.isfinite(spec.eigenvalues).all()
+    assert spec.modes.max() == 153
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a mode was solved before the k_max check")
+
+    monkeypatch.setattr(stability, "_mode_eigenvalues", no_solve)
+    for k_max in (154, 100000):
+        with pytest.raises(ValueError, match="up to k_max=153$"):
+            jacobi_spectrum(0.5, 1.0, k_max=k_max, n=200)
+
+
+@pytest.mark.parametrize("n", [200, 201, 333, 2000, 4000, 8000, 12345])
+def test_spectrum_k_max_limit_is_the_last_normal_power(n):
+    h = 2.0 / n
+    sig_min = float(np.min(1.0 - (-1.0 + (np.arange(n) + 0.5) * h) ** 2))
+    with pytest.raises(ValueError) as err:
+        jacobi_spectrum(0.5, 1.0, k_max=10**6, n=n)
+    k_top = int(str(err.value).rsplit("=", 1)[1])
+    tiny = np.finfo(float).tiny
+    assert sig_min**k_top >= tiny > sig_min ** (k_top + 1)
+
+
 def test_spectrum_refine_check():
     # doubling the grid moves every reported eigenvalue by less than 1e-4
     coarse = jacobi_spectrum(0.5, 1.0, n=2000)

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergercmc.stability import LAMBDA1_GAP
-from bergercmc.tori import (classify_torus, lambda1_closed_form, lattice_and_dual,
-                            torus_area_volume, torus_data, torus_spectrum,
+from bergercmc import tori
+from bergercmc.tori import (TORUS_MAX_N, classify_torus, lambda1_closed_form,
+                            lattice_and_dual, torus_area_volume, torus_data, torus_spectrum,
                             torus_stability_threshold)
 
 ALPHAS = st.floats(min_value=0.02, max_value=4.0)
@@ -113,6 +114,19 @@ def test_spectrum_cutoff_certification():
         assert s3.shell_min > s3.lambda1
     with pytest.raises(ValueError):
         torus_spectrum(torus_data(0.5, 0.0), N=2)
+
+
+def test_spectrum_cutoff_above_maximum_raises_before_enumerating(monkeypatch):
+    td = torus_data(0.5, 0.0)
+    assert torus_spectrum(td, N=TORUS_MAX_N).lambda1 == pytest.approx(3.0, rel=1e-12)
+
+    def no_enumeration(*_args, **_kwargs):
+        raise AssertionError("the lattice was built before the cutoff check")
+
+    monkeypatch.setattr(tori, "lattice_and_dual", no_enumeration)  # runs before the meshgrid
+    for N in (TORUS_MAX_N + 1, 100000):
+        with pytest.raises(ValueError, match=f"N <= {TORUS_MAX_N}, got {N}"):
+            torus_spectrum(td, N=N)
 
 
 def test_dual_difference_identity():
