@@ -4,8 +4,7 @@ Closed-form fundamental data and spectra, Koiso stability classification,
 flat-torus lattice spectra, region constants, and isoperimetric profiles.
 """
 
-from .ambient import (AmbientPoint, AmbientVector, BergerParam, ContractViolation,
-                      hopf_project, killing_field, metric_eval, total_volume)
+from .ambient import ContractViolation, metric_eval, total_volume
 from .cmc_spheres import (MeridianProfile, SphereFundamentalData, area_sphere,
                           fundamental_data, gauss_curvature, integrability_residual,
                           is_embedded, reconstruct_meridian)
@@ -23,8 +22,7 @@ from .tori import (LatticeBasis, TorusData, classify_torus, lambda1_closed_form,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientPoint", "AmbientVector", "BergerParam", "ContractViolation",
-    "hopf_project", "killing_field", "metric_eval", "total_volume",
+    "ContractViolation", "metric_eval", "total_volume",
     "MeridianProfile", "SphereFundamentalData", "area_sphere", "fundamental_data",
     "gauss_curvature", "integrability_residual", "is_embedded", "reconstruct_meridian",
     "IsoperimetricProfile", "clifford_vs_minimal_sphere", "crossing_alpha",

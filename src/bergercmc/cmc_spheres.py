@@ -512,51 +512,29 @@ def planarity_report(points: np.ndarray) -> dict:
 # embeddedness via the orbit-space projection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class OrbitGenerator:
-    """u(2) generator W of the 1-parameter isometry group of the surface.
-
-    The surface is (x, y) |-> exp(yW) gamma(x); kappa are the eigenvalues
-    of W/i and the columns of vectors their unit eigenvectors.  kappa is
-    (0, 1): the kernel vector gives the invariant orbit-space coordinate,
-    and the y-flow closes with period 2 pi.
-    """
-
-    matrix: np.ndarray
-    kappa: np.ndarray
-    vectors: np.ndarray
-
-    def tangent(self, points: np.ndarray) -> np.ndarray:
-        """d Phi / dy = W gamma at the rows (Re z, Im z, Re w, Im w) of points."""
-        v = (points[:, 0::2] + 1j * points[:, 1::2]) @ self.matrix.T
-        return _as_real(v[:, 0], v[:, 1])
-
-
-def fit_orbit_generator(m: MeridianProfile) -> OrbitGenerator:
+def fit_orbit_generator(m: MeridianProfile) -> np.ndarray:
     """The exact generator W = [[i, -H], [H, i H^2]]/(1 + H^2) of S_a(H).
 
-    d Phi / dy = W gamma along the meridian for every a; the eigenvectors
-    are (H, i)/sqrt(1 + H^2) (kappa 0) and (1, -i H)/sqrt(1 + H^2) (kappa 1).
+    The surface is (x, y) |-> exp(yW) gamma(x), so d Phi / dy = W gamma
+    along the meridian for every a.  W has the eigenvalues 0 and i (the
+    y-flow closes with period 2 pi), with the unit eigenvectors
+    (H, i)/sqrt(1 + H^2) and (1, -i H)/sqrt(1 + H^2).
     """
     H = m.H
-    c = 1.0 + H * H
-    W = np.array([[1j, -H], [H, 1j * H * H]]) / c
-    vecs = np.array([[H, 1.0], [1j, -1j * H]]) / math.sqrt(c)
-    return OrbitGenerator(matrix=W, kappa=np.array([0.0, 1.0]), vectors=vecs)
+    return np.array([[1j, -H], [H, 1j * H * H]]) / (1.0 + H * H)
 
 
-def orbit_space_curve(m: MeridianProfile, gen: OrbitGenerator) -> np.ndarray:
+def orbit_space_curve(m: MeridianProfile) -> np.ndarray:
     """Project the meridian to the orbit space of its isometry group.
 
     The invariant coordinate is the component of gamma along the kernel
-    vector of W, (H z - i w)/sqrt(1 + H^2); the meridian becomes a planar
-    curve inside the closed unit disk, and the immersed sphere is embedded
-    iff this curve is simple.
+    vector (H, i)/sqrt(1 + H^2) of W, that is (H z - i w)/sqrt(1 + H^2);
+    the meridian becomes a planar curve inside the closed unit disk, and
+    the immersed sphere is embedded iff this curve is simple.
     """
-    u_inv = gen.vectors[:, 0]
-    Z = m.points[:, 0] + 1j * m.points[:, 1]
-    Wc = m.points[:, 2] + 1j * m.points[:, 3]
-    wprime = np.conj(u_inv[0]) * Z + np.conj(u_inv[1]) * Wc
+    u = np.array([m.H, 1j]) / math.sqrt(1.0 + m.H * m.H)
+    P = m.points
+    wprime = np.conj(u[0]) * (P[:, 0] + 1j * P[:, 1]) + np.conj(u[1]) * (P[:, 2] + 1j * P[:, 3])
     return np.column_stack([wprime.real, wprime.imag])
 
 
@@ -581,7 +559,7 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     """
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
-    curve = orbit_space_curve(m, fit_orbit_generator(m))
+    curve = orbit_space_curve(m)
     report = polyline_self_intersection_report(curve)
     if report.crossings > 0:
         return EmbeddednessResult(False, report.margin, report.resolution,

@@ -224,8 +224,8 @@ def candidate_reach(a: float, prof: IsoperimetricProfile) -> tuple[float, float]
     return float(lo), float(total - lo)
 
 
-def isoperimetric_candidate(p, V: float, profile: IsoperimetricProfile | None = None,
-                            H_max: float = 20.0, n: int = 400) -> CandidateReport:
+def isoperimetric_candidate(p, V: float,
+                            profile: IsoperimetricProfile | None = None) -> CandidateReport:
     """Least-area stable CMC candidate enclosing volume V.
 
     A surface encloses V either directly or as the boundary of the
@@ -240,7 +240,7 @@ def isoperimetric_candidate(p, V: float, profile: IsoperimetricProfile | None = 
     if not 0.0 < V < total:
         raise ValueError(f"volume must lie in (0, {total}), got {V}")
 
-    prof = profile if profile is not None else sphere_profile(a, H_max=H_max, n=n)
+    prof = profile if profile is not None else sphere_profile(a)
     lo, hi = candidate_reach(a, prof)
     reach = (f"spheres with H <= {prof.H[-1]:g} and stable tori enclose volumes in "
              f"[{lo:.6g}, {hi:.6g}]")

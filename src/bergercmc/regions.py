@@ -17,50 +17,31 @@ curve above 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import as_alpha
 from .svgplot import write_csv
 
-
-@dataclass(frozen=True)
-class RegionPolynomial:
-    t: float
-    epsilon: int
-    A: float
-    B: float
-    C: float
-
-    def __call__(self, alpha: float) -> float:
-        return (self.A * alpha + self.B) * alpha + self.C
-
-    @property
-    def discriminant(self) -> float:
-        return self.B**2 - 4.0 * self.A * self.C
+ALPHA_CURVE_N = 401  # rows of the root-curve CSV
 
 
-def _coefficients(t, e: float):
-    """(A, B, C) of P_t for the sign e = +-1.0; t a float or an array."""
-    A = -(t**4 + 2.0 * t**2 - 8.0 * e * t + 1.0)
-    B = 2.0 * (t**4 - 4.0 * e * t + 3.0)
+def region_coefficients(t, epsilon: int):
+    """(A, B, C) of P_t for epsilon = +-1; t a float or an array in [0, 1]."""
+    if not np.all((np.asarray(t) >= 0.0) & (np.asarray(t) <= 1.0)):
+        raise ValueError("t must lie in [0, 1]")
+    if epsilon not in (+1, -1):
+        raise ValueError("epsilon must be +1 or -1")
+    A = -(t**4 + 2.0 * t**2 - 8.0 * epsilon * t + 1.0)
+    B = 2.0 * (t**4 - 4.0 * epsilon * t + 3.0)
     C = -((1.0 - t**2) ** 2)
     return A, B, C
 
 
-def region_polynomial(t: float, epsilon: int) -> RegionPolynomial:
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    if epsilon not in (+1, -1):
-        raise ValueError("epsilon must be +1 or -1")
-    A, B, C = _coefficients(t, float(epsilon))
-    return RegionPolynomial(t=float(t), epsilon=epsilon, A=A, B=B, C=C)
-
-
-def poly_eval(t: float, epsilon: int, alpha: float) -> float:
+def poly_eval(t, epsilon: int, alpha: float):
     """P_t(alpha); equals 4 at alpha = 1 for every t."""
-    return region_polynomial(t, epsilon)(alpha)
+    A, B, C = region_coefficients(t, epsilon)
+    return (A * alpha + B) * alpha + C
 
 
 def t0_constant() -> float:
@@ -79,51 +60,34 @@ def alpha_root(t: float, epsilon: int) -> float:
     divides by A(t), which vanishes at t0; the equivalent factored form
     -2C / (B + sqrt(disc)) is regular across t0 and is used instead.
     """
-    P = region_polynomial(t, epsilon)
+    A, B, C = region_coefficients(t, epsilon)
     if epsilon == -1:
         disc = 32.0 * (t + 1.0) ** 2 * (1.0 + t**2)
-        return (-P.B - math.sqrt(disc)) / (2.0 * P.A)
+        return (-B - math.sqrt(disc)) / (2.0 * A)
     if t == 1.0:
         return 0.0  # P_1 = 4 alpha^2: double root
     disc = 32.0 * (t - 1.0) ** 2 * (1.0 + t**2)
-    return -2.0 * P.C / (P.B + math.sqrt(disc))
+    return -2.0 * C / (B + math.sqrt(disc))
 
 
-def critical_constants(scan_points: int = 10001) -> tuple[float, float, float]:
+def critical_constants() -> tuple[float, float, float]:
     """(t0, alpha_1, alpha_hyperbolic): pole of the root formula, the
     maximum of alpha(t) below 1 and the minimum of alpha(t) above 1.
 
-    alpha_1 is located by a dense scan refined with bounded minimization;
-    the hyperbolic minimum is checked to sit at t = 1 where it equals 4/3.
+    alpha(t) for eps = +1 rises from 3 - 2 sqrt(2) to a single maximum and
+    falls to 0 at t = 1, so a bounded minimization over [0, 1] finds alpha_1;
+    alpha(t) for eps = -1 decreases to 4/3 at t = 1 (both shapes are checked
+    on a dense grid by the tests).
     """
     from scipy.optimize import minimize_scalar
 
-    t0 = t0_constant()
-
-    ts = np.linspace(0.0, 1.0, scan_points)
-    vals = np.array([alpha_root(t, +1) for t in ts])
-    i = int(np.argmax(vals))
-    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, scan_points - 1)]
-    res = minimize_scalar(lambda t: -alpha_root(t, +1), bounds=(lo, hi),
+    res = minimize_scalar(lambda t: -alpha_root(t, +1), bounds=(0.0, 1.0),
                           method="bounded", options={"xatol": 1e-12})
-    alpha1 = -res.fun
-
-    vals_h = np.array([alpha_root(t, -1) for t in ts])
-    j = int(np.argmin(vals_h))
-    if ts[j] != 1.0:
-        raise RuntimeError("hyperbolic root minimum expected at t = 1")
-    alpha_hyp = alpha_root(1.0, -1)
-    return t0, alpha1, alpha_hyp
-
-
-def F_function(alpha: float, t) -> np.ndarray:
-    """F(t; alpha) = P_t(alpha) with eps = sign(1 - alpha), vectorized in t."""
-    A, B, C = _coefficients(np.asarray(t, dtype=float), 1.0 if alpha < 1.0 else -1.0)
-    return (A * alpha + B) * alpha + C
+    return t0_constant(), -res.fun, alpha_root(1.0, -1)
 
 
 def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
-    """Is F(t; alpha) >= 0 on the whole of t in [0, 1]?
+    """Is F(t; alpha) = P_t(alpha), eps = sign(1 - alpha), >= 0 on all of t in [0, 1]?
 
     Evaluates F on a grid plus the real critical points of dF/dt (a cubic),
     so the reported minimum is not a grid artifact.  True exactly when
@@ -134,7 +98,7 @@ def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
         raise ValueError("F is defined for alpha != 1 (epsilon is the sign of 1 - alpha)")
     if n < 1000:
         raise ValueError("need n >= 1000 grid points")
-    e = 1.0 if alpha < 1.0 else -1.0
+    e = 1 if alpha < 1.0 else -1
     ts = np.linspace(0.0, 1.0, n)
     # dF/dt = A' alpha^2 + B' alpha + C' collects to the cubic
     # -4 (alpha-1)^2 t^3 + (4 - 4 alpha^2) t + 8 eps alpha (alpha - 1)
@@ -144,7 +108,7 @@ def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
     roots = np.roots([c3, 0.0, c1, c0])
     crit = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0]
     sample = np.concatenate([ts, np.asarray(crit)]) if crit else ts
-    vals = F_function(alpha, sample)
+    vals = poly_eval(sample, e, alpha)
     fmin = float(vals.min())
     return fmin >= 0.0, fmin
 
@@ -170,8 +134,8 @@ def stability_integrand(p, H: float, c: float) -> float:
     return -4.0 * H**2 - 4.0 * a + ((a - 1.0) ** 2 / a) * (1.0 - c**2) ** 2
 
 
-def alpha_curve_csv(path, n: int = 401) -> None:
+def alpha_curve_csv(path) -> None:
     """CSV of the two root curves: columns t, alpha_root_plus, alpha_root_minus."""
-    ts = np.linspace(0.0, 1.0, n).tolist()
+    ts = np.linspace(0.0, 1.0, ALPHA_CURVE_N).tolist()
     write_csv(path, ("t", "alpha_root_plus", "alpha_root_minus"),
               [(t, alpha_root(t, +1), alpha_root(t, -1)) for t in ts])

@@ -23,39 +23,16 @@ from .stability import (alpha0, classify_sphere, jacobi_potential_flat,
                         koiso_integral_closed, potential_from_data)
 
 
-def check_metric_symmetry():
-    rng = np.random.default_rng(20240811)
-    for _ in range(20):
-        q = ambient.random_point(rng)
-        X = ambient.random_tangent(rng, q)
-        Y = ambient.random_tangent(rng, q)
-        a = float(rng.uniform(0.05, 3.0))
-        left = ambient.metric_eval(a, X, Y)
-        right = ambient.metric_eval(a, Y, X)
-        assert abs(left - right) < 1e-10, "metric symmetry"
-        V = ambient.killing_field(q)
-        assert abs(ambient.metric_eval(a, V, V) - a) < 1e-10, "g(V,V) = alpha"
-
-
-def check_hopf_radius():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        q = ambient.random_point(rng)
-        assert abs(np.linalg.norm(ambient.hopf_project(q)) - 0.5) < 1e-12, "Hopf radius 1/2"
-
-
 def check_volume_form():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        q = ambient.random_point(rng).array()
-        V, E1, E2 = ambient.frame_at(q)
-        a = float(rng.uniform(0.1, 2.5))
-        G = np.empty((3, 3))
-        vecs = (V, E1, E2)
-        for i in range(3):
-            for j in range(3):
-                G[i, j] = ambient.metric_eval_raw(a, q, vecs[i], vecs[j])
-        assert abs(np.linalg.det(G) - a) < 1e-10, "det g_a = alpha in round frame"
+    q = rng.standard_normal((10, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a = rng.uniform(0.1, 2.5, 10)
+    vecs = ambient.frame_at(q)
+    G = np.stack([np.stack([ambient.metric_eval(a, q, u, v) for v in vecs], axis=-1)
+                  for u in vecs], axis=-2)
+    assert np.max(np.abs(G[:, 0, 0] - a)) < 1e-10, "g(V, V) = alpha"
+    assert np.max(np.abs(np.linalg.det(G) - a)) < 1e-10, "det g_a = alpha in round frame"
 
 
 def check_zchart_transport():
@@ -145,12 +122,12 @@ def check_regions():
     for _ in range(50):
         t = float(rng.uniform(0, 1))
         e = int(rng.choice([-1, 1]))
-        P = regions.region_polynomial(t, e)
-        assert abs(P(1.0) - 4.0) < 1e-12, "P_t(1) = 4"
-        assert abs(P.discriminant - 32 * (t - e) ** 2 * (1 + t**2)) < 1e-10
+        A, B, C = regions.region_coefficients(t, e)
+        assert abs(regions.poly_eval(t, e, 1.0) - 4.0) < 1e-12, "P_t(1) = 4"
+        assert abs(B**2 - 4.0 * A * C - 32 * (t - e) ** 2 * (1 + t**2)) < 1e-10
         root = regions.alpha_root(t, e)
-        assert abs(P(root)) < 1e-9, "root residual"
-    t0, a1, ah = regions.critical_constants(2001)
+        assert abs(regions.poly_eval(t, e, root)) < 1e-9, "root residual"
+    t0, a1, ah = regions.critical_constants()
     assert abs(t0 - 0.1292) < 5e-5 and abs(a1 - 0.217) < 5e-4 and abs(ah - 4 / 3) < 1e-12
 
 
@@ -181,7 +158,8 @@ def check_reconstruction():
     for a, H in ((1.0, 0.0), (0.5, 1.0)):
         m = reconstruct_meridian(a, H, (-8, 8), 2048)
         ode = _ode_meridian(a, H, m.x)  # the moving-frame ODE route
-        want_y = fit_orbit_generator(m).tangent(m.points)  # exact W gamma
+        wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
+        want_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)  # exact W gamma
         for got, want in zip((m.points, m.normals, want_y), ode):
             assert np.max(np.abs(got - want)) <= 1e-9, "closed-form meridian vs ODE"
     m = reconstruct_meridian(1.0, 0.0, (-8, 8), 2048)
@@ -192,8 +170,6 @@ def check_reconstruction():
 
 
 CHECKS = [
-    ("metric-symmetry", check_metric_symmetry),
-    ("hopf-radius", check_hopf_radius),
     ("volume-form", check_volume_form),
     ("zchart-transport", check_zchart_transport),
     ("integrability-order", check_integrability_order),

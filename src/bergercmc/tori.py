@@ -154,19 +154,40 @@ def torus_stability_threshold(alpha: float) -> float:
     return (1.0 - 3.0 * alpha) / (2.0 * math.sqrt(alpha * (1.0 - 2.0 * alpha)))
 
 
-def lambda1_closed_form(p, H: float) -> float:
-    """First nonzero Laplace eigenvalue of T_a(H), two-branch closed form.
+def _shortest_norm(G: np.ndarray) -> float:
+    """Smallest nonzero value of (m, n) G (m, n)^T over the integers, by
+    Lagrange-Gauss reduction of the 2x2 Gram matrix G."""
+    g11, g12, g22 = float(G[0, 0]), float(G[0, 1]), float(G[1, 1])
+    while True:
+        if g22 < g11:
+            g11, g22 = g22, g11
+        mu = round(g12 / g11)
+        if mu == 0:
+            return g11
+        g22 += mu * (mu * g11 - 2.0 * g12)
+        g12 -= mu * g11
 
-    The 4(H^2+1) branch applies for a <= 1/3 below the threshold H*(a);
-    otherwise (including every a > 1/3) the dual-basis branch
-    2 sqrt(H^2+1)/(H + sqrt(H^2+1)) + (1-a)/a applies.
+
+def lambda1_closed_form(p, H: float) -> float:
+    """First nonzero Laplace eigenvalue of T_a(H): the shortest dual norm.
+
+    Two dual vectors have closed-form norms: v1* - v2* gives 4(H^2+1), the
+    shortest for a <= 1/3 below the threshold H*(a), and v1* gives
+    2 sqrt(H^2+1)/(H + sqrt(H^2+1)) + (1-a)/a, the shortest otherwise up
+    to a = 3.  Beyond, other vectors are shorter (v1* + v2* has 4/a at
+    H = 0), so the reduced dual basis decides.  The closed form is returned
+    unless a vector is shorter by more than GROUP_TOL, which keeps the
+    margins at H*(a) and at the Clifford torus of a = 1/3 exactly zero.
     """
     a = as_alpha(p)
     H = as_H(H)
     if a <= 1.0 / 3.0 and H <= torus_stability_threshold(a):
-        return 4.0 * (H**2 + 1.0)
-    c = math.sqrt(H**2 + 1.0)
-    return 2.0 * c / (H + c) + (1.0 - a) / a
+        lam = 4.0 * (H**2 + 1.0)
+    else:
+        c = math.sqrt(H**2 + 1.0)
+        lam = 2.0 * c / (H + c) + (1.0 - a) / a
+    shortest = _shortest_norm(lattice_and_dual(torus_data(a, H))[1].gram())
+    return shortest if shortest < lam * (1.0 - GROUP_TOL) else lam
 
 
 def classify_torus(p, H: float) -> StabilityVerdict:

@@ -39,6 +39,15 @@ def test_torus_subcommand(tmp_path, capsys):
     assert csv.read_text().splitlines()[0] == "lambda,multiplicity"
 
 
+def test_torus_subcommand_above_alpha_three(tmp_path, capsys):
+    # lambda1 is the shortest dual vector, 4/a at H = 0, so enumeration agrees
+    assert main(["--out", str(tmp_path), "torus", "--alpha", "5", "--H", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict = unstable" in out
+    assert "lambda1 = 0.8\n" in out
+    assert (tmp_path / "torus_spectrum_alpha5_H0.csv").exists()
+
+
 def test_sphere_subcommand(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sphere", "--alpha", "2", "--H", "0",
                  "--n", "1500"]) == 0

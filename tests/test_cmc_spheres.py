@@ -255,7 +255,7 @@ def test_reconstruction_errors():
 
 
 def test_normal_is_unit_and_orthogonal():
-    from bergercmc.ambient import metric_eval_raw
+    from bergercmc.ambient import metric_eval
 
     m = reconstruct_meridian(0.7, 0.5, (-8, 8), 512)
     h = m.x[1] - m.x[0]
@@ -263,8 +263,8 @@ def test_normal_is_unit_and_orthogonal():
     for i in range(1, len(m.x) - 1, 50):
         n = m.normals[i]
         q = m.points[i]
-        assert metric_eval_raw(0.7, q, n, n) == pytest.approx(1.0, abs=1e-8)
-        assert metric_eval_raw(0.7, q, n, dgam[i - 1]) == pytest.approx(0.0, abs=1e-4)
+        assert metric_eval(0.7, q, n, n) == pytest.approx(1.0, abs=1e-8)
+        assert metric_eval(0.7, q, n, dgam[i - 1]) == pytest.approx(0.0, abs=1e-4)
 
 
 def _frame_rhs_reference(alpha, H, x, y):
@@ -400,7 +400,7 @@ def test_meridian_range_limit():
 
 
 def test_meridian_postprocessing_matches_per_sample_loop():
-    from bergercmc.ambient import frame_at, metric_eval_raw
+    from bergercmc.ambient import frame_at, metric_eval
 
     a, H, n = 0.01, 1.0, 2048  # even n on a symmetric range: x = 0 is not a sample
     xs = np.linspace(-9, 9, n)
@@ -428,7 +428,7 @@ def test_meridian_postprocessing_matches_per_sample_loop():
     h = m.x[1] - m.x[0]
     dgam = (m.points[2:] - m.points[:-2]) / (2.0 * h)
     conf_mid = d.conf(m.x[1:-1])
-    loop = [abs(metric_eval_raw(a, m.points[i], dgam[i - 1], dgam[i - 1]) - conf_mid[i - 1])
+    loop = [abs(metric_eval(a, m.points[i], dgam[i - 1], dgam[i - 1]) - conf_mid[i - 1])
             / conf_mid[i - 1] for i in range(1, n - 1)]
     assert np.isnan(m.metric_residual[[0, -1]]).all()
     np.testing.assert_allclose(m.metric_residual[1:-1], loop, rtol=0, atol=1e-12)
@@ -442,11 +442,17 @@ CLOSED_FORM_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0
                      (0.5, 1.0, 8.0, 2048), (0.02, 1.0, 9.0, 3001), (0.01, 1.0, 9.0, 2048)]
 
 
+def _w_gamma(m):
+    """d Phi / dy = W gamma at the meridian points, as rows (Re z, Im z, Re w, Im w)."""
+    wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
+    return np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)
+
+
 @pytest.mark.parametrize("a,H,x_max,n", CLOSED_FORM_CASES)
 def test_closed_form_matches_ode_oracle(a, H, x_max, n):
     m = reconstruct_meridian(a, H, (-x_max, x_max), n)
     points, normals, phi_y, C_residual = cmc_spheres._ode_meridian(a, H, m.x)
-    w_gamma = fit_orbit_generator(m).tangent(m.points)  # the exact W
+    w_gamma = _w_gamma(m)  # the exact W
     for got, want in ((m.points, points), (w_gamma, phi_y), (m.normals, normals)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
     # g_a(N, xi) = tanh x holds to roundoff; the ODE keeps it to about 1e-10
@@ -494,7 +500,7 @@ def test_exact_orbit_generator_matches_lstsq_oracle(a, H, x_max, n):
     m = reconstruct_meridian(a, H, (-x_max, x_max), n)
     points, _, phi_y, _ = cmc_spheres._ode_meridian(a, H, m.x)
     fitted = _lstsq_orbit_generator(m.x, points, phi_y)
-    np.testing.assert_allclose(fit_orbit_generator(m).matrix, fitted, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(fit_orbit_generator(m), fitted, rtol=0, atol=1e-10)
 
 
 def test_embed_scan_pool_parity():
@@ -529,7 +535,7 @@ def test_closed_form_extreme_parameters(log_a, H, x_max, n):
         m = cmc_spheres._meridian_profile(a, H, np.linspace(-x_max, x_max, n))
     assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-14
     assert np.isfinite(m.normals).all()
-    assert np.isfinite(fit_orbit_generator(m).tangent(m.points)).all()
+    assert np.isfinite(_w_gamma(m)).all()
     assert m.max_C_residual <= 1e-11
 
 
@@ -632,20 +638,26 @@ def test_minimal_meridian_is_great_circle():
 
 
 def test_orbit_generator_eigenvalues():
-    # the y-flow closes with period 2 pi: rotation speeds are (0, 1), and the
-    # kernel vector gives the invariant coordinate (H z - i w)/sqrt(1 + H^2)
+    # the y-flow closes with period 2 pi: W is anti-Hermitian with the
+    # eigenvalues 0 and i, and its kernel vector (H, i)/sqrt(1 + H^2) gives
+    # the invariant coordinate (H z - i w)/sqrt(1 + H^2)
     from bergercmc.cmc_spheres import orbit_space_curve
 
     for a, H in ((0.3, 0.0), (1.0, 1.0), (2.0, 0.5), (0.01, 3.0)):
         m = reconstruct_meridian(a, H, (-8, 8), 1024)
-        gen = fit_orbit_generator(m)
-        W, U = gen.matrix, gen.vectors
-        assert list(gen.kappa) == [0.0, 1.0]
+        W = fit_orbit_generator(m)
+        c = 1.0 + H * H
+        U = np.array([[H, 1.0], [1j, -1j * H]]) / math.sqrt(c)  # kernel vector first
         np.testing.assert_allclose(W + W.conj().T, 0.0, rtol=0, atol=1e-15)
+        eig = np.linalg.eigvals(W)
+        np.testing.assert_allclose(eig[np.argsort(eig.imag)], [0.0, 1j], rtol=0, atol=1e-15)
         np.testing.assert_allclose(U.conj().T @ U, np.eye(2), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(W @ U, 1j * U * gen.kappa, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(W @ U, U * [0.0, 1j], rtol=0, atol=1e-15)
         z = m.points[:, 0] + 1j * m.points[:, 1]
         w = m.points[:, 2] + 1j * m.points[:, 3]
-        curve = orbit_space_curve(m, gen)
+        curve = orbit_space_curve(m)
         np.testing.assert_allclose(curve[:, 0] + 1j * curve[:, 1],
-                                   (H * z - 1j * w) / math.sqrt(1.0 + H * H), rtol=0, atol=1e-15)
+                                   U[0, 0].conjugate() * z + U[1, 0].conjugate() * w,
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(curve[:, 0] + 1j * curve[:, 1],
+                                   (H * z - 1j * w) / math.sqrt(c), rtol=0, atol=1e-15)

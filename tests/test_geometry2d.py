@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from bergercmc.cmc_spheres import (fit_orbit_generator, orbit_space_curve,
-                                   reconstruct_meridian)
+from bergercmc.cmc_spheres import orbit_space_curve, reconstruct_meridian
 from bergercmc.geometry2d import (_candidate_pairs, _far_pairs,
                                   polyline_self_intersection_report,
                                   segments_cross)
@@ -244,7 +243,7 @@ def test_margin_matches_pairwise_loop(name, pts, capped):
 
 def _meridian_curve(alpha, H, n):
     m = reconstruct_meridian(alpha, H, (-8.0, 8.0), n)
-    return orbit_space_curve(m, fit_orbit_generator(m))
+    return orbit_space_curve(m)
 
 
 def _far_pair_curves():

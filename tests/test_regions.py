@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bergercmc.regions import (F_function, F_nonnegative, alpha_root, critical_constants,
-                               poly_eval, region_polynomial, stability_integrand,
-                               t0_constant)
+from bergercmc.regions import (F_nonnegative, alpha_root, critical_constants, poly_eval,
+                               region_coefficients, stability_integrand, t0_constant)
 
 TS = st.floats(min_value=0.0, max_value=1.0)
 EPS = st.sampled_from([+1, -1])
@@ -21,15 +20,18 @@ def test_value_at_one_is_four(t, eps):
     assert poly_eval(t, eps, 1.0) == pytest.approx(4.0, abs=1e-12)
 
 
+def discriminant(t, eps):
+    A, B, C = region_coefficients(t, eps)
+    return B**2 - 4.0 * A * C
+
+
 @given(TS, EPS)
 def test_discriminant_identity(t, eps):
-    P = region_polynomial(t, eps)
-    assert P.discriminant == pytest.approx(32 * (t - eps) ** 2 * (1 + t**2), abs=1e-9)
+    assert discriminant(t, eps) == pytest.approx(32 * (t - eps) ** 2 * (1 + t**2), abs=1e-9)
 
 
 def test_double_root_at_one_plus():
-    P = region_polynomial(1.0, +1)
-    assert P.discriminant == pytest.approx(0.0, abs=1e-12)
+    assert discriminant(1.0, +1) == pytest.approx(0.0, abs=1e-12)
     assert alpha_root(1.0, +1) == 0.0
 
 
@@ -55,9 +57,9 @@ def test_root_ranges(t):
 
 def test_root_regular_across_pole():
     t0 = t0_constant()
-    P = region_polynomial(t0, +1)
-    assert abs(P.A) < 1e-12
-    assert alpha_root(t0, +1) == pytest.approx(-P.C / P.B, rel=1e-12)
+    A, B, C = region_coefficients(t0, +1)
+    assert abs(A) < 1e-12
+    assert alpha_root(t0, +1) == pytest.approx(-C / B, rel=1e-12)
     # continuity on both sides of the pole
     left = alpha_root(t0 - 1e-8, +1)
     right = alpha_root(t0 + 1e-8, +1)
@@ -66,11 +68,11 @@ def test_root_regular_across_pole():
 
 def beta_root(t: float, epsilon: int = 1) -> float:
     """The companion root of P_t for eps = +1 (beta(t) <= alpha(t) for t > t0)."""
-    P = region_polynomial(t, epsilon)
+    A, B, _ = region_coefficients(t, epsilon)
     disc = 32.0 * (t - 1.0) ** 2 * (1.0 + t**2)
-    if P.A == 0.0:
+    if A == 0.0:
         return math.inf
-    return (-P.B - math.copysign(math.sqrt(disc), P.A)) / (2.0 * P.A)
+    return (-B - math.copysign(math.sqrt(disc), A)) / (2.0 * A)
 
 
 def test_beta_below_alpha_above_pole():
@@ -88,7 +90,7 @@ def test_critical_constants():
 
 
 def test_F_region_equivalence():
-    _, a1, _ = critical_constants(2001)
+    _, a1, _ = critical_constants()
     for a in np.concatenate([np.linspace(0.02, 0.99, 40), np.linspace(1.01, 2.0, 30),
                              [a1 - 1e-7, a1 + 1e-7, 4 / 3, 4 / 3 + 1e-7]]):
         ok, fmin = F_nonnegative(float(a))
@@ -100,7 +102,7 @@ def test_F_examples():
     assert F_nonnegative(0.25)[0]
     ok, fmin = F_nonnegative(4 / 3)
     assert ok and abs(fmin) < 1e-12
-    assert float(F_function(4 / 3, 1.0)) == pytest.approx(0.0, abs=1e-12)
+    assert poly_eval(1.0, -1, 4 / 3) == pytest.approx(0.0, abs=1e-12)  # F(1; 4/3)
     assert not F_nonnegative(0.15)[0]
 
 
@@ -137,5 +139,52 @@ def test_discriminant_identity_hundred_random():
     for _ in range(100):
         t = float(rng.uniform(0, 1))
         e = int(rng.choice([-1, 1]))
-        P = region_polynomial(t, e)
-        assert abs(P.discriminant - 32 * (t - e) ** 2 * (1 + t**2)) < 1e-10
+        assert abs(discriminant(t, e) - 32 * (t - e) ** 2 * (1 + t**2)) < 1e-10
+
+
+def test_coefficients_on_arrays_match_floats():
+    # equal up to roundoff: numpy evaluates t**4 on arrays in its own way
+    ts = np.linspace(0.0, 1.0, 101)
+    for eps in (+1, -1):
+        arrays = region_coefficients(ts, eps)
+        floats = np.array([region_coefficients(t, eps) for t in ts.tolist()])
+        np.testing.assert_allclose(np.stack(arrays, axis=1), floats, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(poly_eval(ts, eps, 0.7),
+                                   [poly_eval(t, eps, 0.7) for t in ts.tolist()],
+                                   rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, math.nan, math.inf,
+                               np.array([0.5, 1.5]), np.array([0.0, math.nan])])
+def test_coefficients_reject_t_outside_unit_interval(t):
+    with pytest.raises(ValueError, match="t must lie in"):
+        region_coefficients(t, +1)
+    with pytest.raises(ValueError, match="t must lie in"):
+        alpha_root(t, -1)
+
+
+@pytest.mark.parametrize("eps", [0, 2, -2, 0.5])
+def test_coefficients_reject_bad_epsilon(eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        region_coefficients(0.5, eps)
+    with pytest.raises(ValueError, match="epsilon"):
+        poly_eval(0.5, eps, 0.7)
+
+
+DENSE_T = np.linspace(0.0, 1.0, 100_001).tolist()
+
+
+def test_plus_root_curve_has_one_maximum():
+    # critical_constants finds alpha_1 by one bounded search over [0, 1]:
+    # alpha(t, +1) rises, then falls, with exactly one slope sign change
+    slope = np.sign(np.diff([alpha_root(t, +1) for t in DENSE_T]))
+    slope = slope[slope != 0]
+    assert np.count_nonzero(slope[1:] != slope[:-1]) == 1
+    assert slope[0] > 0 and slope[-1] < 0
+
+
+def test_minus_root_curve_is_non_increasing():
+    # so its minimum over [0, 1] is alpha(1, -1) = 4/3
+    vals = np.array([alpha_root(t, -1) for t in DENSE_T])
+    assert np.all(np.diff(vals) <= 0.0)
+    assert vals.min() == vals[-1] == alpha_root(1.0, -1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from bergercmc.stability import LAMBDA1_GAP
 from bergercmc import tori
-from bergercmc.tori import (TORUS_MAX_N, classify_torus, lambda1_closed_form,
+from bergercmc.tori import (TORUS_MAX_N, CutoffError, classify_torus, lambda1_closed_form,
                             lattice_and_dual, torus_area_volume, torus_data, torus_spectrum,
                             torus_stability_threshold)
 
@@ -101,6 +101,46 @@ def test_lambda1_enumeration_matches_closed_form_lattice():
         Hs_ = torus_stability_threshold(a)
         lam_e = torus_spectrum(torus_data(a, Hs_), N=12).lambda1
         assert abs(lam_e - lambda1_closed_form(a, Hs_)) <= 1e-10 * max(1.0, lam_e)
+
+
+def _two_branch(a, H):
+    """The closed form of the two dual vectors v1* - v2* and v1*."""
+    if a <= 1 / 3 and H <= torus_stability_threshold(a):
+        return 4.0 * (H**2 + 1.0)
+    c = math.sqrt(H**2 + 1.0)
+    return 2.0 * c / (H + c) + (1.0 - a) / a
+
+
+def test_lambda1_is_two_branch_form_bit_for_bit_where_it_is_shortest():
+    points = [(a, H) for a in np.linspace(0.02, 3.0, 30) for H in np.linspace(0.0, 4.0, 30)]
+    points += [(a, torus_stability_threshold(a)) for a in (0.05, 0.1, 0.25, 1 / 3)]
+    for a, H in points:
+        assert lambda1_closed_form(a, H) == _two_branch(a, H), (a, H)
+    # so the margins at the threshold H*(a) and the Clifford torus stay exactly 0
+    assert classify_torus(1 / 3, 0.0).margin == 0.0
+    for a in (0.05, 0.1, 0.25):
+        assert classify_torus(a, torus_stability_threshold(a)).margin == 0.0
+
+
+@pytest.mark.parametrize("a", [3.5, 5.0, 10.0, 100.0, 1e3, 1e4])
+def test_lambda1_above_three_is_shortest_dual_vector(a):
+    for H in (0.0, 0.5, 1.0, 3.0):
+        td = torus_data(a, H)
+        N = 12
+        while True:  # enlarge the box until the enumeration certifies lambda_1
+            try:
+                lam_e = torus_spectrum(td, N=N).lambda1
+                break
+            except CutoffError:
+                N *= 2
+        lam_c = lambda1_closed_form(a, H)
+        assert abs(lam_e - lam_c) <= 1e-10 * lam_e, (a, H, N)
+        assert lam_c <= _two_branch(a, H)
+    # at H = 0 the dual vector v1* + v2* has 4/a, below the branch value 1 + 1/a
+    _, dual = lattice_and_dual(torus_data(a, 0.0))
+    s = dual.v1 + dual.v2
+    assert lambda1_closed_form(a, 0.0) == pytest.approx(float(s @ s), rel=1e-12)
+    assert lambda1_closed_form(a, 0.0) == pytest.approx(4.0 / a, rel=1e-12)
 
 
 def test_spectrum_cutoff_certification():
