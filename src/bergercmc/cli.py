@@ -24,15 +24,15 @@ from .cmc_spheres import (MERIDIAN_MIN_N, ConsistencyError, QuadratureError,
 from .isoperimetry import (PROFILE_COLUMNS, PROFILE_MIN_N, crossing_alpha,
                            isoperimetric_candidate, sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
-from .stability import (SPECTRUM_MIN_N, alpha0, classify_sphere, jacobi_spectrum,
-                        sphere_stability_boundary)
+from .stability import (SPECTRUM_MIN_N, SpectrumError, alpha0, classify_sphere,
+                        jacobi_spectrum, sphere_stability_boundary)
 from .svgplot import polyline_svg, write_csv
 from .tori import (TORUS_MAX_N, TORUS_MIN_N, CutoffError, classify_torus,
                    lambda1_closed_form, torus_data, torus_spectrum,
                    torus_stability_threshold)
 
 NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
-                    CutoffError)
+                    CutoffError, SpectrumError)
 EMBEDDED_TAG = {True: "embedded", False: "non-embedded", None: "undecided"}
 EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
 # smallest supported --n of each subcommand that has one; a boundary curve

@@ -16,11 +16,11 @@ sech^2 x / q, which cannot overflow.  The meridian y = 0 has a closed
 form too: with c = 1 + H^2, t = tanh x, s = sech x,
 
     gamma(x) = e^{i phi} (s + H^2 - i sqrt(a) H t, sqrt(a) t + i H (1 - s)) / sqrt(c q),
-    phi(x)   = Int_0^x (a - 1) H sech^2 / (sqrt(a) q)
-             = -(H k / sqrt(a)) atanh(k t),  k = sqrt((1 - a)/c)   (a < 1)
-             = +(H k / sqrt(a)) atan(k t),   k = sqrt((a - 1)/c)   (a > 1),
+    phi(x)   = Int_0^x (a - 1) H sech^2 / (sqrt(a) q) = -(H / sqrt(a)) X t G(X t^2),
 
-and the surface is (x, y) -> exp(yW) gamma(x) with the exact generator
+with X = (1 - a)/c and G = artanh_ratio, the one function behind the
+artanh (a < 1) and arctan (a > 1) branches of every closed form of the
+family.  The surface is (x, y) -> exp(yW) gamma(x) with the exact generator
 W = [[i, -H], [H, i H^2]]/c.  W has the eigenvalues 0 and i; its kernel
 vector (H, i)/sqrt(c) gives the invariant coordinate (H z - i w)/sqrt(c)
 of the orbit space.
@@ -207,9 +207,7 @@ def gauss_curvature(d: SphereFundamentalData, x: float) -> float:
 
 
 class QuadratureError(RuntimeError):
-    def __init__(self, msg, estimate):
-        super().__init__(msg)
-        self.estimate = estimate
+    """An adaptive quadrature missed its error tolerance."""
 
 
 def area_sphere(p, H: float) -> float:
@@ -218,31 +216,39 @@ def area_sphere(p, H: float) -> float:
     val, err = quad(lambda x: d.conf(x), 0.0, AREA_CUTOFF, epsabs=0.0, epsrel=1e-12, limit=200)
     area = 4.0 * math.pi * val  # conf is even
     if err * 4.0 * math.pi > QUAD_RELTOL * area:
-        raise QuadratureError(f"area quadrature did not converge (err={err})", err)
+        raise QuadratureError(f"area quadrature did not converge (err={err})")
     return area
 
 
-def area_sphere_closed(p, H: float) -> float:
-    """Closed-form area (independent route; arctanh branch for a<1, arctan for a>1)."""
+def artanh_ratio(x):
+    """G(x) = sum_n x^n/(2n + 1) = artanh(sqrt x)/sqrt x (0 < x < 1), atan(sqrt -x)/sqrt -x
+    (x < 0), 1 (x = 0): the branch function of every closed form of the family, taken
+    at X = (1 - a)/(1 + H^2).  A Python float takes a math-only path, an array numpy's."""
+    if isinstance(x, float):
+        if x > 0.0:
+            r = math.sqrt(x)
+            return math.atanh(r) / r
+        if x < 0.0:
+            r = math.sqrt(-x)
+            return math.atan(r) / r
+        return 1.0
+    x = np.asarray(x, dtype=float)
+    if np.any(x >= 1.0):  # as math.atanh(1) does, when 1 - a rounds to 1 at H = 0
+        raise ValueError("math domain error")
+    r = np.sqrt(np.abs(x))
+    out = np.ones_like(x)
+    pos, neg = x > 0.0, x < 0.0
+    out[pos] = np.arctanh(r[pos]) / r[pos]
+    out[neg] = np.arctan(r[neg]) / r[neg]
+    return out
+
+
+def area_sphere_closed(p, H):
+    """Closed-form area 2 pi (1 + (H^2 + a) G(X)/c)/c for a float or an array of H."""
     a = as_alpha(p)
-    c = 1.0 + H**2
-    if a < 1.0:
-        k = math.sqrt((1.0 - a) / c)
-        bracket = 1.0 + (H**2 + a) / (math.sqrt(c) * math.sqrt(1.0 - a)) * math.atanh(k)
-    elif a > 1.0:
-        k = math.sqrt((a - 1.0) / c)
-        bracket = 1.0 + (H**2 + a) / (math.sqrt(c) * math.sqrt(a - 1.0)) * math.atan(k)
-    else:
-        bracket = 2.0
-    return 2.0 * math.pi * bracket / c
-
-
-def minimal_area_closed(alpha: float) -> float:
-    """Area of the minimal sphere S_a(0), a < 1: 2 pi (1 + a artanh(sqrt(1-a))/sqrt(1-a))."""
-    if alpha >= 1.0:
-        return area_sphere_closed(alpha, 0.0)
-    s = math.sqrt(1.0 - alpha)
-    return 2.0 * math.pi * (1.0 + alpha * math.atanh(s) / s)
+    h2 = H * H
+    c = 1.0 + h2
+    return 2.0 * math.pi * (1.0 + (h2 + a) * artanh_ratio((1.0 - a) / c) / c) / c
 
 
 def gauss_bonnet_integral(d: SphereFundamentalData) -> float:
@@ -395,18 +401,6 @@ def _ode_meridian(a: float, H: float, xs: np.ndarray):
     return points, normals, phi_y, coeff_n[:, 0] - np.tanh(xs)
 
 
-def _meridian_phase(a: float, H: float, t: np.ndarray) -> np.ndarray:
-    """phi = Int_0^x (a - 1) H sech^2 / (sqrt(a) q) as a function of t = tanh x."""
-    c = 1.0 + H * H
-    if a < 1.0:
-        k = math.sqrt((1.0 - a) / c)
-        return -(H * k / math.sqrt(a)) * np.arctanh(k * t)
-    if a > 1.0:
-        k = math.sqrt((a - 1.0) / c)
-        return (H * k / math.sqrt(a)) * np.arctan(k * t)
-    return np.zeros_like(t)
-
-
 def _as_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.column_stack([z.real, z.imag, w.real, w.imag])
 
@@ -419,7 +413,8 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     # q = den sech^2 x; H^2 + a t^2 + s^2 sums nonnegative terms, where
     # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
     q = H * H + a * t * t + s * s
-    e = np.exp(1j * _meridian_phase(a, H, t)) / np.sqrt((1.0 + H * H) * q)
+    X = (1.0 - a) / (1.0 + H * H)
+    e = np.exp(-1j * (H / sa) * X * t * artanh_ratio(X * t * t)) / np.sqrt((1.0 + H * H) * q)
     z = e * ((s + H * H) - 1j * (sa * H) * t)
     w = e * (sa * t + 1j * H * (1.0 - s))
     # gamma_x and W gamma both carry a factor sech x, taken out: else the

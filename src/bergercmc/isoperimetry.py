@@ -1,8 +1,7 @@
 """Area/volume profiles of the two CMC families and candidate ranking.
 
-Tori have closed-form profiles.  Sphere areas come from the closed form of
-the area integral.  The enclosed volume is integrated along the family from
-the half-volume minimal sphere, with the rate
+Both families have closed-form profiles.  The sphere volume is the
+integral, from the half-volume minimal sphere, of the rate
 
     dV/dH = d(area)/du |_{u = H^2} = -2 Int f dA,
 
@@ -10,8 +9,14 @@ where f solves Lf = 1 (the Koiso function of the stability module).  The
 first equality is the first-variation identity dA = 2H dV written in
 u = H^2, which is regular at H = 0; the second makes the rate the closed
 Koiso integral, so the volume falls exactly where the spheres are stable.
+Integrated in closed form (sphere_volume), with c = 1 + H^2 and
+G = artanh_ratio:
+
+    V(H) = 2 pi sqrt(a) atan(sqrt(a)/H) - pi H/c
+           + pi H ((2 - 3a) + (1 - 2a) H^2) G((1 - a)/c) / c^2.
+
 sphere_volume_rate keeps the quadrature of the u-derivative of the area
-integrand as an independent check of this identity.
+integrand as an independent check of the rate identity.
 
 The isoperimetric candidate at a prescribed volume is the least-area
 stable member of the two families; for 1/3 <= a < 1 that settles the
@@ -27,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .ambient import H_MAX, as_alpha, as_H, total_volume
-from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, minimal_area_closed
+from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, artanh_ratio
 from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
@@ -39,6 +44,20 @@ SPHERE = "Sphere"
 TORUS = "Torus"
 PROFILE_COLUMNS = ("family", "H", "area", "volume")
 PROFILE_MIN_N = 50  # fewest points of a graded H grid
+# sphere_volume = pi sum_n P_n(a) H^-(2n + 1), n = 1 ... 9, from H^2 >= 16 max(a, 4) on,
+# where the closed form cancels towards (4 pi/3) H^-3 and the first omitted term is
+# below 2e-13 of V; rows (coefficients of P_n, highest power first; denominator), sympy
+VOLUME_SERIES = (
+    ((4,), 3),
+    ((8, -32), 15),
+    ((-4, -32, 96), 35),
+    ((16, 64, 384, -1024), 315),
+    ((-20, -64, -192, -1024, 2560), 693),
+    ((56, 160, 384, 1024, 5120, -12288), 3003),
+    ((-84, -224, -480, -1024, -2560, -12288, 28672), 6435),
+    ((1056, 2688, 5376, 10240, 20480, 49152, 229376, -524288), 109395),
+    ((-1716, -4224, -8064, -14336, -25600, -49152, -114688, -524288, 1179648), 230945),
+)
 
 
 # scipy loads on first call, so importing this module costs no scipy import;
@@ -48,6 +67,7 @@ def quad(*args, **kwargs):
     return scipy.integrate.quad(*args, **kwargs)
 
 
+# unused since the sphere volume has a closed form; bench/tracer.py SPEC wraps it
 def solve_ivp(*args, **kwargs):
     import scipy.integrate
     return scipy.integrate.solve_ivp(*args, **kwargs)
@@ -121,27 +141,35 @@ def sphere_volume_rate(alpha: float, H: float) -> float:
     return 4.0 * math.pi * val  # even integrand
 
 
+def sphere_volume(p, H) -> np.ndarray:
+    """Volume enclosed by S_a(H) (the side that holds V(0) = pi^2 sqrt(a) at
+    the minimal sphere) for an array of H; the closed form of the module
+    docstring, and VOLUME_SERIES where that form cancels."""
+    a = as_alpha(p)
+    H = np.asarray(H, dtype=float)
+    sa = math.sqrt(a)
+    c = 1.0 + H * H
+    vol = np.asarray(2.0 * math.pi * sa * np.arctan2(sa, H) - math.pi * H / c
+                     + math.pi * H * ((2.0 - 3.0 * a) + (1.0 - 2.0 * a) * H * H)
+                     * artanh_ratio((1.0 - a) / c) / (c * c))
+    far = H * H >= 16.0 * max(a, 4.0)
+    u = 1.0 / H[far]
+    series = 0.0
+    for num, den in reversed(VOLUME_SERIES):
+        series = series * u * u + np.polyval(num, a) / den
+    vol[far] = math.pi * series * u**3
+    return vol
+
+
 def sphere_profile(p, H_max: float = 20.0, n: int = 400,
                    H_grid=None) -> IsoperimetricProfile:
     """Sphere-family profile on a graded H grid: closed-form areas, volumes
-    from the ODE dV/dH = -2 Int f dA anchored at V(0) = pi^2 sqrt(a)."""
+    and volume rates dV/dH = -2 Int f dA."""
     a = as_alpha(p)
     H = _graded_grid(H_max, n) if H_grid is None else np.asarray(H_grid, dtype=float)
     if not (np.isfinite(H).all() and H[0] == 0.0 and (np.diff(H) > 0).all()):
         raise ValueError("H_grid must increase from 0 through finite values")
-    area = np.array([area_sphere_closed(a, h) for h in H])
-
-    def volume_rate(h):
-        return -2.0 * koiso_integral_closed(a, h)
-
-    sol = solve_ivp(lambda h, v: [volume_rate(h)],
-                    (0.0, float(H[-1])), [math.pi**2 * math.sqrt(a)],
-                    method="DOP853", t_eval=H, rtol=1e-10, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"volume ODE failed: {sol.message}")
-    vol = sol.y[0]
-
-    rate = np.array([volume_rate(h) for h in H])
+    rate = -2.0 * koiso_integral_closed(a, H)
     monotone = bool(np.all(rate <= 1e-12))
     notes = ""
     if not monotone:
@@ -149,8 +177,8 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400,
         notes = (f"volume is not monotone in H (increasing near H in "
                  f"[{inc.min():.3f}, {inc.max():.3f}]): noncongruent spheres "
                  f"enclose equal volumes")
-    return IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area, volume=vol,
-                                monotone=monotone, notes=notes)
+    return IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area_sphere_closed(a, H),
+                                volume=sphere_volume(a, H), monotone=monotone, notes=notes)
 
 
 def torus_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile:
@@ -185,13 +213,12 @@ def clifford_vs_minimal_sphere(p) -> tuple[float, float, str]:
 def crossing_alpha() -> float:
     """The deformation where minimal sphere and Clifford torus have equal area.
 
-    Root of 2 pi^2 sqrt(a) = 2 pi (1 + a artanh(sqrt(1-a))/sqrt(1-a)) on
-    (0, 1/3); near 0.166.
+    Root of 2 pi^2 sqrt(a) = area_sphere_closed(a, 0) on (0, 1/3); near 0.166.
     """
     from scipy.optimize import brentq
 
     def f(a):
-        return 2.0 * math.pi**2 * math.sqrt(a) - minimal_area_closed(a)
+        return 2.0 * math.pi**2 * math.sqrt(a) - area_sphere_closed(a, 0.0)
 
     return brentq(f, 1e-6, 1.0 / 3.0, xtol=1e-12, rtol=8.9e-16)
 

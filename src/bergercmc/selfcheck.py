@@ -11,13 +11,13 @@ import math
 import numpy as np
 
 from . import ambient, regions, tori
-from .cmc_spheres import (_ode_meridian, area_sphere, fit_orbit_generator,
-                          fundamental_data, gauss_bonnet_integral, gauss_curvature,
-                          integrability_residual, is_embedded, minimal_area_closed,
+from .cmc_spheres import (_ode_meridian, area_sphere, area_sphere_closed,
+                          fit_orbit_generator, fundamental_data, gauss_bonnet_integral,
+                          gauss_curvature, integrability_residual, is_embedded,
                           planarity_report, reconstruct_meridian, zchart_data)
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
-                           sphere_profile, sphere_volume_rate)
+                           sphere_profile, sphere_volume, sphere_volume_rate)
 from .stability import (alpha0, classify_sphere, jacobi_potential_flat,
                         jacobi_rayleigh_C, jacobi_spectrum, koiso_integral,
                         koiso_integral_closed, potential_from_data)
@@ -65,7 +65,7 @@ def check_gauss_equation():
 
 def check_areas():
     assert abs(area_sphere(1.0, 0.0) - 4 * math.pi) < 1e-9
-    assert abs(area_sphere(1 / 3, 0.0) - minimal_area_closed(1 / 3)) < 1e-8
+    assert abs(area_sphere(1 / 3, 0.0) - area_sphere_closed(1 / 3, 0.0)) < 1e-8
     assert abs(gauss_bonnet_integral(fundamental_data(0.5, 1.0)) - 4 * math.pi) < 1e-6
 
 
@@ -152,6 +152,7 @@ def check_isoperimetry():
     prof1 = sphere_profile(1.0, H_max=5.0, n=120)
     assert abs(prof1.area_at(H) - A) / A < 1e-5
     assert abs(prof1.volume_at(H) - V) / V < 1e-5
+    assert abs(sphere_volume(1.0, H) - V) / V < 1e-14, "closed volume on the round sphere"
 
 
 def check_reconstruction():

@@ -6,7 +6,7 @@ factor is the (a, H)-independent function 2/cosh^2 x.  Stability is then
 decided by the Koiso criterion (the surface has index one and mean-zero
 Jacobi functions): S_a(H) is stable iff the solution f of Lf = 1
 integrates to a nonnegative value.  Both f and its integral have closed
-forms with an arctanh branch for a < 1 and an arctan branch for a > 1.
+forms through cmc_spheres.artanh_ratio.
 
 The spectral route is kept as well: mode by Fourier mode, the flattened
 eigenvalue problem compactifies under t = tanh x into the Legendre-type
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import as_alpha, as_H
-from .cmc_spheres import AREA_CUTOFF, ConsistencyError, SphereFundamentalData, fundamental_data
+from .cmc_spheres import (AREA_CUTOFF, ConsistencyError, SphereFundamentalData, artanh_ratio,
+                          fundamental_data)
 from .svgplot import write_csv
 
 KOISO_INTEGRAL = "KoisoIntegral"
@@ -36,6 +37,7 @@ LAMBDA1_GAP = "Lambda1Gap"
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
 TINY = float(np.finfo(float).tiny)  # smallest normal float
+EPS = float(np.finfo(float).eps)  # machine epsilon, twice the unit roundoff
 SPECTRUM_MIN_N = 200  # fewest grid cells of the Jacobi spectrum
 
 
@@ -60,24 +62,20 @@ class StabilityVerdict:
     H: float
 
 
+class SpectrumError(RuntimeError):
+    """An eigenvalue is within its rounding bound of the zero threshold."""
+
+
 @dataclass
 class SpectrumResult:
     """Sorted generalized eigenvalues with Fourier mode bookkeeping."""
 
     eigenvalues: np.ndarray
     modes: np.ndarray
-    negatives: int
-    zeros: int
+    index: int
+    nullity: int
     gap: float
     zero_tol: float
-
-    @property
-    def index(self) -> int:
-        return self.negatives
-
-    @property
-    def nullity(self) -> int:
-        return self.zeros
 
     def to_csv(self, path) -> None:
         write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
@@ -105,38 +103,22 @@ def potential_from_data(d: SphereFundamentalData, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def koiso_solution(p, H: float, x):
-    """The solution f of Lf = 1 on S_a(H), in the flat chart.
-
-    With h(x) = sqrt(|1-a|)/sqrt(H^2+1) * tanh x:
-        a < 1:  f = (1 - h artanh h) / (2 (H^2 + 1))
-        a > 1:  f = (1 + h arctan h) / (2 (H^2 + 1))
-        a = 1:  f = 1 / (2 (H^2 + 1))   (common limit)
-    """
-    a = as_alpha(p)
-    x = np.asarray(x, dtype=float)
-    c = 2.0 * (H**2 + 1.0)
-    if a == 1.0:
-        return np.full_like(x, 1.0 / c)
-    h = math.sqrt(abs(1.0 - a) / (H**2 + 1.0)) * np.tanh(x)
-    if a < 1.0:
-        return (1.0 - h * np.arctanh(h)) / c
-    return (1.0 + h * np.arctan(h)) / c
-
-
-def koiso_integral_closed(p, H: float) -> float:
-    """Closed form of Int f dA over S_a(H) (sign decides stability)."""
+    """The solution f = (1 - h^2 G(h^2)) / (2c) of Lf = 1 on S_a(H), in the
+    flat chart, with c = 1 + H^2, h^2 = (1 - a) tanh^2 x / c and
+    G = artanh_ratio; at a = 1 it is the constant 1/(2c)."""
     a = as_alpha(p)
     c = H**2 + 1.0
-    pref = math.pi / (2.0 * c**2)
-    if a == 1.0:
-        return pref * 4.0
-    if a < 1.0:
-        s = math.sqrt(1.0 - a)
-        return pref * (3.0 + (H**2 + 3.0 * a - 2.0) / (math.sqrt(c) * s)
-                       * math.atanh(s / math.sqrt(c)))
-    s = math.sqrt(a - 1.0)
-    return pref * (3.0 + (H**2 + 3.0 * a - 2.0) / (math.sqrt(c) * s)
-                   * math.atan(s / math.sqrt(c)))
+    h2 = (1.0 - a) / c * np.tanh(np.asarray(x, dtype=float)) ** 2
+    return (1.0 - h2 * artanh_ratio(h2)) / (2.0 * c)
+
+
+def koiso_integral_closed(p, H):
+    """Closed form pi/(2c^2) (3 + (H^2 + 3a - 2) G((1 - a)/c)/c) of Int f dA over
+    S_a(H), c = 1 + H^2, for a float or an array of H (sign decides stability)."""
+    a = as_alpha(p)
+    h2 = H * H
+    c = h2 + 1.0
+    return math.pi * (3.0 + (h2 + 3.0 * a - 2.0) * artanh_ratio((1.0 - a) / c) / c) / (2.0 * c * c)
 
 
 def koiso_integral_quadrature(p, H: float) -> float:
@@ -174,31 +156,21 @@ def classify_sphere(p, H: float) -> StabilityVerdict:
 def alpha0() -> float:
     """The threshold deformation: below it some spheres are unstable.
 
-    Root of artanh(sqrt(1-a)) = 3 sqrt(1-a) / (2 - 3a) on (0, 1/3); the
-    minimal sphere S_a(0) changes stability here.
+    Root of koiso_integral_closed(a, 0) on (0, 1/3); the minimal sphere
+    S_a(0) changes stability here.
     """
     from scipy.optimize import brentq
 
-    def f(a):
-        s = math.sqrt(1.0 - a)
-        return math.atanh(s) - 3.0 * s / (2.0 - 3.0 * a)
-
-    return brentq(f, 1e-9, 1.0 / 3.0 - 1e-12, xtol=1e-14, rtol=8.9e-16)
-
-
-def _boundary_equation(alpha: float, H: float) -> float:
-    """3 sqrt(H^2+1) sqrt(1-a) + (H^2 + 3a - 2) artanh(sqrt(1-a)/sqrt(H^2+1));
-    same sign as the Koiso integral for a < 1."""
-    c = math.sqrt(H**2 + 1.0)
-    s = math.sqrt(1.0 - alpha)
-    return 3.0 * c * s + (H**2 + 3.0 * alpha - 2.0) * math.atanh(s / c)
+    return brentq(koiso_integral_closed, 1e-9, 1.0 / 3.0, args=(0.0,),
+                  xtol=1e-14, rtol=8.9e-16)
 
 
 def sphere_stability_boundary(alpha_grid) -> np.ndarray:
     """H(a) on a grid of a < alpha0: spheres are stable iff H >= H(a).
 
-    Returns an array of rows (a, H(a)); raises for a >= alpha0 where no
-    positive root exists.
+    Returns an array of rows (a, H(a)), the roots of koiso_integral_closed
+    in H, which [0, 1] brackets: H(a) rises to 0.3708 as a -> 0.  Raises
+    for a >= alpha0, where no positive root exists.
     """
     from scipy.optimize import brentq
 
@@ -207,12 +179,7 @@ def sphere_stability_boundary(alpha_grid) -> np.ndarray:
     for a in np.atleast_1d(np.asarray(alpha_grid, dtype=float)):
         if not 0.0 < a < a0:
             raise ValueError(f"alpha={a} is not below alpha0={a0:.6f}")
-        hi = 1.0
-        while _boundary_equation(a, hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e6:
-                raise RuntimeError("no sign change found for the stability boundary")
-        H = brentq(lambda h: _boundary_equation(a, h), 0.0, hi, xtol=1e-12, rtol=8.9e-16)
+        H = brentq(lambda h: koiso_integral_closed(a, h), 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
         out.append((a, H))
     return np.asarray(out)
 
@@ -227,8 +194,9 @@ def _grid(n: int):
     return h, -1.0 + (np.arange(n) + 0.5) * h, -1.0 + np.arange(n + 1) * h
 
 
-def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
-    """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1].
+def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int):
+    """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1],
+    and a bound on their rounding error.
 
     Eigenfunctions behave like (1 - t^2)^{k/2} at the poles, so we solve for
     the regular part g with f = (1 - t^2)^{k/2} g; the quadratic form becomes
@@ -238,7 +206,9 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
 
     with weight w sigma^k.  Everything in sight is smooth, the finite-volume
     scheme converges at second order for every mode, and the k = 1 zero mode
-    is the exact constant g = 1.
+    is the exact constant g = 1.  The returned bound eps (max|diag| + 2 max|off|)
+    of the scaled matrix T is at least eps ||T|| (Gershgorin), the rounding error
+    of each eigenvalue of a backward-stable solver up to a modest constant, here 1.
     """
     h, t_node, t_edge = _grid(n)
     sig_node = 1.0 - t_node**2
@@ -256,7 +226,7 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
     count = min(count, n)
     vals = eigh_tridiagonal(diag_b, off_b, select="i",
                             select_range=(0, count - 1), eigvals_only=True)
-    return vals
+    return vals, EPS * (np.max(np.abs(diag_b)) + 2.0 * np.max(np.abs(off_b)))
 
 
 def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResult:
@@ -265,7 +235,8 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
     Modes k and -k coincide, so k != 0 eigenvalues enter twice.  Zero
     eigenvalues are classified by |lambda| < 1e-3 times the spread between
     the 3rd and 4th smallest |lambda| (the nullity is exactly three, which
-    makes this relative rule grid-robust).
+    makes this relative rule grid-robust).  Raises SpectrumError if some
+    eigenvalue lies within its mode's rounding bound of that threshold.
     """
     a = as_alpha(p)
     if k_max < 2:
@@ -279,28 +250,31 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
-    lams, ks = [], []
+    lams, ks, errs = [], [], []
     for k in range(k_max + 1):
-        vals = _mode_eigenvalues(a, H, k, n, PER_MODE)
+        vals, err = _mode_eigenvalues(a, H, k, n, PER_MODE)
         reps = 1 if k == 0 else 2
-        for v in vals:
-            for _ in range(reps):
-                lams.append(float(v))
-                ks.append(k)
-    lams = np.asarray(lams)
-    ks = np.asarray(ks)
+        lams.append(np.repeat(vals, reps))
+        ks.append(np.full(reps * len(vals), k))
+        errs.append(np.full(reps * len(vals), err))
+    lams = np.concatenate(lams)
     order = np.argsort(lams)
-    lams, ks = lams[order], ks[order]
+    lams, ks, errs = lams[order], np.concatenate(ks)[order], np.concatenate(errs)[order]
 
     absl = np.sort(np.abs(lams))
     gap34 = float(absl[3] - absl[2])
     zero_tol = 1e-3 * gap34
-    zeros = int(np.sum(np.abs(lams) < zero_tol))
-    negatives = int(np.sum(lams < -zero_tol))
+    near = np.flatnonzero(np.abs(np.abs(lams) - zero_tol) <= errs)
+    if len(near):
+        i = near[0]
+        raise SpectrumError(f"index and nullity not certified: mode-{ks[i]} eigenvalue "
+                            f"{lams[i]:.3e} is within {errs[i]:.1e} of the zero threshold")
     positive = lams[lams > zero_tol]
     gap = float(positive[0]) if len(positive) else math.inf
-    return SpectrumResult(eigenvalues=lams, modes=ks, negatives=negatives,
-                          zeros=zeros, gap=gap, zero_tol=zero_tol)
+    return SpectrumResult(eigenvalues=lams, modes=ks,
+                          index=int(np.sum(lams < -zero_tol)),
+                          nullity=int(np.sum(np.abs(lams) < zero_tol)),
+                          gap=gap, zero_tol=zero_tol)
 
 
 def jacobi_rayleigh_C(p, H: float) -> float:

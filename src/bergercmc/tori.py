@@ -92,7 +92,6 @@ class TorusSpectrum:
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
     lambda1: float
-    cutoff: int
     shell_min: float  # smallest form value on the enumeration boundary
 
     def to_csv(self, path) -> None:
@@ -144,7 +143,7 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
             uniq.append(float(v))
             counts.append(1)
     return TorusSpectrum(eigenvalues=np.asarray(uniq), multiplicities=np.asarray(counts),
-                         lambda1=lambda1, cutoff=N, shell_min=float(shell))
+                         lambda1=lambda1, shell_min=float(shell))
 
 
 def torus_stability_threshold(alpha: float) -> float:

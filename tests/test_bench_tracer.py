@@ -48,7 +48,7 @@ def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer):
         tracer.uninstall(patches)
     calls, _, _ = tracer.aggregate(t.spans)
     assert calls["isoperimetry.profile"] == 1
-    assert calls["isoperimetry.volume_ode"] == 1
+    assert calls["isoperimetry.volume_ode"] == 0
     assert calls["isoperimetry.quad"] == 0
     assert calls["cmc_spheres.quad"] == 0
 
@@ -101,8 +101,8 @@ def test_scipy_wrappers_get_one_span_name_per_module(tracer):
 
         isoperimetry.sphere_profile(0.5, n=60)
         calls, _, _ = tracer.aggregate(t.spans)
-        assert calls["isoperimetry.volume_ode"] == 1
-        assert t.counts["isoperimetry.volume_ode.nfev"] > 0
+        assert calls["isoperimetry.volume_ode"] == 0
+        assert t.counts["isoperimetry.volume_ode.nfev"] == 0
     finally:
         tracer.uninstall(patches)
     for (mod, attr), fn in own.items():

@@ -160,6 +160,23 @@ def test_sphere_k_max_beyond_grid_without_warning(tmp_path):
     assert proc.stdout == "" and list(out.iterdir()) == []
 
 
+def test_sphere_uncertified_spectrum_exit_code(tmp_path, capsys):
+    # at a = 1e5 the rounding bound of the spectrum reaches the zero threshold
+    assert main(["--out", str(tmp_path), "sphere", "--alpha", "1e5", "--H", "0"]) == 3
+    out = capsys.readouterr()
+    assert "numerical contract failure" in out.err and "not certified" in out.err
+    assert out.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_profiles_up_to_H_MAX_keep_positive_volumes(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "profiles", "--alphas", "0.5", "--H-max", "1e6"]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "figure4_profiles_alpha0.5.csv").read_text().splitlines()[1:]]
+    vol = [float(r[3]) for r in rows if r[0] == "Sphere"]
+    assert len(vol) == 300 and min(vol) > 0.0
+    assert all(v > w for v, w in zip(vol, vol[1:]))
+
+
 def test_torus_nan_exits_2_without_traceback(tmp_path):
     proc, _ = run_cli(["torus", "--alpha", "0.5", "--H", "nan"], tmp_path, "nan")
     assert proc.returncode == 2

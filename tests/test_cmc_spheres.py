@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
 from bergercmc.cmc_spheres import (ReconstructionError,
-                                   area_sphere, area_sphere_closed, fit_orbit_generator,
-                                   fundamental_data, gauss_bonnet_integral,
-                                   gauss_curvature, integrability_residual,
-                                   is_embedded, minimal_area_closed,
+                                   area_sphere, area_sphere_closed, artanh_ratio,
+                                   fit_orbit_generator, fundamental_data,
+                                   gauss_bonnet_integral, gauss_curvature,
+                                   integrability_residual, is_embedded,
                                    planarity_report, reconstruct_meridian,
                                    zchart_data)
 from scipy.integrate import quad, solve_ivp
@@ -185,7 +186,47 @@ def test_area_closed_forms_match_quadrature():
     for a in (0.1, 0.5, 1.0, 1.7, 3.0):
         for H in (0.0, 0.8, 2.5):
             assert area_sphere(a, H) == pytest.approx(area_sphere_closed(a, H), rel=1e-10)
-    assert minimal_area_closed(0.4) == pytest.approx(area_sphere(0.4, 0.0), rel=1e-10)
+    assert area_sphere_closed(0.4, 0.0) == pytest.approx(area_sphere(0.4, 0.0), rel=1e-10)
+
+
+def test_area_closed_array_matches_scalars():
+    H = np.array([0.0, 1e-3, 0.8, 2.5, 40.0, 1e6])
+    for a in (1e-6, 0.1, 1.0, 1.7, 1e4):
+        want = np.array([area_sphere_closed(a, float(h)) for h in H])
+        np.testing.assert_allclose(area_sphere_closed(a, H), want, rtol=1e-15, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# artanh_ratio, the branch function of every closed form
+# ---------------------------------------------------------------------------
+
+ARTANH_X = np.concatenate([-np.geomspace(1e6, 1e-300, 300), [0.0],
+                           np.geomspace(1e-300, 1.0 - 2.0**-53, 300)])
+
+
+def test_artanh_ratio_float_and_array_paths_agree():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        arr = artanh_ratio(ARTANH_X)
+    scal = np.array([artanh_ratio(float(x)) for x in ARTANH_X])
+    assert all(type(artanh_ratio(float(x))) is float for x in ARTANH_X[::50])
+    assert np.all(np.abs(arr - scal) <= np.spacing(scal))
+
+
+def test_artanh_ratio_branches_and_zero():
+    assert artanh_ratio(0.0) == 1.0
+    assert artanh_ratio(0.25) == pytest.approx(2.0 * math.atanh(0.5), rel=1e-15)
+    assert artanh_ratio(-3.0) == pytest.approx(math.atan(math.sqrt(3.0)) / math.sqrt(3.0),
+                                               rel=1e-15)
+    # continuous through 0: the series sum x^n/(2n + 1) is 1 + x/3 + ...
+    for x in (-1e-300, 1e-300, -1e-12, 1e-12):
+        assert artanh_ratio(x) == pytest.approx(1.0 + x / 3.0, rel=1e-15)
+        assert float(artanh_ratio(np.array([x]))[0]) == artanh_ratio(x)
+    assert np.array_equal(artanh_ratio(np.array([-1e-300, 0.0, 1e-300])), np.ones(3))
+    # x = (1 - a)/(1 + H^2) reaches 1 only where 1 - a rounds to 1 at H = 0
+    for x in (1.0, np.array([0.5, 1.0])):
+        with pytest.raises(ValueError, match="math domain error"):
+            artanh_ratio(x)
 
 
 def test_area_decays_with_H():

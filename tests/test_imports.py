@@ -43,3 +43,15 @@ def test_sphere_command_loads_only_scipy_linalg(tmp_path):
     assert "scipy.linalg" in loaded
     assert loaded.isdisjoint({"scipy.integrate", "scipy.interpolate", "scipy.optimize",
                               "scipy.spatial"})
+
+
+def test_candidate_and_profiles_load_no_scipy_integrate(tmp_path):
+    # the sphere volume has a closed form, so no ODE solver is needed
+    code = ("import bergercmc.cli\n"
+            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'candidate', "
+            "'--alpha', '0.5', '--V', '6.9']) == 0\n"
+            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'profiles', "
+            "'--alphas', '0.3', '--n', '60']) == 0")
+    loaded = set(scipy_modules_after(code))
+    assert "scipy.interpolate" in loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)

@@ -7,7 +7,7 @@ from bergercmc.ambient import total_volume
 from bergercmc.isoperimetry import (SPHERE, TORUS, candidate_reach, clifford_vs_minimal_sphere,
                                     crossing_alpha, isoperimetric_candidate,
                                     round_cap_area_volume, sphere_profile,
-                                    sphere_volume_rate, torus_H_at_volume,
+                                    sphere_volume, sphere_volume_rate, torus_H_at_volume,
                                     torus_profile)
 from bergercmc.stability import alpha0, koiso_integral_closed
 
@@ -81,10 +81,67 @@ def test_volume_rate_is_first_variation():
 @pytest.mark.parametrize("a", [0.004, alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0])
 @pytest.mark.parametrize("H", [0.0, 1e-3, 1.0, 20.0])
 def test_closed_volume_rate_is_minus_twice_koiso_integral(a, H):
-    # the profile's ODE rate against the quadrature of d(area)/du; the
+    # the profile's volume rate against the quadrature of d(area)/du; the
     # absolute floor covers (alpha0, 0), where the rate vanishes
     closed = -2.0 * koiso_integral_closed(a, H)
     assert closed == pytest.approx(sphere_volume_rate(a, H), rel=1e-9, abs=1e-12)
+
+
+def _mp_sphere_volume(mp, a, H):
+    """The closed form of sphere_volume at the working precision of mp."""
+    a, H = mp.mpf(a), mp.mpf(H)
+    c, sa, x = 1 + H * H, mp.sqrt(a), (1 - a) / (1 + H * H)
+    G = mp.atanh(mp.sqrt(x)) / mp.sqrt(x) if x > 0 else (
+        mp.atan(mp.sqrt(-x)) / mp.sqrt(-x) if x < 0 else mp.mpf(1))
+    return (mp.pi**2 * sa - 2 * mp.pi * sa * mp.atan(H / sa) - mp.pi * H / c
+            + mp.pi * H * ((2 - 3 * a) + (1 - 2 * a) * H * H) * G / c**2)
+
+
+def test_sphere_volume_against_mpmath():
+    # the closed form cancels towards (4 pi/3) H^-3; the large-H series
+    # takes over, so every volume keeps its digits up to H_MAX
+    import mpmath
+
+    from bergercmc.ambient import H_MAX
+    H = np.concatenate([[0.0], np.geomspace(1e-2, H_MAX, 161)])
+    worst = {True: 0.0, False: 0.0}
+    with mpmath.workdps(50):
+        for a in np.geomspace(1e-6, 1e4, 41):
+            vol = sphere_volume(a, H)
+            assert np.all(vol > 0.0), a
+            for h, v in zip(H, vol):
+                want = _mp_sphere_volume(mpmath, a, h)
+                rel = float(abs(v - want) / want)
+                worst[a <= 50.0] = max(worst[a <= 50.0], rel)
+    assert worst[True] <= 2e-11 and worst[False] <= 1e-6, worst
+
+
+def test_sphere_volume_closed_form_integrates_the_rate():
+    # d/dH of the closed form is -2 koiso_integral_closed, and V(0) = pi^2 sqrt(a)
+    import mpmath
+
+    with mpmath.workdps(30):
+        for a in (0.004, 0.5, 1.0, 3.0, 50.0):
+            assert _mp_sphere_volume(mpmath, a, 0) == pytest.approx(
+                float(mpmath.pi**2 * mpmath.sqrt(a)), rel=1e-15)
+            for H in (0.3, 1.0, 20.0):
+                rate = mpmath.diff(lambda h: _mp_sphere_volume(mpmath, a, h), H)
+                assert float(rate) == pytest.approx(-2.0 * koiso_integral_closed(a, H),
+                                                    rel=1e-12)
+
+
+def test_sphere_volume_round_sphere():
+    # below r ~ 0.3 the oracle pi (2r - sin 2r) itself cancels
+    for r in np.linspace(0.3, math.pi / 2, 40):
+        H, _, V = round_cap_area_volume(r)
+        assert abs(float(sphere_volume(1.0, H)) - V) <= 1e-14 * V
+
+
+def test_sphere_profile_is_the_closed_forms(prof_half):
+    from bergercmc.cmc_spheres import area_sphere_closed
+
+    assert np.array_equal(prof_half.volume, sphere_volume(0.5, prof_half.H))
+    assert np.array_equal(prof_half.area, area_sphere_closed(0.5, prof_half.H))
 
 
 def test_non_monotone_detection_small_alpha():
@@ -162,10 +219,10 @@ def test_crossing_alpha_defining_property():
 
 def test_crossing_alpha_area_against_quadrature():
     # the closed minimal-sphere area at the root, checked by the area quadrature
-    from bergercmc.cmc_spheres import area_sphere, minimal_area_closed
+    from bergercmc.cmc_spheres import area_sphere, area_sphere_closed
 
     ca = crossing_alpha()
-    assert area_sphere(ca, 0.0) == pytest.approx(minimal_area_closed(ca), rel=1e-9)
+    assert area_sphere(ca, 0.0) == pytest.approx(area_sphere_closed(ca, 0.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

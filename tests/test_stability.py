@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergercmc.cmc_spheres import fundamental_data
-from bergercmc.stability import (KOISO_INTEGRAL, alpha0, classify_sphere,
+from bergercmc.stability import (KOISO_INTEGRAL, SpectrumError, alpha0, classify_sphere,
                                  jacobi_potential_flat, jacobi_rayleigh_C,
                                  jacobi_spectrum, koiso_integral,
                                  koiso_integral_closed, koiso_integral_quadrature,
@@ -108,6 +108,13 @@ def test_koiso_integral_clifford_value():
 @given(st.floats(min_value=1.001, max_value=6.0), HS)
 def test_koiso_integral_positive_above_one(alpha, H):
     assert koiso_integral_closed(alpha, H) > 0
+
+
+def test_koiso_integral_closed_array_matches_scalars():
+    H = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 1e6])
+    for a in (1e-6, alpha0(), 0.5, 1.0, 1 + 1e-9, 2.5, 1e4):
+        want = np.array([koiso_integral_closed(a, float(h)) for h in H])
+        np.testing.assert_allclose(koiso_integral_closed(a, H), want, rtol=1e-15, atol=0.0)
 
 
 def test_koiso_integral_negative_small_alpha():
@@ -235,13 +242,14 @@ def test_spectrum_rejects_bad_args():
 
 def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
     # on n = 200 cells sigma^k at the outermost node, 0.009975^k, leaves the
-    # normal floats at k = 154; the check refuses that before solving a mode
+    # normal floats at k = 154; the check refuses that before solving a mode.
+    # k_max = 153 is solved without a warning, but its high modes lose their
+    # low eigenvalues to rounding, which the certification reports
     from bergercmc import stability
 
     with np.errstate(all="raise", under="ignore"):
-        spec = jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
-    assert np.isfinite(spec.eigenvalues).all()
-    assert spec.modes.max() == 153
+        with pytest.raises(SpectrumError, match="not certified"):
+            jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
 
     def no_solve(*_args, **_kwargs):
         raise AssertionError("a mode was solved before the k_max check")
@@ -250,6 +258,21 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
     for k_max in (154, 100000):
         with pytest.raises(ValueError, match="up to k_max=153$"):
             jacobi_spectrum(0.5, 1.0, k_max=k_max, n=200)
+
+
+@pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 4000, 3), (1e5, 1.0, 4000, 3),
+                                             (3e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)])
+def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
+    # each of these returned a wrong index or nullity without the rounding bound
+    with pytest.raises(SpectrumError):
+        jacobi_spectrum(a, H, k_max=k_max, n=n)
+
+
+@pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 200, 3), (1e4, 1.0, 4000, 3),
+                                             (0.5, 1.0, 200, 44)])
+def test_spectrum_certified_at_extremes(a, H, n, k_max):
+    s = jacobi_spectrum(a, H, k_max=k_max, n=n)
+    assert (s.index, s.nullity) == (1, 3)
 
 
 @pytest.mark.parametrize("n", [200, 201, 333, 2000, 4000, 8000, 12345])
