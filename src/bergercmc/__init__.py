@@ -1,7 +1,7 @@
 """CMC sphere and Hopf torus stability theory of the Berger spheres.
 
 Closed-form fundamental data and spectra, Koiso stability classification,
-flat-torus lattice spectra, region constants, and isoperimetric profiles.
+flat-torus spectra, region constants, and isoperimetric profiles.
 """
 
 from .ambient import ContractViolation, metric_eval, total_volume
@@ -16,8 +16,8 @@ from .regions import (F_nonnegative, alpha_root, critical_constants, poly_eval,
 from .stability import (SpectrumResult, StabilityVerdict, alpha0, classify_sphere,
                         jacobi_potential_flat, jacobi_spectrum, koiso_integral,
                         koiso_solution, sphere_stability_boundary)
-from .tori import (LatticeBasis, TorusData, classify_torus, lambda1_closed_form,
-                   lattice_and_dual, torus_area_volume, torus_data, torus_spectrum)
+from .tori import (TorusData, classify_torus, lambda1_closed_form, torus_area_volume,
+                   torus_data, torus_spectrum)
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "SpectrumResult", "StabilityVerdict", "alpha0", "classify_sphere",
     "jacobi_potential_flat", "jacobi_spectrum", "koiso_integral", "koiso_solution",
     "sphere_stability_boundary",
-    "LatticeBasis", "TorusData", "classify_torus", "lambda1_closed_form",
-    "lattice_and_dual", "torus_area_volume", "torus_data", "torus_spectrum",
+    "TorusData", "classify_torus", "lambda1_closed_form", "torus_area_volume",
+    "torus_data", "torus_spectrum",
     "__version__",
 ]

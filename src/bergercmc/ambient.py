@@ -22,17 +22,21 @@ import numpy as np
 # H = 1e8, and the sphere's spectrum and closed forms fail from about
 # H = 1e77.
 H_MAX = 1e6
+# Smallest accepted alpha: below about 2.5e-13 the torus threshold H*(a) exceeds
+# H_MAX, and from 2^-54 down 1 - a rounds to 1, where the sphere closed forms fail.
+ALPHA_MIN = 1e-12
 
 
 class ContractViolation(ValueError):
-    """An input precondition (alpha > 0, 0 <= H <= H_MAX) failed."""
+    """An input precondition (ALPHA_MIN <= alpha < inf, 0 <= H <= H_MAX) failed."""
 
 
 def as_alpha(p) -> float:
-    """Accept a positive, finite alpha."""
+    """Accept a finite alpha >= ALPHA_MIN."""
     a = float(p)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ContractViolation(f"alpha must be positive, got {a}")
+    if not (a >= ALPHA_MIN and math.isfinite(a)):
+        raise ContractViolation(f"alpha must be positive, at least {ALPHA_MIN:g} and "
+                                f"finite, got {a}")
     return a
 
 

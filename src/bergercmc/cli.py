@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selfcheck
-from .ambient import ContractViolation, total_volume
+from .ambient import ContractViolation, as_alpha, as_H, total_volume
 from .cmc_spheres import (MERIDIAN_MIN_N, ConsistencyError, QuadratureError,
                           ReconstructionError, area_sphere_closed, is_embedded,
                           meridian_range, reconstruct_meridian)
@@ -42,7 +42,8 @@ MIN_N = {"sphere": SPECTRUM_MIN_N, "regions": 2, "embeddedness": MERIDIAN_MIN_N,
 
 
 def _check_args(args) -> None:
-    """Reject bad sizes and meridian ranges before a command writes anything."""
+    """Reject bad sizes, meridian ranges and list entries before a command
+    writes anything; --alphas and --Hs become lists of floats."""
     least = MIN_N.get(args.command)
     if least is not None and args.n < least:
         raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
@@ -55,6 +56,9 @@ def _check_args(args) -> None:
         meridian_range((-args.x_max, args.x_max))
     if args.command == "embeddedness":
         meridian_range((-args.x_max, args.x_max))
+    for name, check in (("alphas", as_alpha), ("Hs", as_H)):
+        if getattr(args, name, None) is not None:
+            setattr(args, name, [check(v) for v in getattr(args, name).split(",")])
 
 
 def _outdir(args) -> Path:
@@ -151,11 +155,9 @@ def cmd_regions(args) -> int:
 
 def cmd_embeddedness(args) -> int:
     out = _outdir(args)
-    alphas = [float(a) for a in args.alphas.split(",")]
-    Hs = [float(h) for h in args.Hs.split(",")]
     rows = []
-    for a in alphas:
-        for H in Hs:
+    for a in args.alphas:
+        for H in args.Hs:
             m = reconstruct_meridian(a, H, (-args.x_max, args.x_max), args.n)
             r = is_embedded(m)
             rows.append((a, H, EMBEDDED_FLAG[r.embedded], r.margin))
@@ -168,9 +170,7 @@ def cmd_embeddedness(args) -> int:
 
 def cmd_profiles(args) -> int:
     out = _outdir(args)
-    alphas = ([float(a) for a in args.alphas.split(",")] if args.alphas
-              else [0.25, crossing_alpha(), 0.14, 0.06])
-    for a in alphas:
+    for a in args.alphas or [0.25, crossing_alpha(), 0.14, 0.06]:
         sp = sphere_profile(a, H_max=args.H_max, n=args.n)
         tp = torus_profile(a, H_max=args.H_max, n=args.n)
         path = out / f"figure4_profiles_alpha{a:.6g}.csv"

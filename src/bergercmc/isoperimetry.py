@@ -26,8 +26,8 @@ isoperimetric problem, below 1/3 it is a ranking of the known candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, artanh_ratio
 from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
-
-if TYPE_CHECKING:
-    from scipy.interpolate import PchipInterpolator
 
 SPHERE = "Sphere"
 TORUS = "Torus"
@@ -82,20 +79,19 @@ class IsoperimetricProfile:
     volume: np.ndarray
     monotone: bool = True
     notes: str = ""
-    _area_interp: PchipInterpolator = field(init=False, repr=False)
-    _vol_interp: PchipInterpolator = field(init=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def _interpolant(self):
+        """Pchip interpolant of (area, volume) in H, built on first use."""
         from scipy.interpolate import PchipInterpolator
 
-        self._area_interp = PchipInterpolator(self.H, self.area)
-        self._vol_interp = PchipInterpolator(self.H, self.volume)
+        return PchipInterpolator(self.H, np.column_stack([self.area, self.volume]))
 
     def area_at(self, H: float) -> float:
-        return float(self._area_interp(H))
+        return float(self._interpolant(H)[0])
 
     def volume_at(self, H: float) -> float:
-        return float(self._vol_interp(H))
+        return float(self._interpolant(H)[1])
 
     def invert_volume(self, V: float) -> list[float]:
         """All H on the grid range with volume(H) = V (several if non-monotone)."""

@@ -86,20 +86,17 @@ def critical_constants() -> tuple[float, float, float]:
     return t0_constant(), -res.fun, alpha_root(1.0, -1)
 
 
-def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
+def F_nonnegative(p) -> tuple[bool, float]:
     """Is F(t; alpha) = P_t(alpha), eps = sign(1 - alpha), >= 0 on all of t in [0, 1]?
 
-    Evaluates F on a grid plus the real critical points of dF/dt (a cubic),
-    so the reported minimum is not a grid artifact.  True exactly when
-    alpha in [alpha_1, 1) or (1, 4/3].
+    F is a quartic in t, so its minimum on [0, 1] lies at t = 0, at t = 1
+    or at a real critical point of dF/dt (a cubic) inside.  True exactly
+    when alpha in [alpha_1, 1) or (1, 4/3].
     """
     alpha = as_alpha(p)
     if alpha == 1.0:
         raise ValueError("F is defined for alpha != 1 (epsilon is the sign of 1 - alpha)")
-    if n < 1000:
-        raise ValueError("need n >= 1000 grid points")
     e = 1 if alpha < 1.0 else -1
-    ts = np.linspace(0.0, 1.0, n)
     # dF/dt = A' alpha^2 + B' alpha + C' collects to the cubic
     # -4 (alpha-1)^2 t^3 + (4 - 4 alpha^2) t + 8 eps alpha (alpha - 1)
     c3 = -4.0 * (alpha - 1.0) ** 2
@@ -107,9 +104,7 @@ def F_nonnegative(p, n: int = 2000) -> tuple[bool, float]:
     c0 = 8.0 * e * alpha * (alpha - 1.0)
     roots = np.roots([c3, 0.0, c1, c0])
     crit = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0]
-    sample = np.concatenate([ts, np.asarray(crit)]) if crit else ts
-    vals = poly_eval(sample, e, alpha)
-    fmin = float(vals.min())
+    fmin = float(poly_eval(np.asarray([0.0, 1.0] + crit), e, alpha).min())
     return fmin >= 0.0, fmin
 
 

@@ -103,10 +103,9 @@ def check_spectrum():
 
 
 def check_torus():
-    td = tori.torus_data(1 / 3, 0.0)
-    assert abs(td.det_metric - 1 / 12) < 1e-12
-    lat, dual = tori.lattice_and_dual(td)
-    assert np.max(np.abs(lat.matrix().T @ dual.matrix() - np.eye(2))) < 1e-12
+    G = tori.torus_data(1 / 3, 0.0).dual_gram  # the Clifford torus sits on the bound
+    assert abs(G[0, 0] - 4.0) < 1e-12, "lambda(1, 0) = 4 at a = 1/3"
+    assert abs(G[0, 0] - 2.0 * G[0, 1] + G[1, 1] - 4.0) < 1e-12, "lambda(1, -1) = 4 at a = 1/3"
     for a in (0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0):
         for H in (0.0, 0.3, 1.1):
             lam_enum = tori.torus_spectrum(tori.torus_data(a, H), N=10).lambda1

@@ -4,11 +4,13 @@ For each H >= 0 there is one embedded CMC flat torus, with
 
     r1^2 = 1/2 + H / (2 sqrt(1 + H^2)),      r1^2 + r2^2 = 1.
 
-Intrinsically it is R^2 / Lambda for an explicit lattice Lambda realizing
-the induced metric; the Laplace spectrum is the set of squared norms of
-the dual lattice, and the Jacobi operator is Delta + 4(H^2 + 1), so the
-torus is stable iff the first nonzero eigenvalue lambda_1 is at least
-4(H^2 + 1).
+It is flat, and its Laplace eigenvalues are the values over integer (m, n)
+of the inverse of the induced metric g (det g = a r1^2 r2^2), u = r1/r2:
+
+    (m, n) g^-1 (m, n)^T = (m + n)^2 / a + (m/u - n u)^2.
+
+The Jacobi operator is Delta + 4(H^2 + 1), so the torus is stable iff the
+first nonzero eigenvalue lambda_1 is at least 4(H^2 + 1), the value at (1, -1).
 """
 
 from __future__ import annotations
@@ -32,57 +34,24 @@ class TorusData:
     H: float
     r1: float
     r2: float
-    metric: np.ndarray  # 2x2 induced metric in the (t, s) angles
 
     @property
-    def det_metric(self) -> float:
-        g = self.metric
-        return float(g[0, 0] * g[1, 1] - g[0, 1] ** 2)
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    v1: np.ndarray
-    v2: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.column_stack([self.v1, self.v2])
-
-    def gram(self) -> np.ndarray:
-        B = self.matrix()
-        return B.T @ B
+    def dual_gram(self) -> np.ndarray:
+        """g^-1 = [[1/a + 1/u^2, b], [b, 1/a + u^2]], u = r1/r2, b = (1 - a)/a
+        (not 1/a - 1, which loses digits near a = 1)."""
+        u = self.H + math.sqrt(1.0 + self.H**2)
+        b = (1.0 - self.alpha) / self.alpha
+        return np.array([[1.0 / self.alpha + 1.0 / u**2, b], [b, 1.0 / self.alpha + u**2]])
 
 
 def torus_data(p, H: float) -> TorusData:
-    """Radii and induced metric of the CMC Hopf torus T_a(H)."""
+    """Radii of the CMC Hopf torus T_a(H)."""
     a = as_alpha(p)
     H = as_H(H)
     c = math.sqrt(1.0 + H**2)
     r1sq = 0.5 + H / (2.0 * c)
     r2sq = 1.0 / (2.0 * c * (c + H))  # = 1 - r1sq, which cancels for large H
-    g11 = r1sq * (1.0 - (1.0 - a) * r1sq)
-    g22 = r2sq * (1.0 - (1.0 - a) * r2sq)
-    g12 = -r1sq * r2sq * (1.0 - a)
-    g = np.array([[g11, g12], [g12, g22]])
-    return TorusData(alpha=a, H=H, r1=math.sqrt(r1sq), r2=math.sqrt(r2sq), metric=g)
-
-
-def lattice_and_dual(t: TorusData) -> tuple[LatticeBasis, LatticeBasis]:
-    """Basis (v1, v2) of the defining lattice (scaled by 2 pi) and its dual.
-
-    The Gram matrix of (2 pi v1, 2 pi v2) is 4 pi^2 g, and <v_i, v_j*> =
-    delta_ij, so the dual squared norms are the Laplace eigenvalues.
-    """
-    a = t.alpha
-    r1, r2 = t.r1, t.r2
-    x = 1.0 - (1.0 - a) * r1**2
-    sx = math.sqrt(x)
-    sa = math.sqrt(a)
-    v1 = np.array([r1 * sx, 0.0])
-    v2 = (r2 / sx) * np.array([-r1 * r2 * (1.0 - a), sa])
-    v1s = (1.0 / sx) * np.array([1.0 / r1, r2 * (1.0 - a) / sa])
-    v2s = np.array([0.0, sx / (r2 * sa)])
-    return LatticeBasis(v1, v2), LatticeBasis(v1s, v2s)
+    return TorusData(alpha=a, H=H, r1=math.sqrt(r1sq), r2=math.sqrt(r2sq))
 
 
 @dataclass
@@ -103,7 +72,8 @@ class CutoffError(RuntimeError):
 
 
 def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
-    """Laplace spectrum {|m v1* + n v2*|^2} by brute-force dual enumeration.
+    """Laplace spectrum {(m, n) G (m, n)^T}, G = t.dual_gram, by brute-force
+    enumeration of (m, n) in [-N, N]^2.
 
     Certified: the minimum of the quadratic form on the continuous boundary
     of the [-N, N]^2 box bounds every lattice point outside the box, so the
@@ -111,8 +81,7 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     """
     if not TORUS_MIN_N <= N <= TORUS_MAX_N:
         raise ValueError(f"need enumeration cutoff {TORUS_MIN_N} <= N <= {TORUS_MAX_N}, got {N}")
-    _, dual = lattice_and_dual(t)
-    G = dual.gram()  # |m v1* + n v2*|^2 = (m,n) G (m,n)^T
+    G = t.dual_gram
     m, n = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
     vals = (G[0, 0] * m**2 + 2.0 * G[0, 1] * m * n + G[1, 1] * n**2).ravel()
     vals.sort()
@@ -168,15 +137,16 @@ def _shortest_norm(G: np.ndarray) -> float:
 
 
 def lambda1_closed_form(p, H: float) -> float:
-    """First nonzero Laplace eigenvalue of T_a(H): the shortest dual norm.
+    """First nonzero Laplace eigenvalue of T_a(H): the least nonzero value
+    of the form dual_gram over the integers.
 
-    Two dual vectors have closed-form norms: v1* - v2* gives 4(H^2+1), the
-    shortest for a <= 1/3 below the threshold H*(a), and v1* gives
-    2 sqrt(H^2+1)/(H + sqrt(H^2+1)) + (1-a)/a, the shortest otherwise up
-    to a = 3.  Beyond, other vectors are shorter (v1* + v2* has 4/a at
-    H = 0), so the reduced dual basis decides.  The closed form is returned
-    unless a vector is shorter by more than GROUP_TOL, which keeps the
-    margins at H*(a) and at the Clifford torus of a = 1/3 exactly zero.
+    Two values have closed forms: (1, -1) gives 4(H^2+1), the least for
+    a <= 1/3 below the threshold H*(a), and (1, 0) gives
+    2 sqrt(H^2+1)/(H + sqrt(H^2+1)) + (1-a)/a, the least otherwise up to
+    a = 3.  Beyond, other values are smaller ((1, 1) gives 4/a at H = 0),
+    so the reduced form decides.  The closed form is returned unless a
+    value is smaller by more than GROUP_TOL, which keeps the margins at
+    H*(a) and at the Clifford torus of a = 1/3 exactly zero.
     """
     a = as_alpha(p)
     H = as_H(H)
@@ -185,7 +155,7 @@ def lambda1_closed_form(p, H: float) -> float:
     else:
         c = math.sqrt(H**2 + 1.0)
         lam = 2.0 * c / (H + c) + (1.0 - a) / a
-    shortest = _shortest_norm(lattice_and_dual(torus_data(a, H))[1].gram())
+    shortest = _shortest_norm(torus_data(a, H).dual_gram)
     return shortest if shortest < lam * (1.0 - GROUP_TOL) else lam
 
 

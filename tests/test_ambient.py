@@ -23,7 +23,8 @@ def _point_and_tangents(rng, k=2):
 
 def test_berger_param_validation():
     assert ambient.as_alpha(0.5) == 0.5 and ambient.as_alpha(3) == 3.0
-    for bad in (0.0, -1.0, math.nan, math.inf):
+    assert ambient.as_alpha(ambient.ALPHA_MIN) == 1e-12
+    for bad in (0.0, -1.0, math.nan, math.inf, 2e-13, 1e-17, 5e-324):
         with pytest.raises(ContractViolation, match="alpha must be positive"):
             ambient.as_alpha(bad)
 

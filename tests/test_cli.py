@@ -240,6 +240,29 @@ def test_bad_meridian_arguments_exit_code(extra, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args,message", [
+    (["profiles", "--alphas", "0.5,-1"], "alpha must be positive"),
+    (["embeddedness", "--alphas", "0.5", "--Hs", "0,-1"], "mean curvature H"),
+])
+def test_bad_list_entry_exit_code_before_any_output(args, message, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error" in captured.err and message in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [
+    ["sphere", "--alpha", "1e-17", "--H", "0"],
+    ["candidate", "--alpha", "2e-13", "--V", "1e-7"],
+    ["profiles", "--alphas", "1e-17"],
+])
+def test_alpha_below_floor_exit_code(args, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert "configuration error: alpha must be positive, at least 1e-12" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("x_max", ["inf", "1e300", "701", "0"])
 def test_bad_embeddedness_range_exit_code(x_max, tmp_path, capsys):
     argv = ["--out", str(tmp_path), "embeddedness", "--alphas", "0.5", "--Hs", "1",

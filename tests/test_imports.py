@@ -55,3 +55,11 @@ def test_candidate_and_profiles_load_no_scipy_integrate(tmp_path):
     loaded = set(scipy_modules_after(code))
     assert "scipy.interpolate" in loaded
     assert not any(m.startswith("scipy.integrate") for m in loaded)
+
+
+def test_profiles_command_loads_no_scipy(tmp_path):
+    # the profile interpolant is built on first use, and profiles never uses it
+    code = ("import bergercmc.cli\n"
+            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'profiles', "
+            "'--alphas', '0.5', '--n', '60']) == 0")
+    assert scipy_modules_after(code) == []

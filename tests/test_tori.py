@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergercmc.stability import LAMBDA1_GAP
-from bergercmc import tori
-from bergercmc.tori import (TORUS_MAX_N, CutoffError, classify_torus, lambda1_closed_form,
-                            lattice_and_dual, torus_area_volume, torus_data, torus_spectrum,
+from bergercmc.tori import (TORUS_MAX_N, CutoffError, TorusData, classify_torus,
+                            lambda1_closed_form, torus_area_volume, torus_data, torus_spectrum,
                             torus_stability_threshold)
 
 ALPHAS = st.floats(min_value=0.02, max_value=4.0)
@@ -16,8 +15,33 @@ HS = st.floats(min_value=0.0, max_value=5.0)
 
 
 # ---------------------------------------------------------------------------
-# torus data and lattice
+# torus data, and the induced metric and lattice as the oracle of dual_gram
 # ---------------------------------------------------------------------------
+
+def metric(t):
+    """Induced metric g of T_a(H) in the (t, s) angles of the two circles."""
+    a, r1sq, r2sq = t.alpha, t.r1**2, t.r2**2
+    g12 = -r1sq * r2sq * (1.0 - a)
+    return np.array([[r1sq * (1.0 - (1.0 - a) * r1sq), g12],
+                     [g12, r2sq * (1.0 - (1.0 - a) * r2sq)]])
+
+
+def lattice_and_dual(t):
+    """Columns (v1, v2) of a lattice basis whose Gram matrix is g, and of its
+    dual basis (<v_i, v_j*> = delta_ij): the dual Gram matrix is g^-1."""
+    a, r1, r2 = t.alpha, t.r1, t.r2
+    sx = math.sqrt(1.0 - (1.0 - a) * r1**2)
+    sa = math.sqrt(a)
+    lat = np.column_stack([[r1 * sx, 0.0], (r2 / sx) * np.array([-r1 * r2 * (1.0 - a), sa])])
+    dual = np.column_stack([(1.0 / sx) * np.array([1.0 / r1, r2 * (1.0 - a) / sa]),
+                            [0.0, sx / (r2 * sa)]])
+    return lat, dual
+
+
+def form(t, m, n):
+    """The Laplace eigenvalue (m, n) dual_gram (m, n)^T."""
+    return float(np.array([m, n]) @ t.dual_gram @ np.array([m, n]))
+
 
 def test_clifford_radii():
     t = torus_data(0.7, 0.0)
@@ -28,28 +52,33 @@ def test_clifford_radii():
 @given(ALPHAS, HS)
 def test_radii_identity_and_detg(alpha, H):
     t = torus_data(alpha, H)
+    g = metric(t)
     assert t.r1**2 + t.r2**2 == pytest.approx(1.0, abs=1e-12)
-    assert t.det_metric == pytest.approx(alpha * t.r1**2 * t.r2**2, abs=1e-12)
-    assert t.det_metric > 0
+    assert np.linalg.det(g) == pytest.approx(alpha * t.r1**2 * t.r2**2, abs=1e-12)
+    assert np.linalg.det(g) > 0
+    assert np.max(np.abs(t.dual_gram - np.linalg.inv(g))) <= 1e-12 * np.max(t.dual_gram)
 
 
 def test_detg_clifford_third():
-    assert torus_data(1 / 3, 0.0).det_metric == pytest.approx(1 / 12, abs=1e-15)
+    assert np.linalg.det(metric(torus_data(1 / 3, 0.0))) == pytest.approx(1 / 12, abs=1e-15)
 
 
 def test_round_clifford_lattice_rectangular():
-    lat, _ = lattice_and_dual(torus_data(1.0, 0.0))
+    t = torus_data(1.0, 0.0)
+    lat, _ = lattice_and_dual(t)
     s = 1 / math.sqrt(2)
-    assert lat.v1 == pytest.approx([s, 0.0], abs=1e-15)
-    assert lat.v2 == pytest.approx([0.0, s], abs=1e-15)
+    assert lat[:, 0] == pytest.approx([s, 0.0], abs=1e-15)
+    assert lat[:, 1] == pytest.approx([0.0, s], abs=1e-15)
+    assert np.array_equal(t.dual_gram, 2.0 * np.eye(2))
 
 
 @given(ALPHAS, HS)
 def test_lattice_duality_and_gram(alpha, H):
     t = torus_data(alpha, H)
     lat, dual = lattice_and_dual(t)
-    assert np.max(np.abs(lat.matrix().T @ dual.matrix() - np.eye(2))) < 1e-12
-    assert np.max(np.abs(lat.gram() - t.metric)) < 1e-12  # 2pi scaling: 4pi^2 g
+    assert np.max(np.abs(lat.T @ dual - np.eye(2))) < 1e-12
+    assert np.max(np.abs(lat.T @ lat - metric(t))) < 1e-12  # 2pi scaling: 4pi^2 g
+    assert np.max(np.abs(dual.T @ dual - t.dual_gram)) <= 1e-12 * np.max(t.dual_gram)
 
 
 def test_dual_norm_value_third():
@@ -57,10 +86,34 @@ def test_dual_norm_value_third():
     lat, dual = lattice_and_dual(t)
     # |v2*|^2 = (1 - (1-a) r1^2) / (r2^2 a) = (2/3)/(1/6) = 4
     x = 1 - (1 - 1 / 3) * t.r1**2
-    assert float(dual.v2 @ dual.v2) == pytest.approx(x / (t.r2**2 * (1 / 3)), rel=1e-12)
-    assert float(dual.v2 @ dual.v2) == pytest.approx(4.0, rel=1e-12)
-    inv_t = np.linalg.inv(lat.matrix()).T
-    assert np.max(np.abs(inv_t - dual.matrix())) < 1e-12
+    assert float(dual[:, 1] @ dual[:, 1]) == pytest.approx(x / (t.r2**2 * (1 / 3)), rel=1e-12)
+    assert float(dual[:, 1] @ dual[:, 1]) == pytest.approx(4.0, rel=1e-12)
+    assert np.max(np.abs(np.linalg.inv(lat).T - dual)) < 1e-12
+    # the Clifford torus of a = 1/3 sits on the bound: lambda(1, 0) = lambda(1, -1) = 4
+    assert form(t, 1, 0) == pytest.approx(4.0, rel=1e-15)
+    assert form(t, 1, -1) == pytest.approx(4.0, rel=1e-15)
+    assert form(t, 0, 1) == pytest.approx(4.0, rel=1e-15)
+
+
+def test_dual_gram_matches_mpmath():
+    # u = r1/r2 = H + sqrt(1 + H^2), b = (1 - a)/a: within a few ulps up to H_MAX
+    import mpmath
+
+    from bergercmc.ambient import H_MAX
+    worst = 0.0
+    with mpmath.workdps(50):
+        for a in np.concatenate([np.geomspace(1e-6, 1e4, 41), [1 - 1e-9, 1 + 1e-9, 1 / 3]]):
+            for H in np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, H_MAX, 40)]):
+                G = torus_data(a, H).dual_gram
+                ma, h = mpmath.mpf(float(a)), mpmath.mpf(float(H))
+                u = h + mpmath.sqrt(1 + h**2)
+                b = (1 - ma) / ma
+                want = ((1 / ma + 1 / u**2, b), (b, 1 / ma + u**2))
+                for i in range(2):
+                    for j in range(2):
+                        err = abs(G[i, j] - want[i][j])  # b = 0 exactly at a = 1
+                        worst = max(worst, float(err / abs(want[i][j])) if err else 0.0)
+    assert worst <= 2e-15
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +191,10 @@ def test_lambda1_above_three_is_shortest_dual_vector(a):
         assert lam_c <= _two_branch(a, H)
     # at H = 0 the dual vector v1* + v2* has 4/a, below the branch value 1 + 1/a
     _, dual = lattice_and_dual(torus_data(a, 0.0))
-    s = dual.v1 + dual.v2
+    s = dual[:, 0] + dual[:, 1]
     assert lambda1_closed_form(a, 0.0) == pytest.approx(float(s @ s), rel=1e-12)
+    assert lambda1_closed_form(a, 0.0) == pytest.approx(form(torus_data(a, 0.0), 1, 1),
+                                                        rel=1e-12)
     assert lambda1_closed_form(a, 0.0) == pytest.approx(4.0 / a, rel=1e-12)
 
 
@@ -161,9 +216,9 @@ def test_spectrum_cutoff_above_maximum_raises_before_enumerating(monkeypatch):
     assert torus_spectrum(td, N=TORUS_MAX_N).lambda1 == pytest.approx(3.0, rel=1e-12)
 
     def no_enumeration(*_args, **_kwargs):
-        raise AssertionError("the lattice was built before the cutoff check")
+        raise AssertionError("the quadratic form was built before the cutoff check")
 
-    monkeypatch.setattr(tori, "lattice_and_dual", no_enumeration)  # runs before the meshgrid
+    monkeypatch.setattr(TorusData, "dual_gram", property(no_enumeration))  # read before the meshgrid
     for N in (TORUS_MAX_N + 1, 100000):
         with pytest.raises(ValueError, match=f"N <= {TORUS_MAX_N}, got {N}"):
             torus_spectrum(td, N=N)
@@ -173,9 +228,11 @@ def test_dual_difference_identity():
     # the (1, -1) dual vector realizes the Jacobi constant for every (a, H)
     for a in (1e-3, 0.2, 1.0, 2.7):
         for H in (0.0, 0.5, 3.0):
-            _, dual = lattice_and_dual(torus_data(a, H))
-            diff = dual.v1 - dual.v2
+            t = torus_data(a, H)
+            _, dual = lattice_and_dual(t)
+            diff = dual[:, 0] - dual[:, 1]
             assert float(diff @ diff) == pytest.approx(4 * (H**2 + 1), rel=1e-12)
+            assert form(t, 1, -1) == pytest.approx(4 * (H**2 + 1), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +298,7 @@ def round_solid_torus_volume(s: float) -> float:
 def test_area_from_lattice_and_volume_from_round_formula(alpha, H):
     t = torus_data(alpha, H)
     area, vol = torus_area_volume(alpha, H)
-    assert area == pytest.approx(4 * math.pi**2 * math.sqrt(t.det_metric), rel=1e-12)
+    assert area == pytest.approx(4 * math.pi**2 * math.sqrt(np.linalg.det(metric(t))), rel=1e-12)
     assert vol == pytest.approx(
         math.sqrt(alpha) * round_solid_torus_volume(t.r1**2), rel=1e-12)
     assert vol <= math.pi**2 * math.sqrt(alpha) * (1 + 1e-12)  # smaller side
