@@ -81,6 +81,10 @@ def cmd_sphere(args) -> int:
     verdict = classify_sphere(args.alpha, args.H)
     area = area_sphere_closed(args.alpha, args.H)
     spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
+    if args.meridian_n:
+        m = reconstruct_meridian(args.alpha, args.H, (-args.x_max, args.x_max),
+                                 args.meridian_n)
+        r = is_embedded(m)
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"koiso_integral = {verdict.margin:.12g}")
@@ -92,9 +96,6 @@ def cmd_sphere(args) -> int:
     spec.to_csv(out)
     print(f"wrote {out}")
     if args.meridian_n:
-        m = reconstruct_meridian(args.alpha, args.H, (-args.x_max, args.x_max),
-                                 args.meridian_n)
-        r = is_embedded(m)
         print(f"embeddedness = {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g}, "
               f"crossings {r.crossings})")
         mpath = _outdir(args) / f"meridian_alpha{args.alpha:g}_H{args.H:g}.csv"
@@ -154,16 +155,14 @@ def cmd_regions(args) -> int:
 
 
 def cmd_embeddedness(args) -> int:
-    out = _outdir(args)
-    rows = []
-    for a in args.alphas:
-        for H in args.Hs:
-            m = reconstruct_meridian(a, H, (-args.x_max, args.x_max), args.n)
-            r = is_embedded(m)
-            rows.append((a, H, EMBEDDED_FLAG[r.embedded], r.margin))
-            print(f"alpha={a:g} H={H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
-    path = out / "figure1_embeddedness.csv"
-    write_csv(path, ("alpha", "H", "embedded", "margin"), rows)
+    verdicts = [(a, H, is_embedded(reconstruct_meridian(a, H, (-args.x_max, args.x_max),
+                                                        args.n)))
+                for a in args.alphas for H in args.Hs]
+    for a, H, r in verdicts:
+        print(f"alpha={a:g} H={H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
+    path = _outdir(args) / "figure1_embeddedness.csv"
+    write_csv(path, ("alpha", "H", "embedded", "margin"),
+              [(a, H, EMBEDDED_FLAG[r.embedded], r.margin) for a, H, r in verdicts])
     print(f"wrote {path}")
     return 0
 

@@ -27,9 +27,8 @@ of the orbit space.
 
 The module evaluates these, checks the integrability conditions and the
 Gauss equation, computes areas, evaluates the meridian curve in S^3 with
-its normal (the moving-frame ODE stays as the independent oracle route),
-and decides embeddedness through the orbit-space projection of the
-meridian.
+its normal, and decides embeddedness through the orbit-space projection
+of the meridian.
 """
 
 from __future__ import annotations
@@ -39,21 +38,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H, frame_at
+from .ambient import as_alpha, as_H
 from .geometry2d import polyline_self_intersection_report
 from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
-MERIDIAN_RTOL, MERIDIAN_ATOL = 1e-10, 1e-12  # moving-frame ODE tolerances
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 MERIDIAN_MIN_N = 64  # fewest meridian samples
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
-# (z, w) -> (conj z, -conj w) is an isometry of every Berger sphere that maps
-# S_a(H) to itself and swaps its halves x > 0 and x < 0; on the moving-frame
-# state (gamma, a, b, n) it acts by these signs, and rhs(-x, R y) = -R rhs(x, y)
-REFLECT = np.array([1, -1, -1, 1, 1, 1, -1, 1, 1, -1, -1, -1, 1], dtype=float)
 
 
 # scipy loads on first call, so importing this module costs no scipy import;
@@ -63,13 +57,14 @@ def quad(*args, **kwargs):
     return scipy.integrate.quad(*args, **kwargs)
 
 
+# unused since the meridian has a closed form; bench/tracer.py SPEC wraps it
 def solve_ivp(*args, **kwargs):
     import scipy.integrate
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 class ReconstructionError(RuntimeError):
-    """A meridian violated a profile invariant, or its ODE oracle failed."""
+    """A meridian violated a profile invariant."""
 
 
 class ConsistencyError(RuntimeError):
@@ -305,56 +300,6 @@ class MeridianProfile:
                                    self.C_residual]))
 
 
-def _frame_ode_rhs(alpha: float, H: float):
-    """Right-hand side of the 13-dimensional moving-frame system.
-
-    State: gamma (4), then the coefficients of e^-v Phi_x, e^-v Phi_y and N
-    in the g_a-orthonormal frame (xi = V/sqrt(a), E1, E2).  The connection
-    coefficients come from the Koszul formula for the left-invariant metric
-    (nabla_X xi = sqrt(a) X ^ xi for horizontal X, and the xi-derivatives
-    pick up the extra (a-2)/sqrt(a) rotation).
-    """
-    sa = math.sqrt(alpha)
-    ha = H**2 + alpha
-    c1 = (alpha - 2.0) / sa  # coefficient of nabla_xi E1 = c1 E2
-
-    def rhs(x, y):
-        # Python floats, not small arrays: the solver calls this tens of
-        # thousands of times per meridian.  Each component repeats the
-        # operations of the array form, with (V, E1, E2) = frame_at(gamma),
-        # in the same order, so the solution is bitwise unchanged.
-        g0, g1, g2, g3, a0, a1, a2, b0, b1, b2, n0, n1, n2 = y.tolist()
-
-        ch = math.cosh(x)
-        den = (1.0 - alpha) + ha * ch * ch
-        conf = ha * ch * ch / (den * den)
-        ev = math.sqrt(conf)
-        mu = H / (math.sqrt(ha) * ch)
-        nu = -(1.0 - alpha) * sa / (den * math.sqrt(ha) * ch)
-
-        # Omega(a): frame rotation along the curve, antisymmetric
-        O01 = sa * a2
-        O02 = -sa * a1
-        O12 = -c1 * a0
-        ra0, ra1, ra2 = O01 * a1 + O02 * a2, -O01 * a0 + O12 * a2, -O02 * a0 - O12 * a1
-        rb0, rb1, rb2 = O01 * b1 + O02 * b2, -O01 * b0 + O12 * b2, -O02 * b0 - O12 * b1
-        rn0, rn1, rn2 = O01 * n1 + O02 * n2, -O01 * n0 + O12 * n2, -O02 * n0 - O12 * n1
-
-        return np.array([
-            ev * (a0 * -g1 / sa + a1 * -g2 + a2 * -g3),
-            ev * (a0 * g0 / sa + a1 * g3 + a2 * -g2),
-            ev * (a0 * -g3 / sa + a1 * g0 + a2 * g1),
-            ev * (a0 * g2 / sa + a1 * -g1 + a2 * g0),
-            -ev * ra0 + mu * n0, -ev * ra1 + mu * n1, -ev * ra2 + mu * n2,
-            -ev * rb0 + nu * n0, -ev * rb1 + nu * n1, -ev * rb2 + nu * n2,
-            -ev * rn0 - mu * a0 - nu * b0,
-            -ev * rn1 - mu * a1 - nu * b1,
-            -ev * rn2 - mu * a2 - nu * b2,
-        ])
-
-    return rhs
-
-
 def meridian_range(x_range) -> tuple[float, float]:
     """Validated meridian endpoints (lo, hi): finite, lo < 0 < hi, both within
     MERIDIAN_X_LIMIT of the equator."""
@@ -363,42 +308,6 @@ def meridian_range(x_range) -> tuple[float, float]:
         raise ValueError(f"x_range must contain the equator x = 0 and lie within "
                          f"+-{MERIDIAN_X_LIMIT:g}, got ({lo}, {hi})")
     return lo, hi
-
-
-def _frame_states(a: float, H: float, xs: np.ndarray) -> np.ndarray:
-    """Moving-frame state (gamma, a, b, n) at the samples xs, one row each."""
-    sa = math.sqrt(a)
-    rho = math.sqrt(H**2 + a)
-    gamma0 = np.array([1.0, 0.0, 0.0, 0.0])
-    a0 = np.array([-H / rho, sa / rho, 0.0])
-    b0 = np.array([sa / rho, H / rho, 0.0])
-    n0 = np.array([0.0, 0.0, 1.0])
-    y0 = np.concatenate([gamma0, a0, b0, n0])
-
-    t_eval, where = np.unique(np.abs(xs), return_inverse=True)
-    sol = solve_ivp(_frame_ode_rhs(a, H), (0.0, t_eval[-1]), y0, method="DOP853",
-                    t_eval=t_eval, rtol=MERIDIAN_RTOL, atol=MERIDIAN_ATOL)
-    if not sol.success:
-        raise ReconstructionError(f"ODE integration failed: {sol.message}")
-    out = sol.y.T[where]
-    # + 0.0 turns the -0.0 of a reflected identically-zero component (H = 0)
-    # into the +0.0 the backward integration writes
-    out[xs < 0.0] = out[xs < 0.0] * REFLECT + 0.0
-    return out
-
-
-def _ode_meridian(a: float, H: float, xs: np.ndarray):
-    """Oracle route: (points, normals, Phi_y, C_residual) from the ODE states."""
-    out = _frame_states(a, H, xs)
-    points = out[:, 0:4]
-    coeff_b = out[:, 7:10]
-    coeff_n = out[:, 10:13]
-    V, E1, E2 = frame_at(points)
-    xi = V / math.sqrt(a)
-    normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
-    ev = np.sqrt(fundamental_data(a, H).conf(xs))[:, None]
-    phi_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
-    return points, normals, phi_y, coeff_n[:, 0] - np.tanh(xs)
 
 
 def _as_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -459,9 +368,8 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     Evaluates the closed form of the module docstring: the curve gamma and
     the g_a-unit normal N, built from the analytic gamma_x and the orbit
     tangent W gamma in the frame (xi, E1, E2) and oriented so
-    that N = E2 at the equator x = 0, as in the moving-frame ODE
-    (_frame_states), which stays as the independent oracle.  Raises
-    ReconstructionError if a residual breaks RESIDUAL_TOL.
+    that N = E2 at the equator x = 0.  Raises ReconstructionError if a
+    residual breaks RESIDUAL_TOL.
     """
     a, H = as_alpha(p), as_H(H)
     if n < MERIDIAN_MIN_N:

@@ -11,10 +11,10 @@ import math
 import numpy as np
 
 from . import ambient, regions, tori
-from .cmc_spheres import (_ode_meridian, area_sphere, area_sphere_closed,
-                          fit_orbit_generator, fundamental_data, gauss_bonnet_integral,
-                          gauss_curvature, integrability_residual, is_embedded,
-                          planarity_report, reconstruct_meridian, zchart_data)
+from .cmc_spheres import (area_sphere, area_sphere_closed, fit_orbit_generator,
+                          fundamental_data, gauss_bonnet_integral, gauss_curvature,
+                          integrability_residual, is_embedded, planarity_report,
+                          reconstruct_meridian, zchart_data)
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
                            sphere_profile, sphere_volume, sphere_volume_rate)
@@ -157,11 +157,17 @@ def check_isoperimetry():
 def check_reconstruction():
     for a, H in ((1.0, 0.0), (0.5, 1.0)):
         m = reconstruct_meridian(a, H, (-8, 8), 2048)
-        ode = _ode_meridian(a, H, m.x)  # the moving-frame ODE route
         wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
-        want_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)  # exact W gamma
-        for got, want in zip((m.points, m.normals, want_y), ode):
-            assert np.max(np.abs(got - want)) <= 1e-9, "closed-form meridian vs ODE"
+        phi_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)  # exact W gamma
+
+        def g(u, v):
+            return ambient.metric_eval(a, m.points, u, v)
+
+        conf = fundamental_data(a, H).conf(m.x)
+        assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-12, "|gamma| = 1"
+        assert np.max(np.abs(g(phi_y, phi_y) / conf - 1.0)) <= 1e-10, "g_a(W gamma, W gamma) = conf"
+        assert np.max(np.abs(g(m.normals, m.normals) - 1.0)) <= 1e-12, "g_a(N, N) = 1"
+        assert np.max(np.abs(g(m.normals, phi_y))) <= 1e-12, "g_a(N, W gamma) = 0"
     m = reconstruct_meridian(1.0, 0.0, (-8, 8), 2048)
     assert m.max_metric_residual < 1e-4 and m.max_C_residual < 1e-6
     pl = planarity_report(m.points)

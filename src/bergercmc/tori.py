@@ -43,6 +43,14 @@ class TorusData:
         b = (1.0 - self.alpha) / self.alpha
         return np.array([[1.0 / self.alpha + 1.0 / u**2, b], [b, 1.0 / self.alpha + u**2]])
 
+    def pairing(self, v, w):
+        """v g^-1 w^T for v = (m, n) and w = (m', n') (numbers or arrays), term by
+        term: (m + n)(m' + n')/a + (m/u - n u)(m'/u - n' u).  The entries of
+        dual_gram would cancel where a >> 1, or a << 1 with H > 0."""
+        u = self.H + math.sqrt(1.0 + self.H**2)
+        return ((v[0] + v[1]) * (w[0] + w[1]) / self.alpha
+                + (v[0] / u - v[1] * u) * (w[0] / u - w[1] * u))
+
 
 def torus_data(p, H: float) -> TorusData:
     """Radii of the CMC Hopf torus T_a(H)."""
@@ -72,8 +80,8 @@ class CutoffError(RuntimeError):
 
 
 def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
-    """Laplace spectrum {(m, n) G (m, n)^T}, G = t.dual_gram, by brute-force
-    enumeration of (m, n) in [-N, N]^2.
+    """Laplace spectrum {t.pairing((m, n), (m, n))} by brute-force enumeration
+    of (m, n) in [-N, N]^2.
 
     Certified: the minimum of the quadratic form on the continuous boundary
     of the [-N, N]^2 box bounds every lattice point outside the box, so the
@@ -83,18 +91,15 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
         raise ValueError(f"need enumeration cutoff {TORUS_MIN_N} <= N <= {TORUS_MAX_N}, got {N}")
     G = t.dual_gram
     m, n = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
-    vals = (G[0, 0] * m**2 + 2.0 * G[0, 1] * m * n + G[1, 1] * n**2).ravel()
+    vals = t.pairing((m, n), (m, n)).ravel()
     vals.sort()
 
     # smallest value of the form on the boundary of the box (continuous)
     def edge_min(fixed, axis):
         # minimize Q(x, y) over y in [-N, N] with x = fixed (or swapped)
-        aa = G[1, 1] if axis == 0 else G[0, 0]
-        bb = G[0, 1] * fixed
-        y = min(max(-bb / aa, -N), N)
-        if axis == 0:
-            return G[0, 0] * fixed**2 + 2 * G[0, 1] * fixed * y + G[1, 1] * y**2
-        return G[0, 0] * y**2 + 2 * G[0, 1] * y * fixed + G[1, 1] * fixed**2
+        y = min(max(-G[0, 1] * fixed / G[1 - axis, 1 - axis], -N), N)
+        v = (fixed, y) if axis == 0 else (y, fixed)
+        return t.pairing(v, v)
 
     shell = min(edge_min(N, 0), edge_min(-N, 0), edge_min(N, 1), edge_min(-N, 1))
 
@@ -122,23 +127,27 @@ def torus_stability_threshold(alpha: float) -> float:
     return (1.0 - 3.0 * alpha) / (2.0 * math.sqrt(alpha * (1.0 - 2.0 * alpha)))
 
 
-def _shortest_norm(G: np.ndarray) -> float:
-    """Smallest nonzero value of (m, n) G (m, n)^T over the integers, by
-    Lagrange-Gauss reduction of the 2x2 Gram matrix G."""
+def _shortest_norm(t: TorusData) -> float:
+    """Smallest nonzero value of the form t.pairing over the integers, by
+    Lagrange-Gauss reduction of the Gram matrix dual_gram; the reduced
+    vector (m, n) is tracked and the form evaluated there term by term."""
+    G = t.dual_gram
     g11, g12, g22 = float(G[0, 0]), float(G[0, 1]), float(G[1, 1])
+    v, w = (1, 0), (0, 1)
     while True:
         if g22 < g11:
-            g11, g22 = g22, g11
+            g11, g22, v, w = g22, g11, w, v
         mu = round(g12 / g11)
         if mu == 0:
-            return g11
+            return t.pairing(v, v)
         g22 += mu * (mu * g11 - 2.0 * g12)
         g12 -= mu * g11
+        w = (w[0] - mu * v[0], w[1] - mu * v[1])
 
 
 def lambda1_closed_form(p, H: float) -> float:
     """First nonzero Laplace eigenvalue of T_a(H): the least nonzero value
-    of the form dual_gram over the integers.
+    of the form over the integers.
 
     Two values have closed forms: (1, -1) gives 4(H^2+1), the least for
     a <= 1/3 below the threshold H*(a), and (1, 0) gives
@@ -155,7 +164,7 @@ def lambda1_closed_form(p, H: float) -> float:
     else:
         c = math.sqrt(H**2 + 1.0)
         lam = 2.0 * c / (H + c) + (1.0 - a) / a
-    shortest = _shortest_norm(torus_data(a, H).dual_gram)
+    shortest = _shortest_norm(torus_data(a, H))
     return shortest if shortest < lam * (1.0 - GROUP_TOL) else lam
 
 

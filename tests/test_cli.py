@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bergercmc.cli import main
@@ -216,6 +217,65 @@ def test_selftest_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli.selfcheck, "run", lambda verbose=True: ["fake-invariant"])
     assert cli.main(["selftest"]) == 3
     assert "fake-invariant" in capsys.readouterr().err
+
+
+SELFTEST_NAMES = ["volume-form", "zchart-transport", "integrability-order", "gauss-equation",
+                  "areas", "potential-universality", "koiso", "volume-rate", "jacobi-spectrum",
+                  "torus", "regions", "integrand-sign", "isoperimetry", "reconstruction"]
+
+
+def test_selftest_prints_each_check(capsys):
+    assert main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        [f"PASS {name}" for name in SELFTEST_NAMES] + ["all invariants passed"])
+
+
+def _off_sphere(m):
+    m.points *= 1.0 + 1e-9
+
+
+def _normals_not_unit(m):
+    m.normals *= 1.0 + 1e-9
+
+
+def _normals_tilted_toward_orbit(m):
+    # still g_a-unit, but no longer g_a-orthogonal to d Phi / dy = W gamma
+    from bergercmc.cmc_spheres import fit_orbit_generator, fundamental_data
+
+    wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
+    phi_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)
+    unit = phi_y / np.sqrt(fundamental_data(m.alpha, m.H).conf(m.x))[:, None]
+    m.normals = math.cos(1e-6) * m.normals + math.sin(1e-6) * unit
+
+
+@pytest.mark.parametrize("breakage", [_off_sphere, _normals_not_unit,
+                                      _normals_tilted_toward_orbit])
+def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeypatch):
+    from bergercmc import selfcheck
+
+    real = selfcheck.reconstruct_meridian
+
+    def broken(*args, **kwargs):
+        m = real(*args, **kwargs)
+        breakage(m)
+        return m
+
+    monkeypatch.setattr(selfcheck, "reconstruct_meridian", broken)
+    assert selfcheck.run(verbose=False) == ["reconstruction"]
+
+
+@pytest.mark.parametrize("args", [
+    ["embeddedness", "--alphas", "1e-12", "--Hs", "0,1"],
+    ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048", "--x-max", "30"],
+])
+def test_numerical_failure_exits_3_before_any_output(args, tmp_path, capsys):
+    # the H = 0 verdict and the sphere's spectrum succeed; the meridian at
+    # H = 1 fails its finite-difference contract
+    out = tmp_path / "out"
+    assert main(["--out", str(out), *args]) == 3
+    captured = capsys.readouterr()
+    assert "numerical contract failure: reconstruction invariants violated" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_sphere_meridian_export(tmp_path, capsys):

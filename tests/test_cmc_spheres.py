@@ -333,96 +333,44 @@ def _frame_rhs_reference(alpha, H, x, y):
                            -ev * rot(nn) - mu * a - nu * b])
 
 
-def test_frame_rhs_matches_array_reference():
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
-        H = rng.uniform(0.0, 3.0)
-        x = rng.uniform(-9.0, 9.0)
-        y = rng.standard_normal(13)
-        got = cmc_spheres._frame_ode_rhs(alpha, H)(x, y)
-        np.testing.assert_allclose(got, _frame_rhs_reference(alpha, H, x, y), rtol=1e-15, atol=0)
-
-
 def _two_sided_states(a, H, xs):
-    """The frame states from two solves, outward from x = 0 in each direction."""
+    """The frame states (gamma, a, b, n) at the samples xs, one row each, from
+    two solves outward from x = 0; xs must straddle 0."""
     sa, rho = math.sqrt(a), math.sqrt(H**2 + a)
     y0 = np.array([1.0, 0.0, 0.0, 0.0, -H / rho, sa / rho, 0.0,
                    sa / rho, H / rho, 0.0, 0.0, 0.0, 1.0])
-    rhs = cmc_spheres._frame_ode_rhs(a, H)
     out = np.empty((len(xs), 13))
     for sign, xcut in ((1.0, xs[-1]), (-1.0, xs[0])):
         sel = xs >= 0 if sign > 0 else xs <= 0
         t_eval = xs[sel] if sign > 0 else xs[sel][::-1]
-        sol = solve_ivp(rhs, (0.0, xcut), y0, method="DOP853", t_eval=t_eval,
-                        rtol=cmc_spheres.MERIDIAN_RTOL, atol=cmc_spheres.MERIDIAN_ATOL)
-        if not sol.success:
-            raise ReconstructionError(f"ODE integration failed: {sol.message}")
+        sol = solve_ivp(lambda x, y: _frame_rhs_reference(a, H, x, y), (0.0, xcut), y0,
+                        method="DOP853", t_eval=t_eval, rtol=1e-10, atol=1e-12)
+        assert sol.success, sol.message
         out[sel] = sol.y.T if sign > 0 else sol.y.T[::-1]
     return out
 
 
-# H = 0, a = 1, a > 1, small a; odd and even n; x_max 6, 8, 9, 12
-ORACLE_CASES = [(0.5, 0.0, 8.0, 1024), (0.3, 0.0, 9.0, 777), (1.0, 0.0, 8.0, 1024),
-                (1.0, 1.0, 8.0, 1025), (2.0, 0.0, 12.0, 4097), (2.0, 1.5, 6.0, 512),
-                (50.0, 0.5, 6.0, 4095), (50.0, 0.0, 8.0, 4096), (0.02, 1.0, 9.0, 3001),
-                (0.01, 1.0, 9.0, 2048), (0.005, 0.3, 12.0, 4096),
-                (50.0, 1.0, 8.0, 2048), (1e-3, 1.0, 8.0, 2048)]
+def _ode_meridian(a, H, xs):
+    """(points, normals, Phi_y, C_residual) of the moving-frame ODE at xs."""
+    from bergercmc.ambient import frame_at
+
+    out = _two_sided_states(a, H, xs)
+    points, coeff_b, coeff_n = out[:, 0:4], out[:, 7:10], out[:, 10:13]
+    V, E1, E2 = frame_at(points)
+    xi = V / math.sqrt(a)
+    normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
+    ev = np.sqrt(fundamental_data(a, H).conf(xs))[:, None]
+    phi_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
+    return points, normals, phi_y, coeff_n[:, 0] - np.tanh(xs)
 
 
-@pytest.mark.parametrize("a,H,x_max,n", ORACLE_CASES)
-def test_single_solve_matches_two_sided_oracle_bitwise(a, H, x_max, n, monkeypatch):
-    xs = np.linspace(-x_max, x_max, n)
-    # as values the states agree everywhere; only the x = 0 sample's unused
-    # Phi_x coefficient -H/rho may differ in the sign of its zero at H = 0
-    assert np.array_equal(cmc_spheres._frame_states(a, H, xs), _two_sided_states(a, H, xs))
-    got = cmc_spheres._ode_meridian(a, H, xs)
-    monkeypatch.setattr(cmc_spheres, "_frame_states", _two_sided_states)
-    want = cmc_spheres._ode_meridian(a, H, xs)
-    # tobytes: signed zeros count (at H = 0 some components vanish identically)
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-
-
-def test_frame_rhs_reflection_identity():
-    # rhs(-x, R y) = -R rhs(x, y) operation for operation: cosh is even and
-    # every other term only changes sign
-    R = cmc_spheres.REFLECT
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        alpha = math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
-        H = rng.choice([0.0, rng.uniform(0.0, 3.0)])
-        x = rng.uniform(0.0, 12.0)
-        y = rng.standard_normal(13)
-        rhs = cmc_spheres._frame_ode_rhs(alpha, H)
-        assert rhs(-x, R * y).tobytes() == (-(R * rhs(x, y))).tobytes()
-
-
-def test_one_solve_per_meridian(monkeypatch):
+def test_meridian_makes_no_ode_solve(monkeypatch):
+    # the production meridian is the closed form
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(cmc_spheres, "solve_ivp", counting)
-    for x_range, n in (((-8, 8), 1024), ((-8, 8), 1025), ((-5, 9), 700), ((-9, 4), 700)):
-        calls.clear()
-        cmc_spheres._frame_states(0.5, 1.0, np.linspace(*x_range, n))
-        assert calls == [(0.0, max(-x_range[0], x_range[1]))]
-        # the production meridian is the closed form: no ODE solve at all
-        calls.clear()
+    monkeypatch.setattr(cmc_spheres, "solve_ivp", lambda *args, **kwargs: calls.append(args))
+    for x_range in ((-8, 8), (-5, 9), (-9, 4)):
         reconstruct_meridian(0.5, 1.0, x_range, 2048)
-        assert calls == []
-
-
-@pytest.mark.parametrize("x_range", [(-6.0, 9.0), (-9.0, 4.5), (-12.0, 8.0), (-3.0, 7.0)])
-def test_asymmetric_range_close_to_oracle(x_range):
-    # the shorter side's last step is no longer clipped at its endpoint, so
-    # only its samples in that step may move, within the ODE tolerances
-    xs = np.linspace(*x_range, 1500)
-    got = cmc_spheres._frame_states(0.3, 0.8, xs)
-    np.testing.assert_allclose(got, _two_sided_states(0.3, 0.8, xs), rtol=0, atol=1e-11)
+    assert calls == []
 
 
 @pytest.mark.parametrize("x_range", [(-math.inf, 8.0), (-8.0, math.inf), (-math.nan, 8.0),
@@ -441,28 +389,10 @@ def test_meridian_range_limit():
 
 
 def test_meridian_postprocessing_matches_per_sample_loop():
-    from bergercmc.ambient import frame_at, metric_eval
+    from bergercmc.ambient import metric_eval
 
-    a, H, n = 0.01, 1.0, 2048  # even n on a symmetric range: x = 0 is not a sample
-    xs = np.linspace(-9, 9, n)
-    points, normals, tangent_y, C_residual = cmc_spheres._ode_meridian(a, H, xs)
-    out = _two_sided_states(a, H, xs)
-    assert np.array_equal(out[:, 0:4], points)
-    coeff_b, coeff_n = out[:, 7:10], out[:, 10:13]
-    assert np.array_equal(coeff_n[:, 0] - np.tanh(xs), C_residual)
-
-    sa = math.sqrt(a)
+    a, H, n = 0.01, 1.0, 2048
     d = fundamental_data(a, H)
-    ev = np.sqrt(d.conf(xs))
-    loop_normals, loop_tangent_y = np.empty_like(points), np.empty_like(points)
-    for i in range(n):
-        V, E1, E2 = frame_at(points[i])
-        xi = V / sa
-        loop_normals[i] = coeff_n[i, 0] * xi + coeff_n[i, 1] * E1 + coeff_n[i, 2] * E2
-        loop_tangent_y[i] = ev[i] * (coeff_b[i, 0] * xi + coeff_b[i, 1] * E1 + coeff_b[i, 2] * E2)
-    assert np.array_equal(loop_normals, normals)
-    assert np.array_equal(loop_tangent_y, tangent_y)
-
     # the production residual of the closed-form curve is |speed^2 / conf - 1|;
     # 1e-12 relative to speed^2 is 1e-12 absolute on it
     m = reconstruct_meridian(a, H, (-9, 9), n)
@@ -492,7 +422,7 @@ def _w_gamma(m):
 @pytest.mark.parametrize("a,H,x_max,n", CLOSED_FORM_CASES)
 def test_closed_form_matches_ode_oracle(a, H, x_max, n):
     m = reconstruct_meridian(a, H, (-x_max, x_max), n)
-    points, normals, phi_y, C_residual = cmc_spheres._ode_meridian(a, H, m.x)
+    points, normals, phi_y, C_residual = _ode_meridian(a, H, m.x)
     w_gamma = _w_gamma(m)  # the exact W
     for got, want in ((m.points, points), (w_gamma, phi_y), (m.normals, normals)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -539,7 +469,7 @@ def _lstsq_orbit_generator(x, points, tangent_y):
 def test_exact_orbit_generator_matches_lstsq_oracle(a, H, x_max, n):
     # W fitted to the moving-frame ODE's gamma and Phi_y
     m = reconstruct_meridian(a, H, (-x_max, x_max), n)
-    points, _, phi_y, _ = cmc_spheres._ode_meridian(a, H, m.x)
+    points, _, phi_y, _ = _ode_meridian(a, H, m.x)
     fitted = _lstsq_orbit_generator(m.x, points, phi_y)
     np.testing.assert_allclose(fit_orbit_generator(m), fitted, rtol=0, atol=1e-10)
 

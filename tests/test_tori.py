@@ -198,6 +198,28 @@ def test_lambda1_above_three_is_shortest_dual_vector(a):
     assert lambda1_closed_form(a, 0.0) == pytest.approx(4.0 / a, rel=1e-12)
 
 
+@pytest.mark.parametrize("a,H", [(1e4, 0.3), (1e-6, 0.3), (1000.0, 0.0)])
+def test_spectrum_matches_mpmath(a, H):
+    # where the Gram entries cancel (a >> 1, or a << 1 with H > 0), the
+    # eigenvalues summed term by term keep their digits
+    import mpmath
+
+    N = 12
+    s = torus_spectrum(torus_data(a, H), N=N)
+    with mpmath.workdps(50):
+        ma, h = mpmath.mpf(a), mpmath.mpf(H)
+        u = h + mpmath.sqrt(1 + h**2)
+        exact = sorted((m + n) ** 2 / ma + (m / u - n * u) ** 2
+                       for m in range(-N, N + 1) for n in range(-N, N + 1))
+    exact = np.array([float(v) for v in exact])
+    for lam in s.eigenvalues[1:]:
+        assert np.min(np.abs(exact - lam)) <= 2e-14 * lam
+    lam1 = exact[exact > 0][0]
+    assert abs(s.lambda1 - lam1) <= 2e-14 * lam1
+    assert abs(lambda1_closed_form(a, H) - lam1) <= 2e-14 * lam1
+    assert s.multiplicities.sum() == (2 * N + 1) ** 2
+
+
 def test_spectrum_cutoff_certification():
     # |v1* - v2*|^2 = 4(H^2+1) identically, so the minimal vector always sits
     # inside a tiny box and the boundary-shell certificate holds at N = 3
