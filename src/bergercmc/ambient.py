@@ -25,18 +25,21 @@ H_MAX = 1e6
 # Smallest accepted alpha: below about 2.5e-13 the torus threshold H*(a) exceeds
 # H_MAX, and from 2^-54 down 1 - a rounds to 1, where the sphere closed forms fail.
 ALPHA_MIN = 1e-12
+# Largest accepted alpha, the mirror of ALPHA_MIN: from about 2^53 the torus
+# form's entries 1/a + 1 round to 1 and its reduction divides by zero.
+ALPHA_MAX = 1e12
 
 
 class ContractViolation(ValueError):
-    """An input precondition (ALPHA_MIN <= alpha < inf, 0 <= H <= H_MAX) failed."""
+    """An input precondition (ALPHA_MIN <= alpha <= ALPHA_MAX, 0 <= H <= H_MAX) failed."""
 
 
 def as_alpha(p) -> float:
-    """Accept a finite alpha >= ALPHA_MIN."""
+    """Accept an alpha in [ALPHA_MIN, ALPHA_MAX]."""
     a = float(p)
-    if not (a >= ALPHA_MIN and math.isfinite(a)):
+    if not ALPHA_MIN <= a <= ALPHA_MAX:
         raise ContractViolation(f"alpha must be positive, at least {ALPHA_MIN:g} and "
-                                f"finite, got {a}")
+                                f"at most {ALPHA_MAX:g}, got {a}")
     return a
 
 

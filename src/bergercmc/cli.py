@@ -39,22 +39,26 @@ EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
 # of regions needs two points
 MIN_N = {"sphere": SPECTRUM_MIN_N, "regions": 2, "embeddedness": MERIDIAN_MIN_N,
          "profiles": PROFILE_MIN_N}
+# largest --n, and --meridian-n: a meridian of 10^5 points and its
+# embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
+MERIDIAN_MAX_N = 10**5
+MAX_N = {"sphere": 10**6, "regions": 10**6, "embeddedness": MERIDIAN_MAX_N, "profiles": 10**6}
 
 
 def _check_args(args) -> None:
     """Reject bad sizes, meridian ranges and list entries before a command
     writes anything; --alphas and --Hs become lists of floats."""
     least = MIN_N.get(args.command)
-    if least is not None and args.n < least:
-        raise ValueError(f"--n must be at least {least} for {args.command}, got {args.n}")
+    if least is not None and not least <= args.n <= MAX_N[args.command]:
+        raise ValueError(f"--n must be at least {least} and at most {MAX_N[args.command]} "
+                         f"for {args.command}, got {args.n}")
     if args.command == "torus" and not TORUS_MIN_N <= args.N <= TORUS_MAX_N:
         raise ValueError(f"--N must lie in [{TORUS_MIN_N}, {TORUS_MAX_N}], got {args.N}")
-    if args.command == "sphere" and args.meridian_n:
-        if args.meridian_n < MERIDIAN_MIN_N:
-            raise ValueError(f"--meridian-n must be 0 or at least {MERIDIAN_MIN_N}, "
-                             f"got {args.meridian_n}")
-        meridian_range((-args.x_max, args.x_max))
-    if args.command == "embeddedness":
+    if args.command == "sphere" and args.meridian_n and \
+            not MERIDIAN_MIN_N <= args.meridian_n <= MERIDIAN_MAX_N:
+        raise ValueError(f"--meridian-n must be 0 or lie in [{MERIDIAN_MIN_N}, "
+                         f"{MERIDIAN_MAX_N}], got {args.meridian_n}")
+    if args.command in ("sphere", "embeddedness"):
         meridian_range((-args.x_max, args.x_max))
     for name, check in (("alphas", as_alpha), ("Hs", as_H)):
         if getattr(args, name, None) is not None:
@@ -168,10 +172,11 @@ def cmd_embeddedness(args) -> int:
 
 
 def cmd_profiles(args) -> int:
+    profiles = [(a, sphere_profile(a, H_max=args.H_max, n=args.n),
+                 torus_profile(a, H_max=args.H_max, n=args.n))
+                for a in args.alphas or [0.25, crossing_alpha(), 0.14, 0.06]]
     out = _outdir(args)
-    for a in args.alphas or [0.25, crossing_alpha(), 0.14, 0.06]:
-        sp = sphere_profile(a, H_max=args.H_max, n=args.n)
-        tp = torus_profile(a, H_max=args.H_max, n=args.n)
+    for a, sp, tp in profiles:
         path = out / f"figure4_profiles_alpha{a:.6g}.csv"
         write_csv(path, PROFILE_COLUMNS, sp.rows() + tp.rows())
         if sp.notes:

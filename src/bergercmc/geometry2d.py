@@ -5,10 +5,11 @@ found by a sort-and-sweep in array code; the actual crossing test runs in
 exact rational arithmetic (floats convert exactly to Fractions), so a
 reported transverse crossing is never a rounding artifact.  The clearance
 margin comes from the point pairs that are near in the plane but far along
-the curve, found by an arc-chunked search: a k-d tree over the heads of
-short arc runs, whose run pairs are dropped unless their largest arc
-separation is long enough, so the many pairs that are near only because
-they are neighbours along the curve are never formed.
+the curve, found by a bounded search over short runs of consecutive points:
+one k-d tree query over the run heads, an upper bound on the least
+distance from the heads themselves, and a lower bound per run pair, so that
+only the run pairs that can hold the least distance or a pair close to it
+are expanded into point pairs.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 ARC_FACTOR = 20.0  # clearance pairs are more than this many segment lengths apart
+CLOSE_CAP = 2000  # most point pairs whose segments refine the margin
+RUN_MAX = 32  # most points in a run of the clearance search
+SLACK = 1e-9  # relative allowance for rounding in the clearance bounds
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -114,35 +118,68 @@ def _segment_distances(p, q, r, s) -> np.ndarray:
                               _point_segment_distance(r, p, q), _point_segment_distance(s, p, q)])
 
 
-def _far_pairs(pts, arclen, h, arc_min):
-    """Point index pairs (i, j), i < j, at most arc_min apart in the plane
-    and at least arc_min apart along the curve, with their distances,
-    without enumerating the pairs that are near along the curve.
+def _clearance_pairs(pts, arclen, h, arc_min):
+    """The point pairs that can set the clearance margin: index pairs
+    (i, j), i < j, at least arc_min apart along the curve, with distances.
 
-    The polyline is cut into runs of consecutive points whose arc span is
-    below h > 0; as chord <= arc, every point lies within h of its run's
-    head.  Two points at most arc_min apart therefore belong to runs whose
-    heads are at most arc_min + 2 h apart.  Of those run pairs (a, b), the
-    ones whose largest arc separation is below arc_min are dropped, and so
-    is each point of run a whose largest arc separation from run b is below
-    arc_min; only the rest is expanded into point pairs.  Returns the pairs
-    that cKDTree(pts).query_pairs(arc_min) holds with arclen[j] - arclen[i]
-    >= arc_min, in order of run pair, then i, then j.
+    The polyline is cut into runs of at most RUN_MAX consecutive points
+    whose arc span is below h > 0; as chord <= arc, every point of run a
+    lies within rho_a < h of the run's head.  One k-d tree query over the
+    heads finds the run pairs whose heads are within arc_min + 2 max(rho),
+    the only ones that can hold two points at most arc_min apart; run pairs
+    whose largest arc separation is below arc_min are dropped.  Two bounds
+    follow from the heads alone:
+
+    - the arc-separated head pairs at most arc_min apart are such point
+      pairs themselves, so the nearest of them bounds the least distance
+      from above by U;
+    - the run pairs whose point pairs are all arc-separated and at most
+      ub = |head_a - head_b| + rho_a + rho_b apart bound the CLOSE_CAP-th
+      least distance from above by V, the ub at which their point counts,
+      in order of ub, first add up to CLOSE_CAP.
+
+    A point pair at most T = min(U + 2 h, V) apart lies in a run pair whose
+    lower bound |head_a - head_b| - rho_a - rho_b is at most min(T, arc_min),
+    and only those run pairs are expanded into point pairs.
+
+    Returns every pair that cKDTree(pts).query_pairs(arc_min) holds with
+    arclen[j] - arclen[i] >= arc_min and distance at most T, in order of
+    run pair, then i, then j.  The least distance is among them, and so
+    are every pair within 2 h of it or, when those are more than CLOSE_CAP,
+    the CLOSE_CAP nearest.
     """
     from scipy.spatial import cKDTree
 
     run = np.floor(arclen / h)
-    start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+    cut = (run[1:] != run[:-1]) | (np.arange(1, len(pts)) % RUN_MAX == 0)
+    start = np.flatnonzero(np.r_[True, cut])
     size = np.diff(np.r_[start, len(pts)])
     last = start + size - 1
-    # the measured distances to the heads (below h) set the query radius, so
-    # rounding in arclen cannot lose a pair
-    rho = np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1)
+    # the measured distances to the heads (below h) set the query radius and
+    # the bounds, so rounding in arclen cannot lose a pair
+    rho = np.maximum.reduceat(np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1),
+                              start)
     runs = cKDTree(pts[start]).query_pairs(arc_min + 2.0 * float(rho.max()),
                                            output_type="ndarray")
     a, b = runs[:, 0], runs[:, 1]  # a < b
     keep = arclen[last[b]] - arclen[start[a]] >= arc_min
     a, b = a[keep], b[keep]
+    sq = _sq_dist(pts, start[a], start[b])
+    head = np.sqrt(sq)
+    far = (arclen[start[b]] - arclen[start[a]] >= arc_min) & (sq <= arc_min * arc_min)
+    bound = float(head[far].min()) + 2.0 * h if far.any() else np.inf
+    # SLACK covers the rounding of the distances in both bounds
+    keep = head - rho[a] - rho[b] <= min(bound, arc_min) * (1.0 + SLACK)
+    a, b, head = a[keep], b[keep], head[keep]
+    ub = (head + rho[a] + rho[b]) * (1.0 + SLACK)
+    full = ((ub <= min(bound, arc_min * (1.0 - SLACK)))
+            & (arclen[start[b]] - arclen[last[a]] >= arc_min))
+    order = np.argsort(ub[full], kind="stable")
+    count = np.cumsum((size[a] * size[b])[full][order])
+    if len(count) and count[-1] >= CLOSE_CAP:
+        bound = float(ub[full][order[np.searchsorted(count, CLOSE_CAP)]])
+        keep = head - rho[a] - rho[b] <= bound * (1.0 + SLACK)
+        a, b = a[keep], b[keep]
     # expand each run pair into (i, b) for the points i of run a ...
     i = np.repeat(start[a], size[a]) + _ramp(size[a])
     b = np.repeat(b, size[a])
@@ -151,11 +188,18 @@ def _far_pairs(pts, arclen, h, arc_min):
     # ... and each (i, b) into (i, j) for the points j of run b
     j = np.repeat(start[b], size[b]) + _ramp(size[b])
     i = np.repeat(i, size[b])
+    sq = _sq_dist(pts, i, j)
+    d = np.sqrt(sq)
+    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min) & (d <= bound)
+    return i[keep], j[keep], d[keep]
+
+
+def _sq_dist(pts, i, j):
+    """Squared distances of the point pairs (i, j), summed as np.linalg.norm
+    sums them, so their square roots match it bit for bit."""
     dx = pts[i, 0] - pts[j, 0]
     dy = pts[i, 1] - pts[j, 1]
-    sq = dx * dx + dy * dy  # np.linalg.norm's sum, so its sqrt matches bit for bit
-    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min)
-    return i[keep], j[keep], np.sqrt(sq[keep])
+    return dx * dx + dy * dy
 
 
 def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
@@ -187,14 +231,15 @@ def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
     margin = arc_min  # capped: beyond this the curve is safely clear
     nseg = len(seglen)
     if res > 0.0:  # else every point coincides, and the margin is arc_min = 0
-        ii, jj, d = _far_pairs(pts, arclen, res, arc_min)
+        ii, jj, d = _clearance_pairs(pts, arclen, res, arc_min)
         if len(d):
             dmin = float(d.min())
             # refine the point-pair minimum with the segments on either side
-            # of each close point pair
+            # of each close point pair, at most the CLOSE_CAP nearest by
+            # (d, i, j), so ties do not depend on the order of the pairs
             close = np.nonzero(d <= dmin + 2.0 * res)[0]
-            if len(close) > 2000:
-                close = close[np.argsort(d[close])[:2000]]
+            if len(close) > CLOSE_CAP:
+                close = close[np.lexsort((jj[close], ii[close], d[close]))[:CLOSE_CAP]]
             si = np.clip(ii[close, None] - [1, 0], 0, nseg - 1)
             sj = np.clip(jj[close, None] - [1, 0], 0, nseg - 1)
             si, sj = np.repeat(si, 2, axis=1).ravel(), np.tile(sj, 2).ravel()

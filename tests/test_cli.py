@@ -1,11 +1,19 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bergercmc.cli import main
+from bergercmc.ambient import ALPHA_MAX, ALPHA_MIN, H_MAX
+from bergercmc.cli import MAX_N, MERIDIAN_MAX_N, main
+from bergercmc.cmc_spheres import MERIDIAN_X_LIMIT
 
 
 def run_cli(args, tmp_path, name):
@@ -373,3 +381,96 @@ def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
     assert proc.returncode == 3
     assert "numerical contract failure: reconstruction invariants violated" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# property: every numeric flag refuses bad values with exit 2, a message,
+# no traceback and no output
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+_NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False).map(repr)
+
+
+def _floats_above(x):
+    return st.floats(min_value=x, exclude_min=True, allow_infinity=False).map(repr)
+
+
+def _ints_outside(lo, hi):
+    """Integers below lo or above hi, and strings argparse cannot read as int."""
+    return st.one_of(st.integers(max_value=lo - 1).map(str),
+                     st.integers(min_value=hi + 1, max_value=10**30).map(str),
+                     st.sampled_from(["nan", "inf", "-inf", "1.5", "1e3"]))
+
+
+_ALPHA = st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"), _floats_above(ALPHA_MAX),
+                   st.floats(0.0, ALPHA_MIN, exclude_max=True).map(repr))
+_H = st.one_of(_NON_FINITE, _NEGATIVE, _floats_above(H_MAX))
+_X_MAX = st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"), _floats_above(MERIDIAN_X_LIMIT))
+
+# base arguments of each subcommand: valid and cheap, so a value that slipped
+# through would show as exit 0 rather than as a long run
+_BASE = {
+    "sphere": ["--alpha", "0.5", "--H", "1", "--n", "200"],
+    "torus": ["--alpha", "0.5", "--H", "0"],
+    "regions": ["--n", "5"],
+    "embeddedness": ["--alphas", "0.5", "--Hs", "1", "--n", "64"],
+    "profiles": ["--alphas", "0.5", "--n", "50"],
+    "candidate": ["--alpha", "0.5", "--V", "3"],
+}
+_BAD_VALUES = {
+    ("sphere", "--alpha"): _ALPHA,
+    ("sphere", "--H"): _H,
+    ("sphere", "--k-max"): _ints_outside(2, 153),  # 153: the mode-weight limit at --n 200
+    ("sphere", "--n"): _ints_outside(200, MAX_N["sphere"]),
+    ("sphere", "--meridian-n"): st.one_of(_ints_outside(0, MERIDIAN_MAX_N),
+                                          st.integers(1, 63).map(str)),
+    ("sphere", "--x-max"): _X_MAX,
+    ("torus", "--alpha"): _ALPHA,
+    ("torus", "--H"): _H,
+    ("torus", "--N"): _ints_outside(3, 1000),
+    ("regions", "--n"): _ints_outside(2, MAX_N["regions"]),
+    ("embeddedness", "--alphas"): _ALPHA.map(lambda v: f"0.5,{v}"),
+    ("embeddedness", "--Hs"): _H.map(lambda v: f"{v},1"),
+    ("embeddedness", "--n"): _ints_outside(64, MAX_N["embeddedness"]),
+    ("embeddedness", "--x-max"): _X_MAX,
+    ("profiles", "--alphas"): _ALPHA,
+    ("profiles", "--H-max"): st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"),
+                                       _floats_above(H_MAX)),
+    ("profiles", "--n"): _ints_outside(50, MAX_N["profiles"]),
+    ("candidate", "--alpha"): _ALPHA,
+    # the total volume at a = 0.5 is 2 pi^2 sqrt(0.5) = 13.957...
+    ("candidate", "--V"): st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"), _floats_above(13.96)),
+}
+
+
+def _run_in_process(argv):
+    err, out = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the value
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command,flag", sorted(_BAD_VALUES))
+def test_bad_numeric_flag_exits_2_and_writes_nothing(command, flag):
+    base = _BASE[command]
+    if flag in base:
+        k = base.index(flag)
+        base = base[:k] + base[k + 2:]
+
+    @settings(max_examples=20)
+    @given(value=_BAD_VALUES[command, flag])
+    def check(value):
+        # --flag=value, so that argparse takes "-inf" or "-1e-300" as a value
+        argv = [*base, f"{flag}={value}"]
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "out"
+            code, out, err = _run_in_process(["--out", str(out_dir), command, *argv])
+            assert code == 2, (argv, code, err)
+            assert "error" in err and "Traceback" not in err
+            assert out == "" and not out_dir.exists()
+
+    check()

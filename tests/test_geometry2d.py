@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from bergercmc.cmc_spheres import orbit_space_curve, reconstruct_meridian
-from bergercmc.geometry2d import (_candidate_pairs, _far_pairs,
+from bergercmc.geometry2d import (CLOSE_CAP, _candidate_pairs, _clearance_pairs, _ramp,
                                   polyline_self_intersection_report,
                                   segments_cross)
 
@@ -163,8 +164,8 @@ def _loop_margin(pts, arc_factor=20.0):
     dmin = float(d.min())
     close = np.nonzero(d <= dmin + 2.0 * res)[0]
     nclose = len(close)
-    if nclose > 2000:
-        close = close[np.argsort(d[close])[:2000]]
+    if nclose > CLOSE_CAP:
+        close = close[np.lexsort((jj[close], ii[close], d[close]))[:CLOSE_CAP]]
     best = dmin
     for a_, b_ in zip(ii[close], jj[close]):
         for si in range(max(a_ - 1, 0), min(a_, nseg - 1) + 1):
@@ -222,6 +223,22 @@ def _prongs(npts, delta):
     return np.vstack([up, back])
 
 
+def _meridian_curve(alpha, H, n, x_max=8.0):
+    m = reconstruct_meridian(alpha, H, (-x_max, x_max), n)
+    return orbit_space_curve(m)
+
+
+# embed_scan pool points: near contact whose close pairs pass the cap, two
+# crossings, no far pair at all, and 1,999 close pairs below the 2000th least
+# distance with 2 pairs at it, so the cap must break a tie
+POOL_MERIDIANS = {
+    "meridian_capped_near_contact": (0.0458186, 0.875413, 2048, 8.0),
+    "meridian_two_crossings": (0.00546184, 1.27128, 3000, 9.0),
+    "meridian_no_far_pairs": (0.05, 0.0, 4096, 8.0),
+    "meridian_tie_at_cap": (0.010059, 2.50451, 2048, 8.0),
+}
+
+
 @pytest.mark.parametrize("name,pts,capped", [
     ("figure8", _oracle_curves()["figure8"], False),
     ("walk_repeats", _oracle_curves()["walk_repeats"], True),
@@ -232,18 +249,74 @@ def _prongs(npts, delta):
 ])
 def test_margin_matches_pairwise_loop(name, pts, capped):
     margin, nclose = _loop_margin(pts)
-    assert (nclose > 2000) == capped
-    got = polyline_self_intersection_report(pts).margin
-    assert got == pytest.approx(margin, rel=1e-12, abs=0.0)
+    assert (nclose > CLOSE_CAP) == capped
+    assert polyline_self_intersection_report(pts).margin == margin
+
+
+@pytest.mark.parametrize("name,least,most", [
+    ("meridian_capped_near_contact", CLOSE_CAP + 1, math.inf),
+    ("meridian_two_crossings", 1, CLOSE_CAP),
+    ("meridian_no_far_pairs", 0, 0),  # the margin stays at its cap arc_min
+])
+def test_pool_meridian_margin_matches_pairwise_loop(name, least, most):
+    pts = _meridian_curve(*POOL_MERIDIANS[name])
+    margin, nclose = _loop_margin(pts)
+    assert least <= nclose <= most
+    assert polyline_self_intersection_report(pts).margin == margin
+
+
+def test_cap_breaks_ties_by_distance_then_index():
+    # two pairs tie for the 2000th least distance; the cap keeps the one
+    # first in (i, j), whatever order the search forms the pairs in
+    pts = _meridian_curve(*POOL_MERIDIANS["meridian_tie_at_cap"])
+    ii, jj, _, res, _ = _query_far_pairs(pts)
+    d = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    close = np.sort(d[d <= d.min() + 2.0 * res])
+    assert len(close) > CLOSE_CAP
+    at = close[CLOSE_CAP - 1]
+    assert ((close < at).sum(), (close == at).sum()) == (CLOSE_CAP - 1, 2)
+    assert polyline_self_intersection_report(pts).margin == _loop_margin(pts)[0]
 
 
 # ---------------------------------------------------------------------------
-# oracle: the clearance pairs from query_pairs over all points
+# oracle: the clearance pairs from query_pairs over all points, and the
+# all-pairs arc-chunked search
 # ---------------------------------------------------------------------------
 
-def _meridian_curve(alpha, H, n):
-    m = reconstruct_meridian(alpha, H, (-8.0, 8.0), n)
-    return orbit_space_curve(m)
+def _far_pairs(pts, arclen, h, arc_min):
+    """Point index pairs (i, j), i < j, at most arc_min apart in the plane
+    and at least arc_min apart along the curve, with their distances,
+    without enumerating the pairs that are near along the curve.
+
+    The polyline is cut into runs of consecutive points whose arc span is
+    below h > 0; as chord <= arc, every point lies within h of its run's
+    head.  Two points at most arc_min apart therefore belong to runs whose
+    heads are at most arc_min + 2 h apart.  Of those run pairs (a, b), the
+    ones whose largest arc separation is below arc_min are dropped, and so
+    is each point of run a whose largest arc separation from run b is below
+    arc_min; only the rest is expanded into point pairs.
+    """
+    run = np.floor(arclen / h)
+    start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+    size = np.diff(np.r_[start, len(pts)])
+    last = start + size - 1
+    rho = np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1)
+    runs = cKDTree(pts[start]).query_pairs(arc_min + 2.0 * float(rho.max()),
+                                           output_type="ndarray")
+    a, b = runs[:, 0], runs[:, 1]  # a < b
+    keep = arclen[last[b]] - arclen[start[a]] >= arc_min
+    a, b = a[keep], b[keep]
+    i = np.repeat(start[a], size[a]) + _ramp(size[a])
+    b = np.repeat(b, size[a])
+    keep = arclen[last[b]] - arclen[i] >= arc_min
+    i, b = i[keep], b[keep]
+    j = np.repeat(start[b], size[b]) + _ramp(size[b])
+    i = np.repeat(i, size[b])
+    dx = pts[i, 0] - pts[j, 0]
+    dy = pts[i, 1] - pts[j, 1]
+    sq = dx * dx + dy * dy
+    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min)
+    return i[keep], j[keep], np.sqrt(sq[keep])
 
 
 def _far_pair_curves():
@@ -273,3 +346,41 @@ def test_far_pairs_match_query_pairs(name):
     assert set(got) == want
     assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
     assert polyline_self_intersection_report(pts).margin == _loop_margin(pts)[0]
+
+
+def _clearance_curves():
+    curves = _far_pair_curves()
+    for name, args in POOL_MERIDIANS.items():
+        curves[name] = lambda args=args: _meridian_curve(*args)
+    return curves
+
+
+@pytest.mark.parametrize("name", sorted(_clearance_curves()))
+def test_clearance_pairs_hold_every_pair_that_can_set_the_margin(name):
+    # the bounded search returns far pairs only, with their exact distances,
+    # and among them the least distance and the close pairs the margin
+    # refines: all within 2 res of it, or the CLOSE_CAP first in (d, i, j)
+    pts = _clearance_curves()[name]()
+    ii, jj, arclen, res, arc_min = _query_far_pairs(pts)
+    i, j, d = _clearance_pairs(pts, arclen, res, arc_min)
+    got = list(zip(i.tolist(), j.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) <= set(zip(ii.tolist(), jj.tolist()))
+    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
+    if not len(ii):
+        assert not got
+        return
+    dd = np.linalg.norm(pts[ii] - pts[jj], axis=1)
+    close = np.nonzero(dd <= dd.min() + 2.0 * res)[0]
+    close = close[np.lexsort((jj[close], ii[close], dd[close]))[:CLOSE_CAP]]
+    assert d.min() == dd.min()
+    assert set(zip(ii[close].tolist(), jj[close].tolist())) <= set(got)
+
+
+def test_clearance_search_forms_few_pairs_on_a_crossing_meridian():
+    # a work count, not a timing: the all-pairs search forms every far pair
+    pts = _meridian_curve(*POOL_MERIDIANS["meridian_two_crossings"])
+    ii, _, arclen, res, arc_min = _query_far_pairs(pts)
+    assert len(ii) == 248_718
+    assert len(_clearance_pairs(pts, arclen, res, arc_min)[0]) <= 5000
+    assert polyline_self_intersection_report(pts).crossings == 2
