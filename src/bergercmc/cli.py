@@ -17,49 +17,35 @@ from pathlib import Path
 import numpy as np
 
 from . import selfcheck
-from .ambient import ContractViolation, as_alpha, as_H, total_volume
-from .cmc_spheres import (MERIDIAN_MIN_N, ConsistencyError, QuadratureError,
-                          ReconstructionError, area_sphere_closed, is_embedded,
-                          meridian_range, reconstruct_meridian)
-from .isoperimetry import (PROFILE_COLUMNS, PROFILE_MIN_N, crossing_alpha,
-                           isoperimetric_candidate, sphere_profile, torus_profile)
+from .ambient import as_alpha, as_H, total_volume
+from .cmc_spheres import (ConsistencyError, QuadratureError, ReconstructionError,
+                          area_sphere_closed, is_embedded, meridian_range,
+                          reconstruct_meridian)
+from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
+                           sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
-from .stability import (SPECTRUM_MIN_N, SpectrumError, alpha0, classify_sphere,
-                        jacobi_spectrum, sphere_stability_boundary)
+from .stability import (SpectrumError, alpha0, classify_sphere, jacobi_spectrum,
+                        sphere_stability_boundary)
 from .svgplot import polyline_svg, write_csv
-from .tori import (TORUS_MAX_N, TORUS_MIN_N, CutoffError, classify_torus,
-                   lambda1_closed_form, torus_data, torus_spectrum,
-                   torus_stability_threshold)
+from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
+                   torus_spectrum, torus_stability_threshold)
 
 NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
                     CutoffError, SpectrumError)
 EMBEDDED_TAG = {True: "embedded", False: "non-embedded", None: "undecided"}
 EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
-# smallest supported --n of each subcommand that has one; a boundary curve
-# of regions needs two points
-MIN_N = {"sphere": SPECTRUM_MIN_N, "regions": 2, "embeddedness": MERIDIAN_MIN_N,
-         "profiles": PROFILE_MIN_N}
-# largest --n, and --meridian-n: a meridian of 10^5 points and its
-# embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
-MERIDIAN_MAX_N = 10**5
-MAX_N = {"sphere": 10**6, "regions": 10**6, "embeddedness": MERIDIAN_MAX_N, "profiles": 10**6}
+# points of each regions boundary curve, the one grid this module builds:
+# a curve needs two
+REGIONS_MIN_N, REGIONS_MAX_N = 2, 10**6
 
 
 def _check_args(args) -> None:
-    """Reject bad sizes, meridian ranges and list entries before a command
-    writes anything; --alphas and --Hs become lists of floats."""
-    least = MIN_N.get(args.command)
-    if least is not None and not least <= args.n <= MAX_N[args.command]:
-        raise ValueError(f"--n must be at least {least} and at most {MAX_N[args.command]} "
-                         f"for {args.command}, got {args.n}")
-    if args.command == "torus" and not TORUS_MIN_N <= args.N <= TORUS_MAX_N:
-        raise ValueError(f"--N must lie in [{TORUS_MIN_N}, {TORUS_MAX_N}], got {args.N}")
-    if args.command == "sphere" and args.meridian_n and \
-            not MERIDIAN_MIN_N <= args.meridian_n <= MERIDIAN_MAX_N:
-        raise ValueError(f"--meridian-n must be 0 or lie in [{MERIDIAN_MIN_N}, "
-                         f"{MERIDIAN_MAX_N}], got {args.meridian_n}")
-    if args.command in ("sphere", "embeddedness"):
-        meridian_range((-args.x_max, args.x_max))
+    """Turn --alphas and --Hs into lists of checked floats and bound the
+    regions grid; the library checks every other size and range before it
+    allocates, and each command computes before its first output."""
+    if args.command == "regions" and not REGIONS_MIN_N <= args.n <= REGIONS_MAX_N:
+        raise ValueError(f"--n must be at least {REGIONS_MIN_N} and at most {REGIONS_MAX_N} "
+                         f"for regions, got {args.n}")
     for name, check in (("alphas", as_alpha), ("Hs", as_H)):
         if getattr(args, name, None) is not None:
             setattr(args, name, [check(v) for v in getattr(args, name).split(",")])
@@ -82,13 +68,13 @@ def cmd_constants(args) -> int:
 
 
 def cmd_sphere(args) -> int:
+    x_range = meridian_range((-args.x_max, args.x_max))
     verdict = classify_sphere(args.alpha, args.H)
     area = area_sphere_closed(args.alpha, args.H)
-    spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
-    if args.meridian_n:
-        m = reconstruct_meridian(args.alpha, args.H, (-args.x_max, args.x_max),
-                                 args.meridian_n)
+    if args.meridian_n:  # before the spectrum, so that a bad --meridian-n fails fast
+        m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
         r = is_embedded(m)
+    spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"koiso_integral = {verdict.margin:.12g}")
@@ -113,7 +99,7 @@ def cmd_torus(args) -> int:
     lam1 = lambda1_closed_form(args.alpha, args.H)
     td = torus_data(args.alpha, args.H)
     spec = torus_spectrum(td, N=args.N)
-    if abs(spec.lambda1 - lam1) > 1e-10 * max(1.0, lam1):
+    if abs(spec.lambda1 - lam1) > 1e-10 * lam1:
         raise ConsistencyError(
             f"torus lambda1: enumeration {spec.lambda1} vs closed form {lam1}")
     print(f"torus alpha={args.alpha:.12g} H={args.H:.12g}")
@@ -127,22 +113,17 @@ def cmd_torus(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    out = _outdir(args)
     a0 = alpha0()
     t0, a1, ah = critical_constants()
+    rows2 = sphere_stability_boundary(np.linspace(a0 * 0.02, a0 * 0.995, args.n))
+    rows3 = [(a, torus_stability_threshold(a)) for a in np.linspace(0.004, 1.0 / 3.0, args.n)]
+    out = _outdir(args)
     print(f"t0 = {t0:.12g}")
     print(f"alpha1 = {a1:.12g}")
     print(f"alpha_hyperbolic = {ah:.12g}")
     print(theorem_area_note())
-
-    grid2 = np.linspace(a0 * 0.02, a0 * 0.995, args.n)
-    rows2 = sphere_stability_boundary(grid2)
     write_csv(out / "figure2_sphere_boundary.csv", ("alpha", "H_of_alpha"), rows2)
-
-    grid3 = np.linspace(0.004, 1.0 / 3.0, args.n)
-    rows3 = [(a, torus_stability_threshold(a)) for a in grid3]
     write_csv(out / "figure3_torus_boundary.csv", ("alpha", "H_threshold"), rows3)
-
     alpha_curve_csv(out / "alpha_roots.csv")
     if args.format == "csv+svg":
         polyline_svg(out / "figure2_sphere_boundary.svg",
@@ -272,7 +253,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return handler(args)
-    except (ContractViolation, ValueError) as exc:
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

@@ -46,7 +46,9 @@ AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
 RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
-MERIDIAN_MIN_N = 64  # fewest meridian samples
+# fewest and most meridian samples: a meridian of 10^5 points and its
+# embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
+MERIDIAN_MIN_N, MERIDIAN_MAX_N = 64, 10**5
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
 
 
@@ -372,8 +374,9 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     residual breaks RESIDUAL_TOL.
     """
     a, H = as_alpha(p), as_H(H)
-    if n < MERIDIAN_MIN_N:
-        raise ValueError(f"need n >= {MERIDIAN_MIN_N} meridian samples")
+    if not MERIDIAN_MIN_N <= n <= MERIDIAN_MAX_N:
+        raise ValueError(f"need {MERIDIAN_MIN_N} <= n <= {MERIDIAN_MAX_N} meridian samples, "
+                         f"got {n}")
     lo, hi = meridian_range(x_range)
     prof = _meridian_profile(a, H, np.linspace(lo, hi, n))
     if prof.holds_contract:

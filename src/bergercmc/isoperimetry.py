@@ -40,7 +40,7 @@ from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 SPHERE = "Sphere"
 TORUS = "Torus"
 PROFILE_COLUMNS = ("family", "H", "area", "volume")
-PROFILE_MIN_N = 50  # fewest points of a graded H grid
+PROFILE_MIN_N, PROFILE_MAX_N = 50, 10**6  # fewest and most points of a graded H grid
 # sphere_volume = pi sum_n P_n(a) H^-(2n + 1), n = 1 ... 9, from H^2 >= 16 max(a, 4) on,
 # where the closed form cancels towards (4 pi/3) H^-3 and the first omitted term is
 # below 2e-13 of V; rows (coefficients of P_n, highest power first; denominator), sympy
@@ -117,8 +117,9 @@ class IsoperimetricProfile:
 
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
-    if not 0.0 < H_max < math.inf or n < PROFILE_MIN_N:
-        raise ValueError(f"need H_max > 0 and n >= {PROFILE_MIN_N}")
+    if not 0.0 < H_max < math.inf or not PROFILE_MIN_N <= n <= PROFILE_MAX_N:
+        raise ValueError(f"need H_max > 0 and {PROFILE_MIN_N} <= n <= {PROFILE_MAX_N} grid "
+                         f"points, got H_max={H_max}, n={n}")
     s = np.linspace(0.0, 1.0, n)
     return as_H(H_max) * s**2
 

@@ -6,6 +6,7 @@ internal consistency contracts; together they exercise every module.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -47,13 +48,20 @@ def check_zchart_transport():
         assert np.max(np.abs(r4)) < 1e-12, "|A|^2 identity"
 
 
+def _random_spheres():
+    """The ten (a, H) of the integrability and Gauss-Bonnet checks."""
+    return np.random.default_rng(88).uniform((0.08, 0.0), (2.5, 2.5), (10, 2)).tolist()
+
+
 def check_integrability_order():
-    d = fundamental_data(0.5, 1.0)
-    r1 = integrability_residual(d, (-5, 5), 400)
-    r2 = integrability_residual(d, (-5, 5), 800)
-    assert r1["p_wbar"] < 1e-3 and r1["A_wbar"] < 1e-3 and r1["C_w"] < 1e-3
-    for key in ("p_wbar", "A_wbar", "C_w"):
-        assert 3.0 < r1[key] / r2[key] < 5.0, f"integrability order-2 ({key})"
+    for a, H in _random_spheres():
+        d = fundamental_data(a, H)
+        r1 = integrability_residual(d, (-5, 5), 400)
+        r2 = integrability_residual(d, (-5, 5), 800)
+        for key in ("p_wbar", "A_wbar", "C_w"):
+            assert r1[key] < 1e-3, f"integrability residual ({key}) at ({a}, {H})"
+            if r1[key] > 1e-12:  # else roundoff, which has no order
+                assert 3.0 < r1[key] / r2[key] < 5.0, f"order-2 ({key}) at ({a}, {H})"
 
 
 def check_gauss_equation():
@@ -66,20 +74,24 @@ def check_gauss_equation():
 def check_areas():
     assert abs(area_sphere(1.0, 0.0) - 4 * math.pi) < 1e-9
     assert abs(area_sphere(1 / 3, 0.0) - area_sphere_closed(1 / 3, 0.0)) < 1e-8
-    assert abs(gauss_bonnet_integral(fundamental_data(0.5, 1.0)) - 4 * math.pi) < 1e-6
+    for a, H in _random_spheres():
+        assert abs(gauss_bonnet_integral(fundamental_data(a, H)) - 4 * math.pi) < 1e-6, (a, H)
+
+
+# spheres of the potential and spectrum checks
+SPHERE_GRID = [(a, H) for a in (0.05, 0.3, 1.0, 2.0, 3.0) for H in (0.0, 0.7, 1.5, 2.5)]
 
 
 def check_potential_universality():
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-8, 8, 20)
-    for a, H in ((0.1, 0.0), (1.0, 2.0), (3.0, 0.5)):
+    x = np.random.default_rng(55).uniform(-8, 8, 64)
+    for a, H in SPHERE_GRID:
         d = fundamental_data(a, H)
-        assert np.max(np.abs(potential_from_data(d, x) - jacobi_potential_flat(x))) < 1e-12
+        assert np.max(np.abs(potential_from_data(d, x) - jacobi_potential_flat(x))) < 1e-12, (a, H)
 
 
 def check_koiso():
-    for a in (0.1, 0.5, 0.9, 1.5, 2.5):
-        for H in (0.0, 0.7, 2.0):
+    for a in np.linspace(0.05, 2.5, 20):
+        for H in np.linspace(0.0, 3.0, 20):
             koiso_integral(a, H)  # raises ConsistencyError if quadrature disagrees
     a0 = alpha0()
     assert abs(a0 - 0.121) < 5e-4, "alpha0 printed value"
@@ -95,9 +107,9 @@ def check_volume_rate():
             assert abs(closed - quadr) <= max(1e-9 * abs(quadr), 1e-12), "dV/dH = -2 Int f dA"
 
 
-def check_spectrum():
-    for a, H in ((0.3, 0.0), (2.0, 1.7), (1.0, 0.0), (0.05, 0.0)):
-        s = jacobi_spectrum(a, H, n=2000)
+def check_jacobi_spectrum():
+    for a, H in SPHERE_GRID:
+        s = jacobi_spectrum(a, H, n=2500)
         assert s.index == 1 and s.nullity == 3, f"index/nullity at ({a},{H})"
         assert jacobi_rayleigh_C(a, H) < 1e-6, "tanh is a Jacobi function"
 
@@ -106,11 +118,11 @@ def check_torus():
     G = tori.torus_data(1 / 3, 0.0).dual_gram  # the Clifford torus sits on the bound
     assert abs(G[0, 0] - 4.0) < 1e-12, "lambda(1, 0) = 4 at a = 1/3"
     assert abs(G[0, 0] - 2.0 * G[0, 1] + G[1, 1] - 4.0) < 1e-12, "lambda(1, -1) = 4 at a = 1/3"
-    for a in (0.1, 0.25, 1 / 3, 0.5, 1.0, 2.0):
-        for H in (0.0, 0.3, 1.1):
+    for a in np.linspace(0.02, 3.0, 30):
+        for H in np.linspace(0.0, 4.0, 30):
             lam_enum = tori.torus_spectrum(tori.torus_data(a, H), N=10).lambda1
             lam_cf = tori.lambda1_closed_form(a, H)
-            assert abs(lam_enum - lam_cf) <= 1e-10 * max(1.0, lam_cf), "lambda1 routes"
+            assert abs(lam_enum - lam_cf) <= 1e-10 * max(1.0, lam_cf), f"lambda1 at ({a}, {H})"
     assert not tori.classify_torus(0.5, 0.0).stable
     assert tori.classify_torus(1 / 3, 0.0).stable
     assert abs(tori.classify_torus(1 / 3, 0.0).margin) < 1e-12
@@ -131,11 +143,9 @@ def check_regions():
 
 
 def check_integrand_sign():
-    for a in np.linspace(1 / 3, 0.999, 12):
-        for H in np.linspace(0, 3, 7):
-            for c in np.linspace(-1, 1, 9):
-                v = regions.stability_integrand(a, H, c)
-                assert v <= 1e-9, "stability integrand nonpositive"
+    H, c = np.meshgrid(np.linspace(0.0, 3.0, 46), np.linspace(-1.0, 1.0, 47), indexing="ij")
+    for a in np.linspace(1 / 3, 1.0 - 1e-9, 47):
+        assert np.max(regions.stability_integrand(a, H, c)) <= 1e-12, f"integrand at a={a}"
     assert abs(regions.stability_integrand(1 / 3, 0.0, 0.0)) < 1e-12
 
 
@@ -144,59 +154,52 @@ def check_isoperimetry():
     assert abs(ca - 0.166) < 5e-4, "crossing alpha printed value"
     at, asph, win = clifford_vs_minimal_sphere(1 / 3)
     assert win == "Sphere" and at > asph
-    prof = sphere_profile(0.5, H_max=10.0, n=120)
-    rep = isoperimetric_candidate(0.5, math.pi**2 * math.sqrt(0.5), profile=prof)
-    assert rep.family == "Sphere", "half-volume candidate at alpha=0.5"
-    H, A, V = round_cap_area_volume(1.0)
-    prof1 = sphere_profile(1.0, H_max=5.0, n=120)
-    assert abs(prof1.area_at(H) - A) / A < 1e-5
-    assert abs(prof1.volume_at(H) - V) / V < 1e-5
+    for a in (0.4, 0.8):
+        prof = sphere_profile(a, H_max=16.0, n=250)
+        for frac in np.linspace(0.025, 0.5, 20):
+            rep = isoperimetric_candidate(a, frac * ambient.total_volume(a), profile=prof)
+            assert rep.family == "Sphere", f"candidate at alpha={a}, {frac} of the volume"
+    prof1 = sphere_profile(1.0, H_max=12.0, n=200)
+    for r in np.linspace(0.12, math.pi / 2, 30):  # geodesic spheres of the round S^3
+        H, A, V = round_cap_area_volume(r)
+        if H <= prof1.H[-1]:
+            assert abs(prof1.area_at(H) - A) / A < 1e-5, f"round-sphere area at r = {r}"
+            assert abs(prof1.volume_at(H) - V) / V < 1e-5, f"round-sphere volume at r = {r}"
+    H, _, V = round_cap_area_volume(1.0)
     assert abs(sphere_volume(1.0, H) - V) / V < 1e-14, "closed volume on the round sphere"
 
 
 def check_reconstruction():
-    for a, H in ((1.0, 0.0), (0.5, 1.0)):
-        m = reconstruct_meridian(a, H, (-8, 8), 2048)
+    for a, H in ((1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (1 / 3, 0.0), (2.0, 0.7)):
+        m = reconstruct_meridian(a, H, (-8, 8), 4096)
+        assert m.max_metric_residual < 1e-4 and m.max_C_residual < 1e-6, f"residual at ({a}, {H})"
         wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
         phi_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)  # exact W gamma
-
-        def g(u, v):
-            return ambient.metric_eval(a, m.points, u, v)
-
+        g = functools.partial(ambient.metric_eval, a, m.points)
         conf = fundamental_data(a, H).conf(m.x)
         assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-12, "|gamma| = 1"
         assert np.max(np.abs(g(phi_y, phi_y) / conf - 1.0)) <= 1e-10, "g_a(W gamma, W gamma) = conf"
         assert np.max(np.abs(g(m.normals, m.normals) - 1.0)) <= 1e-12, "g_a(N, N) = 1"
         assert np.max(np.abs(g(m.normals, phi_y))) <= 1e-12, "g_a(N, W gamma) = 0"
-    m = reconstruct_meridian(1.0, 0.0, (-8, 8), 2048)
-    assert m.max_metric_residual < 1e-4 and m.max_C_residual < 1e-6
-    pl = planarity_report(m.points)
-    assert pl["plane_residual"] < 1e-6 and pl["circle_residual"] < 1e-6
-    assert is_embedded(m).embedded is True
+    for H in (0.0, 1.0, 3.0):  # round meridians: embedded planar circles
+        m = reconstruct_meridian(1.0, H, (-8, 8), 2048)
+        pl = planarity_report(m.points)
+        assert pl["plane_residual"] < 1e-6 and pl["circle_residual"] < 1e-6, f"circle at H={H}"
+        assert is_embedded(m).embedded is True
 
 
-CHECKS = [
-    ("volume-form", check_volume_form),
-    ("zchart-transport", check_zchart_transport),
-    ("integrability-order", check_integrability_order),
-    ("gauss-equation", check_gauss_equation),
-    ("areas", check_areas),
-    ("potential-universality", check_potential_universality),
-    ("koiso", check_koiso),
-    ("volume-rate", check_volume_rate),
-    ("jacobi-spectrum", check_spectrum),
-    ("torus", check_torus),
-    ("regions", check_regions),
-    ("integrand-sign", check_integrand_sign),
-    ("isoperimetry", check_isoperimetry),
-    ("reconstruction", check_reconstruction),
-]
+CHECKS = [check_volume_form, check_zchart_transport, check_integrability_order,
+          check_gauss_equation, check_areas, check_potential_universality, check_koiso,
+          check_volume_rate, check_jacobi_spectrum, check_torus, check_regions,
+          check_integrand_sign, check_isoperimetry, check_reconstruction]
 
 
 def run(verbose: bool = True) -> list[str]:
-    """Run every check; returns the names of the failures."""
+    """Run every check; returns the names of the failures, each the function
+    name without "check_" and with hyphens."""
     failures = []
-    for name, fn in CHECKS:
+    for fn in CHECKS:
+        name = fn.__name__.removeprefix("check_").replace("_", "-")
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report and keep going

@@ -38,7 +38,7 @@ KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
 TINY = float(np.finfo(float).tiny)  # smallest normal float
 EPS = float(np.finfo(float).eps)  # machine epsilon, twice the unit roundoff
-SPECTRUM_MIN_N = 200  # fewest grid cells of the Jacobi spectrum
+SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
 
 
 # scipy loads on first call, so importing this module costs no scipy import;
@@ -241,8 +241,8 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
     a = as_alpha(p)
     if k_max < 2:
         raise ValueError("need k_max >= 2 to see all candidate zero modes")
-    if n < SPECTRUM_MIN_N:
-        raise ValueError(f"need n >= {SPECTRUM_MIN_N} grid cells")
+    if not SPECTRUM_MIN_N <= n <= SPECTRUM_MAX_N:
+        raise ValueError(f"need {SPECTRUM_MIN_N} <= n <= {SPECTRUM_MAX_N} grid cells, got {n}")
     # the mode-k mass carries sigma^k, smallest at the outermost node; below
     # the normal floats the mass matrix loses digits and then reaches 0
     sig_min = float(np.min(1.0 - _grid(n)[1] ** 2))

@@ -24,7 +24,7 @@ from .ambient import as_alpha, as_H
 from .stability import LAMBDA1_GAP, StabilityVerdict
 from .svgplot import write_csv
 
-GROUP_TOL = 1e-9  # eigenvalues within this relative distance are one eigenvalue
+GROUP_TOL = 1e-9  # eigenvalues within this relative distance of a group's first are one
 TORUS_MIN_N, TORUS_MAX_N = 3, 1000  # enumeration cutoffs; (2N + 1)^2 <= 4.0M lattice points
 
 
@@ -103,7 +103,8 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
 
     shell = min(edge_min(N, 0), edge_min(-N, 0), edge_min(N, 1), edge_min(-N, 1))
 
-    positive = vals[vals > GROUP_TOL]
+    # the origin is the only zero: every other (m, n) gives at least min(1/a, 4) > 0
+    positive = vals[vals > 0.0]
     lambda1 = float(positive[0])
     if shell <= lambda1:
         raise CutoffError(
@@ -111,7 +112,7 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
 
     uniq, counts = [], []
     for v in vals:
-        if uniq and v - uniq[-1] < GROUP_TOL * max(1.0, uniq[-1]):
+        if uniq and v - uniq[-1] < GROUP_TOL * uniq[-1]:
             counts[-1] += 1
         else:
             uniq.append(float(v))

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergercmc.ambient import ALPHA_MAX, ALPHA_MIN, H_MAX
-from bergercmc.cli import MAX_N, MERIDIAN_MAX_N, main
-from bergercmc.cmc_spheres import MERIDIAN_X_LIMIT
+from bergercmc.cli import REGIONS_MAX_N, main
+from bergercmc.cmc_spheres import MERIDIAN_MAX_N, MERIDIAN_X_LIMIT
+from bergercmc.isoperimetry import PROFILE_MAX_N
+from bergercmc.stability import SPECTRUM_MAX_N
 
 
 def run_cli(args, tmp_path, name):
@@ -125,6 +127,14 @@ def test_huge_mean_curvature_without_traceback(tmp_path):
     assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
 
+# the refusal of a bad --n: the regions grid is bounded by the CLI, the others
+# by the library routine that allocates the grid
+GRID_SIZE_MESSAGE = {"sphere": "need 200 <= n <= 1000000 grid cells",
+                     "regions": "--n must be at least 2",
+                     "embeddedness": "need 64 <= n <= 100000 meridian samples",
+                     "profiles": "need H_max > 0 and 50 <= n <= 1000000 grid points"}
+
+
 @pytest.mark.parametrize("args,least", [
     (["sphere", "--alpha", "0.5", "--H", "1"], 200),
     (["regions", "--format", "csv+svg"], 2),
@@ -132,25 +142,44 @@ def test_huge_mean_curvature_without_traceback(tmp_path):
     (["profiles", "--alphas", "0.5", "--format", "csv+svg"], 50),
 ])
 def test_grid_size_below_minimum_exit_code(args, least, tmp_path, capsys):
+    message = GRID_SIZE_MESSAGE[args[0]]
     for n in (0, least - 1):
         assert main(["--out", str(tmp_path), *args, "--n", str(n)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and f"--n must be at least {least}" in err
+        captured = capsys.readouterr()
+        assert f"configuration error: {message}" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("N", ["1001", "100000", "2"])
-def test_torus_cutoff_out_of_range_exit_code(N, tmp_path, monkeypatch, capsys):
-    import bergercmc.cli as cli
-
-    def no_work(*_args, **_kwargs):
-        raise AssertionError("the command ran before the --N check")
-
-    monkeypatch.setattr(cli, "torus_data", no_work)
+def test_torus_cutoff_out_of_range_exit_code(N, tmp_path, capsys):
     assert main(["--out", str(tmp_path / "out"), "torus", "--alpha", "0.5", "--H", "0",
                  "--N", N]) == 2
-    assert f"configuration error: --N must lie in [3, 1000], got {N}" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert f"configuration error: need enumeration cutoff 3 <= N <= 1000, got {N}" in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_torus_huge_alpha_groups_eigenvalues_relatively(tmp_path, capsys):
+    # (1, 1) gives 4/a = 4e-11, below any absolute grouping tolerance
+    assert main(["--out", str(tmp_path), "torus", "--alpha", "99999999999", "--H", "0"]) == 0
+    assert "lambda1 = 4.00000000004e-11\n" in capsys.readouterr().out
+    rows = (tmp_path / "torus_spectrum_alpha1e+11_H0.csv").read_text().splitlines()
+    assert rows[1:4] == ["0.0,1", "4.00000000004e-11,2", "1.600000000016e-10,2"]
+
+
+def test_regions_computes_before_any_output(tmp_path, monkeypatch, capsys):
+    import bergercmc.cli as cli
+    from bergercmc.cmc_spheres import ConsistencyError
+
+    def fail(_grid):
+        raise ConsistencyError("boundary root not certified")
+
+    monkeypatch.setattr(cli, "sphere_stability_boundary", fail)
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "regions", "--n", "5"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical contract failure: boundary root not certified" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_torus_huge_cutoff_without_traceback(tmp_path):
@@ -422,22 +451,22 @@ _BAD_VALUES = {
     ("sphere", "--alpha"): _ALPHA,
     ("sphere", "--H"): _H,
     ("sphere", "--k-max"): _ints_outside(2, 153),  # 153: the mode-weight limit at --n 200
-    ("sphere", "--n"): _ints_outside(200, MAX_N["sphere"]),
+    ("sphere", "--n"): _ints_outside(200, SPECTRUM_MAX_N),
     ("sphere", "--meridian-n"): st.one_of(_ints_outside(0, MERIDIAN_MAX_N),
                                           st.integers(1, 63).map(str)),
     ("sphere", "--x-max"): _X_MAX,
     ("torus", "--alpha"): _ALPHA,
     ("torus", "--H"): _H,
     ("torus", "--N"): _ints_outside(3, 1000),
-    ("regions", "--n"): _ints_outside(2, MAX_N["regions"]),
+    ("regions", "--n"): _ints_outside(2, REGIONS_MAX_N),
     ("embeddedness", "--alphas"): _ALPHA.map(lambda v: f"0.5,{v}"),
     ("embeddedness", "--Hs"): _H.map(lambda v: f"{v},1"),
-    ("embeddedness", "--n"): _ints_outside(64, MAX_N["embeddedness"]),
+    ("embeddedness", "--n"): _ints_outside(64, MERIDIAN_MAX_N),
     ("embeddedness", "--x-max"): _X_MAX,
     ("profiles", "--alphas"): _ALPHA,
     ("profiles", "--H-max"): st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"),
                                        _floats_above(H_MAX)),
-    ("profiles", "--n"): _ints_outside(50, MAX_N["profiles"]),
+    ("profiles", "--n"): _ints_outside(50, PROFILE_MAX_N),
     ("candidate", "--alpha"): _ALPHA,
     # the total volume at a = 0.5 is 2 pi^2 sqrt(0.5) = 13.957...
     ("candidate", "--V"): st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"), _floats_above(13.96)),
