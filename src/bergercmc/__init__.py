@@ -5,9 +5,10 @@ flat-torus spectra, region constants, and isoperimetric profiles.
 """
 
 from .ambient import ContractViolation, metric_eval, total_volume
-from .cmc_spheres import (MeridianProfile, SphereFundamentalData, area_sphere,
-                          fundamental_data, gauss_curvature, integrability_residual,
-                          is_embedded, reconstruct_meridian)
+from .cmc_spheres import (EmbeddingVerdict, MeridianProfile, SphereFundamentalData,
+                          area_sphere, classify_embedding, fundamental_data, gauss_curvature,
+                          integrability_residual, is_embedded, reconstruct_meridian,
+                          turning_angle)
 from .isoperimetry import (IsoperimetricProfile, clifford_vs_minimal_sphere,
                            crossing_alpha, isoperimetric_candidate, sphere_profile,
                            torus_profile)
@@ -23,8 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractViolation", "metric_eval", "total_volume",
-    "MeridianProfile", "SphereFundamentalData", "area_sphere", "fundamental_data",
-    "gauss_curvature", "integrability_residual", "is_embedded", "reconstruct_meridian",
+    "EmbeddingVerdict", "MeridianProfile", "SphereFundamentalData", "area_sphere",
+    "classify_embedding", "fundamental_data", "gauss_curvature", "integrability_residual",
+    "is_embedded", "reconstruct_meridian", "turning_angle",
     "IsoperimetricProfile", "clifford_vs_minimal_sphere", "crossing_alpha",
     "isoperimetric_candidate", "sphere_profile", "torus_profile",
     "F_nonnegative", "alpha_root", "critical_constants", "poly_eval",

@@ -1,10 +1,10 @@
 """Command-line frontend: constants, classifications, figure data, selftest.
 
-Exit codes: 0 success, 2 configuration errors, 3 numerical-contract
-failures (with the failing invariant named).  Output is byte-stable across
-runs for identical configurations; CSV floats use the shortest round-trip
-representation.  The default output directory is BERGERCMC_OUT or the
-current directory.
+Exit codes: 0 success, 1 stdout closed before the output ended, 2
+configuration errors, 3 numerical-contract failures (with the failing
+invariant named).  Output is byte-stable across runs for identical
+configurations; CSV floats use the shortest round-trip representation.
+The default output directory is BERGERCMC_OUT or the current directory.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import selfcheck
 from .ambient import as_alpha, as_H, total_volume
 from .cmc_spheres import (ConsistencyError, QuadratureError, ReconstructionError,
-                          area_sphere_closed, is_embedded, meridian_range,
+                          area_sphere_closed, classify_embedding, meridian_range,
                           reconstruct_meridian)
 from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
                            sphere_profile, torus_profile)
@@ -32,8 +32,8 @@ from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
 
 NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
                     CutoffError, SpectrumError)
-EMBEDDED_TAG = {True: "embedded", False: "non-embedded", None: "undecided"}
-EMBEDDED_FLAG = {True: 1, False: 0, None: -1}  # figure-1 CSV column
+EMBEDDED_TAG = {True: "embedded", False: "non-embedded"}
+EMBEDDED_FLAG = {True: 1, False: 0}  # figure-1 CSV column
 # points of each regions boundary curve, the one grid this module builds:
 # a curve needs two
 REGIONS_MIN_N, REGIONS_MAX_N = 2, 10**6
@@ -73,7 +73,7 @@ def cmd_sphere(args) -> int:
     area = area_sphere_closed(args.alpha, args.H)
     if args.meridian_n:  # before the spectrum, so that a bad --meridian-n fails fast
         m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
-        r = is_embedded(m)
+        r = classify_embedding(args.alpha, args.H)
     spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
@@ -140,14 +140,12 @@ def cmd_regions(args) -> int:
 
 
 def cmd_embeddedness(args) -> int:
-    verdicts = [(a, H, is_embedded(reconstruct_meridian(a, H, (-args.x_max, args.x_max),
-                                                        args.n)))
-                for a in args.alphas for H in args.Hs]
-    for a, H, r in verdicts:
-        print(f"alpha={a:g} H={H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
+    verdicts = [classify_embedding(a, H) for a in args.alphas for H in args.Hs]
+    for r in verdicts:
+        print(f"alpha={r.alpha:g} H={r.H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
     path = _outdir(args) / "figure1_embeddedness.csv"
     write_csv(path, ("alpha", "H", "embedded", "margin"),
-              [(a, H, EMBEDDED_FLAG[r.embedded], r.margin) for a, H, r in verdicts])
+              [(r.alpha, r.H, EMBEDDED_FLAG[r.embedded], r.margin) for r in verdicts])
     print(f"wrote {path}")
     return 0
 
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=4000)
     sp.add_argument("--meridian-n", type=int, default=0,
                     help="also reconstruct the meridian on this many samples "
-                         "(CSV export + embeddedness verdict)")
+                         "(CSV export + embeddedness verdict from the turning angle)")
     sp.add_argument("--x-max", type=float, default=8.0)
 
     tp = sub.add_parser("torus", help="classify a CMC flat torus, lambda1 + spectrum")
@@ -218,11 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--n", type=int, default=60)
     rg.add_argument("--format", choices=("csv", "csv+svg"), default="csv")
 
-    em = sub.add_parser("embeddedness", help="embeddedness scan (figure 1)")
+    em = sub.add_parser("embeddedness", help="embeddedness scan by the turning angle (figure 1)")
     em.add_argument("--alphas", default="0.01,0.02,0.04,0.08,0.12")
     em.add_argument("--Hs", default="0,0.5,1,1.5,2")
-    em.add_argument("--n", type=int, default=3000)
-    em.add_argument("--x-max", type=float, default=9.0)
 
     pr = sub.add_parser("profiles", help="area/volume profiles (figure 4)")
     pr.add_argument("--alphas", default=None)
@@ -252,7 +248,14 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         _check_args(args)
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit: let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("bergercmc: stdout closed before the output ended", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,22 @@ W = [[i, -H], [H, i H^2]]/c.  W has the eigenvalues 0 and i; its kernel
 vector (H, i)/sqrt(c) gives the invariant coordinate (H z - i w)/sqrt(c)
 of the orbit space.
 
+In that coordinate the meridian is the planar curve
+w'(t) = e^{i phi} (H - i sqrt(a) t)/sqrt(q), t in (-1, 1), with
+|w'|^2 = (H^2 + a t^2)/q rising strictly in |t| and w'(-t) = conj w'(t):
+it meets itself only where its angle is a nonzero multiple of pi.  The
+angle turns monotonically for a < 1 and stays within pi/2 for a >= 1, so
+the sphere is embedded iff the turning angle
+
+    Theta(a, H) = atan2(sqrt a, H) + (H / sqrt(a)) X G(X)
+
+is at most pi, and the curve crosses itself ceil(Theta/pi) - 1 times.
+
 The module evaluates these, checks the integrability conditions and the
 Gauss equation, computes areas, evaluates the meridian curve in S^3 with
-its normal, and decides embeddedness through the orbit-space projection
-of the meridian.
+its normal, and decides embeddedness from Theta.  The sampled route (the
+orbit-space polyline of the meridian, tested with exact predicates by
+is_embedded) is kept as the reference that Theta is checked against.
 """
 
 from __future__ import annotations
@@ -39,12 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import as_alpha, as_H
-from .geometry2d import polyline_self_intersection_report
 from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
-RESIDUAL_TOL = 1e-3  # meridian invariants: FD speed^2 vs conf, g_a(N, xi) vs tanh
+# meridian invariants (speed^2 vs conf, g_a(N, xi) vs tanh) and the
+# finite-difference speed^2 by which is_embedded accepts a sampling
+RESIDUAL_TOL = 1e-3
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 # fewest and most meridian samples: a meridian of 10^5 points and its
 # embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
@@ -266,10 +279,9 @@ class MeridianProfile:
     """Meridian of S_a(H) with its adapted frame and residuals.
 
     points[i] is the curve in S^3 (4 real coordinates), normals[i] the
-    g_a-unit normal.  metric_residual compares the finite-difference speed^2
-    of the curve against conf(x) (NaN at the two endpoints, which have no
-    central difference); C_residual is the closed-form identity
-    g_a(N, xi) = tanh x.
+    g_a-unit normal.  metric_residual is the relative error of the
+    analytic speed^2 g_a(gamma_x, gamma_x) against conf(x); C_residual is
+    the closed-form identity g_a(N, xi) = tanh x.
     """
 
     alpha: float
@@ -282,8 +294,8 @@ class MeridianProfile:
 
     @property
     def max_metric_residual(self) -> float:
-        """Largest interior residual; NaN if an interior sample is NaN."""
-        return float(np.max(self.metric_residual[1:-1]))
+        """Largest residual; NaN if a sample is NaN."""
+        return float(np.max(self.metric_residual))
 
     @property
     def max_C_residual(self) -> float:
@@ -296,10 +308,8 @@ class MeridianProfile:
 
     def to_csv(self, path) -> None:
         """CSV columns: x, re(z), im(z), re(w), im(w), metric_residual, C_residual."""
-        mr = self.metric_residual
         write_csv(path, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
-                  np.column_stack([self.x, self.points, np.where(np.isfinite(mr), mr, 0.0),
-                                   self.C_residual]))
+                  np.column_stack([self.x, self.points, self.metric_residual, self.C_residual]))
 
 
 def meridian_range(x_range) -> tuple[float, float]:
@@ -341,27 +351,22 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
         om = z * X2 - w * X1
         return np.stack([sa * (X1 * z.conj() + X2 * w.conj()).imag, om.real, om.imag], axis=1)
 
-    nvec = np.cross(frame_coeffs(zy, wy), frame_coeffs(zx, wx))  # N = E2 at x = 0
+    cx = frame_coeffs(zx, wx)
+    nvec = np.cross(frame_coeffs(zy, wy), cx)  # N = E2 at x = 0
     nvec /= np.linalg.norm(nvec, axis=1)[:, None]
     # N = n0 xi + n1 E1 + n2 E2 with xi = i gamma / sqrt(a), E1 = (-conj w, conj z), E2 = i E1
     n0, n12 = nvec[:, 0] / sa, nvec[:, 1] + 1j * nvec[:, 2]
     normals = _as_real(1j * n0 * z - n12 * w.conj(), 1j * n0 * w + n12 * z.conj())
     points = _as_real(z, w)
 
-    # residual 1: finite-difference speed^2 g_a(dgam, dgam) against
-    # conf = (H^2 + a) s^2 / q^2, both divided by s so that neither
-    # underflows to 0 within MERIDIAN_X_LIMIT
-    h = xs[1] - xs[0]
-    dgam = (points[2:] - points[:-2]) / (2.0 * h)
-    vdot = (dgam * _as_real(1j * z, 1j * w)[1:-1]).sum(axis=1)
-    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
-    sm, qm = s[1:-1], q[1:-1]
-    conf_s = (H * H + a) * sm / (qm * qm)
-    metric_residual = np.full(len(xs), np.nan)
-    metric_residual[1:-1] = np.abs(speed2 / sm - conf_s) / conf_s
-
+    # speed^2 g_a(gamma_x, gamma_x), the squared norm of its orthonormal
+    # coefficients (which leaves no cancellation at small a), against
+    # conf = (H^2 + a) s^2 / q^2, both divided by s^2
+    speed2 = (cx * cx).sum(axis=1)
+    conf_s2 = (H * H + a) / (q * q)
     return MeridianProfile(alpha=a, H=H, x=xs, points=points, normals=normals,
-                           metric_residual=metric_residual, C_residual=nvec[:, 0] - t)
+                           metric_residual=np.abs(speed2 - conf_s2) / conf_s2,
+                           C_residual=nvec[:, 0] - t)
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
@@ -415,7 +420,82 @@ def planarity_report(points: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# embeddedness via the orbit-space projection
+# embeddedness: the turning angle of the orbit-space curve
+# ---------------------------------------------------------------------------
+
+def turning_angle(p, H):
+    """Theta(a, H) = atan2(sqrt a, H) + (H / sqrt a) X G(X), X = (1 - a)/(1 + H^2):
+    the angle the orbit-space curve w'(t) turns through from the equator
+    t = 0 to the pole t = 1, for a float or an array of H."""
+    a = as_alpha(p)
+    sa = math.sqrt(a)
+    X = (1.0 - a) / (1.0 + H * H)
+    atan = math.atan2(sa, H) if isinstance(X, float) else np.arctan2(sa, H)
+    return atan + (H / sa) * X * artanh_ratio(X)
+
+
+@dataclass(frozen=True)
+class EmbeddingVerdict:
+    embedded: bool
+    crossings: int
+    margin: float  # pi - Theta
+    alpha: float
+    H: float
+
+
+def classify_embedding(p, H: float) -> EmbeddingVerdict:
+    """S_a(H) is embedded iff Theta <= pi; its meridian's orbit-space curve
+    crosses itself once for each nonzero multiple of pi below Theta."""
+    a, H = as_alpha(p), as_H(H)
+    theta = turning_angle(a, H)
+    return EmbeddingVerdict(embedded=theta <= math.pi,
+                            crossings=max(0, math.ceil(theta / math.pi) - 1),
+                            margin=math.pi - theta, alpha=a, H=H)
+
+
+def _max_turning_angle(a: float) -> tuple[float, float]:
+    """(argmax_H Theta, max_H Theta).  Theta(a, .) rises from pi/2 at H = 0 to
+    one maximum and falls to 0; below alpha_emb the maximum lies in
+    (0.60, 0.67), and up to a = 0.2 in (0.38, 0.67)."""
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(lambda h: -turning_angle(a, h), bounds=(0.0, 2.0),
+                          method="bounded", options={"xatol": 1e-12})
+    return res.x, -res.fun
+
+
+def nonembedded_band(p):
+    """(H_-, H_+): S_a(H) is non-embedded iff H_- < H < H_+, the two roots of
+    Theta = pi on either side of argmax_H Theta; None where max_H Theta <= pi,
+    that is from alpha_emb() upward."""
+    from scipy.optimize import brentq
+
+    a = as_alpha(p)
+    h_top, top = _max_turning_angle(a)
+    if top <= math.pi:
+        return None
+    h_far = 2.0 * h_top
+    while turning_angle(a, h_far) >= math.pi:  # Theta -> 0 as H -> inf
+        h_far *= 2.0
+
+    def excess(h):
+        return turning_angle(a, h) - math.pi
+
+    return (brentq(excess, 0.0, h_top, xtol=1e-12, rtol=8.9e-16),
+            brentq(excess, h_top, h_far, xtol=1e-12, rtol=8.9e-16))
+
+
+def alpha_emb() -> float:
+    """The deformation below which some spheres are non-embedded: the root of
+    max_H Theta(a, H) = pi, 0.0473807639."""
+    from scipy.optimize import brentq
+
+    return brentq(lambda a: _max_turning_angle(a)[1] - math.pi, 0.01, 0.1,
+                  xtol=1e-14, rtol=8.9e-16)
+
+
+# ---------------------------------------------------------------------------
+# the reference route: the sampled orbit-space polyline
 # ---------------------------------------------------------------------------
 
 def fit_orbit_generator(m: MeridianProfile) -> np.ndarray:
@@ -453,20 +533,47 @@ class EmbeddednessResult:
     notes: str = ""
 
 
+def fd_metric_residual(m: MeridianProfile) -> np.ndarray:
+    """Relative error of the central-difference speed^2 g_a(dgam, dgam) of the
+    sampled meridian against conf at its interior samples: how well the
+    samples resolve the curve, which the polyline route depends on."""
+    a, H, xs, points = m.alpha, m.H, m.x, m.points
+    dgam = (points[2:] - points[:-2]) / (2.0 * (xs[1] - xs[0]))
+    i_gamma = np.column_stack([-points[:, 1], points[:, 0], -points[:, 3], points[:, 2]])
+    vdot = (dgam * i_gamma[1:-1]).sum(axis=1)
+    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
+    # both divided by sech x, so that neither underflows to 0 within MERIDIAN_X_LIMIT
+    t = np.tanh(xs[1:-1])
+    s = 1.0 / np.cosh(xs[1:-1])
+    q = H * H + a * t * t + s * s
+    conf_s = (H * H + a) * s / (q * q)
+    return np.abs(speed2 / s - conf_s) / conf_s
+
+
 def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
-    """Decide embeddedness of the CMC sphere from its meridian profile.
+    """Decide embeddedness of the CMC sphere from its sampled meridian: the
+    reference route that classify_embedding is checked against.
 
     The meridian is projected onto the invariant coordinate of the exact
     orbit generator (orbit_space_curve) and the planar curve is tested for
     transverse self-intersections with exact rational segment predicates;
     the margin is the minimum distance between parts of the curve that are
     far apart in arc length.  A margin below 10x the polyline resolution
-    yields an undecided verdict.
+    yields an undecided verdict.  Raises ReconstructionError unless the
+    meridian holds its contract and its finite-difference speed^2 is within
+    RESIDUAL_TOL of conf, as a polyline too coarse to follow the curve can
+    miscount its crossings.
     """
+    from . import geometry2d  # loaded on first use: no command takes this route
+
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
+    fd = float(np.max(fd_metric_residual(m)))
+    if not fd <= RESIDUAL_TOL:
+        raise ReconstructionError(f"reconstruction invariants violated: finite-difference "
+                                  f"metric {fd:.3e} (tol {RESIDUAL_TOL}); refine the grid")
     curve = orbit_space_curve(m)
-    report = polyline_self_intersection_report(curve)
+    report = geometry2d.polyline_self_intersection_report(curve)
     if report.crossings > 0:
         return EmbeddednessResult(False, report.margin, report.resolution,
                                   report.crossings, "transverse self-intersection")

@@ -12,10 +12,10 @@ import math
 import numpy as np
 
 from . import ambient, regions, tori
-from .cmc_spheres import (area_sphere, area_sphere_closed, fit_orbit_generator,
-                          fundamental_data, gauss_bonnet_integral, gauss_curvature,
-                          integrability_residual, is_embedded, planarity_report,
-                          reconstruct_meridian, zchart_data)
+from .cmc_spheres import (area_sphere, area_sphere_closed, classify_embedding,
+                          fit_orbit_generator, fundamental_data, gauss_bonnet_integral,
+                          gauss_curvature, integrability_residual, is_embedded,
+                          planarity_report, reconstruct_meridian, turning_angle, zchart_data)
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
                            sphere_profile, sphere_volume, sphere_volume_rate)
@@ -188,10 +188,24 @@ def check_reconstruction():
         assert is_embedded(m).embedded is True
 
 
+def check_embedding():
+    # the turning-angle verdict against the sampled orbit-space polyline, on
+    # meridians the polyline decides: 2 and 1 crossings, embedded next to the
+    # band, embedded for a = 0.5, a > 1 and H = 0
+    for a, H in ((0.005, 0.5), (0.02, 1.0), (0.04, 0.5), (0.05, 0.6), (0.5, 1.0),
+                 (2.0, 0.7), (0.1, 0.0)):
+        r = is_embedded(reconstruct_meridian(a, H, (-9, 9), 4096))
+        v = classify_embedding(a, H)
+        assert r.embedded is not None, f"polyline undecided at ({a}, {H})"
+        assert (v.embedded, v.crossings) == (r.embedded, r.crossings), f"verdict at ({a}, {H})"
+    for a in (1e-6, 0.3, 1.0, 50.0):  # the minimal sphere's curve is a diameter
+        assert turning_angle(a, 0.0) == math.pi / 2, f"Theta(a, 0) at a = {a}"
+
+
 CHECKS = [check_volume_form, check_zchart_transport, check_integrability_order,
           check_gauss_equation, check_areas, check_potential_universality, check_koiso,
           check_volume_rate, check_jacobi_spectrum, check_torus, check_regions,
-          check_integrand_sign, check_isoperimetry, check_reconstruction]
+          check_integrand_sign, check_isoperimetry, check_reconstruction, check_embedding]
 
 
 def run(verbose: bool = True) -> list[str]:

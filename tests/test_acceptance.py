@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from bergercmc.cmc_spheres import is_embedded, reconstruct_meridian
+from bergercmc.cmc_spheres import classify_embedding, is_embedded, reconstruct_meridian
 from bergercmc.isoperimetry import clifford_vs_minimal_sphere, crossing_alpha
 from bergercmc.regions import critical_constants, stability_integrand
 from bergercmc.stability import alpha0, koiso_integral_closed, sphere_stability_boundary
@@ -79,9 +79,12 @@ def test_criterion_07_torus_spectrum():
 
 
 def test_criterion_09_reconstruction_and_embeddedness():
-    # the non-embedded spheres sit at small alpha and moderate H > 0
+    # the non-embedded spheres sit at small alpha and moderate H > 0; the
+    # turning angle and the sampled polyline agree there
+    v = classify_embedding(0.02, 1.0)
     r = is_embedded(reconstruct_meridian(0.02, 1.0, (-9, 9), 3000))
-    assert r.embedded is False and r.crossings >= 1
+    assert v.embedded is False and v.crossings == 1
+    assert (r.embedded, r.crossings) == (v.embedded, v.crossings)
     ok(9, "non-embedded sphere found at alpha = 0.02, H = 1")
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from bergercmc.ambient import ALPHA_MAX, ALPHA_MIN, H_MAX
 from bergercmc.cli import REGIONS_MAX_N, main
-from bergercmc.cmc_spheres import MERIDIAN_MAX_N, MERIDIAN_X_LIMIT
+from bergercmc.cmc_spheres import (MERIDIAN_MAX_N, MERIDIAN_X_LIMIT, ReconstructionError,
+                                   is_embedded, reconstruct_meridian, turning_angle)
 from bergercmc.isoperimetry import PROFILE_MAX_N
 from bergercmc.stability import SPECTRUM_MAX_N
 
@@ -131,14 +133,12 @@ def test_huge_mean_curvature_without_traceback(tmp_path):
 # by the library routine that allocates the grid
 GRID_SIZE_MESSAGE = {"sphere": "need 200 <= n <= 1000000 grid cells",
                      "regions": "--n must be at least 2",
-                     "embeddedness": "need 64 <= n <= 100000 meridian samples",
                      "profiles": "need H_max > 0 and 50 <= n <= 1000000 grid points"}
 
 
 @pytest.mark.parametrize("args,least", [
     (["sphere", "--alpha", "0.5", "--H", "1"], 200),
     (["regions", "--format", "csv+svg"], 2),
-    (["embeddedness", "--alphas", "0.02", "--Hs", "1"], 64),
     (["profiles", "--alphas", "0.5", "--format", "csv+svg"], 50),
 ])
 def test_grid_size_below_minimum_exit_code(args, least, tmp_path, capsys):
@@ -223,12 +223,54 @@ def test_torus_nan_exits_2_without_traceback(tmp_path):
 
 def test_embeddedness_scan(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "embeddedness", "--alphas", "0.02,1.0",
-                 "--Hs", "1.0", "--n", "2500"]) == 0
+                 "--Hs", "1.0"]) == 0
     lines = (tmp_path / "figure1_embeddedness.csv").read_text().splitlines()
     assert lines[0] == "alpha,H,embedded,margin"
-    rows = {tuple(line.split(",")[:2]): line.split(",")[2] for line in lines[1:]}
-    assert rows[("0.02", "1.0")] == "0"  # non-embedded
-    assert rows[("1.0", "1.0")] == "1"
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2:] for line in lines[1:]}
+    assert rows[("0.02", "1.0")] == ["0", repr(math.pi - turning_angle(0.02, 1.0))]
+    assert rows[("1.0", "1.0")] == ["1", repr(math.pi - math.pi / 4)]  # Theta = atan2(1, H)
+    assert "alpha=0.02 H=1: non-embedded (margin -1.29182)" in capsys.readouterr().out
+
+
+def test_embeddedness_command_builds_no_meridian(tmp_path, monkeypatch, capsys):
+    from bergercmc import cmc_spheres
+
+    monkeypatch.setattr(cmc_spheres, "_meridian_profile", None)  # a meridian would raise
+    assert main(["--out", str(tmp_path), "embeddedness"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 26
+
+
+def test_band_script_writes_the_roots_of_theta(tmp_path):
+    from bergercmc.cmc_spheres import nonembedded_band
+
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "embeddedness_scan.py"),
+                           str(tmp_path)], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in
+            (tmp_path / "embeddedness_band.csv").read_text().splitlines()]
+    assert rows[0] == ["alpha", "H_lo", "H_hi"] and len(rows) == 9
+    for a, lo, hi in rows[1:-1]:  # a from 0.004 to 0.041, all below alpha_emb
+        assert (float(lo), float(hi)) == nonembedded_band(float(a))
+    assert rows[-1] == ["0.06", "nan", "nan"]  # above alpha_emb: no band
+    assert "alpha=0.0087: non-embedded for H in (0.075, 3.214)" in proc.stdout
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the read end closes before the child starts, so its first write fails
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bergercmc.cli", "--out", str(tmp_path),
+                               "torus", "--alpha", "0.5", "--H", "0"], stdout=write_fd,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_fd)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr == "bergercmc: stdout closed before the output ended\n"
 
 
 def test_cli_runs_byte_identical(tmp_path):
@@ -258,7 +300,8 @@ def test_selftest_failure_exit_code(monkeypatch, capsys):
 
 SELFTEST_NAMES = ["volume-form", "zchart-transport", "integrability-order", "gauss-equation",
                   "areas", "potential-universality", "koiso", "volume-rate", "jacobi-spectrum",
-                  "torus", "regions", "integrand-sign", "isoperimetry", "reconstruction"]
+                  "torus", "regions", "integrand-sign", "isoperimetry", "reconstruction",
+                  "embedding"]
 
 
 def test_selftest_prints_each_check(capsys):
@@ -297,22 +340,32 @@ def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeyp
         breakage(m)
         return m
 
+    # the one check that asserts the meridian's identities, run through run()
+    monkeypatch.setattr(selfcheck, "CHECKS", [selfcheck.check_reconstruction])
     monkeypatch.setattr(selfcheck, "reconstruct_meridian", broken)
     assert selfcheck.run(verbose=False) == ["reconstruction"]
 
 
 @pytest.mark.parametrize("args", [
-    ["embeddedness", "--alphas", "1e-12", "--Hs", "0,1"],
-    ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048", "--x-max", "30"],
+    ["sphere", "--alpha", "1e4", "--H", "0", "--n", "8000"],
+    ["sphere", "--alpha", "1e4", "--H", "0", "--n", "8000", "--meridian-n", "2048"],
 ])
 def test_numerical_failure_exits_3_before_any_output(args, tmp_path, capsys):
-    # the H = 0 verdict and the sphere's spectrum succeed; the meridian at
-    # H = 1 fails its finite-difference contract
+    # the spectrum is not certified (its rounding bound reaches the zero
+    # threshold), after the meridian and its verdict are computed
     out = tmp_path / "out"
     assert main(["--out", str(out), *args]) == 3
     captured = capsys.readouterr()
-    assert "numerical contract failure: reconstruction invariants violated" in captured.err
+    assert "numerical contract failure: index and nullity not certified" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_meridian_reaching_the_poles_holds_its_contract(tmp_path, capsys):
+    # beyond |x| ~ 30 the samples move by less than roundoff; the contract
+    # measures the closed form, not the sampling
+    assert main(["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1",
+                 "--n", "1500", "--meridian-n", "2048", "--x-max", "30"]) == 0
+    assert "embeddedness = embedded (margin 2.13769, crossings 0)" in capsys.readouterr().out
 
 
 def test_sphere_meridian_export(tmp_path, capsys):
@@ -362,11 +415,16 @@ def test_alpha_below_floor_exit_code(args, tmp_path, capsys):
 
 @pytest.mark.parametrize("x_max", ["inf", "1e300", "701", "0"])
 def test_bad_embeddedness_range_exit_code(x_max, tmp_path, capsys):
-    argv = ["--out", str(tmp_path), "embeddedness", "--alphas", "0.5", "--Hs", "1",
-            "--x-max", x_max]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "configuration error" in captured.err and captured.out == ""
+    # the verdict needs no meridian, so embeddedness takes no range: argparse
+    # refuses --x-max (and --n) with exit 2
+    for flag in ("--x-max", "--n"):
+        argv = ["--out", str(tmp_path), "embeddedness", "--alphas", "0.5", "--Hs", "1",
+                f"{flag}={x_max}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -401,15 +459,21 @@ def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048", "--x-max", x]
-    for x in ("200", "300", "400", "700")] + [["embeddedness", "--x-max", "300"]],
-    ids=["sphere200", "sphere300", "sphere400", "sphere700", "embeddedness300"])
+    for x in ("200", "300", "400", "700")],
+    ids=["sphere200", "sphere300", "sphere400", "sphere700"])
 def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
-    # the finite-difference speed contract rejects these grids; conf, the
-    # residuals and the normals must get there without overflow or 0/0
-    proc, _ = run_cli(args, tmp_path, "wide")
-    assert proc.returncode == 3
-    assert "numerical contract failure: reconstruction invariants violated" in proc.stderr
+    # sphere exports these meridians, whose closed form holds its contract;
+    # the polyline reference's finite-difference speed contract rejects them.
+    # conf, the residuals and the normals must get there without overflow or 0/0
+    proc, out = run_cli(args, tmp_path, "wide")
+    assert proc.returncode == 0
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert (out / "meridian_alpha0.5_H1.csv").exists()
+    x_max = float(args[-1])
+    with np.errstate(all="raise", under="ignore"):
+        m = reconstruct_meridian(0.5, 1.0, (-x_max, x_max), 2048)
+        with pytest.raises(ReconstructionError, match="finite-difference metric"):
+            is_embedded(m)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +507,7 @@ _BASE = {
     "sphere": ["--alpha", "0.5", "--H", "1", "--n", "200"],
     "torus": ["--alpha", "0.5", "--H", "0"],
     "regions": ["--n", "5"],
-    "embeddedness": ["--alphas", "0.5", "--Hs", "1", "--n", "64"],
+    "embeddedness": ["--alphas", "0.5", "--Hs", "1"],
     "profiles": ["--alphas", "0.5", "--n", "50"],
     "candidate": ["--alpha", "0.5", "--V", "3"],
 }
@@ -461,8 +525,6 @@ _BAD_VALUES = {
     ("regions", "--n"): _ints_outside(2, REGIONS_MAX_N),
     ("embeddedness", "--alphas"): _ALPHA.map(lambda v: f"0.5,{v}"),
     ("embeddedness", "--Hs"): _H.map(lambda v: f"{v},1"),
-    ("embeddedness", "--n"): _ints_outside(64, MERIDIAN_MAX_N),
-    ("embeddedness", "--x-max"): _X_MAX,
     ("profiles", "--alphas"): _ALPHA,
     ("profiles", "--H-max"): st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"),
                                        _floats_above(H_MAX)),

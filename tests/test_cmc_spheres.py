@@ -7,13 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
-from bergercmc.cmc_spheres import (ReconstructionError,
+from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb,
                                    area_sphere, area_sphere_closed, artanh_ratio,
-                                   fit_orbit_generator, fundamental_data,
-                                   gauss_bonnet_integral, gauss_curvature,
-                                   integrability_residual, is_embedded,
-                                   planarity_report, reconstruct_meridian,
-                                   zchart_data)
+                                   classify_embedding, fit_orbit_generator,
+                                   fundamental_data, gauss_bonnet_integral,
+                                   gauss_curvature, integrability_residual, is_embedded,
+                                   nonembedded_band, planarity_report,
+                                   reconstruct_meridian, turning_angle, zchart_data)
 from scipy.integrate import quad, solve_ivp
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
@@ -290,9 +290,10 @@ def test_reconstruction_errors():
         reconstruct_meridian(0.5, 1.0, (-8, 8), 32)
     with pytest.raises(ValueError):
         reconstruct_meridian(0.5, 1.0, (1, 8), 128)
+    m = reconstruct_meridian(0.01, 1.0, (-9, 9), 700)  # the closed form holds
     with pytest.raises(ReconstructionError):
-        # far too coarse for the finite-difference certificate at small alpha
-        reconstruct_meridian(0.01, 1.0, (-9, 9), 700)
+        # far too coarse for the polyline's finite-difference certificate at small alpha
+        is_embedded(m)
 
 
 def test_normal_is_unit_and_orthogonal():
@@ -393,7 +394,7 @@ def test_meridian_postprocessing_matches_per_sample_loop():
 
     a, H, n = 0.01, 1.0, 2048
     d = fundamental_data(a, H)
-    # the production residual of the closed-form curve is |speed^2 / conf - 1|;
+    # the polyline's finite-difference residual is |speed^2 / conf - 1|;
     # 1e-12 relative to speed^2 is 1e-12 absolute on it
     m = reconstruct_meridian(a, H, (-9, 9), n)
     h = m.x[1] - m.x[0]
@@ -401,8 +402,22 @@ def test_meridian_postprocessing_matches_per_sample_loop():
     conf_mid = d.conf(m.x[1:-1])
     loop = [abs(metric_eval(a, m.points[i], dgam[i - 1], dgam[i - 1]) - conf_mid[i - 1])
             / conf_mid[i - 1] for i in range(1, n - 1)]
-    assert np.isnan(m.metric_residual[[0, -1]]).all()
-    np.testing.assert_allclose(m.metric_residual[1:-1], loop, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cmc_spheres.fd_metric_residual(m), loop, rtol=0, atol=1e-12)
+
+
+def test_analytic_metric_residual_measures_the_closed_form():
+    # the analytic speed^2 of gamma_x against conf, on every sample out to the
+    # x limit, where the finite-difference quotient of the samples reads 0
+    xs = np.concatenate([np.linspace(-cmc_spheres.MERIDIAN_X_LIMIT,
+                                     cmc_spheres.MERIDIAN_X_LIMIT, 2001),
+                         np.linspace(-30.0, 30.0, 601)])
+    worst = max(cmc_spheres._meridian_profile(a, H, xs).max_metric_residual
+                for a in np.geomspace(1e-6, 1e4, 21).tolist()
+                for H in (0.0, 1e-3, 0.3, 1.0, 3.0, 30.0, 1e3))
+    assert worst <= 1e-10
+    m = reconstruct_meridian(0.5, 1.0, (-30.0, 30.0), 2048)
+    assert m.max_metric_residual <= 1e-14
+    assert np.max(cmc_spheres.fd_metric_residual(m)) > cmc_spheres.RESIDUAL_TOL
 
 
 # H = 0, a = 1, a > 1, small a; odd and even n.  At a = 50 and a = 1e-3 the
@@ -475,26 +490,36 @@ def test_exact_orbit_generator_matches_lstsq_oracle(a, H, x_max, n):
 
 
 def test_embed_scan_pool_parity():
-    # every pool point of the figure-1 benchmark: the same verdicts and
-    # crossing counts as the ODE meridian gave, and the same 20 errors
+    # every pool point of the figure-1 benchmark: the polyline gives the same
+    # verdicts and crossing counts as the ODE meridian gave, and the same 20
+    # errors; the turning angle agrees wherever the polyline decides, and
+    # decides the other 21 points
     import json
     from pathlib import Path
 
     ref = Path(__file__).resolve().parents[1] / "bench" / "reference" / "embed_scan.json"
     pool = json.loads(ref.read_text())["pool"]
     assert len(pool) == 200
-    errors = 0
+    errors = decided = 0
     for case in pool:
         p, want = case["params"], case["ref"]
-        x_range = (-p["x_max"], p["x_max"])
+        v = classify_embedding(p["alpha"], p["H"])
+        m = reconstruct_meridian(p["alpha"], p["H"], (-p["x_max"], p["x_max"]), p["n"])
         if want.get("error") == "ReconstructionError":
             errors += 1
             with pytest.raises(ReconstructionError):
-                reconstruct_meridian(p["alpha"], p["H"], x_range, p["n"])
+                is_embedded(m)
+            assert not v.embedded and v.crossings in (2, 3), p
             continue
-        r = is_embedded(reconstruct_meridian(p["alpha"], p["H"], x_range, p["n"]))
+        r = is_embedded(m)
         assert (r.embedded, r.crossings) == (want["embedded"], want["crossings"]), p
-    assert errors == 20
+        if r.embedded is None:
+            assert (p["alpha"], p["H"]) == (0.0452637, 0.875146)
+            assert v.embedded and abs(math.pi - v.margin - 3.0821) < 5e-5
+            continue
+        decided += 1
+        assert (v.embedded, v.crossings) == (r.embedded, r.crossings), p
+    assert (errors, decided) == (20, 179)
 
 
 @given(st.floats(min_value=-6.0, max_value=4.0), st.floats(min_value=0.0, max_value=1e3),
@@ -510,24 +535,46 @@ def test_closed_form_extreme_parameters(log_a, H, x_max, n):
     assert m.max_C_residual <= 1e-11
 
 
-def test_reconstruction_error_traceback_holds_no_meridian_arrays():
-    # a failing case's traceback must not keep the meridian alive
-    n = 700
-    with pytest.raises(ReconstructionError) as info:
-        reconstruct_meridian(0.01, 1.0, (-9, 9), n)
-    tb = info.value.__traceback__
+def _frame_locals(exc):
+    tb = exc.__traceback__
     while tb is not None:
-        for name, value in tb.tb_frame.f_locals.items():
-            assert not isinstance(value, cmc_spheres.MeridianProfile), name
-            assert not (isinstance(value, np.ndarray) and n in value.shape), name
+        yield from tb.tb_frame.f_locals.items()
         tb = tb.tb_next
+
+
+def test_reconstruction_error_traceback_holds_no_meridian_arrays(monkeypatch):
+    # a failing case's traceback must not keep the meridian alive: not the
+    # profile that broke its contract, nor the polyline's work arrays
+    n = 700
+    real = cmc_spheres._meridian_profile
+
+    def broken(*args):
+        m = real(*args)
+        m.C_residual[1] = math.nan
+        return m
+
+    monkeypatch.setattr(cmc_spheres, "_meridian_profile", broken)
+    with pytest.raises(ReconstructionError) as info:
+        reconstruct_meridian(0.5, 1.0, (-9, 9), n)
+    for name, value in _frame_locals(info.value):
+        assert not isinstance(value, cmc_spheres.MeridianProfile), name
+        assert not (isinstance(value, np.ndarray) and n in value.shape), name
+    monkeypatch.undo()
+
+    m = reconstruct_meridian(0.01, 1.0, (-9, 9), n)
+    own = [m.x, m.points, m.normals, m.metric_residual, m.C_residual]
+    with pytest.raises(ReconstructionError) as info:
+        is_embedded(m)
+    for name, value in _frame_locals(info.value):
+        if isinstance(value, np.ndarray) and not any(value is arr for arr in own):
+            assert not (n in value.shape or n - 2 in value.shape), name
 
 
 @pytest.mark.parametrize("field", ["metric_residual", "C_residual"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_interior_residual_breaks_contract(field, bad):
     m = reconstruct_meridian(0.5, 1.0, (-8, 8), 1024)
-    assert m.holds_contract  # the NaN endpoints of metric_residual do not count
+    assert m.holds_contract
     getattr(m, field)[500] = bad
     assert not m.holds_contract
     with pytest.raises(ReconstructionError):
@@ -582,6 +629,99 @@ def test_non_embedded_verdict_stable_under_refinement():
     for n in (3000, 6000):
         m = reconstruct_meridian(0.01, 1.0, (-9, 9), n)
         assert is_embedded(m).embedded is False
+
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
+def _unwrapped_turning_angle(a, H, x_end=30.0, steps=20000):
+    """Theta as the unwrapped angle of the orbit-space curve
+    w'(t) = e^{i phi(t)} (H - i sqrt(a) t)/sqrt(q), t = tanh x, with phi from
+    Gauss-Legendre quadrature of d phi/dx = (a - 1) H sech^2 x/(sqrt(a) q):
+    no atan2 and no G.  Steps of 1.5e-3 in x turn the angle by less than 1,
+    so the unwrap follows it; beyond x = 30 sech^2 x < 4e-26."""
+    sa = math.sqrt(a)
+
+    def dphi(x):
+        s2 = 1.0 / np.cosh(x) ** 2
+        return (a - 1.0) * H * s2 / (sa * (H * H + a * np.tanh(x) ** 2 + s2))
+
+    edges = np.linspace(0.0, x_end, steps + 1)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    pieces = (dphi(mid[:, None] + half[:, None] * GL_NODES) * GL_WEIGHTS).sum(axis=1) * half
+    t = np.tanh(edges)
+    q = H * H + a * t * t + 1.0 / np.cosh(edges) ** 2
+    w = np.exp(1j * np.concatenate([[0.0], np.cumsum(pieces)])) * (H - 1j * sa * t) / np.sqrt(q)
+    coarse = np.unwrap(np.angle(w))[-1]
+    # the last angle again from the correctly rounded sum of the pieces
+    last = float(np.angle(np.exp(1j * math.fsum(pieces)) * (H - 1j * sa * t[-1])))
+    return -(last + 2.0 * math.pi * round((coarse - last) / (2.0 * math.pi)))
+
+
+def test_turning_angle_is_the_unwrapped_angle_of_the_orbit_curve():
+    worst = 0.0
+    for a in np.geomspace(1e-6, 1e4, 11).tolist():
+        for H in np.geomspace(1e-3, 1e3, 9).tolist():
+            theta = turning_angle(a, H)
+            worst = max(worst, abs(_unwrapped_turning_angle(a, H) - theta) / theta)
+    assert worst <= 1e-11
+
+
+def test_turning_angle_array_and_float_paths_agree():
+    Hs = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 97)])
+    for a in (1e-12, 0.01, 0.5, 1.0, 2.0, 1e12):
+        got = turning_angle(a, Hs)
+        want = [turning_angle(a, H) for H in Hs.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)  # radians
+        assert got[0] == math.pi / 2  # the minimal sphere's curve is a diameter
+
+
+@given(st.floats(min_value=1.0, max_value=1e12), st.floats(min_value=0.0, max_value=1e6))
+def test_spheres_are_embedded_for_a_at_least_one(a, H):
+    # X <= 0, so the G term is <= 0 and Theta <= atan2(sqrt a, H) <= pi/2
+    assert turning_angle(a, H) <= math.pi / 2
+    v = classify_embedding(a, H)
+    assert v.embedded and v.crossings == 0 and v.margin >= math.pi / 2
+
+
+def test_classify_embedding_counts_crossings():
+    for a, H, crossings in ((0.04, 0.5, 1), (0.02, 1.0, 1), (0.005, 0.5, 2),
+                            (0.00421758, 0.950525, 3), (0.002, 1.0, 4), (0.5, 1.0, 0)):
+        v = classify_embedding(a, H)
+        theta = turning_angle(a, H)
+        assert (v.embedded, v.crossings) == (crossings == 0, crossings), (a, H)
+        assert crossings * math.pi < theta <= (crossings + 1) * math.pi
+        assert v.margin == math.pi - theta and (v.alpha, v.H) == (a, H)
+    assert classify_embedding(0.00421758, 0.950525).margin == pytest.approx(math.pi - 9.749,
+                                                                            abs=5e-4)
+    with pytest.raises(ValueError):
+        classify_embedding(0.5, -1.0)
+
+
+def test_alpha_emb_closes_the_band():
+    from scipy.optimize import minimize_scalar
+
+    ae = alpha_emb()
+    assert abs(ae - 0.0473807639) < 5e-11
+    res = minimize_scalar(lambda h: -turning_angle(ae, h), bounds=(0.0, 2.0), method="bounded",
+                          options={"xatol": 1e-12})
+    assert abs(-res.fun - math.pi) < 1e-12
+    assert nonembedded_band(ae * (1.0 + 1e-9)) is None
+    assert nonembedded_band(ae * (1.0 - 1e-6)) is not None
+    for a in (0.06, 0.5, 1.0, 3.0):
+        assert nonembedded_band(a) is None
+
+
+@pytest.mark.parametrize("a,lo,hi", [(0.01, 0.08385, 2.96250), (0.04, 0.34948, 1.01161)])
+def test_nonembedded_band_edges(a, lo, hi):
+    H_lo, H_hi = nonembedded_band(a)
+    assert abs(H_lo - lo) < 5e-6 and abs(H_hi - hi) < 5e-6
+    for H in (H_lo, H_hi):
+        assert abs(turning_angle(a, H) - math.pi) < 1e-13
+    assert classify_embedding(a, H_lo * (1.0 - 1e-6)).embedded
+    assert not classify_embedding(a, H_lo * (1.0 + 1e-6)).embedded
+    assert not classify_embedding(a, H_hi * (1.0 - 1e-6)).embedded
+    assert classify_embedding(a, H_hi * (1.0 + 1e-6)).embedded
 
 
 def test_csv_roundtrip(tmp_path):

@@ -63,3 +63,10 @@ def test_profiles_command_loads_no_scipy(tmp_path):
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'profiles', "
             "'--alphas', '0.5', '--n', '60']) == 0")
     assert scipy_modules_after(code) == []
+
+
+def test_embeddedness_command_loads_no_scipy(tmp_path):
+    # the verdict is the closed-form turning angle: no meridian, no polyline
+    code = ("import bergercmc.cli\n"
+            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'embeddedness']) == 0")
+    assert scipy_modules_after(code) == []
