@@ -230,25 +230,26 @@ def area_sphere(p, H: float) -> float:
     return area
 
 
-def artanh_ratio(x):
+def artanh_ratio(x, one_minus_x):
     """G(x) = sum_n x^n/(2n + 1) = artanh(sqrt x)/sqrt x (0 < x < 1), atan(sqrt -x)/sqrt -x
     (x < 0), 1 (x = 0): the branch function of every closed form of the family, taken
-    at X = (1 - a)/(1 + H^2).  A Python float takes a math-only path, an array numpy's."""
+    at X = (1 - a)/(1 + H^2).  The caller passes 1 - x, which it holds without
+    cancellation ((H^2 + a)/(1 + H^2) at X), and artanh r = log1p(2r(1 + r)/(1 - x))/2
+    keeps every digit as x -> 1.  A Python float takes a math-only path, an array numpy's."""
     if isinstance(x, float):
         if x > 0.0:
             r = math.sqrt(x)
-            return math.atanh(r) / r
+            return 0.5 * math.log1p(2.0 * r * (1.0 + r) / one_minus_x) / r
         if x < 0.0:
             r = math.sqrt(-x)
             return math.atan(r) / r
         return 1.0
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 1.0):  # as math.atanh(1) does, when 1 - a rounds to 1 at H = 0
-        raise ValueError("math domain error")
+    x, one_minus_x = np.broadcast_arrays(np.asarray(x, dtype=float), one_minus_x)
     r = np.sqrt(np.abs(x))
     out = np.ones_like(x)
     pos, neg = x > 0.0, x < 0.0
-    out[pos] = np.arctanh(r[pos]) / r[pos]
+    rp = r[pos]
+    out[pos] = 0.5 * np.log1p(2.0 * rp * (1.0 + rp) / one_minus_x[pos]) / rp
     out[neg] = np.arctan(r[neg]) / r[neg]
     return out
 
@@ -258,7 +259,7 @@ def area_sphere_closed(p, H):
     a = as_alpha(p)
     h2 = H * H
     c = 1.0 + h2
-    return 2.0 * math.pi * (1.0 + (h2 + a) * artanh_ratio((1.0 - a) / c) / c) / c
+    return 2.0 * math.pi * (1.0 + (h2 + a) * artanh_ratio((1.0 - a) / c, (h2 + a) / c) / c) / c
 
 
 def gauss_bonnet_integral(d: SphereFundamentalData) -> float:
@@ -335,7 +336,8 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
     q = H * H + a * t * t + s * s
     X = (1.0 - a) / (1.0 + H * H)
-    e = np.exp(-1j * (H / sa) * X * t * artanh_ratio(X * t * t)) / np.sqrt((1.0 + H * H) * q)
+    e = (np.exp(-1j * (H / sa) * X * t * artanh_ratio(X * t * t, q / (1.0 + H * H)))
+         / np.sqrt((1.0 + H * H) * q))
     z = e * ((s + H * H) - 1j * (sa * H) * t)
     w = e * (sa * t + 1j * H * (1.0 - s))
     # gamma_x and W gamma both carry a factor sech x, taken out: else the
@@ -426,12 +428,23 @@ def planarity_report(points: np.ndarray) -> dict:
 def turning_angle(p, H):
     """Theta(a, H) = atan2(sqrt a, H) + (H / sqrt a) X G(X), X = (1 - a)/(1 + H^2):
     the angle the orbit-space curve w'(t) turns through from the equator
-    t = 0 to the pole t = 1, for a float or an array of H."""
+    t = 0 to the pole t = 1, for a float or an array of H.  For a > 1 these terms
+    cancel, so Theta = (H/sqrt a)(d atan r1 + r2 atan(d/(1 + r1 r2))) sums positive
+    ones: r1 = sqrt(a)/H, r2 = sqrt(-X), d = r1 - r2 = (a + H^2)/(H^2 c (r1 + r2)),
+    c = 1 + H^2; with u = H/sqrt a, e = u d = (1 + u^2)/(c (1 + u r2)) is 1 at H = 0."""
     a = as_alpha(p)
     sa = math.sqrt(a)
-    X = (1.0 - a) / (1.0 + H * H)
-    atan = math.atan2(sa, H) if isinstance(X, float) else np.arctan2(sa, H)
-    return atan + (H / sa) * X * artanh_ratio(X)
+    c = 1.0 + H * H
+    scalar = isinstance(c, float)
+    atan = math.atan2(sa, H) if scalar else np.arctan2(sa, H)
+    if a <= 1.0:
+        X = (1.0 - a) / c
+        return atan + (H / sa) * X * artanh_ratio(X, (H * H + a) / c)
+    sqrt, arctan = (math.sqrt, math.atan) if scalar else (np.sqrt, np.arctan)
+    u = H / sa
+    r2 = sqrt((a - 1.0) / c)
+    e = (1.0 + u * u) / (c * (1.0 + u * r2))
+    return e * atan + u * r2 * arctan(e / (u + r2))
 
 
 @dataclass(frozen=True)

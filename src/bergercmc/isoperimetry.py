@@ -148,7 +148,7 @@ def sphere_volume(p, H) -> np.ndarray:
     c = 1.0 + H * H
     vol = np.asarray(2.0 * math.pi * sa * np.arctan2(sa, H) - math.pi * H / c
                      + math.pi * H * ((2.0 - 3.0 * a) + (1.0 - 2.0 * a) * H * H)
-                     * artanh_ratio((1.0 - a) / c) / (c * c))
+                     * artanh_ratio((1.0 - a) / c, (H * H + a) / c) / (c * c))
     far = H * H >= 16.0 * max(a, 4.0)
     u = 1.0 / H[far]
     series = 0.0

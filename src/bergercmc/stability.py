@@ -16,8 +16,12 @@ problem
     w(t) = (H^2 + a) / (1 + H^2 - (1 - a) t^2)^2,
 
 on [-1, 1] with natural boundary conditions, so no artificial domain
-truncation is involved and the three zero modes (t and sqrt(1 - t^2)
-times the two first harmonics) are resolved to discretization accuracy.
+truncation is involved.  Every S_a(H) has index 1 and nullity 3, mode by
+mode, by the oscillation theorem (Zettl, Sturm-Liouville Theory, ch. 10):
+mode 0 has the eigenfunction t at 0 with one interior zero, so 0 is its
+second eigenvalue and it is simple; modes +-1 have a form Int sigma^2 g'^2
+(f = sqrt(sigma) g, sigma = 1 - t^2) with kernel g = 1; modes |k| >= 2
+have a positive form.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ LAMBDA1_GAP = "Lambda1Gap"
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
 TINY = float(np.finfo(float).tiny)  # smallest normal float
-EPS = float(np.finfo(float).eps)  # machine epsilon, twice the unit roundoff
+ZERO_RTOL = 1e-3  # the computed zero eigenvalues, relative to the spectral gap
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
 
 
@@ -63,7 +67,7 @@ class StabilityVerdict:
 
 
 class SpectrumError(RuntimeError):
-    """An eigenvalue is within its rounding bound of the zero threshold."""
+    """The computed spectrum breaks the zero-mode contract of jacobi_spectrum."""
 
 
 @dataclass
@@ -72,10 +76,8 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     modes: np.ndarray
-    index: int
-    nullity: int
     gap: float
-    zero_tol: float
+    index, nullity = 1, 3  # for every (a, H), by the theorem of the module docstring
 
     def to_csv(self, path) -> None:
         write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
@@ -108,8 +110,11 @@ def koiso_solution(p, H: float, x):
     G = artanh_ratio; at a = 1 it is the constant 1/(2c)."""
     a = as_alpha(p)
     c = H**2 + 1.0
-    h2 = (1.0 - a) / c * np.tanh(np.asarray(x, dtype=float)) ** 2
-    return (1.0 - h2 * artanh_ratio(h2)) / (2.0 * c)
+    x = np.asarray(x, dtype=float)
+    t2 = np.tanh(x) ** 2
+    h2 = (1.0 - a) / c * t2
+    q = H**2 + a * t2 + 1.0 / np.cosh(x) ** 2  # c (1 - h^2), a sum of nonnegative terms
+    return (1.0 - h2 * artanh_ratio(h2, q / c)) / (2.0 * c)
 
 
 def koiso_integral_closed(p, H):
@@ -118,7 +123,8 @@ def koiso_integral_closed(p, H):
     a = as_alpha(p)
     h2 = H * H
     c = h2 + 1.0
-    return math.pi * (3.0 + (h2 + 3.0 * a - 2.0) * artanh_ratio((1.0 - a) / c) / c) / (2.0 * c * c)
+    G = artanh_ratio((1.0 - a) / c, (h2 + a) / c)
+    return math.pi * (3.0 + (h2 + 3.0 * a - 2.0) * G / c) / (2.0 * c * c)
 
 
 def koiso_integral_quadrature(p, H: float) -> float:
@@ -194,9 +200,8 @@ def _grid(n: int):
     return h, -1.0 + (np.arange(n) + 0.5) * h, -1.0 + np.arange(n + 1) * h
 
 
-def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int):
-    """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1],
-    and a bound on their rounding error.
+def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
+    """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1].
 
     Eigenfunctions behave like (1 - t^2)^{k/2} at the poles, so we solve for
     the regular part g with f = (1 - t^2)^{k/2} g; the quadratic form becomes
@@ -206,37 +211,33 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int):
 
     with weight w sigma^k.  Everything in sight is smooth, the finite-volume
     scheme converges at second order for every mode, and the k = 1 zero mode
-    is the exact constant g = 1.  The returned bound eps (max|diag| + 2 max|off|)
-    of the scaled matrix T is at least eps ||T|| (Gershgorin), the rounding error
-    of each eigenvalue of a backward-stable solver up to a modest constant, here 1.
+    is the exact constant g = 1.
     """
     h, t_node, t_edge = _grid(n)
     sig_node = 1.0 - t_node**2
-    sig_edge = 1.0 - t_edge**2
     w = (H**2 + alpha) / (1.0 + H**2 - (1.0 - alpha) * t_node**2) ** 2
 
-    flux = sig_edge ** (k + 1) / h
-    pot = h * (k**2 + k - 2.0) * sig_node**k
-    diag = flux[:-1] + flux[1:] + pot
-    off = -flux[1:-1]
+    flux = (1.0 - t_edge**2) ** (k + 1) / h
+    diag = flux[:-1] + flux[1:] + h * (k**2 + k - 2.0) * sig_node**k
     m = h * w * sig_node**k
     sm = np.sqrt(m)
-    diag_b = diag / m
-    off_b = off / (sm[:-1] * sm[1:])
-    count = min(count, n)
-    vals = eigh_tridiagonal(diag_b, off_b, select="i",
-                            select_range=(0, count - 1), eigvals_only=True)
-    return vals, EPS * (np.max(np.abs(diag_b)) + 2.0 * np.max(np.abs(off_b)))
+    return eigh_tridiagonal(diag / m, -flux[1:-1] / (sm[:-1] * sm[1:]), select="i",
+                            select_range=(0, min(count, n) - 1), eigvals_only=True)
 
 
 def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResult:
-    """Low end of the Jacobi spectrum of S_a(H), merged over Fourier modes.
+    """Low end of the Jacobi spectrum of S_a(H), merged over Fourier modes;
+    modes k and -k coincide, so k != 0 eigenvalues enter twice.
 
-    Modes k and -k coincide, so k != 0 eigenvalues enter twice.  Zero
-    eigenvalues are classified by |lambda| < 1e-3 times the spread between
-    the 3rd and 4th smallest |lambda| (the nullity is exactly three, which
-    makes this relative rule grid-robust).  Raises SpectrumError if some
-    eigenvalue lies within its mode's rounding bound of that threshold.
+    Index 1 and nullity 3 hold for every (a, H) (module docstring):
+      - mode 0 has the eigenfunction t at 0 with one interior zero, so 0 is
+        its second eigenvalue and it is simple;
+      - modes +-1 have a form Int sigma^2 g'^2 with kernel g = 1;
+      - modes |k| >= 2 have a positive form.
+    So the gap is the least of mode 0's third, mode 1's second and every
+    higher mode's first eigenvalue.  Raises SpectrumError unless the two
+    computed zeros, which measure the discretization, are within ZERO_RTOL
+    times the gap, the gap is positive and mode 0's first is negative.
     """
     a = as_alpha(p)
     if k_max < 2:
@@ -250,31 +251,15 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
-    lams, ks, errs = [], [], []
-    for k in range(k_max + 1):
-        vals, err = _mode_eigenvalues(a, H, k, n, PER_MODE)
-        reps = 1 if k == 0 else 2
-        lams.append(np.repeat(vals, reps))
-        ks.append(np.full(reps * len(vals), k))
-        errs.append(np.full(reps * len(vals), err))
-    lams = np.concatenate(lams)
+    vals = [_mode_eigenvalues(a, H, k, n, PER_MODE) for k in range(k_max + 1)]
+    gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
+    if not (vals[0][0] < 0.0 < gap and max(abs(vals[0][1]), abs(vals[1][0])) <= ZERO_RTOL * gap):
+        raise SpectrumError(f"zero-mode contract failed: zeros {vals[0][1]:.3e} (mode 0) and "
+                            f"{vals[1][0]:.3e} (mode 1), gap {gap:.3e}, lowest {vals[0][0]:.3e}")
+    lams = np.concatenate([np.repeat(v, 1 if k == 0 else 2) for k, v in enumerate(vals)])
+    ks = np.concatenate([np.full(len(v) * (1 if k == 0 else 2), k) for k, v in enumerate(vals)])
     order = np.argsort(lams)
-    lams, ks, errs = lams[order], np.concatenate(ks)[order], np.concatenate(errs)[order]
-
-    absl = np.sort(np.abs(lams))
-    gap34 = float(absl[3] - absl[2])
-    zero_tol = 1e-3 * gap34
-    near = np.flatnonzero(np.abs(np.abs(lams) - zero_tol) <= errs)
-    if len(near):
-        i = near[0]
-        raise SpectrumError(f"index and nullity not certified: mode-{ks[i]} eigenvalue "
-                            f"{lams[i]:.3e} is within {errs[i]:.1e} of the zero threshold")
-    positive = lams[lams > zero_tol]
-    gap = float(positive[0]) if len(positive) else math.inf
-    return SpectrumResult(eigenvalues=lams, modes=ks,
-                          index=int(np.sum(lams < -zero_tol)),
-                          nullity=int(np.sum(np.abs(lams) < zero_tol)),
-                          gap=gap, zero_tol=zero_tol)
+    return SpectrumResult(eigenvalues=lams[order], modes=ks[order], gap=gap)
 
 
 def jacobi_rayleigh_C(p, H: float) -> float:

@@ -199,10 +199,10 @@ def test_sphere_k_max_beyond_grid_without_warning(tmp_path):
 
 
 def test_sphere_uncertified_spectrum_exit_code(tmp_path, capsys):
-    # at a = 1e5 the rounding bound of the spectrum reaches the zero threshold
+    # at a = 1e5 the computed zero modes exceed 1e-3 of the spectral gap
     assert main(["--out", str(tmp_path), "sphere", "--alpha", "1e5", "--H", "0"]) == 3
     out = capsys.readouterr()
-    assert "numerical contract failure" in out.err and "not certified" in out.err
+    assert "numerical contract failure: zero-mode contract failed" in out.err
     assert out.out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -347,16 +347,16 @@ def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeyp
 
 
 @pytest.mark.parametrize("args", [
-    ["sphere", "--alpha", "1e4", "--H", "0", "--n", "8000"],
-    ["sphere", "--alpha", "1e4", "--H", "0", "--n", "8000", "--meridian-n", "2048"],
+    ["sphere", "--alpha", "3e5", "--H", "1"],
+    ["sphere", "--alpha", "3e5", "--H", "1", "--meridian-n", "2048"],
 ])
 def test_numerical_failure_exits_3_before_any_output(args, tmp_path, capsys):
-    # the spectrum is not certified (its rounding bound reaches the zero
-    # threshold), after the meridian and its verdict are computed
+    # the spectrum breaks its zero-mode contract, after the meridian and its
+    # verdict are computed
     out = tmp_path / "out"
     assert main(["--out", str(out), *args]) == 3
     captured = capsys.readouterr()
-    assert "numerical contract failure: index and nullity not certified" in captured.err
+    assert "numerical contract failure: zero-mode contract failed" in captured.err
     assert captured.out == "" and not out.exists()
 
 
@@ -543,6 +543,26 @@ def _run_in_process(argv):
         except SystemExit as exc:  # argparse refuses the value
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+@given(a=st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0**e),
+       H=st.one_of(st.just(0.0), st.floats(min_value=-3.0, max_value=6.0).map(lambda e: 10.0**e)))
+def test_sphere_over_its_input_box_answers_or_refuses(a, H):
+    # a log-uniform over [ALPHA_MIN, ALPHA_MAX], H = 0 or log-uniform up to
+    # H_MAX, at the default grid: index 1, nullity 3 and a finite positive
+    # gap, or exit 3 with nothing written
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        argv = ["--out", str(out_dir), "sphere", "--alpha", repr(a), "--H", repr(H)]
+        code, out, err = _run_in_process(argv)
+        if code == 3:
+            assert "numerical contract failure" in err and "Traceback" not in err
+            assert out == "" and not out_dir.exists()
+            return
+        assert code == 0, (a, H, err)
+        lines = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert (lines["index"], lines["nullity"]) == ("1", "3")
+        assert 0.0 < float(lines["spectral_gap"]) < math.inf
 
 
 @pytest.mark.parametrize("command,flag", sorted(_BAD_VALUES))

@@ -207,26 +207,64 @@ ARTANH_X = np.concatenate([-np.geomspace(1e6, 1e-300, 300), [0.0],
 def test_artanh_ratio_float_and_array_paths_agree():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        arr = artanh_ratio(ARTANH_X)
-    scal = np.array([artanh_ratio(float(x)) for x in ARTANH_X])
-    assert all(type(artanh_ratio(float(x))) is float for x in ARTANH_X[::50])
+        arr = artanh_ratio(ARTANH_X, 1.0 - ARTANH_X)
+    scal = np.array([artanh_ratio(float(x), 1.0 - float(x)) for x in ARTANH_X])
+    assert all(type(artanh_ratio(float(x), 1.0 - float(x))) is float for x in ARTANH_X[::50])
     assert np.all(np.abs(arr - scal) <= np.spacing(scal))
 
 
 def test_artanh_ratio_branches_and_zero():
-    assert artanh_ratio(0.0) == 1.0
-    assert artanh_ratio(0.25) == pytest.approx(2.0 * math.atanh(0.5), rel=1e-15)
-    assert artanh_ratio(-3.0) == pytest.approx(math.atan(math.sqrt(3.0)) / math.sqrt(3.0),
-                                               rel=1e-15)
+    assert artanh_ratio(0.0, 1.0) == 1.0
+    assert artanh_ratio(0.25, 0.75) == pytest.approx(2.0 * math.atanh(0.5), rel=1e-15)
+    assert artanh_ratio(-3.0, 4.0) == pytest.approx(math.atan(math.sqrt(3.0)) / math.sqrt(3.0),
+                                                    rel=1e-15)
     # continuous through 0: the series sum x^n/(2n + 1) is 1 + x/3 + ...
     for x in (-1e-300, 1e-300, -1e-12, 1e-12):
-        assert artanh_ratio(x) == pytest.approx(1.0 + x / 3.0, rel=1e-15)
-        assert float(artanh_ratio(np.array([x]))[0]) == artanh_ratio(x)
-    assert np.array_equal(artanh_ratio(np.array([-1e-300, 0.0, 1e-300])), np.ones(3))
-    # x = (1 - a)/(1 + H^2) reaches 1 only where 1 - a rounds to 1 at H = 0
-    for x in (1.0, np.array([0.5, 1.0])):
-        with pytest.raises(ValueError, match="math domain error"):
-            artanh_ratio(x)
+        assert artanh_ratio(x, 1.0 - x) == pytest.approx(1.0 + x / 3.0, rel=1e-15)
+        assert float(artanh_ratio(np.array([x]), 1.0 - x)[0]) == artanh_ratio(x, 1.0 - x)
+    assert np.array_equal(artanh_ratio(np.array([-1e-300, 0.0, 1e-300]), 1.0), np.ones(3))
+    # where x = (1 - a)/(1 + H^2) rounds to 1, at H = 0 and a <= 2^-54, the
+    # complement still holds a: G = artanh(sqrt(1 - a))/sqrt(1 - a) ~ log(4/a)/2
+    for G in (artanh_ratio(1.0, 1e-20), artanh_ratio(np.array([1.0]), 1e-20)[0]):
+        assert G == pytest.approx(0.5 * math.log(4e20), rel=1e-15)
+
+
+def _mp_closed_forms(mp, a, H):
+    """G, the area, the Koiso integral, Theta and V at (a, H), a < 1, at mp's
+    working precision, each paired with the sum of its terms' magnitudes."""
+    a, H = mp.mpf(a), mp.mpf(H)
+    c, sa, X = 1 + H * H, mp.sqrt(a), (1 - a) / (1 + H * H)
+    G = mp.atanh(mp.sqrt(X)) / mp.sqrt(X)
+    area = 2 * mp.pi * (1 + (H * H + a) * G / c) / c
+    koiso = (3, (H * H + 3 * a - 2) * G / c)
+    theta = mp.atan2(sa, H) + H / sa * X * G
+    vol = (2 * mp.pi * sa * mp.atan2(sa, H), -mp.pi * H / c,
+           mp.pi * H * ((2 - 3 * a) + (1 - 2 * a) * H * H) * G / c**2)
+    return [(G, G), (area, area), (mp.pi * sum(koiso) / (2 * c * c),
+                                   mp.pi * sum(map(abs, koiso)) / (2 * c * c)),
+            (theta, theta), (sum(vol), sum(map(abs, vol)))]
+
+
+@given(st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
+       .filter(lambda a: a < 1.0), st.floats(min_value=0.0, max_value=10.0))
+def test_closed_forms_keep_their_digits_as_X_nears_one(a, H):
+    # X = (1 - a)/c nears 1 for small a and H; G is taken from the complement
+    # (H^2 + a)/c, so G, the area and Theta keep every digit, and the Koiso
+    # integral and V, which cross zero, keep them against their terms' size
+    import mpmath
+
+    from bergercmc.isoperimetry import sphere_volume
+    from bergercmc.stability import koiso_integral_closed
+
+    c = 1.0 + H * H
+    got = [artanh_ratio((1.0 - a) / c, (H * H + a) / c), area_sphere_closed(a, H),
+           koiso_integral_closed(a, H), turning_angle(a, H),
+           float(sphere_volume(a, np.array([H]))[0])]
+    with mpmath.workdps(50):
+        want = _mp_closed_forms(mpmath, a, H)
+    for name, g, (w, scale), tol in zip(("G", "area", "Koiso", "Theta", "V"), got, want,
+                                        (1e-15, 4e-15, 4e-15, 4e-15, 4e-15)):
+        assert float(abs(g - w) / scale) <= tol, (name, a, H)
 
 
 def test_area_decays_with_H():
@@ -672,8 +710,27 @@ def test_turning_angle_array_and_float_paths_agree():
     for a in (1e-12, 0.01, 0.5, 1.0, 2.0, 1e12):
         got = turning_angle(a, Hs)
         want = [turning_angle(a, H) for H in Hs.tolist()]
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)  # radians
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
         assert got[0] == math.pi / 2  # the minimal sphere's curve is a diameter
+
+
+def test_turning_angle_above_a_one_against_mpmath():
+    # for a > 1, atan(r1) - r2 atan(r2)/r1 (r1 = sqrt(a)/H, r2 = sqrt((a - 1)/c))
+    # is a difference near Theta ~ 1/(sqrt(a) H); the code sums positive terms
+    import mpmath
+
+    Hs = np.geomspace(1e-3, 1e6, 37)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for a in np.geomspace(1.0 + 1e-3, 1e12, 49).tolist():
+            arr = turning_angle(a, Hs)
+            for H, theta in zip(Hs.tolist(), arr.tolist()):
+                ma, mH = mpmath.mpf(a), mpmath.mpf(H)
+                r1, r2 = mpmath.sqrt(ma) / mH, mpmath.sqrt((ma - 1) / (1 + mH * mH))
+                want = mpmath.atan(r1) - r2 * mpmath.atan(r2) / r1
+                for got in (theta, turning_angle(a, H)):
+                    worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-15, worst
 
 
 @given(st.floats(min_value=1.0, max_value=1e12), st.floats(min_value=0.0, max_value=1e6))

@@ -203,13 +203,17 @@ def test_spectrum_index_nullity_everywhere():
 
 
 def test_zero_modes_are_universal():
-    # the radical of the quadratic form does not depend on (alpha, H)
+    # the radical of the quadratic form does not depend on (alpha, H): per
+    # mode, the zeros are mode 0's second and mode +-1's first eigenvalue (to
+    # the grid's accuracy), and the next eigenvalue of each mode is the gap or above
     for a, H in ((0.3, 0.0), (2.0, 1.7)):
         s = jacobi_spectrum(a, H, n=3000)
-        zeros = np.sort(np.abs(s.eigenvalues))[:3]
-        assert np.max(zeros) < s.zero_tol
-        zero_ks = sorted(s.modes[np.abs(s.eigenvalues) < s.zero_tol].tolist())
-        assert zero_ks == [0, 1, 1]
+        mode = {k: s.eigenvalues[s.modes == k] for k in range(4)}  # modes 1-3 twice
+        zeros = np.array([mode[0][1], mode[1][0], mode[1][1]])
+        assert np.max(np.abs(zeros)) <= 1e-8 * s.gap
+        assert mode[0][0] < 0.0
+        firsts = [mode[0][2], mode[1][2], mode[2][0], mode[3][0]]
+        assert min(firsts) == s.gap
 
 
 def test_spectra_same_signature_not_same_eigenvalues():
@@ -244,11 +248,12 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
     # on n = 200 cells sigma^k at the outermost node, 0.009975^k, leaves the
     # normal floats at k = 154; the check refuses that before solving a mode.
     # k_max = 153 is solved without a warning, but its high modes lose their
-    # low eigenvalues to rounding, which the certification reports
+    # low eigenvalues to rounding (one comes out at -2e17), which the
+    # zero-mode contract reports as a negative gap
     from bergercmc import stability
 
     with np.errstate(all="raise", under="ignore"):
-        with pytest.raises(SpectrumError, match="not certified"):
+        with pytest.raises(SpectrumError, match="zero-mode contract failed: .* gap -2"):
             jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
 
     def no_solve(*_args, **_kwargs):
@@ -263,8 +268,9 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
 @pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 4000, 3), (1e5, 1.0, 4000, 3),
                                              (3e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)])
 def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
-    # each of these returned a wrong index or nullity without the rounding bound
-    with pytest.raises(SpectrumError):
+    # at a >= 1e5 the computed zeros exceed 1e-3 of the gap; at k_max = 93 on
+    # 200 cells a high mode's first eigenvalue comes out at -2e14
+    with pytest.raises(SpectrumError, match="zero-mode contract failed"):
         jacobi_spectrum(a, H, k_max=k_max, n=n)
 
 
@@ -273,6 +279,16 @@ def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
 def test_spectrum_certified_at_extremes(a, H, n, k_max):
     s = jacobi_spectrum(a, H, k_max=k_max, n=n)
     assert (s.index, s.nullity) == (1, 3)
+
+
+def test_spectrum_contract_holds_on_a_fine_grid_and_for_many_modes():
+    # a = 1e4 on 8000 cells and 61 modes on 2000 cells pass the zero-mode
+    # contract; the gap lies in modes 0-2, so more modes leave it unchanged
+    s = jacobi_spectrum(1e4, 0.0, n=8000)
+    assert (s.index, s.nullity) == (1, 3) and 0.0 < s.gap < math.inf
+    many = jacobi_spectrum(0.5, 1.0, k_max=60, n=2000)
+    assert (many.index, many.nullity) == (1, 3)
+    assert many.gap == jacobi_spectrum(0.5, 1.0, k_max=3, n=2000).gap
 
 
 @pytest.mark.parametrize("n", [200, 201, 333, 2000, 4000, 8000, 12345])
