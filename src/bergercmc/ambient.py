@@ -8,7 +8,8 @@ family of metrics
 where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
 a = 1 is the round sphere.  Points and tangent vectors are stored as
 4 real coordinates (Re z, Im z, Re w, Im w); the complex structure is
-applied by component shuffles.
+applied by component shuffles.  The module also holds what every other
+module shares: the input checks and the scalar root finder brentq.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ ALPHA_MIN = 1e-12
 # Largest accepted alpha, the mirror of ALPHA_MIN: from about 2^53 the torus
 # form's entries 1/a + 1 round to 1 and its reduction divides by zero.
 ALPHA_MAX = 1e12
+BRENTQ_MAXITER = 100  # scipy.optimize.brentq's default
 
 
 class ContractViolation(ValueError):
@@ -49,6 +51,57 @@ def as_H(H) -> float:
     if not 0.0 <= h <= H_MAX:
         raise ContractViolation(f"mean curvature H must lie in [0, {H_MAX:g}], got {h}")
     return h
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: Brent's method
+    (Algorithms for Minimization without Derivatives, 1973, ch. 4), transcribed
+    step for step from scipy.optimize.brentq's C code, so it takes the same
+    iterates and returns the same float.  The root is within xtol + rtol |x|;
+    like scipy's default, it gives up after BRENTQ_MAXITER steps."""
+    def fx(x):
+        y = float(f(x))
+        if y != y:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
 def metric_eval(alpha: float, q, x, y):

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H
+from .ambient import as_alpha, as_H, brentq
 from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
@@ -466,23 +466,29 @@ def classify_embedding(p, H: float) -> EmbeddingVerdict:
                             margin=math.pi - theta, alpha=a, H=H)
 
 
-def _max_turning_angle(a: float) -> tuple[float, float]:
-    """(argmax_H Theta, max_H Theta).  Theta(a, .) rises from pi/2 at H = 0 to
-    one maximum and falls to 0; below alpha_emb the maximum lies in
-    (0.60, 0.67), and up to a = 0.2 in (0.38, 0.67)."""
-    from scipy.optimize import minimize_scalar
+def _turning_slope(a: float, H: float) -> float:
+    """sqrt(a) (a + H^2) dTheta/dH = X (1 - X) G(X) - a - X H^2 for a < 1, with
+    X = (1 - a)/(1 + H^2); it tends to -1 as H -> inf."""
+    c = 1.0 + H * H
+    X, one_minus_X = (1.0 - a) / c, (H * H + a) / c
+    return X * one_minus_X * artanh_ratio(X, one_minus_X) - a - X * H * H
 
-    res = minimize_scalar(lambda h: -turning_angle(a, h), bounds=(0.0, 2.0),
-                          method="bounded", options={"xatol": 1e-12})
-    return res.x, -res.fun
+
+def _max_turning_angle(a: float) -> tuple[float, float]:
+    """(argmax_H Theta, max_H Theta).  Where a < 1 and _turning_slope is positive at
+    H = 0, Theta rises from pi/2 to one maximum, at the slope's root in (0, 2): below
+    alpha_emb in (0.60, 0.67), up to a = 0.2 in (0.38, 0.67).  Elsewhere, and for
+    every a >= 1, the maximum is pi/2 at H = 0."""
+    h = 0.0
+    if a < 1.0 and _turning_slope(a, h) > 0.0:
+        h = brentq(lambda h: _turning_slope(a, h), 0.0, 2.0, xtol=1e-12, rtol=8.9e-16)
+    return h, turning_angle(a, h)
 
 
 def nonembedded_band(p):
     """(H_-, H_+): S_a(H) is non-embedded iff H_- < H < H_+, the two roots of
     Theta = pi on either side of argmax_H Theta; None where max_H Theta <= pi,
     that is from alpha_emb() upward."""
-    from scipy.optimize import brentq
-
     a = as_alpha(p)
     h_top, top = _max_turning_angle(a)
     if top <= math.pi:
@@ -501,8 +507,6 @@ def nonembedded_band(p):
 def alpha_emb() -> float:
     """The deformation below which some spheres are non-embedded: the root of
     max_H Theta(a, H) = pi, 0.0473807639."""
-    from scipy.optimize import brentq
-
     return brentq(lambda a: _max_turning_angle(a)[1] - math.pi, 0.01, 0.1,
                   xtol=1e-14, rtol=8.9e-16)
 

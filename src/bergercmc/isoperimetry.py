@@ -25,13 +25,14 @@ isoperimetric problem, below 1/3 it is a ranking of the known candidates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .ambient import H_MAX, as_alpha, as_H, total_volume
+from .ambient import H_MAX, as_alpha, as_H, brentq, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, artanh_ratio
 from .stability import classify_sphere, koiso_integral_closed
 from .svgplot import write_csv
@@ -70,8 +71,22 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope at an end knot, set to 0 where its sign
+    differs from the end interval's and capped at 3 m0 where the data turn."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    flip = np.sign(d) != np.sign(m0)
+    steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
+    return np.where(flip, 0.0, np.where(steep, 3.0 * m0, d))
+
+
 @dataclass
 class IsoperimetricProfile:
+    """A family's (area, volume) at the knots H, and between them the monotone
+    piecewise-cubic (PCHIP, Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980)
+    interpolant of each, with scipy's PchipInterpolator slopes and coefficients,
+    so it returns the same floats."""
+
     family: str
     alpha: float
     H: np.ndarray
@@ -81,22 +96,42 @@ class IsoperimetricProfile:
     notes: str = ""
 
     @cached_property
-    def _interpolant(self):
-        """Pchip interpolant of (area, volume) in H, built on first use."""
-        from scipy.interpolate import PchipInterpolator
+    def _hermite(self):
+        """(knots, [(c0, c1, c2, c3) of area, of volume]) as flat lists of floats
+        (few objects for the garbage collector to track), built on first use: on knot
+        interval i the interpolant is c3[i] + c2[i] s + c1[i] s^2 + c0[i] s^3,
+        s = H - knots[i].  The knot slopes are the weighted harmonic mean of the
+        adjacent secants where they agree in sign, else 0, and one-sided at the ends."""
+        y = np.column_stack([self.area, self.volume])
+        h = np.diff(self.H)[:, None]
+        m = np.diff(y, axis=0) / h
+        d = np.zeros_like(y)
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        agree = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d[1:-1][agree] = 1.0 / whmean[agree]
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        coeffs = np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        return self.H.tolist(), [c.tolist() for c in coeffs.transpose(2, 0, 1)]
 
-        return PchipInterpolator(self.H, np.column_stack([self.area, self.volume]))
+    def _interpolate(self, H: float, col: int) -> float:
+        knots, columns = self._hermite
+        c0, c1, c2, c3 = columns[col]
+        i = min(max(bisect.bisect_right(knots, H) - 1, 0), len(knots) - 2)
+        s = float(H) - knots[i]
+        return c3[i] + c2[i] * s + c1[i] * (s * s) + c0[i] * (s * s * s)
 
     def area_at(self, H: float) -> float:
-        return float(self._interpolant(H)[0])
+        return self._interpolate(H, 0)
 
     def volume_at(self, H: float) -> float:
-        return float(self._interpolant(H)[1])
+        return self._interpolate(H, 1)
 
     def invert_volume(self, V: float) -> list[float]:
         """All H on the grid range with volume(H) = V (several if non-monotone)."""
-        from scipy.optimize import brentq
-
         out = []
         vals = self.volume - V
         for i in range(len(vals) - 1):
@@ -209,8 +244,6 @@ def crossing_alpha() -> float:
 
     Root of 2 pi^2 sqrt(a) = area_sphere_closed(a, 0) on (0, 1/3); near 0.166.
     """
-    from scipy.optimize import brentq
-
     def f(a):
         return 2.0 * math.pi**2 * math.sqrt(a) - area_sphere_closed(a, 0.0)
 

@@ -10,8 +10,8 @@ For t = |C| in [0, 1] and epsilon the sign of 1 - alpha, the quadratic
 controls the sign of the test-function integrand F.  P_t(1) = 4 for every
 t and the discriminant is 32 (t - eps)^2 (1 + t^2).  The extreme roots
 give the constants of interest: t0 (the zero of A for eps = +1), alpha_1
-(the maximum of the root curve below 1) and 4/3 (the minimum of the root
-curve above 1).
+(the maximum of the root curve below 1, the real root of a cubic) and 4/3
+(the minimum of the root curve above 1).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .ambient import as_alpha
+from .ambient import as_alpha, brentq
 from .svgplot import write_csv
 
 ALPHA_CURVE_N = 401  # rows of the root-curve CSV
@@ -46,8 +46,6 @@ def poly_eval(t, epsilon: int, alpha: float):
 
 def t0_constant() -> float:
     """The unique zero of A(t) = -(t^4 + 2t^2 - 8t + 1) in (0, 1)."""
-    from scipy.optimize import brentq
-
     return brentq(lambda t: t**4 + 2.0 * t**2 - 8.0 * t + 1.0, 0.0, 1.0,
                   xtol=1e-14, rtol=8.9e-16)
 
@@ -75,15 +73,16 @@ def critical_constants() -> tuple[float, float, float]:
     maximum of alpha(t) below 1 and the minimum of alpha(t) above 1.
 
     alpha(t) for eps = +1 rises from 3 - 2 sqrt(2) to a single maximum and
-    falls to 0 at t = 1, so a bounded minimization over [0, 1] finds alpha_1;
-    alpha(t) for eps = -1 decreases to 4/3 at t = 1 (both shapes are checked
-    on a dense grid by the tests).
+    falls to 0 at t = 1 (checked on a dense grid by the tests).  There
+    P_t(alpha) and dP_t/dt vanish together, so alpha_1 is a root of their
+    resultant in t, 4096 a^3 (a - 1)^8 (23 a^3 - 26 a^2 + 23 a - 4) (sympy);
+    the cubic factor is strictly increasing (its derivative has no real
+    root) and alpha_1 is its one real root.  alpha(t) for eps = -1
+    decreases to 4/3 at t = 1.
     """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(lambda t: -alpha_root(t, +1), bounds=(0.0, 1.0),
-                          method="bounded", options={"xatol": 1e-12})
-    return t0_constant(), -res.fun, alpha_root(1.0, -1)
+    alpha_1 = brentq(lambda a: ((23.0 * a - 26.0) * a + 23.0) * a - 4.0, 0.0, 1.0,
+                     xtol=1e-14, rtol=8.9e-16)
+    return t0_constant(), alpha_1, alpha_root(1.0, -1)
 
 
 def F_nonnegative(p) -> tuple[bool, float]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H
+from .ambient import as_alpha, as_H, brentq
 from .cmc_spheres import (AREA_CUTOFF, ConsistencyError, SphereFundamentalData, artanh_ratio,
                           fundamental_data)
 from .svgplot import write_csv
@@ -165,9 +165,7 @@ def alpha0() -> float:
     Root of koiso_integral_closed(a, 0) on (0, 1/3); the minimal sphere
     S_a(0) changes stability here.
     """
-    from scipy.optimize import brentq
-
-    return brentq(koiso_integral_closed, 1e-9, 1.0 / 3.0, args=(0.0,),
+    return brentq(lambda a: koiso_integral_closed(a, 0.0), 1e-9, 1.0 / 3.0,
                   xtol=1e-14, rtol=8.9e-16)
 
 
@@ -178,8 +176,6 @@ def sphere_stability_boundary(alpha_grid) -> np.ndarray:
     in H, which [0, 1] brackets: H(a) rises to 0.3708 as a -> 0.  Raises
     for a >= alpha0, where no positive root exists.
     """
-    from scipy.optimize import brentq
-
     a0 = alpha0()
     out = []
     for a in np.atleast_1d(np.asarray(alpha_grid, dtype=float)):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergercmc import ambient
@@ -106,3 +106,89 @@ def test_frame_is_round_orthonormal():
     F = np.stack(frame_at(q), axis=1)  # (5, 3, 4): V, E1, E2 at each point
     assert np.abs(F @ F.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
     assert np.abs(np.einsum("kij,kj->ki", F, q)).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# brentq against scipy.optimize.brentq, the C code it transcribes: same floats
+# ---------------------------------------------------------------------------
+
+BRENTQ_SITES = {"alpha0", "sphere_stability_boundary", "t0_constant", "critical_constants",
+                "crossing_alpha", "invert_volume", "_max_turning_angle", "nonembedded_band",
+                "alpha_emb"}
+
+
+def _outcome(solve, *args, **kwargs):
+    """The root as float.hex, or the exception's type and message."""
+    try:
+        return float(solve(*args, **kwargs)).hex()
+    except (ValueError, RuntimeError) as e:
+        return type(e).__name__, str(e)
+
+
+def test_brentq_matches_scipy_at_every_call_site(monkeypatch):
+    import sys
+
+    from scipy.optimize import brentq as scipy_brentq
+
+    from bergercmc import cmc_spheres, isoperimetry, regions, stability
+
+    sites = set()
+
+    def checked(f, a, b, **kwargs):
+        sites.add(sys._getframe(1).f_code.co_name)
+        ours = ambient.brentq(f, a, b, **kwargs)
+        assert ours.hex() == scipy_brentq(f, a, b, **kwargs).hex(), (a, b, kwargs)
+        return ours
+
+    for mod in (cmc_spheres, isoperimetry, regions, stability):
+        monkeypatch.setattr(mod, "brentq", checked)
+    stability.sphere_stability_boundary([0.001, 0.01, 0.05, 0.1, 0.12])  # and alpha0
+    regions.critical_constants()  # t0 and alpha_1
+    isoperimetry.crossing_alpha()
+    for a, V in ((0.04, 0.5), (0.01, 1.2), (0.5, 6.9)):
+        isoperimetry.isoperimetric_candidate(a, V)  # invert_volume
+    for a in (0.004, 0.01, 0.04, 0.2):
+        cmc_spheres.nonembedded_band(a)  # and _max_turning_angle
+    cmc_spheres.alpha_emb()
+    assert sites == BRENTQ_SITES
+
+
+@settings(max_examples=400)
+@given(root=st.floats(-10.0, 10.0), left=st.floats(1e-6, 10.0), right=st.floats(1e-6, 10.0),
+       cubic=st.floats(0.0, 5.0), wiggle=st.floats(0.0, 3.0), k=st.floats(0.1, 20.0),
+       sign=st.sampled_from([1.0, -1.0]), flip=st.booleans(),
+       tol=st.sampled_from([{}, {"xtol": 1e-14, "rtol": 8.9e-16}, {"xtol": 1e-12},
+                            {"xtol": 1e-3, "rtol": 1e-8}, {"xtol": 5e-324}]))
+def test_brentq_matches_scipy_on_a_family(root, left, right, cubic, wiggle, k, sign, flip, tol):
+    # below wiggle = 1 the function increases through its one root; above, it can
+    # have several in the bracket or none at its ends
+    from scipy.optimize import brentq as scipy_brentq
+
+    def f(x):
+        u = x - root
+        return sign * (u + cubic * u**3 + wiggle * math.sin(k * u) / k)
+
+    a, b = root - left, root + right
+    if flip:
+        a, b = b, a
+    assert _outcome(ambient.brentq, f, a, b, **tol) == _outcome(scipy_brentq, f, a, b, **tol)
+
+
+def test_brentq_edge_cases_match_scipy():
+    from scipy.optimize import brentq as scipy_brentq
+
+    cases = [
+        (lambda x: x - 1.0, 0.0, 1.0, {}),  # root at the right end
+        (lambda x: x, 0.0, 2.0, {}),  # root at the left end
+        (lambda x: x * x + 1.0, 0.0, 1.0, {}),  # no sign change
+        (lambda x: x * x - 0.25, -1.0, 1.0, {}),  # even number of roots: no sign change
+        (lambda x: math.nan if x > 0.5 else x - 0.3, 0.0, 1.0, {}),
+        (lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300, {"xtol": 5e-324}),  # too slow
+    ]
+    for f, a, b, kw in cases:
+        assert _outcome(ambient.brentq, f, a, b, **kw) == _outcome(scipy_brentq, f, a, b, **kw)
+    assert _outcome(ambient.brentq, lambda x: x - 1.0, 0.0, 1.0) == (1.0).hex()
+    with pytest.raises(ValueError, match="f\\(a\\) and f\\(b\\) must have different signs"):
+        ambient.brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="Failed to converge after 100 iterations"):
+        ambient.brentq(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300, xtol=5e-324)

@@ -755,6 +755,29 @@ def test_classify_embedding_counts_crossings():
         classify_embedding(0.5, -1.0)
 
 
+@given(st.floats(min_value=-3.0, max_value=math.log10(0.99)).map(lambda e: 10.0**e),
+       st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e))
+def test_turning_slope_is_the_scaled_derivative_of_theta(a, H):
+    # sqrt(a) (a + H^2) dTheta/dH by 50-digit differentiation of Theta; the slope
+    # crosses zero at the argmax, so its error is taken against its terms' size
+    import mpmath
+
+    with mpmath.workdps(50):
+        ma, mH = mpmath.mpf(a), mpmath.mpf(H)
+
+        def theta(h):
+            X = (1 - ma) / (1 + h * h)
+            return (mpmath.atan2(mpmath.sqrt(ma), h)
+                    + h / mpmath.sqrt(ma) * mpmath.sqrt(X) * mpmath.atanh(mpmath.sqrt(X)))
+
+        want = mpmath.sqrt(ma) * (ma + mH * mH) * mpmath.diff(theta, mH)
+        X = (1 - ma) / (1 + mH * mH)
+        scale = ma + X * mH * mH + (1 - X) * mpmath.sqrt(X) * mpmath.atanh(mpmath.sqrt(X))
+        err = abs(cmc_spheres._turning_slope(a, H) - want)
+    assert float(err / scale) <= 4e-15
+    assert float(err) <= 1e-12 * float(abs(want)) or float(abs(want)) < 1e-3 * float(scale)
+
+
 def test_alpha_emb_closes_the_band():
     from scipy.optimize import minimize_scalar
 

@@ -45,16 +45,27 @@ def test_sphere_command_loads_only_scipy_linalg(tmp_path):
                               "scipy.spatial"})
 
 
-def test_candidate_and_profiles_load_no_scipy_integrate(tmp_path):
-    # the sphere volume has a closed form, so no ODE solver is needed
-    code = ("import bergercmc.cli\n"
-            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'candidate', "
-            "'--alpha', '0.5', '--V', '6.9']) == 0\n"
-            f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'profiles', "
-            "'--alphas', '0.3', '--n', '60']) == 0")
-    loaded = set(scipy_modules_after(code))
-    assert "scipy.interpolate" in loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
+def test_root_finding_commands_load_no_scipy(tmp_path):
+    # the root finder and the profile interpolant are the package's own, so
+    # candidate, constants, regions and profiles (with its crossing value) need no scipy
+    code = "import bergercmc.cli\n" + "".join(
+        f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, {', '.join(map(repr, args))}]) == 0\n"
+        for args in (("candidate", "--alpha", "0.5", "--V", "6.9"),
+                     ("candidate", "--alpha", "0.04", "--V", "0.5"),
+                     ("constants",),
+                     ("regions", "--n", "50", "--format", "csv+svg"),
+                     ("profiles", "--n", "60"),
+                     ("profiles", "--alphas", "0.3", "--n", "60")))
+    assert scipy_modules_after(code) == []
+
+
+def test_embeddedness_scan_loads_no_scipy(tmp_path):
+    script = SRC.parent / "scripts" / "embeddedness_scan.py"
+    code = ("import runpy\n"
+            f"sys.argv = [{str(script)!r}, {str(tmp_path)!r}, '4']\n"
+            f"runpy.run_path({str(script)!r}, run_name='__main__')")
+    assert scipy_modules_after(code) == []
+    assert (tmp_path / "embeddedness_band.csv").exists()
 
 
 def test_profiles_command_loads_no_scipy(tmp_path):

@@ -29,6 +29,24 @@ def prof_half():
 # sphere profile
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("family,a,H_max,n", [
+    (SPHERE, 0.5, 12.0, 200), (SPHERE, 1.0, 20.0, 400),
+    (SPHERE, 0.04, 20.0, 400), (SPHERE, 0.01, 20.0, 301),  # volume not monotone below alpha0
+    (SPHERE, 3.0, 5.0, 50), (TORUS, 0.2, 20.0, 300)])
+def test_profile_interpolant_matches_scipy_pchip(family, a, H_max, n):
+    from scipy.interpolate import PchipInterpolator
+
+    prof = (sphere_profile if family == SPHERE else torus_profile)(a, H_max=H_max, n=n)
+    assert prof.monotone == (a > 0.1)
+    ref = PchipInterpolator(prof.H, np.column_stack([prof.area, prof.volume]))
+    knots = prof.H
+    xs = np.concatenate([knots, (knots[:-1] + knots[1:]) / 2.0,
+                         np.random.default_rng(n).uniform(0.0, H_max, 500),
+                         np.nextafter(knots, -np.inf)[1:], [H_max * (1.0 + 1e-3)]])
+    for x, (area, volume) in zip(xs.tolist(), ref(xs).tolist()):
+        assert (prof.area_at(x).hex(), prof.volume_at(x).hex()) == (area.hex(), volume.hex()), x
+
+
 def test_round_profile_matches_geodesic_spheres(prof_round):
     for r in np.linspace(0.12, math.pi / 2, 25):
         H, A, V = round_cap_area_volume(r)

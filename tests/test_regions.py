@@ -12,7 +12,7 @@ TS = st.floats(min_value=0.0, max_value=1.0)
 EPS = st.sampled_from([+1, -1])
 
 T0_REF = 0.1292085522452843
-ALPHA1_REF = 0.21688593121267777
+ALPHA1_REF = 0.21688593121267774
 
 
 @given(TS, EPS)
@@ -175,9 +175,26 @@ def test_coefficients_reject_bad_epsilon(eps):
 DENSE_T = np.linspace(0.0, 1.0, 100_001).tolist()
 
 
+def test_alpha1_is_the_real_root_of_the_resultant_cubic():
+    import mpmath
+    import sympy
+
+    t, a = sympy.symbols("t a")
+    P = (-(t**4 + 2 * t**2 - 8 * t + 1) * a**2 + 2 * (t**4 - 4 * t + 3) * a
+         - (1 - t**2) ** 2)
+    cubic = 23 * a**3 - 26 * a**2 + 23 * a - 4
+    assert sympy.expand(sympy.resultant(P, sympy.diff(P, t), t)
+                        - 4096 * a**3 * (a - 1) ** 8 * cubic) == 0
+    assert len(sympy.real_roots(cubic)) == 1
+    _, a1, _ = critical_constants()
+    with mpmath.workdps(50):
+        root = mpmath.findroot(sympy.lambdify(a, cubic, "mpmath"), mpmath.mpf("0.2"))
+        assert abs(mpmath.mpf(a1) - root) <= math.ulp(a1)
+
+
 def test_plus_root_curve_has_one_maximum():
-    # critical_constants finds alpha_1 by one bounded search over [0, 1]:
-    # alpha(t, +1) rises, then falls, with exactly one slope sign change
+    # alpha(t, +1) rises, then falls, with exactly one slope sign change, so
+    # alpha_1 = max alpha(t, +1) is where P_t and dP_t/dt vanish together
     slope = np.sign(np.diff([alpha_root(t, +1) for t in DENSE_T]))
     slope = slope[slope != 0]
     assert np.count_nonzero(slope[1:] != slope[:-1]) == 1
