@@ -9,7 +9,7 @@ where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
 a = 1 is the round sphere.  Points and tangent vectors are stored as
 4 real coordinates (Re z, Im z, Re w, Im w); the complex structure is
 applied by component shuffles.  The module also holds what every other
-module shares: the input checks and the scalar root finder brentq.
+module shares: the input checks, NumericalError and the root finder brentq.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ BRENTQ_MAXITER = 100  # scipy.optimize.brentq's default
 
 class ContractViolation(ValueError):
     """An input precondition (ALPHA_MIN <= alpha <= ALPHA_MAX, 0 <= H <= H_MAX) failed."""
+
+
+class NumericalError(RuntimeError):
+    """A computation broke one of its numerical contracts (CLI exit code 3)."""
 
 
 def as_alpha(p) -> float:

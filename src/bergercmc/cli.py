@@ -17,23 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import selfcheck
-from .ambient import as_alpha, as_H, total_volume
-from .cmc_spheres import (ConsistencyError, QuadratureError, ReconstructionError,
-                          area_sphere_closed, classify_embedding, meridian_range,
+from .ambient import NumericalError, as_alpha, as_H, total_volume
+from .cmc_spheres import (area_sphere_closed, classify_embedding, meridian_range,
                           reconstruct_meridian)
 from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
                            sphere_profile, torus_profile)
 from .regions import alpha_curve_csv, critical_constants, theorem_area_note
-from .stability import (SpectrumError, alpha0, classify_sphere, jacobi_spectrum,
-                        sphere_stability_boundary)
+from .stability import alpha0, classify_sphere, jacobi_spectrum, sphere_stability_boundary
 from .svgplot import polyline_svg, write_csv
-from .tori import (CutoffError, classify_torus, lambda1_closed_form, torus_data,
-                   torus_spectrum, torus_stability_threshold)
+from .tori import (classify_torus, lambda1_closed_form, torus_data, torus_spectrum,
+                   torus_stability_threshold)
 
-NUMERICAL_ERRORS = (ConsistencyError, ReconstructionError, QuadratureError,
-                    CutoffError, SpectrumError)
 EMBEDDED_TAG = {True: "embedded", False: "non-embedded"}
-EMBEDDED_FLAG = {True: 1, False: 0}  # figure-1 CSV column
 # points of each regions boundary curve, the one grid this module builds:
 # a curve needs two
 REGIONS_MIN_N, REGIONS_MAX_N = 2, 10**6
@@ -74,7 +69,7 @@ def cmd_sphere(args) -> int:
     if args.meridian_n:  # before the spectrum, so that a bad --meridian-n fails fast
         m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
         r = classify_embedding(args.alpha, args.H)
-    spec = jacobi_spectrum(args.alpha, args.H, k_max=args.k_max, n=args.n)
+    spec = jacobi_spectrum(args.alpha, args.H)
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"koiso_integral = {verdict.margin:.12g}")
@@ -97,11 +92,7 @@ def cmd_sphere(args) -> int:
 def cmd_torus(args) -> int:
     verdict = classify_torus(args.alpha, args.H)
     lam1 = lambda1_closed_form(args.alpha, args.H)
-    td = torus_data(args.alpha, args.H)
-    spec = torus_spectrum(td, N=args.N)
-    if abs(spec.lambda1 - lam1) > 1e-10 * lam1:
-        raise ConsistencyError(
-            f"torus lambda1: enumeration {spec.lambda1} vs closed form {lam1}")
+    spec = torus_spectrum(torus_data(args.alpha, args.H), N=args.N)
     print(f"torus alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"lambda1 = {lam1:.12g}")
@@ -145,7 +136,7 @@ def cmd_embeddedness(args) -> int:
         print(f"alpha={r.alpha:g} H={r.H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
     path = _outdir(args) / "figure1_embeddedness.csv"
     write_csv(path, ("alpha", "H", "embedded", "margin"),
-              [(r.alpha, r.H, EMBEDDED_FLAG[r.embedded], r.margin) for r in verdicts])
+              [(r.alpha, r.H, r.embedded, r.margin) for r in verdicts])
     print(f"wrote {path}")
     return 0
 
@@ -200,8 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sphere", help="classify a CMC sphere, spectrum + area")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--H", type=float, required=True)
-    sp.add_argument("--k-max", type=int, default=3)
-    sp.add_argument("--n", type=int, default=4000)
     sp.add_argument("--meridian-n", type=int, default=0,
                     help="also reconstruct the meridian on this many samples "
                          "(CSV export + embeddedness verdict from the turning angle)")
@@ -259,7 +248,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 3
 

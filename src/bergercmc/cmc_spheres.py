@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H, brentq
+from .ambient import NumericalError, as_alpha, as_H, brentq
 from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
@@ -78,11 +78,11 @@ def solve_ivp(*args, **kwargs):
     return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
-class ReconstructionError(RuntimeError):
+class ReconstructionError(NumericalError):
     """A meridian violated a profile invariant."""
 
 
-class ConsistencyError(RuntimeError):
+class ConsistencyError(NumericalError):
     """Two independent evaluation routes disagreed beyond tolerance."""
 
 
@@ -216,7 +216,7 @@ def gauss_curvature(d: SphereFundamentalData, x: float) -> float:
     return k_conformal
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalError):
     """An adaptive quadrature missed its error tolerance."""
 
 

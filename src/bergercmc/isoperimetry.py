@@ -315,15 +315,12 @@ def isoperimetric_candidate(p, V: float,
             candidates.append({"family": SPHERE, "H": H, "area": prof.area_at(H),
                                "side": side, "stable": verdict.stable,
                                "margin": verdict.margin})
-    half = math.pi**2 * math.sqrt(a)
-    Vh = min(V, total - V)
-    if Vh <= half:
-        Ht = torus_H_at_volume(a, Vh)
-        verdict = classify_torus(a, Ht)
-        area_t, _ = torus_area_volume(a, Ht)
-        candidates.append({"family": TORUS, "H": Ht, "area": area_t,
-                           "side": "direct" if V <= half else "complement",
-                           "stable": verdict.stable, "margin": verdict.margin})
+    Ht = torus_H_at_volume(a, min(V, total - V))  # its smaller side holds at most half
+    verdict = classify_torus(a, Ht)
+    area_t, _ = torus_area_volume(a, Ht)
+    candidates.append({"family": TORUS, "H": Ht, "area": area_t,
+                       "side": "direct" if 2.0 * V <= total else "complement",
+                       "stable": verdict.stable, "margin": verdict.margin})
 
     stable = [c for c in candidates if c["stable"]]
     if not stable:

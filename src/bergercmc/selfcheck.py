@@ -119,9 +119,7 @@ def check_torus():
     assert abs(G[0, 0] - 2.0 * G[0, 1] + G[1, 1] - 4.0) < 1e-12, "lambda(1, -1) = 4 at a = 1/3"
     for a in np.linspace(0.02, 3.0, 30):
         for H in np.linspace(0.0, 4.0, 30):
-            lam_enum = tori.torus_spectrum(tori.torus_data(a, H), N=10).lambda1
-            lam_cf = tori.lambda1_closed_form(a, H)
-            assert abs(lam_enum - lam_cf) <= 1e-10 * max(1.0, lam_cf), f"lambda1 at ({a}, {H})"
+            tori.torus_spectrum(tori.torus_data(a, H), N=10)  # raises off the closed-form lambda1
     assert not tori.classify_torus(0.5, 0.0).stable
     assert tori.classify_torus(1 / 3, 0.0).stable
     assert abs(tori.classify_torus(1 / 3, 0.0).margin) < 1e-12

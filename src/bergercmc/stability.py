@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H, brentq
+from .ambient import NumericalError, as_alpha, as_H, brentq
 from .cmc_spheres import (AREA_CUTOFF, ConsistencyError, SphereFundamentalData, artanh_ratio,
                           fundamental_data)
 from .svgplot import write_csv
@@ -66,7 +66,7 @@ class StabilityVerdict:
     H: float
 
 
-class SpectrumError(RuntimeError):
+class SpectrumError(NumericalError):
     """The computed spectrum breaks the zero-mode contract of jacobi_spectrum."""
 
 
@@ -229,11 +229,13 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
       - mode 0 has the eigenfunction t at 0 with one interior zero, so 0 is
         its second eigenvalue and it is simple;
       - modes +-1 have a form Int sigma^2 g'^2 with kernel g = 1;
-      - modes |k| >= 2 have a positive form.
-    So the gap is the least of mode 0's third, mode 1's second and every
-    higher mode's first eigenvalue.  Raises SpectrumError unless the two
-    computed zeros, which measure the discretization, are within ZERO_RTOL
-    times the gap, the gap is positive and mode 0's first is negative.
+      - modes |k| >= 2 have a positive form; for |k| >= 3 it is mode 2's plus
+        (k^2 - 4) Int f^2/(1 - t^2) dt > 0 on the same form domain, so by
+        min-max (Courant-Hilbert I, ch. VI) mode k starts above mode 2.
+    So the gap is the least of mode 0's third, mode 1's second and mode 2's
+    first eigenvalue; modes 3..k_max only lengthen the list.  Raises
+    SpectrumError unless the two computed zeros, which measure the grid, are
+    within ZERO_RTOL times the gap, the gap positive and mode 0's first negative.
     """
     a = as_alpha(p)
     if k_max < 2:

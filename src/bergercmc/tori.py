@@ -20,11 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import as_alpha, as_H
+from .ambient import NumericalError, as_alpha, as_H
+from .cmc_spheres import ConsistencyError
 from .stability import LAMBDA1_GAP, StabilityVerdict
 from .svgplot import write_csv
 
 GROUP_TOL = 1e-9  # eigenvalues within this relative distance of a group's first are one
+LAMBDA1_RTOL = 1e-10  # enumerated lambda_1 vs lambda1_closed_form
 TORUS_MIN_N, TORUS_MAX_N = 3, 1000  # enumeration cutoffs; (2N + 1)^2 <= 4.0M lattice points
 
 
@@ -75,7 +77,7 @@ class TorusSpectrum:
         write_csv(path, ("lambda", "multiplicity"), zip(self.eigenvalues, self.multiplicities))
 
 
-class CutoffError(RuntimeError):
+class CutoffError(NumericalError):
     """The enumeration box cannot certify lambda_1; enlarge N."""
 
 
@@ -85,7 +87,9 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
 
     Certified: the minimum of the quadratic form on the continuous boundary
     of the [-N, N]^2 box bounds every lattice point outside the box, so the
-    reported lambda_1 is exact once that minimum exceeds it.
+    reported lambda_1 is exact once that minimum exceeds it, and it must match
+    lambda1_closed_form within LAMBDA1_RTOL.  Only the values below shell_min
+    are complete: above it, points outside the box are missing.
     """
     if not TORUS_MIN_N <= N <= TORUS_MAX_N:
         raise ValueError(f"need enumeration cutoff {TORUS_MIN_N} <= N <= {TORUS_MAX_N}, got {N}")
@@ -109,6 +113,9 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     if shell <= lambda1:
         raise CutoffError(
             f"boundary shell minimum {shell} does not exceed lambda_1 {lambda1}: increase N")
+    lam_cf = lambda1_closed_form(t.alpha, t.H)
+    if abs(lambda1 - lam_cf) > LAMBDA1_RTOL * lam_cf:
+        raise ConsistencyError(f"torus lambda1: enumeration {lambda1} vs closed form {lam_cf}")
 
     uniq, counts = [], []
     for v in vals:

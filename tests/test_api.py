@@ -1,30 +1,9 @@
-import importlib
-
 import pytest
 
-import bergercmc
 from bergercmc.cmc_spheres import MERIDIAN_MAX_N, MERIDIAN_MIN_N, reconstruct_meridian
 from bergercmc.isoperimetry import PROFILE_MAX_N, PROFILE_MIN_N, sphere_profile, torus_profile
 from bergercmc.stability import SPECTRUM_MAX_N, SPECTRUM_MIN_N, jacobi_spectrum
 from bergercmc.tori import TORUS_MAX_N, TORUS_MIN_N, torus_data, torus_spectrum
-
-
-def test_star_import_binds_every_exported_name():
-    ns = {}
-    exec("from bergercmc import *", ns)
-    assert len(set(bergercmc.__all__)) == len(bergercmc.__all__)
-    assert [name for name in bergercmc.__all__ if name not in ns] == []
-    assert ns["__version__"] == bergercmc.__version__
-
-
-def test_exported_names_are_the_objects_of_their_defining_modules():
-    for name in bergercmc.__all__:
-        if name == "__version__":
-            continue
-        obj = getattr(bergercmc, name)
-        assert obj.__module__.startswith("bergercmc."), name
-        assert obj.__name__ == name
-        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
 
 
 @pytest.mark.parametrize("call,lo,hi", [

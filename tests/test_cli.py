@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from bergercmc.ambient import ALPHA_MAX, ALPHA_MIN, H_MAX
 from bergercmc.cli import REGIONS_MAX_N, main
-from bergercmc.cmc_spheres import (MERIDIAN_MAX_N, MERIDIAN_X_LIMIT, ReconstructionError,
-                                   is_embedded, reconstruct_meridian, turning_angle)
+from bergercmc.cmc_spheres import (MERIDIAN_MAX_N, MERIDIAN_X_LIMIT, ConsistencyError,
+                                   QuadratureError, ReconstructionError, is_embedded,
+                                   reconstruct_meridian, turning_angle)
 from bergercmc.isoperimetry import PROFILE_MAX_N
-from bergercmc.stability import SPECTRUM_MAX_N
+from bergercmc.stability import SpectrumError
+from bergercmc.tori import CutoffError
 
 
 def run_cli(args, tmp_path, name):
@@ -62,14 +64,25 @@ def test_torus_subcommand_above_alpha_three(tmp_path, capsys):
 
 
 def test_sphere_subcommand(tmp_path, capsys):
-    assert main(["--out", str(tmp_path), "sphere", "--alpha", "2", "--H", "0",
-                 "--n", "1500"]) == 0
+    assert main(["--out", str(tmp_path), "sphere", "--alpha", "2", "--H", "0"]) == 0
     out = capsys.readouterr().out
     assert "verdict = stable" in out
     assert "index = 1" in out
     assert "nullity = 3" in out
     csv = tmp_path / "sphere_spectrum_alpha2_H0.csv"
     assert csv.read_text().splitlines()[0] == "k,lambda"
+
+
+@pytest.mark.parametrize("flag", [["--n", "4000"], ["--k-max", "3"]])
+def test_sphere_takes_no_grid_or_mode_flag(flag, tmp_path, capsys):
+    # the spectrum runs at the library defaults: a finer grid does not converge
+    # the gap, and modes |k| >= 3 lie above mode 2 by min-max
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_candidate_subcommand(capsys):
@@ -131,13 +144,11 @@ def test_huge_mean_curvature_without_traceback(tmp_path):
 
 # the refusal of a bad --n: the regions grid is bounded by the CLI, the others
 # by the library routine that allocates the grid
-GRID_SIZE_MESSAGE = {"sphere": "need 200 <= n <= 1000000 grid cells",
-                     "regions": "--n must be at least 2",
+GRID_SIZE_MESSAGE = {"regions": "--n must be at least 2",
                      "profiles": "need H_max > 0 and 50 <= n <= 1000000 grid points"}
 
 
 @pytest.mark.parametrize("args,least", [
-    (["sphere", "--alpha", "0.5", "--H", "1"], 200),
     (["regions", "--format", "csv+svg"], 2),
     (["profiles", "--alphas", "0.5", "--format", "csv+svg"], 50),
 ])
@@ -169,7 +180,6 @@ def test_torus_huge_alpha_groups_eigenvalues_relatively(tmp_path, capsys):
 
 def test_regions_computes_before_any_output(tmp_path, monkeypatch, capsys):
     import bergercmc.cli as cli
-    from bergercmc.cmc_spheres import ConsistencyError
 
     def fail(_grid):
         raise ConsistencyError("boundary root not certified")
@@ -182,19 +192,24 @@ def test_regions_computes_before_any_output(tmp_path, monkeypatch, capsys):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("error", [ConsistencyError, CutoffError, QuadratureError,
+                                   ReconstructionError, SpectrumError])
+def test_every_numerical_error_exits_3(error, monkeypatch, capsys):
+    import bergercmc.cli as cli
+
+    def fail(*_args):
+        raise error("contract broken")
+
+    monkeypatch.setattr(cli, "classify_torus", fail)
+    assert main(["torus", "--alpha", "0.5", "--H", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "numerical contract failure: contract broken" in captured.err and captured.out == ""
+
+
 def test_torus_huge_cutoff_without_traceback(tmp_path):
     proc, out = run_cli(["torus", "--alpha", "0.5", "--H", "0", "--N", "100000"], tmp_path, "N")
     assert proc.returncode == 2
     assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
-    assert proc.stdout == "" and list(out.iterdir()) == []
-
-
-def test_sphere_k_max_beyond_grid_without_warning(tmp_path):
-    proc, out = run_cli(["sphere", "--alpha", "0.5", "--H", "1", "--k-max", "100000",
-                         "--n", "200"], tmp_path, "kmax")
-    assert proc.returncode == 2
-    assert "configuration error" in proc.stderr and "up to k_max=153" in proc.stderr
-    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == "" and list(out.iterdir()) == []
 
 
@@ -364,13 +379,13 @@ def test_meridian_reaching_the_poles_holds_its_contract(tmp_path, capsys):
     # beyond |x| ~ 30 the samples move by less than roundoff; the contract
     # measures the closed form, not the sampling
     assert main(["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1",
-                 "--n", "1500", "--meridian-n", "2048", "--x-max", "30"]) == 0
+                 "--meridian-n", "2048", "--x-max", "30"]) == 0
     assert "embeddedness = embedded (margin 2.13769, crossings 0)" in capsys.readouterr().out
 
 
 def test_sphere_meridian_export(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1",
-                 "--n", "1500", "--meridian-n", "1024"]) == 0
+                 "--meridian-n", "1024"]) == 0
     out = capsys.readouterr().out
     assert "embeddedness = embedded" in out
     csv = tmp_path / "meridian_alpha0.5_H1.csv"
@@ -504,7 +519,7 @@ _X_MAX = st.one_of(_NON_FINITE, _NEGATIVE, st.just("0"), _floats_above(MERIDIAN_
 # base arguments of each subcommand: valid and cheap, so a value that slipped
 # through would show as exit 0 rather than as a long run
 _BASE = {
-    "sphere": ["--alpha", "0.5", "--H", "1", "--n", "200"],
+    "sphere": ["--alpha", "0.5", "--H", "1"],
     "torus": ["--alpha", "0.5", "--H", "0"],
     "regions": ["--n", "5"],
     "embeddedness": ["--alphas", "0.5", "--Hs", "1"],
@@ -514,8 +529,6 @@ _BASE = {
 _BAD_VALUES = {
     ("sphere", "--alpha"): _ALPHA,
     ("sphere", "--H"): _H,
-    ("sphere", "--k-max"): _ints_outside(2, 153),  # 153: the mode-weight limit at --n 200
-    ("sphere", "--n"): _ints_outside(200, SPECTRUM_MAX_N),
     ("sphere", "--meridian-n"): st.one_of(_ints_outside(0, MERIDIAN_MAX_N),
                                           st.integers(1, 63).map(str)),
     ("sphere", "--x-max"): _X_MAX,
@@ -582,6 +595,7 @@ def test_bad_numeric_flag_exits_2_and_writes_nothing(command, flag):
             code, out, err = _run_in_process(["--out", str(out_dir), command, *argv])
             assert code == 2, (argv, code, err)
             assert "error" in err and "Traceback" not in err
+            assert "unrecognized arguments" not in err  # the flag itself exists
             assert out == "" and not out_dir.exists()
 
     check()

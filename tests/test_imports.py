@@ -1,7 +1,9 @@
-"""Start-up cost: scipy loads on first use, not with the package.
+"""Start-up cost: scipy loads on first use, and a module loads only the
+package modules it imports.
 
-Each test runs a fresh interpreter and lists the scipy modules it loaded,
-so a later top-level scipy import anywhere in the package fails here.
+Each test runs a fresh interpreter and lists the scipy (or bergercmc)
+modules it loaded, so a later top-level import anywhere in the package
+fails here.
 """
 
 import ast
@@ -13,11 +15,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def scipy_modules_after(code):
+def modules_after(code, package="scipy"):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     probe = (f"import sys\n{code}\n"
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -25,21 +27,28 @@ def scipy_modules_after(code):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert scipy_modules_after("import bergercmc.cli") == []
+    assert modules_after("import bergercmc.cli") == []
+
+
+def test_a_module_loads_only_the_package_modules_it_imports():
+    # the package namespace re-exports nothing, so it loads no module itself
+    assert modules_after("import bergercmc", "bergercmc") == ["bergercmc"]
+    assert modules_after("import bergercmc.cmc_spheres", "bergercmc") == [
+        "bergercmc", "bergercmc.ambient", "bergercmc.cmc_spheres", "bergercmc.svgplot"]
 
 
 def test_torus_command_loads_no_scipy(tmp_path):
     code = ("import bergercmc.cli\n"
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'torus', "
             "'--alpha', '0.5', '--H', '0']) == 0")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 def test_sphere_command_loads_only_scipy_linalg(tmp_path):
     code = ("import bergercmc.cli\n"
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'sphere', "
             "'--alpha', '0.5', '--H', '1']) == 0")
-    loaded = set(scipy_modules_after(code))
+    loaded = set(modules_after(code))
     assert "scipy.linalg" in loaded
     assert loaded.isdisjoint({"scipy.integrate", "scipy.interpolate", "scipy.optimize",
                               "scipy.spatial"})
@@ -56,7 +65,7 @@ def test_root_finding_commands_load_no_scipy(tmp_path):
                      ("regions", "--n", "50", "--format", "csv+svg"),
                      ("profiles", "--n", "60"),
                      ("profiles", "--alphas", "0.3", "--n", "60")))
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 def test_embeddedness_scan_loads_no_scipy(tmp_path):
@@ -64,7 +73,7 @@ def test_embeddedness_scan_loads_no_scipy(tmp_path):
     code = ("import runpy\n"
             f"sys.argv = [{str(script)!r}, {str(tmp_path)!r}, '4']\n"
             f"runpy.run_path({str(script)!r}, run_name='__main__')")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
     assert (tmp_path / "embeddedness_band.csv").exists()
 
 
@@ -73,11 +82,11 @@ def test_profiles_command_loads_no_scipy(tmp_path):
     code = ("import bergercmc.cli\n"
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'profiles', "
             "'--alphas', '0.5', '--n', '60']) == 0")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []
 
 
 def test_embeddedness_command_loads_no_scipy(tmp_path):
     # the verdict is the closed-form turning angle: no meridian, no polyline
     code = ("import bergercmc.cli\n"
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'embeddedness']) == 0")
-    assert scipy_modules_after(code) == []
+    assert modules_after(code) == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bergercmc.cmc_spheres import ConsistencyError
 from bergercmc.stability import LAMBDA1_GAP
 from bergercmc.tori import (TORUS_MAX_N, CutoffError, TorusData, classify_torus,
                             lambda1_closed_form, torus_area_volume, torus_data, torus_spectrum,
@@ -231,6 +232,30 @@ def test_spectrum_cutoff_certification():
         assert s3.shell_min > s3.lambda1
     with pytest.raises(ValueError):
         torus_spectrum(torus_data(0.5, 0.0), N=2)
+
+
+@pytest.mark.parametrize("a,H,certified,rows", [(0.5, 0.0, 83, 128), (0.05, 1.0, 110, 313),
+                                                 (3.0, 2.0, 31, 313)])
+def test_spectrum_is_complete_below_the_shell(a, H, certified, rows):
+    # below shell_min every lattice point of value lambda lies in the box, so
+    # the box N = 60 gives the same rows there; above it rows go missing
+    td = torus_data(a, H)
+    s, ref = torus_spectrum(td, N=12), torus_spectrum(td, N=60)
+    below, ref_below = s.eigenvalues < s.shell_min, ref.eigenvalues < s.shell_min
+    assert (below.sum(), len(s.eigenvalues)) == (certified, rows)
+    assert s.eigenvalues[below].tolist() == ref.eigenvalues[ref_below].tolist()
+    assert s.multiplicities[below].tolist() == ref.multiplicities[ref_below].tolist()
+
+
+def test_spectrum_holds_lambda1_to_the_closed_form(monkeypatch):
+    from bergercmc import tori
+
+    td = torus_data(0.5, 0.0)
+    monkeypatch.setattr(tori, "lambda1_closed_form", lambda a, H: 3.0 * (1.0 + 0.9e-10))
+    assert torus_spectrum(td).lambda1 == 3.0
+    monkeypatch.setattr(tori, "lambda1_closed_form", lambda a, H: 3.0 * (1.0 + 1.1e-10))
+    with pytest.raises(ConsistencyError, match="torus lambda1: enumeration 3.0 vs closed form"):
+        torus_spectrum(td)
 
 
 def test_spectrum_cutoff_above_maximum_raises_before_enumerating(monkeypatch):
