@@ -35,6 +35,10 @@ the sphere is embedded iff the turning angle
     Theta(a, H) = atan2(sqrt a, H) + (H / sqrt(a)) X G(X)
 
 is at most pi, and the curve crosses itself ceil(Theta/pi) - 1 times.
+Theta has one maximum in H: sqrt(a) (a + H^2) dTheta/dH = (1 - X)(X G(X) - 1)
+with 1 - X = (H^2 + a)/c > 0, X G(X) = sqrt(X) artanh(sqrt X) rises strictly in X
+(and is <= 0 for X <= 0), and X falls strictly in H for a < 1; so Theta rises
+while X > X_STAR = 0.69481653805..., the root of X G(X) = 1, and falls after.
 
 The module evaluates these, checks the integrability conditions and the
 Gauss equation, computes areas, evaluates the meridian curve in S^3 with
@@ -63,6 +67,7 @@ GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 # embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
 MERIDIAN_MIN_N, MERIDIAN_MAX_N = 64, 10**5
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
+X_STAR = 0.6948165380537966  # the root of X G(X) = 1, where Theta turns from rising to falling
 
 
 # scipy loads on first call, so importing this module costs no scipy import;
@@ -466,22 +471,10 @@ def classify_embedding(p, H: float) -> EmbeddingVerdict:
                             margin=math.pi - theta, alpha=a, H=H)
 
 
-def _turning_slope(a: float, H: float) -> float:
-    """sqrt(a) (a + H^2) dTheta/dH = X (1 - X) G(X) - a - X H^2 for a < 1, with
-    X = (1 - a)/(1 + H^2); it tends to -1 as H -> inf."""
-    c = 1.0 + H * H
-    X, one_minus_X = (1.0 - a) / c, (H * H + a) / c
-    return X * one_minus_X * artanh_ratio(X, one_minus_X) - a - X * H * H
-
-
 def _max_turning_angle(a: float) -> tuple[float, float]:
-    """(argmax_H Theta, max_H Theta).  Where a < 1 and _turning_slope is positive at
-    H = 0, Theta rises from pi/2 to one maximum, at the slope's root in (0, 2): below
-    alpha_emb in (0.60, 0.67), up to a = 0.2 in (0.38, 0.67).  Elsewhere, and for
-    every a >= 1, the maximum is pi/2 at H = 0."""
-    h = 0.0
-    if a < 1.0 and _turning_slope(a, h) > 0.0:
-        h = brentq(lambda h: _turning_slope(a, h), 0.0, 2.0, xtol=1e-12, rtol=8.9e-16)
+    """(argmax_H Theta, max_H Theta): X = (1 - a)/(1 + H^2) is X_STAR at the peak, or
+    the peak is at H = 0 (Theta = pi/2) where 1 - a <= X_STAR."""
+    h = math.sqrt((1.0 - a) / X_STAR - 1.0) if 1.0 - a > X_STAR else 0.0
     return h, turning_angle(a, h)
 
 

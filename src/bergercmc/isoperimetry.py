@@ -1,19 +1,23 @@
 """Area/volume profiles of the two CMC families and candidate ranking.
 
-Both families have closed-form profiles.  The sphere volume is the
-integral, from the half-volume minimal sphere, of the rate
+Both families have closed-form profiles.  The sphere volume V, on the side
+holding V(0) = pi^2 sqrt(a) at the minimal sphere, has the rate
 
-    dV/dH = d(area)/du |_{u = H^2} = -2 Int f dA,
+    dV/dH = d(area)/du |_{u = H^2} = -2 K,   K = Int f dA,
 
 where f solves Lf = 1 (the Koiso function of the stability module).  The
 first equality is the first-variation identity dA = 2H dV written in
 u = H^2, which is regular at H = 0; the second makes the rate the closed
 Koiso integral, so the volume falls exactly where the spheres are stable.
-Integrated in closed form (sphere_volume), with c = 1 + H^2 and
-G = artanh_ratio:
+sphere_volume reads V from the turning angle Theta and the area A:
 
-    V(H) = 2 pi sqrt(a) atan(sqrt(a)/H) - pi H/c
-           + pi H ((2 - 3a) + (1 - 2a) H^2) G((1 - a)/c) / c^2.
+    V(H) = 2 pi sqrt(a) Theta(a, H) - H A(a, H)/2.
+
+Proof: at H = 0, Theta = pi/2 and both sides are pi^2 sqrt(a).  With
+c = 1 + H^2, differentiating the closed forms gives 2 pi sqrt(a) dTheta/dH =
+A/2 - 2 c K and dA/dH = -4 H K, so the right side has the derivative
+A/2 - 2 c K - A/2 + 2 H^2 K = -2 K = dV/dH.  The Hopf tori satisfy the same
+identity with Theta = pi/2: V_T + H A_T/2 = pi^2 sqrt(a).
 
 sphere_volume_rate keeps the quadrature of the u-derivative of the area
 integrand as an independent check of the rate identity.
@@ -33,9 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import H_MAX, as_alpha, as_H, brentq, total_volume
-from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, artanh_ratio
+from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, turning_angle
 from .stability import classify_sphere, koiso_integral_closed
-from .svgplot import write_csv
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 
 SPHERE = "Sphere"
@@ -147,9 +150,6 @@ class IsoperimetricProfile:
     def rows(self) -> list:
         return [(self.family, h, a, v) for h, a, v in zip(self.H, self.area, self.volume)]
 
-    def to_csv(self, path) -> None:
-        write_csv(path, PROFILE_COLUMNS, self.rows())
-
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
     if not 0.0 < H_max < math.inf or not PROFILE_MIN_N <= n <= PROFILE_MAX_N:
@@ -175,20 +175,20 @@ def sphere_volume_rate(alpha: float, H: float) -> float:
 
 def sphere_volume(p, H) -> np.ndarray:
     """Volume enclosed by S_a(H) (the side that holds V(0) = pi^2 sqrt(a) at
-    the minimal sphere) for an array of H; the closed form of the module
-    docstring, and VOLUME_SERIES where that form cancels."""
+    the minimal sphere) for an array of H: 2 pi sqrt(a) Theta - H A/2 of the
+    module docstring, and VOLUME_SERIES where that difference cancels."""
     a = as_alpha(p)
     H = np.asarray(H, dtype=float)
-    sa = math.sqrt(a)
-    c = 1.0 + H * H
-    vol = np.asarray(2.0 * math.pi * sa * np.arctan2(sa, H) - math.pi * H / c
-                     + math.pi * H * ((2.0 - 3.0 * a) + (1.0 - 2.0 * a) * H * H)
-                     * artanh_ratio((1.0 - a) / c, (H * H + a) / c) / (c * c))
+    vol = np.asarray(2.0 * math.pi * math.sqrt(a) * turning_angle(a, H)
+                     - 0.5 * H * area_sphere_closed(a, H))
     far = H * H >= 16.0 * max(a, 4.0)
     u = 1.0 / H[far]
     series = 0.0
     for num, den in reversed(VOLUME_SERIES):
-        series = series * u * u + np.polyval(num, a) / den
+        coef = 0.0
+        for k in num:  # Horner's rule in a
+            coef = coef * a + k
+        series = series * u * u + coef / den
     vol[far] = math.pi * series * u**3
     return vol
 

@@ -113,8 +113,7 @@ def test_frame_is_round_orthonormal():
 # ---------------------------------------------------------------------------
 
 BRENTQ_SITES = {"alpha0", "sphere_stability_boundary", "t0_constant", "critical_constants",
-                "crossing_alpha", "invert_volume", "_max_turning_angle", "nonembedded_band",
-                "alpha_emb"}
+                "crossing_alpha", "invert_volume", "nonembedded_band", "alpha_emb"}
 
 
 def _outcome(solve, *args, **kwargs):
@@ -148,7 +147,7 @@ def test_brentq_matches_scipy_at_every_call_site(monkeypatch):
     for a, V in ((0.04, 0.5), (0.01, 1.2), (0.5, 6.9)):
         isoperimetry.isoperimetric_candidate(a, V)  # invert_volume
     for a in (0.004, 0.01, 0.04, 0.2):
-        cmc_spheres.nonembedded_band(a)  # and _max_turning_angle
+        cmc_spheres.nonembedded_band(a)
     cmc_spheres.alpha_emb()
     assert sites == BRENTQ_SITES
 

@@ -230,6 +230,18 @@ def test_profiles_up_to_H_MAX_keep_positive_volumes(tmp_path, capsys):
     assert all(v > w for v, w in zip(vol, vol[1:]))
 
 
+def test_profiles_at_large_alpha_keep_positive_volumes(tmp_path, capsys):
+    # just below the series switch H^2 = 16 a, 2 pi sqrt(a) Theta - H A/2 cancels by a factor
+    # of order a
+    assert main(["--out", str(tmp_path), "profiles", "--alphas", "1e10", "--H-max", "1e6",
+                 "--n", "50"]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "figure4_profiles_alpha1e+10.csv").read_text().splitlines()[1:]]
+    vol = [float(r[3]) for r in rows if r[0] == "Sphere"]
+    assert len(vol) == 50 and min(vol) > 0.0
+    assert all(v > w for v, w in zip(vol, vol[1:]))
+
+
 def test_torus_nan_exits_2_without_traceback(tmp_path):
     proc, _ = run_cli(["torus", "--alpha", "0.5", "--H", "nan"], tmp_path, "nan")
     assert proc.returncode == 2
@@ -255,14 +267,18 @@ def test_embeddedness_command_builds_no_meridian(tmp_path, monkeypatch, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 26
 
 
-def test_band_script_writes_the_roots_of_theta(tmp_path):
-    from bergercmc.cmc_spheres import nonembedded_band
-
+def run_script(name, outdir):
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(root / "scripts" / "embeddedness_scan.py"),
-                           str(tmp_path)], capture_output=True, text=True, timeout=300, env=env)
+    return subprocess.run([sys.executable, str(root / "scripts" / name), str(outdir)],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_band_script_writes_the_roots_of_theta(tmp_path):
+    from bergercmc.cmc_spheres import nonembedded_band
+
+    proc = run_script("embeddedness_scan.py", tmp_path)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split(",") for line in
             (tmp_path / "embeddedness_band.csv").read_text().splitlines()]
@@ -271,6 +287,15 @@ def test_band_script_writes_the_roots_of_theta(tmp_path):
         assert (float(lo), float(hi)) == nonembedded_band(float(a))
     assert rows[-1] == ["0.06", "nan", "nan"]  # above alpha_emb: no band
     assert "alpha=0.0087: non-embedded for H in (0.075, 3.214)" in proc.stdout
+
+
+def test_make_figures_writes_the_same_14_files_twice(tmp_path):
+    files = []
+    for run in ("first", "second"):
+        proc = run_script("make_figures.py", tmp_path / run)
+        assert proc.returncode == 0, proc.stderr
+        files.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
+    assert len(files[0]) == 14 and files[0] == files[1]
 
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):

@@ -755,27 +755,90 @@ def test_classify_embedding_counts_crossings():
         classify_embedding(0.5, -1.0)
 
 
-@given(st.floats(min_value=-3.0, max_value=math.log10(0.99)).map(lambda e: 10.0**e),
-       st.floats(min_value=-3.0, max_value=1.0).map(lambda e: 10.0**e))
-def test_turning_slope_is_the_scaled_derivative_of_theta(a, H):
-    # sqrt(a) (a + H^2) dTheta/dH by 50-digit differentiation of Theta; the slope
-    # crosses zero at the argmax, so its error is taken against its terms' size
+def _sympy_closed_forms(sign):
+    """Theta, the area A, the Koiso integral K and G(X) of S_a(H) as sympy expressions in
+    positive H and b, on the artanh branch a = 1 - b (sign 1, X > 0) or the atan branch
+    a = 1 + b (sign -1, X < 0); with a and X = (1 - a)/(1 + H^2)."""
+    import sympy
+
+    H, b = sympy.symbols("H b", positive=True)
+    c = 1 + H**2
+    a, X, r = 1 - sign * b, sign * b / c, sympy.sqrt(b / c)
+    G = (sympy.atanh(r) if sign == 1 else sympy.atan(r)) / r
+    theta = sympy.atan(sympy.sqrt(a) / H) + H / sympy.sqrt(a) * X * G
+    A = 2 * sympy.pi * (1 + (H**2 + a) * G / c) / c
+    K = sympy.pi / (2 * c**2) * (3 + (H**2 + 3 * a - 2) * G / c)
+    return H, a, X, G, theta, A, K
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_turning_slope_factors_through_X_G_minus_one(sign):
+    # sqrt(a) (a + H^2) dTheta/dH = (1 - X)(X G(X) - 1): its sign is that of X G(X) - 1
+    import sympy
+
+    H, a, X, G, theta, _, _ = _sympy_closed_forms(sign)
+    lhs = sympy.sqrt(a) * (a + H**2) * sympy.diff(theta, H)
+    assert sympy.simplify(lhs - (1 - X) * (X * G - 1)) == 0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_theta_and_area_rates_are_the_volume_rate(sign):
+    # 2 pi sqrt(a) Theta' = A/2 - 2 c K and A' = -4 H K, so (2 pi sqrt(a) Theta - H A/2)' = -2 K,
+    # the rate of isoperimetry.sphere_volume
+    import sympy
+
+    H, a, _, _, theta, A, K = _sympy_closed_forms(sign)
+    c = 1 + H**2
+    assert sympy.simplify(2 * sympy.pi * sympy.sqrt(a) * sympy.diff(theta, H)
+                          - (A / 2 - 2 * c * K)) == 0
+    assert sympy.simplify(sympy.diff(A, H) + 4 * H * K) == 0
+
+
+def test_X_STAR_is_the_root_of_X_G_equal_one():
     import mpmath
 
     with mpmath.workdps(50):
-        ma, mH = mpmath.mpf(a), mpmath.mpf(H)
+        root = mpmath.findroot(lambda x: mpmath.sqrt(x) * mpmath.atanh(mpmath.sqrt(x)) - 1,
+                               mpmath.mpf("0.69"))
+        assert abs(root - cmc_spheres.X_STAR) <= math.ulp(cmc_spheres.X_STAR)
 
-        def theta(h):
-            X = (1 - ma) / (1 + h * h)
-            return (mpmath.atan2(mpmath.sqrt(ma), h)
-                    + h / mpmath.sqrt(ma) * mpmath.sqrt(X) * mpmath.atanh(mpmath.sqrt(X)))
 
-        want = mpmath.sqrt(ma) * (ma + mH * mH) * mpmath.diff(theta, mH)
-        X = (1 - ma) / (1 + mH * mH)
-        scale = ma + X * mH * mH + (1 - X) * mpmath.sqrt(X) * mpmath.atanh(mpmath.sqrt(X))
-        err = abs(cmc_spheres._turning_slope(a, H) - want)
-    assert float(err / scale) <= 4e-15
-    assert float(err) <= 1e-12 * float(abs(want)) or float(abs(want)) < 1e-3 * float(scale)
+def _mp_turning_slope(mp, a, H):
+    """dTheta/dH at mp's working precision, by differentiating
+    Theta = atan2(sqrt a, H) + (H/sqrt a) X G(X)."""
+    ma = mp.mpf(a)
+
+    def theta(h):
+        X = (1 - ma) / (1 + h * h)
+        r = mp.sqrt(abs(X))
+        G = mp.atanh(r) / r if X > 0 else (mp.atan(r) / r if X < 0 else 1)
+        return mp.atan2(mp.sqrt(ma), h) + h / mp.sqrt(ma) * X * G
+
+    return mp.diff(theta, mp.mpf(H))
+
+
+@pytest.mark.parametrize("a", [1e-6, 1e-3, 0.01, alpha_emb(), 0.1, 0.2, 0.3, 0.305])
+def test_theta_peaks_where_X_is_X_STAR(a):
+    # one maximum: Theta rises before h_top and falls after it, where its slope vanishes
+    import mpmath
+
+    h_top, top = cmc_spheres._max_turning_angle(a)
+    assert h_top > 0.0 and top == turning_angle(a, h_top)
+    with mpmath.workdps(50):
+        slope = float(_mp_turning_slope(mpmath, a, h_top))
+        assert abs(math.sqrt(a) * (a + h_top * h_top) * slope) <= 1e-14  # (1 - X)(X G - 1)
+        assert _mp_turning_slope(mpmath, a, 0.5 * h_top) > 0
+        assert _mp_turning_slope(mpmath, a, 2.0 * h_top) < 0
+
+
+@pytest.mark.parametrize("a", [1.0 - cmc_spheres.X_STAR + 1e-9, 0.4, 0.9, 1.0, 2.0, 1e6])
+def test_theta_falls_from_H_zero_when_a_is_at_least_one_minus_X_STAR(a):
+    import mpmath
+
+    assert cmc_spheres._max_turning_angle(a) == (0.0, math.pi / 2)
+    with mpmath.workdps(50):
+        assert _mp_turning_slope(mpmath, a, 0) < 0
+        assert _mp_turning_slope(mpmath, a, 1.0) < 0
 
 
 def test_alpha_emb_closes_the_band():

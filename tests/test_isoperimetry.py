@@ -11,6 +11,7 @@ from bergercmc.isoperimetry import (SPHERE, TORUS, candidate_reach, clifford_vs_
                                     sphere_volume, sphere_volume_rate, torus_H_at_volume,
                                     torus_profile)
 from bergercmc.stability import alpha0, koiso_integral_closed
+from bergercmc.tori import torus_area_volume
 
 CROSSING_REF = 0.1664476396914846
 
@@ -98,7 +99,8 @@ def test_closed_volume_rate_is_minus_twice_koiso_integral(a, H):
 
 
 def _mp_sphere_volume(mp, a, H):
-    """The closed form of sphere_volume at the working precision of mp."""
+    """2 pi sqrt(a) Theta - H A/2 with its terms expanded, at the working precision of mp:
+    an oracle for sphere_volume that shares no evaluation order with it."""
     a, H = mp.mpf(a), mp.mpf(H)
     c, sa, x = 1 + H * H, mp.sqrt(a), (1 - a) / (1 + H * H)
     G = mp.atanh(mp.sqrt(x)) / mp.sqrt(x) if x > 0 else (
@@ -108,22 +110,31 @@ def _mp_sphere_volume(mp, a, H):
 
 
 def test_sphere_volume_against_mpmath():
-    # the closed form cancels towards (4 pi/3) H^-3; the large-H series
-    # takes over, so every volume keeps its digits up to H_MAX
+    # 2 pi sqrt(a) Theta - H A/2 cancels towards (4 pi/3) H^-3, where the large-H series
+    # takes over; just below that switch, at H^2 = 16 a, it cancels by a factor of order
+    # a: every volume up to H_MAX is positive, and above a = 50 within 51 a eps (measured)
     import mpmath
 
     from bergercmc.ambient import H_MAX
     H = np.concatenate([[0.0], np.geomspace(1e-2, H_MAX, 161)])
-    worst = {True: 0.0, False: 0.0}
+    eps = np.finfo(float).eps
     with mpmath.workdps(50):
-        for a in np.geomspace(1e-6, 1e4, 41):
+        for a in np.geomspace(1e-6, 1e12, 73).tolist():
             vol = sphere_volume(a, H)
             assert np.all(vol > 0.0), a
-            for h, v in zip(H, vol):
-                want = _mp_sphere_volume(mpmath, a, h)
-                rel = float(abs(v - want) / want)
-                worst[a <= 50.0] = max(worst[a <= 50.0], rel)
-    assert worst[True] <= 2e-11 and worst[False] <= 1e-6, worst
+            want = [_mp_sphere_volume(mpmath, a, h) for h in H.tolist()]
+            worst = max(float(abs(v - w) / w) for v, w in zip(vol.tolist(), want))
+            assert worst <= (5e-13 if a <= 50.0 else 2e-10 if a <= 1e4 else 128.0 * a * eps), \
+                (a, worst)
+
+
+def test_torus_volume_plus_half_H_area_is_half_the_total():
+    # the tori's form of V = 2 pi sqrt(a) Theta - H A/2, with Theta = pi/2
+    H = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 49)])
+    for a in (1e-6, 0.3, 1.0, 1e4):
+        area, vol = torus_area_volume(a, H)
+        np.testing.assert_allclose(vol + 0.5 * H * area, math.pi**2 * math.sqrt(a),
+                                   rtol=4e-16, atol=0.0)
 
 
 def test_sphere_volume_closed_form_integrates_the_rate():
@@ -186,7 +197,6 @@ def test_torus_volume_inversion():
         half = math.pi**2 * math.sqrt(a)
         for V in (0.2 * half, 0.7 * half, half):
             H = torus_H_at_volume(a, V)
-            from bergercmc.tori import torus_area_volume
             _, vol = torus_area_volume(a, H)
             assert vol == pytest.approx(V, rel=1e-12)
 
@@ -296,16 +306,6 @@ def test_noncongruent_spheres_reported():
     assert "noncongruent" in rep.notes
 
 
-def test_profile_csv(tmp_path):
-    prof = torus_profile(0.3, H_max=5.0, n=60)
-    path = tmp_path / "torus.csv"
-    prof.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "family,H,area,volume"
-    assert len(lines) == 61
-    assert lines[1].startswith("Torus,0.0,")
-
-
 def test_profile_third_half_volume_values():
     prof = sphere_profile(1 / 3, H_max=5.0, n=120)
     assert prof.area[0] == pytest.approx(9.2233431556, abs=1e-6)
@@ -317,7 +317,6 @@ def test_torus_volume_inversion_tiny_volumes():
     # 1 - s^2 with s = 1 - V/half rounds to 0 for tiny V; t (2 - t) does not
     import mpmath
 
-    from bergercmc.tori import torus_area_volume
     a = 0.5
     half = math.pi**2 * math.sqrt(a)
     for V in (1e-5, 1e-10, 1e-16, 1e-300):
@@ -348,7 +347,6 @@ def test_torus_profile_volume_against_mpmath():
     import mpmath
 
     from bergercmc.ambient import H_MAX
-    from bergercmc.tori import torus_area_volume
     H = np.concatenate([[0.0, 1e-8, 0.3, 1.0], np.geomspace(1.0, H_MAX, 61)[1:]])
     a = 0.3
     _, vol = torus_area_volume(a, H)
