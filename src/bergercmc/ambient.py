@@ -9,12 +9,13 @@ where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
 a = 1 is the round sphere.  Points and tangent vectors are stored as
 4 real coordinates (Re z, Im z, Re w, Im w); the complex structure is
 applied by component shuffles.  The module also holds what every other
-module shares: the input checks, NumericalError and the root finder brentq.
+module shares: the input checks, the error classes, StabilityVerdict, brentq.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +39,20 @@ class ContractViolation(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation broke one of its numerical contracts (CLI exit code 3)."""
+
+
+class ConsistencyError(NumericalError):
+    """Two independent evaluation routes disagreed beyond tolerance."""
+
+
+@dataclass(frozen=True)
+class StabilityVerdict:
+    """A sphere's or torus's stability: stable iff margin >= 0."""
+
+    stable: bool
+    margin: float
+    alpha: float
+    H: float
 
 
 def as_alpha(p) -> float:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import NumericalError, as_alpha, as_H, brentq
+from .ambient import ConsistencyError, NumericalError, as_alpha, as_H, brentq
 from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
@@ -85,10 +85,6 @@ def solve_ivp(*args, **kwargs):
 
 class ReconstructionError(NumericalError):
     """A meridian violated a profile invariant."""
-
-
-class ConsistencyError(NumericalError):
-    """Two independent evaluation routes disagreed beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -538,9 +534,7 @@ def orbit_space_curve(m: MeridianProfile) -> np.ndarray:
 class EmbeddednessResult:
     embedded: bool | None  # None means undecided: refine the grid
     margin: float
-    resolution: float
     crossings: int
-    notes: str = ""
 
 
 def fd_metric_residual(m: MeridianProfile) -> np.ndarray:
@@ -585,9 +579,7 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     curve = orbit_space_curve(m)
     report = geometry2d.polyline_self_intersection_report(curve)
     if report.crossings > 0:
-        return EmbeddednessResult(False, report.margin, report.resolution,
-                                  report.crossings, "transverse self-intersection")
+        return EmbeddednessResult(False, report.margin, report.crossings)
     if report.margin < 10.0 * report.resolution:
-        return EmbeddednessResult(None, report.margin, report.resolution, 0,
-                                  "margin below 10x resolution; refine grid")
-    return EmbeddednessResult(True, report.margin, report.resolution, 0)
+        return EmbeddednessResult(None, report.margin, 0)
+    return EmbeddednessResult(True, report.margin, 0)

@@ -19,9 +19,9 @@ from .cmc_spheres import (area_sphere, area_sphere_closed, classify_embedding,
 from .isoperimetry import (clifford_vs_minimal_sphere, crossing_alpha,
                            isoperimetric_candidate, round_cap_area_volume,
                            sphere_profile, sphere_volume, sphere_volume_rate)
-from .stability import (alpha0, classify_sphere, jacobi_potential_flat,
-                        jacobi_rayleigh_C, jacobi_spectrum, koiso_integral,
-                        koiso_integral_closed, potential_from_data)
+from .stability import (alpha0, classify_sphere, jacobi_potential_flat, jacobi_rayleigh_C,
+                        jacobi_spectrum, koiso_integral, koiso_integral_closed,
+                        potential_from_data, sphere_stability_boundary)
 
 
 def check_volume_form():
@@ -96,6 +96,8 @@ def check_koiso():
     a0 = alpha0()
     assert abs(a0 - 0.121) < 5e-4, "alpha0 printed value"
     assert abs(koiso_integral_closed(a0, 0.0)) < 1e-9, "alpha0 root property"
+    rows = sphere_stability_boundary(np.linspace(0.02 * a0, 0.995 * a0, 60))  # the regions grid
+    assert max(abs(koiso_integral_closed(a, H)) for a, H in rows) <= 1e-14, "Koiso root at H(a)"
     assert not classify_sphere(0.05, 0.0).stable and classify_sphere(2.0, 0.0).stable
 
 

@@ -6,7 +6,15 @@ factor is the (a, H)-independent function 2/cosh^2 x.  Stability is then
 decided by the Koiso criterion (the surface has index one and mean-zero
 Jacobi functions): S_a(H) is stable iff the solution f of Lf = 1
 integrates to a nonnegative value.  Both f and its integral have closed
-forms through cmc_spheres.artanh_ratio.
+forms through G = cmc_spheres.artanh_ratio.  As H^2 + 3a - 2 = c (1 - 3X),
+c = 1 + H^2, X = (1 - a)/c, the integral is pi kappa(X)/(2 c^2) with
+kappa(X) = 3 + (1 - 3X) G(X): kappa > 0 for X <= 1/3 (G > 0), kappa' =
+-3G + (1 - 3X) G' < 0 on (1/3, 1) (G, G' > 0) and kappa -> -inf as X -> 1,
+so S_a(H) is stable iff X <= X_K = 0.879116531926, kappa's one root.  At
+H = 0, X = 1 - a, so alpha0 = 1 - X_K: S_a(H) is stable for every H if
+a >= alpha0, and for a < alpha0 iff H >= H(a) = sqrt((alpha0 - a)/(1 - alpha0)),
+which rises to H(0+) = sqrt(alpha0/(1 - alpha0)) = 0.370817508879 as a -> 0
+(Torralbo-Urbano, arXiv 0906.1439).
 
 The spectral route is kept as well: mode by Fourier mode, the flattened
 eigenvalue problem compactifies under t = tanh x into the Legendre-type
@@ -31,13 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import NumericalError, as_alpha, as_H, brentq
-from .cmc_spheres import (AREA_CUTOFF, ConsistencyError, SphereFundamentalData, artanh_ratio,
-                          fundamental_data)
+from .ambient import ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq
+from .cmc_spheres import AREA_CUTOFF, SphereFundamentalData, artanh_ratio, fundamental_data
 from .svgplot import write_csv
 
-KOISO_INTEGRAL = "KoisoIntegral"
-LAMBDA1_GAP = "Lambda1Gap"
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues computed per Fourier mode
 TINY = float(np.finfo(float).tiny)  # smallest normal float
@@ -55,15 +60,6 @@ def quad(*args, **kwargs):
 def eigh_tridiagonal(*args, **kwargs):
     import scipy.linalg
     return scipy.linalg.eigh_tridiagonal(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    stable: bool
-    margin: float
-    criterion: str
-    alpha: float
-    H: float
 
 
 class SpectrumError(NumericalError):
@@ -119,7 +115,8 @@ def koiso_solution(p, H: float, x):
 
 def koiso_integral_closed(p, H):
     """Closed form pi/(2c^2) (3 + (H^2 + 3a - 2) G((1 - a)/c)/c) of Int f dA over
-    S_a(H), c = 1 + H^2, for a float or an array of H (sign decides stability)."""
+    S_a(H), c = 1 + H^2, for a float or an array of H; it is pi kappa(X)/(2c^2),
+    X = (1 - a)/c, whose sign decides stability (module docstring)."""
     a = as_alpha(p)
     h2 = H * H
     c = h2 + 1.0
@@ -155,12 +152,11 @@ def classify_sphere(p, H: float) -> StabilityVerdict:
     a = as_alpha(p)
     H = as_H(H)
     margin = koiso_integral_closed(a, H)
-    return StabilityVerdict(stable=margin >= 0.0, margin=margin,
-                            criterion=KOISO_INTEGRAL, alpha=a, H=H)
+    return StabilityVerdict(stable=margin >= 0.0, margin=margin, alpha=a, H=H)
 
 
 def alpha0() -> float:
-    """The threshold deformation: below it some spheres are unstable.
+    """The threshold deformation 1 - X_K: below it some spheres are unstable.
 
     Root of koiso_integral_closed(a, 0) on (0, 1/3); the minimal sphere
     S_a(0) changes stability here.
@@ -170,20 +166,16 @@ def alpha0() -> float:
 
 
 def sphere_stability_boundary(alpha_grid) -> np.ndarray:
-    """H(a) on a grid of a < alpha0: spheres are stable iff H >= H(a).
-
-    Returns an array of rows (a, H(a)), the roots of koiso_integral_closed
-    in H, which [0, 1] brackets: H(a) rises to 0.3708 as a -> 0.  Raises
-    for a >= alpha0, where no positive root exists.
-    """
+    """Rows (a, H(a)), H(a) = sqrt((alpha0 - a)/(1 - alpha0)), on a grid of a in
+    (0, alpha0): S_a(H) is stable iff H >= H(a) (module docstring).  alpha0 - a
+    is exact near alpha0 (Sterbenz), where (1 - a)/X_K - 1 would cancel.
+    Raises ValueError naming the first entry that is NaN or not in (0, alpha0)."""
     a0 = alpha0()
-    out = []
-    for a in np.atleast_1d(np.asarray(alpha_grid, dtype=float)):
-        if not 0.0 < a < a0:
-            raise ValueError(f"alpha={a} is not below alpha0={a0:.6f}")
-        H = brentq(lambda h: koiso_integral_closed(a, h), 0.0, 1.0, xtol=1e-12, rtol=8.9e-16)
-        out.append((a, H))
-    return np.asarray(out)
+    a = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
+    bad = ~((0.0 < a) & (a < a0))
+    if bad.any():
+        raise ValueError(f"alpha={a[bad][0]} is not in (0, alpha0={a0:.6f})")
+    return np.column_stack([a, np.sqrt((a0 - a) / (1.0 - a0))])
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import NumericalError, as_alpha, as_H
-from .cmc_spheres import ConsistencyError
-from .stability import LAMBDA1_GAP, StabilityVerdict
+from .ambient import ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H
 from .svgplot import write_csv
 
 GROUP_TOL = 1e-9  # eigenvalues within this relative distance of a group's first are one
@@ -182,8 +180,7 @@ def classify_torus(p, H: float) -> StabilityVerdict:
     H = as_H(H)
     lam1 = lambda1_closed_form(a, H)
     margin = lam1 - 4.0 * (H**2 + 1.0)
-    return StabilityVerdict(stable=margin >= 0.0, margin=margin,
-                            criterion=LAMBDA1_GAP, alpha=a, H=H)
+    return StabilityVerdict(stable=margin >= 0.0, margin=margin, alpha=a, H=H)
 
 
 def torus_area_volume(p, H):

@@ -112,7 +112,7 @@ def test_frame_is_round_orthonormal():
 # brentq against scipy.optimize.brentq, the C code it transcribes: same floats
 # ---------------------------------------------------------------------------
 
-BRENTQ_SITES = {"alpha0", "sphere_stability_boundary", "t0_constant", "critical_constants",
+BRENTQ_SITES = {"alpha0", "t0_constant", "critical_constants",
                 "crossing_alpha", "invert_volume", "nonembedded_band", "alpha_emb"}
 
 
@@ -141,7 +141,7 @@ def test_brentq_matches_scipy_at_every_call_site(monkeypatch):
 
     for mod in (cmc_spheres, isoperimetry, regions, stability):
         monkeypatch.setattr(mod, "brentq", checked)
-    stability.sphere_stability_boundary([0.001, 0.01, 0.05, 0.1, 0.12])  # and alpha0
+    stability.alpha0()
     regions.critical_constants()  # t0 and alpha_1
     isoperimetry.crossing_alpha()
     for a, V in ((0.04, 0.5), (0.01, 1.2), (0.5, 6.9)):

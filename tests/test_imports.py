@@ -35,6 +35,8 @@ def test_a_module_loads_only_the_package_modules_it_imports():
     assert modules_after("import bergercmc", "bergercmc") == ["bergercmc"]
     assert modules_after("import bergercmc.cmc_spheres", "bergercmc") == [
         "bergercmc", "bergercmc.ambient", "bergercmc.cmc_spheres", "bergercmc.svgplot"]
+    assert modules_after("import bergercmc.tori", "bergercmc") == [
+        "bergercmc", "bergercmc.ambient", "bergercmc.svgplot", "bergercmc.tori"]
 
 
 def test_torus_command_loads_no_scipy(tmp_path):

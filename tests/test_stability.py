@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bergercmc.cmc_spheres import fundamental_data
-from bergercmc.stability import (KOISO_INTEGRAL, SpectrumError, alpha0, classify_sphere,
+from bergercmc.stability import (SpectrumError, alpha0, classify_sphere,
                                  jacobi_potential_flat, jacobi_rayleigh_C,
                                  jacobi_spectrum, koiso_integral,
                                  koiso_integral_closed, koiso_integral_quadrature,
@@ -16,7 +16,8 @@ from bergercmc.stability import (KOISO_INTEGRAL, SpectrumError, alpha0, classify
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=3.0)
 
-ALPHA0_REF = 0.12088346807439847  # root of artanh(sqrt(1-a)) = 3 sqrt(1-a)/(2-3a)
+# the double nearest the root 0.1208834680743984390... of artanh(sqrt(1-a)) = 3 sqrt(1-a)/(2-3a)
+ALPHA0_REF = 0.12088346807439844
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +149,12 @@ def test_classify_examples():
     assert not classify_sphere(0.05, 0.0).stable
     assert classify_sphere(0.05, 5.0).stable
     v = classify_sphere(0.5, 1.0)
-    assert v.criterion == KOISO_INTEGRAL
     assert v.stable == (v.margin >= 0)
 
 
 def test_alpha0_value_and_root_property():
     a0 = alpha0()
-    assert a0 == pytest.approx(ALPHA0_REF, abs=1e-12)
+    assert abs(a0 - ALPHA0_REF) <= 2 * math.ulp(ALPHA0_REF)
     assert a0 == pytest.approx(0.121, abs=5e-4)  # printed precision
     assert abs(koiso_integral_closed(a0, 0.0)) < 1e-9
     assert koiso_integral_closed(a0 + 1e-3, 0.0) > 0
@@ -175,13 +175,83 @@ def test_boundary_flips_verdict_and_decreases():
     assert np.all(np.diff(H) < 0)  # H(alpha) decreasing
     for a, Ha in rows:
         assert Ha > 0
-        assert classify_sphere(a, Ha + 1e-6).stable
-        assert not classify_sphere(a, Ha - 1e-6).stable
+        # the least offset that flips every verdict: 6.5e-15 fails at a = 0.98 alpha0
+        assert classify_sphere(a, Ha * (1 + 7e-15)).stable
+        assert not classify_sphere(a, Ha * (1 - 7e-15)).stable
 
 
 def test_boundary_rejects_alpha_above_alpha0():
     with pytest.raises(ValueError):
         sphere_stability_boundary([alpha0() + 0.01])
+
+
+def test_boundary_names_the_first_entry_off_the_open_interval():
+    a0 = alpha0()
+    for grid, bad in (([0.05, math.nan, 0.2], "nan"), ([0.05, 0.2, math.nan], "0.2"),
+                      ([0.01, a0, 0.02], repr(a0)), ([0.01, 0.0], "0.0")):
+        with pytest.raises(ValueError, match=rf"^alpha={bad} is not in \(0, alpha0"):
+            sphere_stability_boundary(grid)
+
+
+def _mp_kappa(mp, X):
+    """kappa(X) = 3 + (1 - 3X) G(X) for 0 < X < 1, the Koiso integral times 2c^2/pi."""
+    r = mp.sqrt(X)
+    return 3 + (1 - 3 * X) * mp.atanh(r) / r
+
+
+def _mp_X_K(mp):
+    return mp.findroot(lambda X: _mp_kappa(mp, X), (mp.mpf("0.8"), mp.mpf("0.95")),
+                       solver="anderson")
+
+
+def test_koiso_integral_depends_on_X_alone():
+    # (H^2 + 3a - 2)/c = 1 - 3X, so Int f dA = pi kappa(X)/(2 c^2)
+    import sympy
+
+    H, a = sympy.symbols("H a", positive=True)
+    c = 1 + H**2
+    assert sympy.simplify((H**2 + 3 * a - 2) / c - (1 - 3 * (1 - a) / c)) == 0
+
+
+def test_kappa_falls_on_one_third_to_one_and_its_root_is_one_minus_alpha0():
+    import mpmath
+
+    with mpmath.workdps(30):
+        for X in np.linspace(1 / 3, 1, 2002)[1:-1]:
+            assert mpmath.diff(lambda x: _mp_kappa(mpmath, x), mpmath.mpf(X)) < 0, X
+        for X in (1 - 1e-6, 1 - 1e-12):  # toward -inf as X -> 1
+            assert _mp_kappa(mpmath, mpmath.mpf(X)) < -5
+    with mpmath.workdps(50):
+        X_K = _mp_X_K(mpmath)
+        assert abs(X_K - mpmath.mpf("0.879116531925601561")) < 1e-18
+        assert abs(1 - alpha0() - X_K) <= math.ulp(float(X_K))
+
+
+@pytest.mark.parametrize("grid,rtol", [
+    (np.geomspace(1e-12, 0.995 * ALPHA0_REF, 400), 2e-14),
+    (ALPHA0_REF * (1 - np.linspace(1e-3, 5e-3, 20)), 1e-13)])
+def test_boundary_against_mpmath(grid, rtol):
+    # H(a) = sqrt((1 - a)/X_K - 1), at 50 digits
+    import mpmath
+
+    with mpmath.workdps(50):
+        X_K = _mp_X_K(mpmath)
+        for a, Ha in sphere_stability_boundary(grid):
+            want = mpmath.sqrt((1 - mpmath.mpf(a)) / X_K - 1)
+            assert abs(Ha - want) <= rtol * want, a
+
+
+@given(e_a=st.floats(-12.0, 12.0),
+       H=st.one_of(st.just(0.0), st.floats(-4.0, 6.0).map(lambda e: 10.0**e)))
+def test_verdict_is_the_X_test(e_a, H):
+    # stable iff X = (1 - a)/(1 + H^2) <= 1 - alpha0; off the 1e-12 band around the
+    # boundary, where the float sign of the Koiso integral decides.  The band is
+    # taken in X: where H(a) is small, a relative offset in H moves X by only
+    # 2H^2/c times as much
+    a = 10.0**e_a
+    X, X_K = (1.0 - a) / (1.0 + H * H), 1.0 - alpha0()
+    assume(abs(X - X_K) > 1e-12 * X_K)
+    assert classify_sphere(a, H).stable == (X <= X_K)
 
 
 # ---------------------------------------------------------------------------
