@@ -42,9 +42,12 @@ while X > X_STAR = 0.69481653805..., the root of X G(X) = 1, and falls after.
 
 The module evaluates these, checks the integrability conditions and the
 Gauss equation, computes areas, evaluates the meridian curve in S^3 with
-its normal, and decides embeddedness from Theta.  The sampled route (the
-orbit-space polyline of the meridian, tested with exact predicates by
-is_embedded) is kept as the reference that Theta is checked against.
+its normal, and decides embeddedness from Theta.  The sampled route,
+is_embedded, is kept as the reference that Theta is checked against: it
+counts the sign changes of Im w' on each half of the sampled meridian and
+takes its margin from the distance 2|Im w'| between mirror points.  It
+refuses a sampling whose finite-difference speed misses conf, as a sign
+count needs samples that follow the curve.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ QUAD_RELTOL = 1e-8
 # meridian invariants (speed^2 vs conf, g_a(N, xi) vs tanh) and the
 # finite-difference speed^2 by which is_embedded accepts a sampling
 RESIDUAL_TOL = 1e-3
+ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 # fewest and most meridian samples: a meridian of 10^5 points and its
 # embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
@@ -501,7 +505,7 @@ def alpha_emb() -> float:
 
 
 # ---------------------------------------------------------------------------
-# the reference route: the sampled orbit-space polyline
+# the reference route: the sampled orbit-space curve
 # ---------------------------------------------------------------------------
 
 def fit_orbit_generator(m: MeridianProfile) -> np.ndarray:
@@ -540,7 +544,7 @@ class EmbeddednessResult:
 def fd_metric_residual(m: MeridianProfile) -> np.ndarray:
     """Relative error of the central-difference speed^2 g_a(dgam, dgam) of the
     sampled meridian against conf at its interior samples: how well the
-    samples resolve the curve, which the polyline route depends on."""
+    samples resolve the curve, which the sign count of is_embedded depends on."""
     a, H, xs, points = m.alpha, m.H, m.x, m.points
     dgam = (points[2:] - points[:-2]) / (2.0 * (xs[1] - xs[0]))
     i_gamma = np.column_stack([-points[:, 1], points[:, 0], -points[:, 3], points[:, 2]])
@@ -554,22 +558,35 @@ def fd_metric_residual(m: MeridianProfile) -> np.ndarray:
     return np.abs(speed2 / s - conf_s) / conf_s
 
 
+def _sign_changes(v: np.ndarray) -> int:
+    """Sign changes along v, exact zeros left out."""
+    s = np.sign(v)
+    s = s[s != 0.0]
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
 def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     """Decide embeddedness of the CMC sphere from its sampled meridian: the
     reference route that classify_embedding is checked against.
 
     The meridian is projected onto the invariant coordinate of the exact
-    orbit generator (orbit_space_curve) and the planar curve is tested for
-    transverse self-intersections with exact rational segment predicates;
-    the margin is the minimum distance between parts of the curve that are
-    far apart in arc length.  A margin below 10x the polyline resolution
-    yields an undecided verdict.  Raises ReconstructionError unless the
-    meridian holds its contract and its finite-difference speed^2 is within
-    RESIDUAL_TOL of conf, as a polyline too coarse to follow the curve can
-    miscount its crossings.
-    """
-    from . import geometry2d  # loaded on first use: no command takes this route
+    orbit generator (orbit_space_curve).  As w'(-t) = conj w'(t) and |w'|
+    rises strictly in |t|, the curve meets itself only on the real axis,
+    once for each zero of Im w' on either half.  The crossings are the sign
+    changes of Im w' over the samples with x > 0, and separately over those
+    with x < 0, exact zeros left out; the smaller count holds the crossings
+    whose both branches are sampled.  The margin of a curve without
+    crossings is the least distance 2|Im w'| between mirror points over the
+    samples at least ARC_FACTOR/2 times the longest segment of arc from the
+    equator, capped at ARC_FACTOR times it; a crossing curve has margin 0.
+    A margin below 10x the longest segment yields an undecided verdict.
 
+    Raises ReconstructionError unless the meridian holds its contract and
+    its finite-difference speed^2 is within RESIDUAL_TOL of conf: a sign
+    count misses two zeros of Im w' between the same two samples, so it
+    needs samples that follow the curve, and this refusal is the resolution
+    check that the crossing counts were validated under.
+    """
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
     fd = float(np.max(fd_metric_residual(m)))
@@ -577,9 +594,16 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
         raise ReconstructionError(f"reconstruction invariants violated: finite-difference "
                                   f"metric {fd:.3e} (tol {RESIDUAL_TOL}); refine the grid")
     curve = orbit_space_curve(m)
-    report = geometry2d.polyline_self_intersection_report(curve)
-    if report.crossings > 0:
-        return EmbeddednessResult(False, report.margin, report.crossings)
-    if report.margin < 10.0 * report.resolution:
-        return EmbeddednessResult(None, report.margin, 0)
-    return EmbeddednessResult(True, report.margin, 0)
+    im = curve[:, 1]
+    crossings = min(_sign_changes(im[m.x > 0.0]), _sign_changes(im[m.x < 0.0]))
+    if crossings > 0:
+        return EmbeddednessResult(False, 0.0, crossings)
+    seglen = np.linalg.norm(np.diff(curve, axis=0), axis=1)
+    res = float(np.max(seglen))
+    arc_min = ARC_FACTOR * res
+    arclen = np.concatenate([[0.0], np.cumsum(seglen)])
+    far = np.abs(arclen - np.interp(0.0, m.x, arclen)) >= arc_min / 2.0
+    margin = min(arc_min, 2.0 * float(np.min(np.abs(im[far]), initial=np.inf)))
+    if margin < 10.0 * res:
+        return EmbeddednessResult(None, margin, 0)
+    return EmbeddednessResult(True, margin, 0)

@@ -1,5 +1,10 @@
 """Robust planar polyline self-intersection tests.
 
+The general search that cmc_spheres.is_embedded used before it counted
+sign changes of Im w'.  No program route calls it now: the tests keep it
+as the independent reference for that count, and it stays in src/ only
+because the benchmark tracer's SPEC names two of its functions.
+
 Candidate segment pairs are the pairs with overlapping bounding boxes,
 found by a sort-and-sweep in array code; the actual crossing test runs in
 exact rational arithmetic (floats convert exactly to Fractions), so a

@@ -188,14 +188,14 @@ def check_reconstruction():
 
 
 def check_embedding():
-    # the turning-angle verdict against the sampled orbit-space polyline, on
-    # meridians the polyline decides: 2 and 1 crossings, embedded next to the
-    # band, embedded for a = 0.5, a > 1 and H = 0
+    # the turning-angle verdict against the sign changes of Im w' along the
+    # sampled meridian, on meridians they decide: 2 and 1 crossings, embedded
+    # next to the band, embedded for a = 0.5, a > 1 and H = 0
     for a, H in ((0.005, 0.5), (0.02, 1.0), (0.04, 0.5), (0.05, 0.6), (0.5, 1.0),
                  (2.0, 0.7), (0.1, 0.0)):
         r = is_embedded(reconstruct_meridian(a, H, (-9, 9), 4096))
         v = classify_embedding(a, H)
-        assert r.embedded is not None, f"polyline undecided at ({a}, {H})"
+        assert r.embedded is not None, f"sampled route undecided at ({a}, {H})"
         assert (v.embedded, v.crossings) == (r.embedded, r.crossings), f"verdict at ({a}, {H})"
     for a in (1e-6, 0.3, 1.0, 50.0):  # the minimal sphere's curve is a diameter
         assert turning_angle(a, 0.0) == math.pi / 2, f"Theta(a, 0) at a = {a}"

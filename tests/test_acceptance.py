@@ -80,7 +80,7 @@ def test_criterion_07_torus_spectrum():
 
 def test_criterion_09_reconstruction_and_embeddedness():
     # the non-embedded spheres sit at small alpha and moderate H > 0; the
-    # turning angle and the sampled polyline agree there
+    # turning angle and the sampled route agree there
     v = classify_embedding(0.02, 1.0)
     r = is_embedded(reconstruct_meridian(0.02, 1.0, (-9, 9), 3000))
     assert v.embedded is False and v.crossings == 1

@@ -55,7 +55,8 @@ def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer):
 
 def test_embeddedness_spans_measure_the_figure1_layers(tracer):
     # the benchmark's figure-1 layer metrics read these spans: the orbit
-    # projection and the polyline report run, and the meridian needs no ODE
+    # projection runs, the meridian needs no ODE, and the polyline report no
+    # longer runs, as is_embedded counts sign changes of Im w'
     from bergercmc import cmc_spheres
 
     t = tracer.Tracer()
@@ -69,7 +70,7 @@ def test_embeddedness_spans_measure_the_figure1_layers(tracer):
     assert calls["cmc_spheres.meridian"] == 1
     assert calls["cmc_spheres.orbit"] >= 1
     assert calls["cmc_spheres.meridian_ode"] == 0
-    assert calls["geometry2d.report"] == 1
+    assert calls["geometry2d.report"] == 0
 
 
 def test_scipy_wrappers_get_one_span_name_per_module(tracer):

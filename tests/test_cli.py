@@ -503,7 +503,7 @@ def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
     ids=["sphere200", "sphere300", "sphere400", "sphere700"])
 def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
     # sphere exports these meridians, whose closed form holds its contract;
-    # the polyline reference's finite-difference speed contract rejects them.
+    # is_embedded's finite-difference speed contract rejects them.
     # conf, the residuals and the normals must get there without overflow or 0/0
     proc, out = run_cli(args, tmp_path, "wide")
     assert proc.returncode == 0

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
@@ -330,7 +330,7 @@ def test_reconstruction_errors():
         reconstruct_meridian(0.5, 1.0, (1, 8), 128)
     m = reconstruct_meridian(0.01, 1.0, (-9, 9), 700)  # the closed form holds
     with pytest.raises(ReconstructionError):
-        # far too coarse for the polyline's finite-difference certificate at small alpha
+        # far too coarse for is_embedded's finite-difference certificate at small alpha
         is_embedded(m)
 
 
@@ -432,7 +432,7 @@ def test_meridian_postprocessing_matches_per_sample_loop():
 
     a, H, n = 0.01, 1.0, 2048
     d = fundamental_data(a, H)
-    # the polyline's finite-difference residual is |speed^2 / conf - 1|;
+    # is_embedded's finite-difference residual is |speed^2 / conf - 1|;
     # 1e-12 relative to speed^2 is 1e-12 absolute on it
     m = reconstruct_meridian(a, H, (-9, 9), n)
     h = m.x[1] - m.x[0]
@@ -582,7 +582,7 @@ def _frame_locals(exc):
 
 def test_reconstruction_error_traceback_holds_no_meridian_arrays(monkeypatch):
     # a failing case's traceback must not keep the meridian alive: not the
-    # profile that broke its contract, nor the polyline's work arrays
+    # profile that broke its contract, nor is_embedded's work arrays
     n = 700
     real = cmc_spheres._meridian_profile
 
@@ -667,6 +667,35 @@ def test_non_embedded_verdict_stable_under_refinement():
     for n in (3000, 6000):
         m = reconstruct_meridian(0.01, 1.0, (-9, 9), n)
         assert is_embedded(m).embedded is False
+
+
+@given(st.floats(min_value=math.log(0.004), max_value=math.log(5.0)).map(math.exp),
+       st.floats(min_value=0.0, max_value=3.0),
+       st.sampled_from([2048, 2049, 4096, 4097]),
+       st.sampled_from([8.0, 9.0]).flatmap(
+           lambda x_max: st.tuples(st.one_of(st.just(x_max), st.floats(3.0, x_max)),
+                                   st.just(x_max))),
+       st.booleans())
+@example(0.04, 0.3505, 4097, (4.0, 9.0), False)
+@example(0.04, 0.3505, 4097, (4.0, 9.0), True)
+def test_sign_count_matches_the_polyline_reference(a, H, n, x_range, flip):
+    # the sign changes of Im w' and the mirror margin against the general
+    # polyline search on the same samples, symmetric ranges and not (either
+    # half the shorter): the same crossings, and the same undecided verdicts.
+    # The examples cross at |x| = 4.6, beyond the shorter half
+    from bergercmc.geometry2d import polyline_self_intersection_report
+
+    lo, hi = x_range[::-1] if flip else x_range
+    m = reconstruct_meridian(a, H, (-lo, hi), n)
+    if not np.max(cmc_spheres.fd_metric_residual(m)) <= cmc_spheres.RESIDUAL_TOL:
+        with pytest.raises(ReconstructionError):
+            is_embedded(m)
+        return
+    r = is_embedded(m)
+    ref = polyline_self_intersection_report(cmc_spheres.orbit_space_curve(m))
+    assert r.crossings == ref.crossings
+    assert (r.embedded is None) == (ref.crossings == 0 and ref.margin < 10.0 * ref.resolution)
+    assert (r.embedded is False) == (ref.crossings > 0)
 
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(4)

@@ -92,3 +92,12 @@ def test_embeddedness_command_loads_no_scipy(tmp_path):
     code = ("import bergercmc.cli\n"
             f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, 'embeddedness']) == 0")
     assert modules_after(code) == []
+
+
+def test_is_embedded_loads_no_polyline_search():
+    # the verdict counts sign changes of Im w': no geometry2d, no k-d tree
+    code = ("from bergercmc import cmc_spheres\n"
+            "m = cmc_spheres.reconstruct_meridian(0.02, 1.0, (-9.0, 9.0), 3000)\n"
+            "assert cmc_spheres.is_embedded(m).crossings == 1")
+    assert "bergercmc.geometry2d" not in modules_after(code, "bergercmc")
+    assert "scipy.spatial" not in modules_after(code)
