@@ -14,6 +14,7 @@ from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb,
                                    gauss_curvature, integrability_residual, is_embedded,
                                    nonembedded_band, planarity_report,
                                    reconstruct_meridian, turning_angle, zchart_data)
+import oracles
 from scipy.integrate import quad, solve_ivp
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
@@ -229,22 +230,6 @@ def test_artanh_ratio_branches_and_zero():
         assert G == pytest.approx(0.5 * math.log(4e20), rel=1e-15)
 
 
-def _mp_closed_forms(mp, a, H):
-    """G, the area, the Koiso integral, Theta and V at (a, H), a < 1, at mp's
-    working precision, each paired with the sum of its terms' magnitudes."""
-    a, H = mp.mpf(a), mp.mpf(H)
-    c, sa, X = 1 + H * H, mp.sqrt(a), (1 - a) / (1 + H * H)
-    G = mp.atanh(mp.sqrt(X)) / mp.sqrt(X)
-    area = 2 * mp.pi * (1 + (H * H + a) * G / c) / c
-    koiso = (3, (H * H + 3 * a - 2) * G / c)
-    theta = mp.atan2(sa, H) + H / sa * X * G
-    vol = (2 * mp.pi * sa * mp.atan2(sa, H), -mp.pi * H / c,
-           mp.pi * H * ((2 - 3 * a) + (1 - 2 * a) * H * H) * G / c**2)
-    return [(G, G), (area, area), (mp.pi * sum(koiso) / (2 * c * c),
-                                   mp.pi * sum(map(abs, koiso)) / (2 * c * c)),
-            (theta, theta), (sum(vol), sum(map(abs, vol)))]
-
-
 @given(st.floats(min_value=-12.0, max_value=0.0).map(lambda e: 10.0**e)
        .filter(lambda a: a < 1.0), st.floats(min_value=0.0, max_value=10.0))
 def test_closed_forms_keep_their_digits_as_X_nears_one(a, H):
@@ -261,7 +246,11 @@ def test_closed_forms_keep_their_digits_as_X_nears_one(a, H):
            koiso_integral_closed(a, H), turning_angle(a, H),
            float(sphere_volume(a, np.array([H]))[0])]
     with mpmath.workdps(50):
-        want = _mp_closed_forms(mpmath, a, H)
+        # each value with the sum of its terms' magnitudes
+        want = [(sum(t), sum(map(abs, t))) for t in (
+            (oracles.G(mpmath, oracles.X_at(mpmath, a, H)),), (oracles.area(mpmath, a, H),),
+            oracles.koiso(mpmath, a, H, terms=True), (oracles.theta(mpmath, a, H),),
+            oracles.volume(mpmath, a, H, terms=True))]
     for name, g, (w, scale), tol in zip(("G", "area", "Koiso", "Theta", "V"), got, want,
                                         (1e-15, 4e-15, 4e-15, 4e-15, 4e-15)):
         assert float(abs(g - w) / scale) <= tol, (name, a, H)
@@ -744,8 +733,8 @@ def test_turning_angle_array_and_float_paths_agree():
 
 
 def test_turning_angle_above_a_one_against_mpmath():
-    # for a > 1, atan(r1) - r2 atan(r2)/r1 (r1 = sqrt(a)/H, r2 = sqrt((a - 1)/c))
-    # is a difference near Theta ~ 1/(sqrt(a) H); the code sums positive terms
+    # for a > 1, Theta ~ 1/(sqrt(a) H) is a difference of two terms near
+    # atan(sqrt(a)/H); the code sums positive terms
     import mpmath
 
     Hs = np.geomspace(1e-3, 1e6, 37)
@@ -754,9 +743,7 @@ def test_turning_angle_above_a_one_against_mpmath():
         for a in np.geomspace(1.0 + 1e-3, 1e12, 49).tolist():
             arr = turning_angle(a, Hs)
             for H, theta in zip(Hs.tolist(), arr.tolist()):
-                ma, mH = mpmath.mpf(a), mpmath.mpf(H)
-                r1, r2 = mpmath.sqrt(ma) / mH, mpmath.sqrt((ma - 1) / (1 + mH * mH))
-                want = mpmath.atan(r1) - r2 * mpmath.atan(r2) / r1
+                want = oracles.theta(mpmath, a, H)
                 for got in (theta, turning_angle(a, H)):
                     worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-15, worst
@@ -784,30 +771,15 @@ def test_classify_embedding_counts_crossings():
         classify_embedding(0.5, -1.0)
 
 
-def _sympy_closed_forms(sign):
-    """Theta, the area A, the Koiso integral K and G(X) of S_a(H) as sympy expressions in
-    positive H and b, on the artanh branch a = 1 - b (sign 1, X > 0) or the atan branch
-    a = 1 + b (sign -1, X < 0); with a and X = (1 - a)/(1 + H^2)."""
-    import sympy
-
-    H, b = sympy.symbols("H b", positive=True)
-    c = 1 + H**2
-    a, X, r = 1 - sign * b, sign * b / c, sympy.sqrt(b / c)
-    G = (sympy.atanh(r) if sign == 1 else sympy.atan(r)) / r
-    theta = sympy.atan(sympy.sqrt(a) / H) + H / sympy.sqrt(a) * X * G
-    A = 2 * sympy.pi * (1 + (H**2 + a) * G / c) / c
-    K = sympy.pi / (2 * c**2) * (3 + (H**2 + 3 * a - 2) * G / c)
-    return H, a, X, G, theta, A, K
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_turning_slope_factors_through_X_G_minus_one(sign):
     # sqrt(a) (a + H^2) dTheta/dH = (1 - X)(X G(X) - 1): its sign is that of X G(X) - 1
     import sympy
 
-    H, a, X, G, theta, _, _ = _sympy_closed_forms(sign)
-    lhs = sympy.sqrt(a) * (a + H**2) * sympy.diff(theta, H)
-    assert sympy.simplify(lhs - (1 - X) * (X * G - 1)) == 0
+    H, a = oracles.branch_symbols(sign)
+    X = oracles.X_at(sympy, a, H)
+    lhs = sympy.sqrt(a) * (a + H**2) * sympy.diff(oracles.theta(sympy, a, H), H)
+    assert sympy.simplify(lhs - (1 - X) * (X * oracles.G(sympy, X) - 1)) == 0
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -816,34 +788,27 @@ def test_theta_and_area_rates_are_the_volume_rate(sign):
     # the rate of isoperimetry.sphere_volume
     import sympy
 
-    H, a, _, _, theta, A, K = _sympy_closed_forms(sign)
+    H, a = oracles.branch_symbols(sign)
+    theta, A, K = (f(sympy, a, H) for f in (oracles.theta, oracles.area, oracles.koiso))
     c = 1 + H**2
     assert sympy.simplify(2 * sympy.pi * sympy.sqrt(a) * sympy.diff(theta, H)
                           - (A / 2 - 2 * c * K)) == 0
     assert sympy.simplify(sympy.diff(A, H) + 4 * H * K) == 0
+    # and the volume oracle's expanded terms are that difference
+    assert sympy.simplify(oracles.volume(sympy, a, H)
+                          - (2 * sympy.pi * sympy.sqrt(a) * theta - H * A / 2)) == 0
 
 
 def test_X_STAR_is_the_root_of_X_G_equal_one():
     import mpmath
 
     with mpmath.workdps(50):
-        root = mpmath.findroot(lambda x: mpmath.sqrt(x) * mpmath.atanh(mpmath.sqrt(x)) - 1,
-                               mpmath.mpf("0.69"))
-        assert abs(root - cmc_spheres.X_STAR) <= math.ulp(cmc_spheres.X_STAR)
+        assert abs(oracles.X_star(mpmath) - cmc_spheres.X_STAR) <= math.ulp(cmc_spheres.X_STAR)
 
 
 def _mp_turning_slope(mp, a, H):
-    """dTheta/dH at mp's working precision, by differentiating
-    Theta = atan2(sqrt a, H) + (H/sqrt a) X G(X)."""
-    ma = mp.mpf(a)
-
-    def theta(h):
-        X = (1 - ma) / (1 + h * h)
-        r = mp.sqrt(abs(X))
-        G = mp.atanh(r) / r if X > 0 else (mp.atan(r) / r if X < 0 else 1)
-        return mp.atan2(mp.sqrt(ma), h) + h / mp.sqrt(ma) * X * G
-
-    return mp.diff(theta, mp.mpf(H))
+    """dTheta/dH at mp's working precision."""
+    return mp.diff(lambda h: oracles.theta(mp, a, h), mp.mpf(H))
 
 
 @pytest.mark.parametrize("a", [1e-6, 1e-3, 0.01, alpha_emb(), 0.1, 0.2, 0.3, 0.305])
@@ -871,10 +836,13 @@ def test_theta_falls_from_H_zero_when_a_is_at_least_one_minus_X_STAR(a):
 
 
 def test_alpha_emb_closes_the_band():
+    import mpmath
     from scipy.optimize import minimize_scalar
 
     ae = alpha_emb()
     assert abs(ae - 0.0473807639) < 5e-11
+    with mpmath.workdps(50):  # measured 0.46 ulp
+        assert abs(oracles.alpha_emb(mpmath) - ae) <= math.ulp(ae)
     res = minimize_scalar(lambda h: -turning_angle(ae, h), bounds=(0.0, 2.0), method="bounded",
                           options={"xatol": 1e-12})
     assert abs(-res.fun - math.pi) < 1e-12
@@ -884,12 +852,24 @@ def test_alpha_emb_closes_the_band():
         assert nonembedded_band(a) is None
 
 
-@pytest.mark.parametrize("a,lo,hi", [(0.01, 0.08385, 2.96250), (0.04, 0.34948, 1.01161)])
+@pytest.mark.parametrize("a,lo,hi", [(0.01, 0.08385, 2.96250), (0.04, 0.34948, 1.01161),
+                                     (0.001, None, None), (0.004, None, None),
+                                     (0.0277, None, None), (0.0408, None, None),
+                                     (0.047, None, None)])
 def test_nonembedded_band_edges(a, lo, hi):
+    # against the 50-digit roots of Theta = pi: worst 5.9e-14 (measured, at
+    # a = 0.047).  The root search stops at 1e-12 absolute in H, so at a = 0.004
+    # Theta(H_+) - pi is 1.3e-13, and the 1e-13 check on Theta keeps its two rows
+    import mpmath
+
     H_lo, H_hi = nonembedded_band(a)
-    assert abs(H_lo - lo) < 5e-6 and abs(H_hi - hi) < 5e-6
-    for H in (H_lo, H_hi):
-        assert abs(turning_angle(a, H) - math.pi) < 1e-13
+    with mpmath.workdps(50):
+        for H, want in zip((H_lo, H_hi), oracles.band_edges(mpmath, a)):
+            assert abs(H - want) <= 1e-13 * want, (a, H)
+    if lo is not None:
+        assert abs(H_lo - lo) < 5e-6 and abs(H_hi - hi) < 5e-6
+        for H in (H_lo, H_hi):
+            assert abs(turning_angle(a, H) - math.pi) < 1e-13
     assert classify_embedding(a, H_lo * (1.0 - 1e-6)).embedded
     assert not classify_embedding(a, H_lo * (1.0 + 1e-6)).embedded
     assert not classify_embedding(a, H_hi * (1.0 - 1e-6)).embedded

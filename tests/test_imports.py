@@ -101,3 +101,12 @@ def test_is_embedded_loads_no_polyline_search():
             "assert cmc_spheres.is_embedded(m).crossings == 1")
     assert "bergercmc.geometry2d" not in modules_after(code, "bergercmc")
     assert "scipy.spatial" not in modules_after(code)
+
+
+def test_the_oracles_load_no_package_module_and_no_scipy():
+    # tests/oracles.py shares no code with the routines it checks
+    code = (f"sys.path.insert(0, {str(SRC.parent / 'tests')!r})\n"
+            "import mpmath, oracles\n"
+            "oracles.band_edges(mpmath, 0.01), oracles.torus_form(mpmath, 0.5, 1.0, 1, 0)")
+    assert modules_after(code, "bergercmc") == []
+    assert modules_after(code) == []

@@ -12,6 +12,7 @@ from bergercmc.isoperimetry import (SPHERE, TORUS, candidate_reach, clifford_vs_
                                     torus_profile)
 from bergercmc.stability import alpha0, koiso_integral_closed
 from bergercmc.tori import torus_area_volume
+import oracles
 
 CROSSING_REF = 0.1664476396914846
 
@@ -98,17 +99,6 @@ def test_closed_volume_rate_is_minus_twice_koiso_integral(a, H):
     assert closed == pytest.approx(sphere_volume_rate(a, H), rel=1e-9, abs=1e-12)
 
 
-def _mp_sphere_volume(mp, a, H):
-    """2 pi sqrt(a) Theta - H A/2 with its terms expanded, at the working precision of mp:
-    an oracle for sphere_volume that shares no evaluation order with it."""
-    a, H = mp.mpf(a), mp.mpf(H)
-    c, sa, x = 1 + H * H, mp.sqrt(a), (1 - a) / (1 + H * H)
-    G = mp.atanh(mp.sqrt(x)) / mp.sqrt(x) if x > 0 else (
-        mp.atan(mp.sqrt(-x)) / mp.sqrt(-x) if x < 0 else mp.mpf(1))
-    return (mp.pi**2 * sa - 2 * mp.pi * sa * mp.atan(H / sa) - mp.pi * H / c
-            + mp.pi * H * ((2 - 3 * a) + (1 - 2 * a) * H * H) * G / c**2)
-
-
 def test_sphere_volume_against_mpmath():
     # 2 pi sqrt(a) Theta - H A/2 cancels towards (4 pi/3) H^-3, where the large-H series
     # takes over; just below that switch, at H^2 = 16 a, it cancels by a factor of order
@@ -122,7 +112,7 @@ def test_sphere_volume_against_mpmath():
         for a in np.geomspace(1e-6, 1e12, 73).tolist():
             vol = sphere_volume(a, H)
             assert np.all(vol > 0.0), a
-            want = [_mp_sphere_volume(mpmath, a, h) for h in H.tolist()]
+            want = [oracles.volume(mpmath, a, h) for h in H.tolist()]
             worst = max(float(abs(v - w) / w) for v, w in zip(vol.tolist(), want))
             assert worst <= (5e-13 if a <= 50.0 else 2e-10 if a <= 1e4 else 128.0 * a * eps), \
                 (a, worst)
@@ -143,10 +133,10 @@ def test_sphere_volume_closed_form_integrates_the_rate():
 
     with mpmath.workdps(30):
         for a in (0.004, 0.5, 1.0, 3.0, 50.0):
-            assert _mp_sphere_volume(mpmath, a, 0) == pytest.approx(
+            assert oracles.volume(mpmath, a, 0) == pytest.approx(
                 float(mpmath.pi**2 * mpmath.sqrt(a)), rel=1e-15)
             for H in (0.3, 1.0, 20.0):
-                rate = mpmath.diff(lambda h: _mp_sphere_volume(mpmath, a, h), H)
+                rate = mpmath.diff(lambda h: oracles.volume(mpmath, a, h), H)
                 assert float(rate) == pytest.approx(-2.0 * koiso_integral_closed(a, H),
                                                     rel=1e-12)
 
@@ -351,7 +341,6 @@ def test_torus_profile_volume_against_mpmath():
     a = 0.3
     _, vol = torus_area_volume(a, H)
     with mpmath.workdps(50):
-        for h, v in zip(H, vol):
-            h = mpmath.mpf(float(h))
-            want = mpmath.pi**2 * mpmath.sqrt(mpmath.mpf(a)) * (1 - h / mpmath.sqrt(1 + h**2))
-            assert abs(v - want) <= 1e-14 * want, float(h)
+        for h, v in zip(H.tolist(), vol):
+            want = oracles.torus_volume(mpmath, a, h)
+            assert abs(v - want) <= 1e-14 * want, h

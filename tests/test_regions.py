@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bergercmc.regions import (F_nonnegative, alpha_root, critical_constants, poly_eval,
                                region_coefficients, stability_integrand, t0_constant)
+import oracles
 
 TS = st.floats(min_value=0.0, max_value=1.0)
 EPS = st.sampled_from([+1, -1])
@@ -182,14 +183,13 @@ def test_alpha1_is_the_real_root_of_the_resultant_cubic():
     t, a = sympy.symbols("t a")
     P = (-(t**4 + 2 * t**2 - 8 * t + 1) * a**2 + 2 * (t**4 - 4 * t + 3) * a
          - (1 - t**2) ** 2)
-    cubic = 23 * a**3 - 26 * a**2 + 23 * a - 4
+    cubic = oracles.alpha1_cubic(a)
     assert sympy.expand(sympy.resultant(P, sympy.diff(P, t), t)
                         - 4096 * a**3 * (a - 1) ** 8 * cubic) == 0
     assert len(sympy.real_roots(cubic)) == 1
     _, a1, _ = critical_constants()
     with mpmath.workdps(50):
-        root = mpmath.findroot(sympy.lambdify(a, cubic, "mpmath"), mpmath.mpf("0.2"))
-        assert abs(mpmath.mpf(a1) - root) <= math.ulp(a1)
+        assert abs(mpmath.findroot(oracles.alpha1_cubic, mpmath.mpf("0.2")) - a1) <= math.ulp(a1)
 
 
 def test_plus_root_curve_has_one_maximum():

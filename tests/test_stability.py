@@ -12,6 +12,7 @@ from bergercmc.stability import (SpectrumError, alpha0, classify_sphere,
                                  koiso_integral_closed, koiso_integral_quadrature,
                                  koiso_solution, potential_from_data,
                                  sphere_stability_boundary)
+import oracles
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=3.0)
@@ -193,24 +194,15 @@ def test_boundary_names_the_first_entry_off_the_open_interval():
             sphere_stability_boundary(grid)
 
 
-def _mp_kappa(mp, X):
-    """kappa(X) = 3 + (1 - 3X) G(X) for 0 < X < 1, the Koiso integral times 2c^2/pi."""
-    r = mp.sqrt(X)
-    return 3 + (1 - 3 * X) * mp.atanh(r) / r
-
-
-def _mp_X_K(mp):
-    return mp.findroot(lambda X: _mp_kappa(mp, X), (mp.mpf("0.8"), mp.mpf("0.95")),
-                       solver="anderson")
-
-
 def test_koiso_integral_depends_on_X_alone():
-    # (H^2 + 3a - 2)/c = 1 - 3X, so Int f dA = pi kappa(X)/(2 c^2)
+    # (H^2 + 3a - 2)/c = 1 - 3X, so Int f dA = pi kappa(X)/(2 c^2), on both branches of G
     import sympy
 
-    H, a = sympy.symbols("H a", positive=True)
-    c = 1 + H**2
-    assert sympy.simplify((H**2 + 3 * a - 2) / c - (1 - 3 * (1 - a) / c)) == 0
+    for sign in (1, -1):
+        H, a = oracles.branch_symbols(sign)
+        kappa = oracles.kappa(sympy, oracles.X_at(sympy, a, H))
+        assert sympy.simplify(oracles.koiso(sympy, a, H)
+                              - sympy.pi * kappa / (2 * (1 + H**2) ** 2)) == 0
 
 
 def test_kappa_falls_on_one_third_to_one_and_its_root_is_one_minus_alpha0():
@@ -218,11 +210,11 @@ def test_kappa_falls_on_one_third_to_one_and_its_root_is_one_minus_alpha0():
 
     with mpmath.workdps(30):
         for X in np.linspace(1 / 3, 1, 2002)[1:-1]:
-            assert mpmath.diff(lambda x: _mp_kappa(mpmath, x), mpmath.mpf(X)) < 0, X
+            assert mpmath.diff(lambda x: oracles.kappa(mpmath, x), mpmath.mpf(X)) < 0, X
         for X in (1 - 1e-6, 1 - 1e-12):  # toward -inf as X -> 1
-            assert _mp_kappa(mpmath, mpmath.mpf(X)) < -5
+            assert oracles.kappa(mpmath, mpmath.mpf(X)) < -5
     with mpmath.workdps(50):
-        X_K = _mp_X_K(mpmath)
+        X_K = oracles.X_K(mpmath)
         assert abs(X_K - mpmath.mpf("0.879116531925601561")) < 1e-18
         assert abs(1 - alpha0() - X_K) <= math.ulp(float(X_K))
 
@@ -231,13 +223,12 @@ def test_kappa_falls_on_one_third_to_one_and_its_root_is_one_minus_alpha0():
     (np.geomspace(1e-12, 0.995 * ALPHA0_REF, 400), 2e-14),
     (ALPHA0_REF * (1 - np.linspace(1e-3, 5e-3, 20)), 1e-13)])
 def test_boundary_against_mpmath(grid, rtol):
-    # H(a) = sqrt((1 - a)/X_K - 1), at 50 digits
     import mpmath
 
     with mpmath.workdps(50):
-        X_K = _mp_X_K(mpmath)
+        X_K = oracles.X_K(mpmath)
         for a, Ha in sphere_stability_boundary(grid):
-            want = mpmath.sqrt((1 - mpmath.mpf(a)) / X_K - 1)
+            want = oracles.H_at_X(mpmath, a, X_K)
             assert abs(Ha - want) <= rtol * want, a
 
 

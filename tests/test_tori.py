@@ -9,6 +9,7 @@ from bergercmc.cmc_spheres import ConsistencyError
 from bergercmc.tori import (TORUS_MAX_N, CutoffError, TorusData, classify_torus,
                             lambda1_closed_form, torus_area_volume, torus_data, torus_spectrum,
                             torus_stability_threshold)
+import oracles
 
 ALPHAS = st.floats(min_value=0.02, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=5.0)
@@ -105,10 +106,7 @@ def test_dual_gram_matches_mpmath():
         for a in np.concatenate([np.geomspace(1e-6, 1e4, 41), [1 - 1e-9, 1 + 1e-9, 1 / 3]]):
             for H in np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, H_MAX, 40)]):
                 G = torus_data(a, H).dual_gram
-                ma, h = mpmath.mpf(float(a)), mpmath.mpf(float(H))
-                u = h + mpmath.sqrt(1 + h**2)
-                b = (1 - ma) / ma
-                want = ((1 / ma + 1 / u**2, b), (b, 1 / ma + u**2))
+                want = oracles.torus_dual_gram(mpmath, float(a), float(H))
                 for i in range(2):
                     for j in range(2):
                         err = abs(G[i, j] - want[i][j])  # b = 0 exactly at a = 1
@@ -207,9 +205,7 @@ def test_spectrum_matches_mpmath(a, H):
     N = 12
     s = torus_spectrum(torus_data(a, H), N=N)
     with mpmath.workdps(50):
-        ma, h = mpmath.mpf(a), mpmath.mpf(H)
-        u = h + mpmath.sqrt(1 + h**2)
-        exact = sorted((m + n) ** 2 / ma + (m / u - n * u) ** 2
+        exact = sorted(oracles.torus_form(mpmath, a, H, m, n)
                        for m in range(-N, N + 1) for n in range(-N, N + 1))
     exact = np.array([float(v) for v in exact])
     for lam in s.eigenvalues[1:]:
@@ -407,9 +403,6 @@ def test_torus_radii_match_mpmath_up_to_H_MAX():
     with mpmath.workdps(50):
         for H in np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, H_MAX, 60)]):
             t = torus_data(0.5, H)
-            h = mpmath.mpf(float(H))
-            c = mpmath.sqrt(1 + h**2)
-            r1 = mpmath.sqrt(mpmath.mpf(1) / 2 + h / (2 * c))
-            r2 = mpmath.sqrt(1 - r1**2)
+            r1, r2 = oracles.torus_radii(mpmath, 0.5, float(H))
             assert abs(t.r1 - r1) <= 4e-16 * r1
             assert abs(t.r2 - r2) <= 4e-16 * r2
