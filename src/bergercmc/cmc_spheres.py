@@ -46,8 +46,8 @@ its normal, and decides embeddedness from Theta.  The sampled route,
 is_embedded, is kept as the reference that Theta is checked against: it
 counts the sign changes of Im w' on each half of the sampled meridian and
 takes its margin from the distance 2|Im w'| between mirror points.  It
-refuses a sampling whose finite-difference speed misses conf, as a sign
-count needs samples that follow the curve.
+refuses a sampling on which the turning angle of w' moves by pi or more
+between two samples, where a sign count would miss zeros of Im w'.
 """
 
 from __future__ import annotations
@@ -62,9 +62,7 @@ from .svgplot import write_csv
 
 AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
 QUAD_RELTOL = 1e-8
-# meridian invariants (speed^2 vs conf, g_a(N, xi) vs tanh) and the
-# finite-difference speed^2 by which is_embedded accepts a sampling
-RESIDUAL_TOL = 1e-3
+RESIDUAL_TOL = 1e-3  # meridian invariants: speed^2 vs conf, g_a(N, xi) vs tanh
 ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
 # fewest and most meridian samples: a meridian of 10^5 points and its
@@ -329,20 +327,28 @@ def meridian_range(x_range) -> tuple[float, float]:
 
 
 def _as_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.column_stack([z.real, z.imag, w.real, w.imag])
+    """Rows (Re z, Im z, Re w, Im w): the complex pairs (z, w) viewed as reals."""
+    return np.stack([z, w], axis=1).view(np.float64)
+
+
+def _phase(a: float, H: float, t, q):
+    """(H / sqrt a) X t G(X t^2), X = (1 - a)/c, c = 1 + H^2, from q = c (1 - X t^2):
+    -phi of the module docstring, and the turning angle past atan2(sqrt(a) t, H)."""
+    c = 1.0 + H * H
+    X = (1.0 - a) / c
+    return (H / math.sqrt(a)) * X * t * artanh_ratio(X * t * t, q / c)
 
 
 def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     """The closed-form meridian at the samples xs, residuals not yet checked."""
     sa = math.sqrt(a)
+    c = 1.0 + H * H
     t = np.tanh(xs)
     s = 1.0 / np.cosh(xs)
     # q = den sech^2 x; H^2 + a t^2 + s^2 sums nonnegative terms, where
     # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
     q = H * H + a * t * t + s * s
-    X = (1.0 - a) / (1.0 + H * H)
-    e = (np.exp(-1j * (H / sa) * X * t * artanh_ratio(X * t * t, q / (1.0 + H * H)))
-         / np.sqrt((1.0 + H * H) * q))
+    e = np.exp(-1j * _phase(a, H, t, q)) / np.sqrt(c * q)
     z = e * ((s + H * H) - 1j * (sa * H) * t)
     w = e * (sa * t + 1j * H * (1.0 - s))
     # gamma_x and W gamma both carry a factor sech x, taken out: else the
@@ -351,29 +357,28 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     f = ((a - 1.0) * s / q) * (1j * H / sa - t)
     zx = f * z + e * (-t - 1j * (sa * H) * s)
     wx = f * w + e * (sa * s + 1j * H * t)
-    zy, wy = 1j * e, H * e
-
-    def frame_coeffs(X1, X2):
-        """g_a-orthonormal coefficients of (X1, X2) on (xi, E1, E2) at gamma."""
-        om = z * X2 - w * X1
-        return np.stack([sa * (X1 * z.conj() + X2 * w.conj()).imag, om.real, om.imag], axis=1)
-
-    cx = frame_coeffs(zx, wx)
-    nvec = np.cross(frame_coeffs(zy, wy), cx)  # N = E2 at x = 0
-    nvec /= np.linalg.norm(nvec, axis=1)[:, None]
-    # N = n0 xi + n1 E1 + n2 E2 with xi = i gamma / sqrt(a), E1 = (-conj w, conj z), E2 = i E1
-    n0, n12 = nvec[:, 0] / sa, nvec[:, 1] + 1j * nvec[:, 2]
-    normals = _as_real(1j * n0 * z - n12 * w.conj(), 1j * n0 * w + n12 * z.conj())
-    points = _as_real(z, w)
+    # coefficients on the g_a-orthonormal xi = i gamma / sqrt(a), E1 + i E2 (E1 = (-conj w, conj z)):
+    # gamma_x's computed, W gamma = (i e, H e)'s in closed form by H z - i w = e c (H - i sqrt(a) t)
+    cx0 = sa * (zx * z.conj() + wx * w.conj()).imag
+    cx12 = z * wx - w * zx
+    cy0 = sa * s / q
+    cy12 = c * e * e * (H - 1j * sa * t)
+    # N = n0 xi + n1 E1 + n2 E2 along the cross product (W gamma) x gamma_x: N = E2 at x = 0
+    n0 = (cy12.conj() * cx12).imag
+    n12 = 1j * (cy0 * cx12 - cx0 * cy12)
+    norm = np.sqrt(n0 * n0 + n12.real * n12.real + n12.imag * n12.imag)
+    n0, n12 = n0 / norm, n12 / norm
+    xi0 = 1j * n0 / sa
+    normals = _as_real(xi0 * z - n12 * w.conj(), xi0 * w + n12 * z.conj())
 
     # speed^2 g_a(gamma_x, gamma_x), the squared norm of its orthonormal
     # coefficients (which leaves no cancellation at small a), against
     # conf = (H^2 + a) s^2 / q^2, both divided by s^2
-    speed2 = (cx * cx).sum(axis=1)
+    speed2 = cx0 * cx0 + cx12.real * cx12.real + cx12.imag * cx12.imag
     conf_s2 = (H * H + a) / (q * q)
-    return MeridianProfile(alpha=a, H=H, x=xs, points=points, normals=normals,
+    return MeridianProfile(alpha=a, H=H, x=xs, points=_as_real(z, w), normals=normals,
                            metric_residual=np.abs(speed2 - conf_s2) / conf_s2,
-                           C_residual=nvec[:, 0] - t)
+                           C_residual=n0 - t)
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
@@ -493,8 +498,9 @@ def nonembedded_band(p):
     def excess(h):
         return turning_angle(a, h) - math.pi
 
-    return (brentq(excess, 0.0, h_top, xtol=1e-12, rtol=8.9e-16),
-            brentq(excess, h_top, h_far, xtol=1e-12, rtol=8.9e-16))
+    # xtol > 0 but far below rtol |H|, so both edges keep every digit
+    return (brentq(excess, 0.0, h_top, xtol=1e-300, rtol=8.9e-16),
+            brentq(excess, h_top, h_far, xtol=1e-300, rtol=8.9e-16))
 
 
 def alpha_emb() -> float:
@@ -529,9 +535,9 @@ def orbit_space_curve(m: MeridianProfile) -> np.ndarray:
     the immersed sphere is embedded iff this curve is simple.
     """
     u = np.array([m.H, 1j]) / math.sqrt(1.0 + m.H * m.H)
-    P = m.points
-    wprime = np.conj(u[0]) * (P[:, 0] + 1j * P[:, 1]) + np.conj(u[1]) * (P[:, 2] + 1j * P[:, 3])
-    return np.column_stack([wprime.real, wprime.imag])
+    zw = np.ascontiguousarray(m.points).view(np.complex128)  # rows (z, w)
+    wprime = np.conj(u[0]) * zw[:, 0] + np.conj(u[1]) * zw[:, 1]
+    return wprime[:, None].view(np.float64)
 
 
 @dataclass
@@ -541,21 +547,11 @@ class EmbeddednessResult:
     crossings: int
 
 
-def fd_metric_residual(m: MeridianProfile) -> np.ndarray:
-    """Relative error of the central-difference speed^2 g_a(dgam, dgam) of the
-    sampled meridian against conf at its interior samples: how well the
-    samples resolve the curve, which the sign count of is_embedded depends on."""
-    a, H, xs, points = m.alpha, m.H, m.x, m.points
-    dgam = (points[2:] - points[:-2]) / (2.0 * (xs[1] - xs[0]))
-    i_gamma = np.column_stack([-points[:, 1], points[:, 0], -points[:, 3], points[:, 2]])
-    vdot = (dgam * i_gamma[1:-1]).sum(axis=1)
-    speed2 = (dgam * dgam).sum(axis=1) + (a - 1.0) * vdot * vdot
-    # both divided by sech x, so that neither underflows to 0 within MERIDIAN_X_LIMIT
-    t = np.tanh(xs[1:-1])
-    s = 1.0 / np.cosh(xs[1:-1])
-    q = H * H + a * t * t + s * s
-    conf_s = (H * H + a) * s / (q * q)
-    return np.abs(speed2 / s - conf_s) / conf_s
+def _turning_angles(a: float, H: float, x: np.ndarray) -> np.ndarray:
+    """theta(x) = atan2(sqrt(a) t, H) + (H / sqrt a) X t G(X t^2), t = tanh x: the angle
+    the orbit-space curve w' turns through from the equator to x; Theta at t = 1."""
+    t = np.tanh(x)
+    return np.arctan2(math.sqrt(a) * t, H) + _phase(a, H, t, 1.0 + H * H - (1.0 - a) * t * t)
 
 
 def _sign_changes(v: np.ndarray) -> int:
@@ -581,28 +577,32 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     equator, capped at ARC_FACTOR times it; a crossing curve has margin 0.
     A margin below 10x the longest segment yields an undecided verdict.
 
-    Raises ReconstructionError unless the meridian holds its contract and
-    its finite-difference speed^2 is within RESIDUAL_TOL of conf: a sign
-    count misses two zeros of Im w' between the same two samples, so it
-    needs samples that follow the curve, and this refusal is the resolution
-    check that the crossing counts were validated under.
+    Raises ReconstructionError unless the meridian holds its contract and the
+    turning angle theta(x) of w' moves by less than pi from the equator to the
+    first sample and between samples on either half: as theta is monotone for
+    a < 1 and within pi/2 for a >= 1, each zero of Im w' is then one sign change.
     """
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
-    fd = float(np.max(fd_metric_residual(m)))
-    if not fd <= RESIDUAL_TOL:
-        raise ReconstructionError(f"reconstruction invariants violated: finite-difference "
-                                  f"metric {fd:.3e} (tol {RESIDUAL_TOL}); refine the grid")
+    a, H, x = m.alpha, m.H, m.x
+    neg, pos = np.searchsorted(x, 0.0, "left"), np.searchsorted(x, 0.0, "right")  # x < 0, x > 0
+    # the steps on a half sum to theta at its end for a < 1: below pi there, each is
+    if not np.max(np.abs(_turning_angles(a, H, x[[0, -1]]))) < math.pi:
+        # theta(0) = 0 joins both halves at the equator
+        step = float(np.max(np.abs(np.diff(np.insert(_turning_angles(a, H, x), neg, 0.0)))))
+        if not step < math.pi:
+            raise ReconstructionError(f"the turning angle moves by {step:.3e} between two "
+                                      f"samples (at least pi); refine the grid")
     curve = orbit_space_curve(m)
     im = curve[:, 1]
-    crossings = min(_sign_changes(im[m.x > 0.0]), _sign_changes(im[m.x < 0.0]))
+    crossings = min(_sign_changes(im[pos:]), _sign_changes(im[:neg]))
     if crossings > 0:
         return EmbeddednessResult(False, 0.0, crossings)
-    seglen = np.linalg.norm(np.diff(curve, axis=0), axis=1)
+    seglen = np.hypot(np.diff(curve[:, 0]), np.diff(im))
     res = float(np.max(seglen))
     arc_min = ARC_FACTOR * res
     arclen = np.concatenate([[0.0], np.cumsum(seglen)])
-    far = np.abs(arclen - np.interp(0.0, m.x, arclen)) >= arc_min / 2.0
+    far = np.abs(arclen - np.interp(0.0, x, arclen)) >= arc_min / 2.0
     margin = min(arc_min, 2.0 * float(np.min(np.abs(im[far]), initial=np.inf)))
     if margin < 10.0 * res:
         return EmbeddednessResult(None, margin, 0)

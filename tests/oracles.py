@@ -54,6 +54,15 @@ def theta(ns, a, H):
     return ns.pi / 2 - ns.atan(H / ns.sqrt(a)) + H / ns.sqrt(a) * X * G(ns, X)
 
 
+def meridian(ns, a, H, x):
+    """(z, w) = e^{i phi} (s + H^2 - i sqrt(a) H t, sqrt(a) t + i H (1 - s))/sqrt(c q) with
+    phi = -(H/sqrt a) X t G(X t^2), t = tanh x, s = sech x, q = H^2 + a t^2 + s^2 (mpmath)."""
+    a, H, c, X = _params(ns, a, H)
+    t, s, sa = ns.tanh(x), ns.sech(x), ns.sqrt(a)
+    e = ns.expj(-H / sa * X * t * G(ns, X * t * t)) / ns.sqrt(c * (H * H + a * t * t + s * s))
+    return e * ns.mpc(s + H * H, -sa * H * t), e * ns.mpc(sa * t, H * (1 - s))
+
+
 def volume(ns, a, H, terms=False):
     """V = 2 pi sqrt(a) Theta - H A/2 expanded, or its three terms."""
     a, H, c, X = _params(ns, a, H)

@@ -502,9 +502,11 @@ def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
     for x in ("200", "300", "400", "700")],
     ids=["sphere200", "sphere300", "sphere400", "sphere700"])
 def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
-    # sphere exports these meridians, whose closed form holds its contract;
-    # is_embedded's finite-difference speed contract rejects them.
-    # conf, the residuals and the normals must get there without overflow or 0/0
+    # sphere exports these meridians, whose closed form holds its contract, and
+    # is_embedded decides them.  At a = 1e-4 the turning angle moves by more
+    # than pi from the equator to the first sample on the same range, and
+    # is_embedded refuses the meridian.  conf, the residuals, the normals and
+    # the turning angle must get there without overflow or 0/0
     proc, out = run_cli(args, tmp_path, "wide")
     assert proc.returncode == 0
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
@@ -512,7 +514,10 @@ def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
     x_max = float(args[-1])
     with np.errstate(all="raise", under="ignore"):
         m = reconstruct_meridian(0.5, 1.0, (-x_max, x_max), 2048)
-        with pytest.raises(ReconstructionError, match="finite-difference metric"):
+        assert is_embedded(m).embedded is True
+        m = reconstruct_meridian(1e-4, 1.0, (-x_max, x_max), 2048)
+        assert m.holds_contract
+        with pytest.raises(ReconstructionError, match="turning angle moves by"):
             is_embedded(m)
 
 
