@@ -57,11 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import ConsistencyError, NumericalError, as_alpha, as_H, brentq
+from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
+                      as_H, brentq, even_integral)
 from .svgplot import write_csv
 
-AREA_CUTOFF = 25.0  # conf(25)/conf(0) < 1e-16: quadrature truncation
-QUAD_RELTOL = 1e-8
+# conf(L)/conf(0) <= 4e^{-2L}/min(a, 1)^2 = 1e-16 at a = ALPHA_MIN: the cutoff L = 46.7
+AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
 RESIDUAL_TOL = 1e-3  # meridian invariants: speed^2 vs conf, g_a(N, xi) vs tanh
 ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
 GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
@@ -72,11 +73,9 @@ MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about
 X_STAR = 0.6948165380537966  # the root of X G(X) = 1, where Theta turns from rising to falling
 
 
-# scipy loads on first call, so importing this module costs no scipy import;
-# the names stay module attributes that callers can wrap or replace
-def quad(*args, **kwargs):
-    import scipy.integrate
-    return scipy.integrate.quad(*args, **kwargs)
+# this module's oracle integrals, a module attribute that callers can wrap or replace
+def quad(f):
+    return even_integral(f, AREA_CUTOFF)
 
 
 # unused since the meridian has a closed form; bench/tracer.py SPEC wraps it
@@ -191,46 +190,33 @@ def integrability_residual(d: SphereFundamentalData, x_range=(-5.0, 5.0), n: int
 # curvature and area
 # ---------------------------------------------------------------------------
 
-def gauss_curvature(d: SphereFundamentalData, x: float) -> float:
-    """Gauss curvature K(x), computed two independent ways.
+def gauss_curvature(d: SphereFundamentalData, x):
+    """Gauss curvature K(x) for a float or an array of x, computed two independent ways.
 
     (a) conformal route: K = -(1/2) conf^-1 (log conf)'', with the
         logarithmic derivative of the closed form taken exactly, which
-        leaves K = (2P (P + (1 - a)(2 - sech^2 x)) - q^2) / P, P = H^2 + a;
+        leaves K = (P - (1 - a) sech^2 x) q / P + 4 (1 - a) tanh^2 x, P = H^2 + a;
     (b) ambient route: the Gauss equation
         K = 2 H^2 - |sigma|^2 / 2 + a + 4 (1 - a) C^2.
-    The two must agree to GAUSS_RTOL relative, else a ConsistencyError is raised.
+    They must agree to GAUSS_RTOL of the sum of (b)'s terms, else ConsistencyError.
     """
     a, H = d.alpha, d.H
-    xs = float(x)
     P = H**2 + a
-    s2, q = d._sech2_q(xs)
-    k_conformal = float((2.0 * P * (P + (1.0 - a) * (2.0 - s2)) - q * q) / P)
+    s2, q = d._sech2_q(x)
+    sigma2, C2 = d.sigma_norm2(x), np.tanh(np.asarray(x, dtype=float)) ** 2
+    k_conformal = (P - (1.0 - a) * s2) * q / P + 4.0 * (1.0 - a) * C2
+    k_gauss = 2.0 * H**2 - 0.5 * sigma2 + a + 4.0 * (1.0 - a) * C2
 
-    C2 = math.tanh(xs) ** 2
-    k_gauss = 2.0 * H**2 - 0.5 * float(d.sigma_norm2(xs)) + a + 4.0 * (1.0 - a) * C2
-
-    scale = max(abs(k_conformal), abs(k_gauss), 1e-30)
-    if abs(k_conformal - k_gauss) > GAUSS_RTOL * scale:
-        raise ConsistencyError(
-            f"Gauss curvature routes disagree at x={xs}: "
-            f"conformal {k_conformal} vs Gauss equation {k_gauss}"
-        )
-    return k_conformal
-
-
-class QuadratureError(NumericalError):
-    """An adaptive quadrature missed its error tolerance."""
+    scale = 2.0 * H**2 + 0.5 * sigma2 + a + 4.0 * abs(1.0 - a) * C2
+    if np.any(np.abs(k_conformal - k_gauss) > GAUSS_RTOL * scale):
+        raise ConsistencyError(f"Gauss curvature routes disagree at x={x}: conformal "
+                               f"{k_conformal} vs Gauss equation {k_gauss}")
+    return k_conformal if np.ndim(x) else float(k_conformal)
 
 
 def area_sphere(p, H: float) -> float:
-    """Area of S_a(H): 2 pi Int conf(x) dx by adaptive quadrature."""
-    d = fundamental_data(p, H)
-    val, err = quad(lambda x: d.conf(x), 0.0, AREA_CUTOFF, epsabs=0.0, epsrel=1e-12, limit=200)
-    area = 4.0 * math.pi * val  # conf is even
-    if err * 4.0 * math.pi > QUAD_RELTOL * area:
-        raise QuadratureError(f"area quadrature did not converge (err={err})")
-    return area
+    """Area of S_a(H): 2 pi Int conf(x) dx by the trapezoidal rule of quad."""
+    return 2.0 * math.pi * quad(fundamental_data(p, H).conf)
 
 
 def artanh_ratio(x, one_minus_x):
@@ -267,11 +253,7 @@ def area_sphere_closed(p, H):
 
 def gauss_bonnet_integral(d: SphereFundamentalData) -> float:
     """2 pi Int K conf dx; equals 4 pi for every (a, H) (sphere topology)."""
-    def integrand(x):
-        return gauss_curvature(d, x) * float(d.conf(x))
-
-    val, _ = quad(integrand, -AREA_CUTOFF, AREA_CUTOFF, epsabs=1e-12, epsrel=1e-11, limit=300)
-    return 2.0 * math.pi * val
+    return 2.0 * math.pi * quad(lambda x: gauss_curvature(d, x) * d.conf(x))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ A/2 - 2 c K - A/2 + 2 H^2 K = -2 K = dV/dH.  The Hopf tori satisfy the same
 identity with Theta = pi/2: V_T + H A_T/2 = pi^2 sqrt(a).
 
 sphere_volume_rate keeps the quadrature of the u-derivative of the area
-integrand as an independent check of the rate identity.
+integrand as an independent check of the rate identity (refused at H = 0, a <= 2e-3).
 
 The isoperimetric candidate at a prescribed volume is the least-area
 stable member of the two families; for 1/3 <= a < 1 that settles the
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import H_MAX, as_alpha, as_H, brentq, total_volume
+from .ambient import H_MAX, as_alpha, as_H, brentq, even_integral, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, turning_angle
 from .stability import classify_sphere, koiso_integral_closed
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
@@ -61,11 +61,9 @@ VOLUME_SERIES = (
 )
 
 
-# scipy loads on first call, so importing this module costs no scipy import;
-# the names stay module attributes that callers can wrap or replace
-def quad(*args, **kwargs):
-    import scipy.integrate
-    return scipy.integrate.quad(*args, **kwargs)
+# this module's oracle integrals, a module attribute that callers can wrap or replace
+def quad(f):
+    return even_integral(f, AREA_CUTOFF)
 
 
 # unused since the sphere volume has a closed form; bench/tracer.py SPEC wraps it
@@ -160,17 +158,16 @@ def _graded_grid(H_max: float, n: int) -> np.ndarray:
 
 
 def sphere_volume_rate(alpha: float, H: float) -> float:
-    """dV/dH along the sphere family by quadrature (the check route of
-    -2 koiso_integral_closed; negative where volume shrinks)."""
+    """dV/dH along the sphere family by the trapezoidal rule of quad (the check
+    route of -2 koiso_integral_closed; negative where volume shrinks)."""
     u = H * H
 
-    def integrand(x):
-        c2 = math.cosh(x) ** 2
-        den = (1.0 - alpha) + (u + alpha) * c2
-        return c2 * ((1.0 - alpha) - (u + alpha) * c2) / den**3
+    def integrand(x):  # d conf/du, with q = u + a tanh^2 + sech^2 a sum of nonnegative terms
+        t, s2 = np.tanh(x), 1.0 / np.cosh(x) ** 2
+        q = u + alpha * t * t + s2
+        return s2 * ((1.0 - alpha) * s2 - (u + alpha)) / q**3
 
-    val, _ = quad(integrand, 0.0, AREA_CUTOFF, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return 4.0 * math.pi * val  # even integrand
+    return 2.0 * math.pi * quad(integrand)
 
 
 def sphere_volume(p, H) -> np.ndarray:

@@ -39,7 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq
+from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq,
+                      even_integral)
 from .cmc_spheres import AREA_CUTOFF, SphereFundamentalData, artanh_ratio, fundamental_data
 from .svgplot import write_csv
 
@@ -50,11 +51,9 @@ ZERO_RTOL = 1e-3  # the computed zero eigenvalues, relative to the spectral gap
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
 
 
-# scipy loads on first call, so importing this module costs no scipy import;
-# the names stay module attributes that callers can wrap or replace
-def quad(*args, **kwargs):
-    import scipy.integrate
-    return scipy.integrate.quad(*args, **kwargs)
+# module attributes that callers can wrap or replace; scipy loads on first call
+def quad(f):
+    return even_integral(f, AREA_CUTOFF)
 
 
 def eigh_tridiagonal(*args, **kwargs):
@@ -125,15 +124,9 @@ def koiso_integral_closed(p, H):
 
 
 def koiso_integral_quadrature(p, H: float) -> float:
-    """Independent quadrature route: 2 pi Int f(x) conf(x) dx."""
-    a = as_alpha(p)
-    d = fundamental_data(a, H)
-
-    def integrand(x):
-        return float(koiso_solution(a, H, x)) * float(d.conf(x))
-
-    val, _ = quad(integrand, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return 4.0 * math.pi * val  # integrand is even
+    """Independent quadrature route: 2 pi Int f(x) conf(x) dx, by the trapezoidal rule."""
+    d = fundamental_data(p, H)
+    return 2.0 * math.pi * quad(lambda x: koiso_solution(d.alpha, H, x) * d.conf(x))
 
 
 def koiso_integral(p, H: float) -> float:
@@ -256,19 +249,13 @@ def jacobi_rayleigh_C(p, H: float) -> float:
     """Rayleigh quotient of the vertical-angle function C = tanh x.
 
     C is always a Jacobi function, so the quotient vanishes up to
-    quadrature error; computed as Q(C) / Int C^2 dA with adaptive
-    quadrature, independent of any grid.
+    quadrature error; computed as Q(C) / Int C^2 dA with the trapezoidal
+    rule of quad, independent of any grid.
     """
-    a = as_alpha(p)
-    d = fundamental_data(a, H)
+    d = fundamental_data(p, H)
 
     def num(x):
-        sech2 = 1.0 / math.cosh(x) ** 2
-        return sech2**2 - 2.0 * sech2 * math.tanh(x) ** 2
+        sech2 = 1.0 / np.cosh(x) ** 2
+        return sech2**2 - 2.0 * sech2 * np.tanh(x) ** 2
 
-    def den(x):
-        return math.tanh(x) ** 2 * float(d.conf(x))
-
-    qn, _ = quad(num, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12)
-    qd, _ = quad(den, 0.0, AREA_CUTOFF, epsabs=1e-14, epsrel=1e-12)
-    return abs(qn) / qd
+    return abs(quad(num)) / quad(lambda x: np.tanh(x) ** 2 * d.conf(x))

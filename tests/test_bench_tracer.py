@@ -74,9 +74,9 @@ def test_embeddedness_spans_measure_the_figure1_layers(tracer):
 
 
 def test_scipy_wrappers_get_one_span_name_per_module(tracer):
-    # each module defines its own first-use scipy wrappers; install() wraps a
-    # bergercmc-defined function under every name that binds it, so a shared
-    # object would merge the per-module spans into one
+    # each module defines its own quad (over the package's trapezoidal rule) and its
+    # own first-use scipy wrappers; install() wraps a bergercmc-defined function under
+    # every name that binds it, so a shared object would merge the per-module spans
     from bergercmc import cmc_spheres, isoperimetry, stability
 
     own = {(mod, attr): getattr(mod, attr)

@@ -56,6 +56,23 @@ def test_sphere_command_loads_only_scipy_linalg(tmp_path):
                               "scipy.spatial"})
 
 
+def test_selftest_loads_only_scipy_linalg():
+    # the oracle integrals use the package's own trapezoidal rule; the one scipy
+    # routine left on a runtime path is the tridiagonal eigensolver
+    code = "import bergercmc.cli\nassert bergercmc.cli.main(['selftest']) == 0"
+    loaded = set(modules_after(code))
+    assert "scipy.linalg" in loaded
+    assert loaded.isdisjoint({"scipy.integrate", "scipy.optimize", "scipy.spatial",
+                              "scipy.special"})
+
+
+def test_oracle_integrals_load_no_scipy():
+    code = ("from bergercmc import cmc_spheres, stability\n"
+            "stability.koiso_integral(0.5, 1.0)\n"
+            "cmc_spheres.area_sphere(0.5, 1.0)")
+    assert modules_after(code) == []
+
+
 def test_root_finding_commands_load_no_scipy(tmp_path):
     # the root finder and the profile interpolant are the package's own, so
     # candidate, constants, regions and profiles (with its crossing value) need no scipy
