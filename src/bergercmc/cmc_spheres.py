@@ -65,9 +65,9 @@ from .svgplot import write_csv
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
 RESIDUAL_TOL = 1e-3  # meridian invariants: speed^2 vs conf, g_a(N, xi) vs tanh
 ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
-GAUSS_RTOL = 1e-6  # conformal route vs Gauss equation of the Gauss curvature
-# fewest and most meridian samples: a meridian of 10^5 points and its
-# embeddedness verdict take about 0.2 GB, one of 10^6 points about 3 GB
+GAUSS_RTOL = 1e-12  # conformal route vs Gauss equation of the Gauss curvature
+# fewest and most meridian samples: a meridian of 10^5 points and its embeddedness
+# verdict peak about 32 MB above the import, one of 10^6 points about 314 MB
 MERIDIAN_MIN_N, MERIDIAN_MAX_N = 64, 10**5
 MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about 710
 X_STAR = 0.6948165380537966  # the root of X G(X) = 1, where Theta turns from rising to falling

@@ -1,20 +1,18 @@
 """Robust planar polyline self-intersection tests.
 
-The general search that cmc_spheres.is_embedded used before it counted
-sign changes of Im w'.  No program route calls it now: the tests keep it
-as the independent reference for that count, and it stays in src/ only
-because the benchmark tracer's SPEC names two of its functions.
+The test reference for the sign count of Im w' in cmc_spheres.is_embedded.
+No program route calls it: it stays in src/ only because the benchmark
+tracer's SPEC names two of its functions.
 
-Candidate segment pairs are the pairs with overlapping bounding boxes,
-found by a sort-and-sweep in array code; the actual crossing test runs in
-exact rational arithmetic (floats convert exactly to Fractions), so a
-reported transverse crossing is never a rounding artifact.  The clearance
-margin comes from the point pairs that are near in the plane but far along
-the curve, found by a bounded search over short runs of consecutive points:
-one k-d tree query over the run heads, an upper bound on the least
-distance from the heads themselves, and a lower bound per run pair, so that
-only the run pairs that can hold the least distance or a pair close to it
-are expanded into point pairs.
+The report is computed from its definition: every index pair is tested
+with numpy, a block of rows at a time.  Segment pairs whose closed bounding
+boxes overlap go on to the crossing test in exact rational arithmetic
+(floats convert exactly to Fractions), so a reported crossing is never a
+rounding artifact; point pairs near in the plane and far along the curve
+set the clearance margin.  The cost is O(n^2) time, 0.05-0.3 s for a test
+meridian of 2,048-4,096 points, and memory for 2**18 pairs at a time.
+That is acceptable for a reference, which must be plainly right rather
+than fast: the production verdict is the closed-form turning angle.
 """
 
 from __future__ import annotations
@@ -24,10 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-ARC_FACTOR = 20.0  # clearance pairs are more than this many segment lengths apart
+from .cmc_spheres import ARC_FACTOR  # clearance pairs are at least this many segment lengths apart
+
 CLOSE_CAP = 2000  # most point pairs whose segments refine the margin
-RUN_MAX = 32  # most points in a run of the clearance search
-SLACK = 1e-9  # relative allowance for rounding in the clearance bounds
 
 
 def _orient(ax, ay, bx, by, cx, cy):
@@ -78,33 +75,17 @@ class IntersectionReport:
     resolution: float
 
 
-def _ramp(count: np.ndarray) -> np.ndarray:
-    """0, 1, ..., count[k] - 1 for each k in turn, as one array."""
-    return np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-
-
-def _candidate_pairs(points: np.ndarray, index_gap: int) -> np.ndarray:
-    """Sorted segment index pairs (i, j), j - i > index_gap, whose closed
-    bounding boxes overlap, by a sort-and-sweep (Bentley & Ottmann 1979).
-
-    The sweep runs along the axis of larger extent, along which a straight
-    curve is monotone and each segment meets only its neighbours.  Overlap
-    runs are expanded and filtered on the other axis as arrays: the cost is
-    linear in the number of pairs that overlap along the sweep axis.
-    """
-    lo = np.minimum(points[:-1], points[1:])
-    hi = np.maximum(points[:-1], points[1:])
-    ax = int(np.ptp(lo[:, 1]) > np.ptp(lo[:, 0]))
-    order = np.argsort(lo[:, ax])
-    # sorted position k overlaps along ax with the positions k + 1 .. stop[k] - 1
-    stop = np.searchsorted(lo[order, ax], hi[order, ax], side="right")
-    run = stop - np.arange(1, len(order) + 1)
-    k = np.repeat(np.arange(len(order)), run)
-    m = k + 1 + _ramp(run)
-    i, j = np.minimum(order[k], order[m]), np.maximum(order[k], order[m])
-    keep = (j - i > index_gap) & (lo[i, 1 - ax] <= hi[j, 1 - ax]) & (lo[j, 1 - ax] <= hi[i, 1 - ax])
-    i, j = i[keep], j[keep]
-    return np.column_stack([i, j])[np.lexsort((j, i))]
+def _pairs(n: int, near) -> np.ndarray:
+    """Every index pair (i, j), 0 <= i < j < n, that near accepts, in (i, j) order:
+    near(i, j) maps a column of rows i and a row of columns j to a boolean block."""
+    rows = max(1, 2**18 // n)
+    found = [np.empty((0, 2), dtype=np.intp)]
+    for lo in range(0, n - 1, rows):
+        i = np.arange(lo, min(lo + rows, n - 1))[:, None]
+        j = np.arange(lo + 1, n)
+        r, c = np.nonzero(near(i, j) & (j > i))
+        found.append(np.column_stack([i[r, 0], j[c]]))
+    return np.concatenate(found)
 
 
 def _point_segment_distance(c, a, b) -> np.ndarray:
@@ -123,99 +104,15 @@ def _segment_distances(p, q, r, s) -> np.ndarray:
                               _point_segment_distance(r, p, q), _point_segment_distance(s, p, q)])
 
 
-def _clearance_pairs(pts, arclen, h, arc_min):
-    """The point pairs that can set the clearance margin: index pairs
-    (i, j), i < j, at least arc_min apart along the curve, with distances.
-
-    The polyline is cut into runs of at most RUN_MAX consecutive points
-    whose arc span is below h > 0; as chord <= arc, every point of run a
-    lies within rho_a < h of the run's head.  One k-d tree query over the
-    heads finds the run pairs whose heads are within arc_min + 2 max(rho),
-    the only ones that can hold two points at most arc_min apart; run pairs
-    whose largest arc separation is below arc_min are dropped.  Two bounds
-    follow from the heads alone:
-
-    - the arc-separated head pairs at most arc_min apart are such point
-      pairs themselves, so the nearest of them bounds the least distance
-      from above by U;
-    - the run pairs whose point pairs are all arc-separated and at most
-      ub = |head_a - head_b| + rho_a + rho_b apart bound the CLOSE_CAP-th
-      least distance from above by V, the ub at which their point counts,
-      in order of ub, first add up to CLOSE_CAP.
-
-    A point pair at most T = min(U + 2 h, V) apart lies in a run pair whose
-    lower bound |head_a - head_b| - rho_a - rho_b is at most min(T, arc_min),
-    and only those run pairs are expanded into point pairs.
-
-    Returns every pair that cKDTree(pts).query_pairs(arc_min) holds with
-    arclen[j] - arclen[i] >= arc_min and distance at most T, in order of
-    run pair, then i, then j.  The least distance is among them, and so
-    are every pair within 2 h of it or, when those are more than CLOSE_CAP,
-    the CLOSE_CAP nearest.
-    """
-    from scipy.spatial import cKDTree
-
-    run = np.floor(arclen / h)
-    cut = (run[1:] != run[:-1]) | (np.arange(1, len(pts)) % RUN_MAX == 0)
-    start = np.flatnonzero(np.r_[True, cut])
-    size = np.diff(np.r_[start, len(pts)])
-    last = start + size - 1
-    # the measured distances to the heads (below h) set the query radius and
-    # the bounds, so rounding in arclen cannot lose a pair
-    rho = np.maximum.reduceat(np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1),
-                              start)
-    runs = cKDTree(pts[start]).query_pairs(arc_min + 2.0 * float(rho.max()),
-                                           output_type="ndarray")
-    a, b = runs[:, 0], runs[:, 1]  # a < b
-    keep = arclen[last[b]] - arclen[start[a]] >= arc_min
-    a, b = a[keep], b[keep]
-    sq = _sq_dist(pts, start[a], start[b])
-    head = np.sqrt(sq)
-    far = (arclen[start[b]] - arclen[start[a]] >= arc_min) & (sq <= arc_min * arc_min)
-    bound = float(head[far].min()) + 2.0 * h if far.any() else np.inf
-    # SLACK covers the rounding of the distances in both bounds
-    keep = head - rho[a] - rho[b] <= min(bound, arc_min) * (1.0 + SLACK)
-    a, b, head = a[keep], b[keep], head[keep]
-    ub = (head + rho[a] + rho[b]) * (1.0 + SLACK)
-    full = ((ub <= min(bound, arc_min * (1.0 - SLACK)))
-            & (arclen[start[b]] - arclen[last[a]] >= arc_min))
-    order = np.argsort(ub[full], kind="stable")
-    count = np.cumsum((size[a] * size[b])[full][order])
-    if len(count) and count[-1] >= CLOSE_CAP:
-        bound = float(ub[full][order[np.searchsorted(count, CLOSE_CAP)]])
-        keep = head - rho[a] - rho[b] <= bound * (1.0 + SLACK)
-        a, b = a[keep], b[keep]
-    # expand each run pair into (i, b) for the points i of run a ...
-    i = np.repeat(start[a], size[a]) + _ramp(size[a])
-    b = np.repeat(b, size[a])
-    keep = arclen[last[b]] - arclen[i] >= arc_min
-    i, b = i[keep], b[keep]
-    # ... and each (i, b) into (i, j) for the points j of run b
-    j = np.repeat(start[b], size[b]) + _ramp(size[b])
-    i = np.repeat(i, size[b])
-    sq = _sq_dist(pts, i, j)
-    d = np.sqrt(sq)
-    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min) & (d <= bound)
-    return i[keep], j[keep], d[keep]
-
-
-def _sq_dist(pts, i, j):
-    """Squared distances of the point pairs (i, j), summed as np.linalg.norm
-    sums them, so their square roots match it bit for bit."""
-    dx = pts[i, 0] - pts[j, 0]
-    dy = pts[i, 1] - pts[j, 1]
-    return dx * dx + dy * dy
-
-
 def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
     """Exact self-intersection count and clearance margin of an open polyline.
 
     Crossings are counted over all segment pairs that do not share an
-    endpoint.  The margin is the minimum distance between segment pairs
-    whose separation along the curve exceeds ARC_FACTOR times the coarsest
-    segment length, so it measures genuine near-self-contact rather than
-    neighbours along the curve.  Raises ValueError unless points is an
-    (n, 2) array of n >= 2 finite points.
+    endpoint.  The margin is the least distance between segment pairs at
+    least ARC_FACTOR coarsest segment lengths apart along the curve, so it
+    measures genuine near-self-contact rather than neighbours along the
+    curve.  Raises ValueError unless points is an (n, 2) array of n >= 2
+    finite points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
@@ -226,17 +123,28 @@ def polyline_self_intersection_report(points: np.ndarray) -> IntersectionReport:
     res = float(np.max(seglen))
     arclen = np.concatenate([[0.0], np.cumsum(seglen)])
 
-    crossing_pairs = []
-    for i, j in _candidate_pairs(pts, index_gap=1).tolist():
-        if segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1]):
-            crossing_pairs.append((i, j))
+    nseg = len(seglen)
+    lo, hi = np.minimum(pts[:-1], pts[1:]), np.maximum(pts[:-1], pts[1:])
+
+    def boxes_meet(i, j):  # segments that share no endpoint, closed boxes overlapping
+        return ((j - i > 1) & (lo[i, 0] <= hi[j, 0]) & (lo[j, 0] <= hi[i, 0])
+                & (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]))
+
+    crossing_pairs = [(i, j) for i, j in _pairs(nseg, boxes_meet).tolist()
+                      if segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1])]
 
     # clearance margin among arc-separated parts of the curve
     arc_min = ARC_FACTOR * res
     margin = arc_min  # capped: beyond this the curve is safely clear
-    nseg = len(seglen)
     if res > 0.0:  # else every point coincides, and the margin is arc_min = 0
-        ii, jj, d = _clearance_pairs(pts, arclen, res, arc_min)
+        def sq_dist(i, j):  # summed as np.linalg.norm sums, so sqrt matches it bit for bit
+            dx = pts[i, 0] - pts[j, 0]
+            dy = pts[i, 1] - pts[j, 1]
+            return dx * dx + dy * dy
+
+        ii, jj = _pairs(len(pts), lambda i, j: (sq_dist(i, j) <= arc_min * arc_min)
+                        & (arclen[j] - arclen[i] >= arc_min)).T  # near, and far along the curve
+        d = np.sqrt(sq_dist(ii, jj))
         if len(d):
             dmin = float(d.min())
             # refine the point-pair minimum with the segments on either side

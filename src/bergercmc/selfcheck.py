@@ -75,7 +75,7 @@ def check_areas():
     assert abs(area_sphere(1.0, 0.0) - 4 * math.pi) < 1e-9
     assert abs(area_sphere(1 / 3, 0.0) - area_sphere_closed(1 / 3, 0.0)) < 1e-8
     for a, H in _random_spheres():
-        assert abs(gauss_bonnet_integral(fundamental_data(a, H)) - 4 * math.pi) < 1e-6, (a, H)
+        assert abs(gauss_bonnet_integral(fundamental_data(a, H)) - 4 * math.pi) < 1e-12, (a, H)
 
 
 # spheres of the potential and spectrum checks

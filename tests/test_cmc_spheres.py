@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
+from bergercmc.ambient import ConsistencyError
 from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb,
                                    area_sphere, area_sphere_closed, artanh_ratio,
                                    classify_embedding, fit_orbit_generator,
@@ -127,11 +128,22 @@ def test_gauss_curvature_umbilical():
 
 
 def test_gauss_curvature_cross_route():
-    # the operation itself raises if the two routes disagree beyond 1e-6
+    # the operation itself raises if the two routes disagree beyond GAUSS_RTOL
     for a, H, x in ((1 / 3, 0.0, 0.0), (0.5, 1.0, -1.3), (2.5, 0.4, 2.0)):
         gauss_curvature(fundamental_data(a, H), x)
     d = fundamental_data(1 / 3, 0.0)
     assert gauss_curvature(d, 0.0) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_gauss_curvature_refuses_a_slip_in_one_route(monkeypatch):
+    # only the Gauss-equation route reads |sigma|^2: a 1e-9 relative slip
+    # there moves it by 3e-10 of the scale, where the routes agree to 8e-16
+    d = fundamental_data(0.5, 1.0)
+    gauss_curvature(d, 0.3)
+    sigma_norm2 = type(d).sigma_norm2
+    monkeypatch.setattr(type(d), "sigma_norm2", lambda self, x: sigma_norm2(self, x) * (1.0 + 1e-9))
+    with pytest.raises(ConsistencyError, match="Gauss curvature routes disagree"):
+        gauss_curvature(d, 0.3)
 
 
 # The forms that sigma_norm2 and gauss_curvature had before, as oracles:

@@ -6,9 +6,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from bergercmc.cmc_spheres import orbit_space_curve, reconstruct_meridian
-from bergercmc.geometry2d import (CLOSE_CAP, _candidate_pairs, _clearance_pairs, _ramp,
-                                  polyline_self_intersection_report,
-                                  segments_cross)
+from bergercmc.geometry2d import CLOSE_CAP, polyline_self_intersection_report, segments_cross
 
 
 def test_segments_cross_basic():
@@ -94,11 +92,13 @@ def test_degenerate_curves(pts, margin, resolution):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the spatial-hash candidate search and the per-pair clearance loop
+# oracles: the spatial-hash candidate search with the exact test, and the
+# per-pair clearance loop over the far pairs of a k-d tree query
 # ---------------------------------------------------------------------------
 
-def _hash_candidate_pairs(points, index_gap):
-    """Segment pairs with overlapping bounding boxes, from a uniform spatial hash."""
+def _hash_candidate_pairs(points):
+    """Segment pairs that share no endpoint and whose bounding boxes overlap,
+    from a uniform spatial hash."""
     n = len(points) - 1
     seg_lo = np.minimum(points[:-1], points[1:])
     seg_hi = np.maximum(points[:-1], points[1:])
@@ -118,7 +118,7 @@ def _hash_candidate_pairs(points, index_gap):
         for u in range(len(bucket)):
             for v in range(u + 1, len(bucket)):
                 i, j = bucket[u], bucket[v]
-                if j - i > index_gap:
+                if j - i > 1:
                     if (seg_lo[i, 0] <= seg_hi[j, 0] and seg_lo[j, 0] <= seg_hi[i, 0] and
                             seg_lo[i, 1] <= seg_hi[j, 1] and seg_lo[j, 1] <= seg_hi[i, 1]):
                         pairs.add((i, j))
@@ -201,20 +201,13 @@ def _oracle_curves():
 
 
 @pytest.mark.parametrize("name", sorted(_oracle_curves()))
-def test_candidate_pairs_match_spatial_hash(name):
+def test_crossing_pairs_match_spatial_hash(name):
     pts = _oracle_curves()[name]
-    for gap in (1, 3):
-        swept = [tuple(p) for p in _candidate_pairs(pts, gap).tolist()]
-        assert swept == _hash_candidate_pairs(pts, gap)
-
-
-def test_candidate_pairs_all_identical_points():
-    # the hash has no cell size here and returns no pairs; the sweep pairs
-    # every point with every other, and the exact test finds no crossing
-    pts = np.full((40, 2), 0.3)
-    assert _hash_candidate_pairs(pts, 1) == []
-    assert len(_candidate_pairs(pts, 1)) == 38 * 37 // 2
-    assert polyline_self_intersection_report(pts).crossings == 0
+    want = [(i, j) for i, j in _hash_candidate_pairs(pts)
+            if segments_cross(pts[i], pts[i + 1], pts[j], pts[j + 1])]
+    rep = polyline_self_intersection_report(pts)
+    assert rep.pairs == want
+    assert rep.crossings == len(want)
 
 
 def _prongs(npts, delta):
@@ -262,7 +255,9 @@ def test_pool_meridian_margin_matches_pairwise_loop(name, least, most):
     pts = _meridian_curve(*POOL_MERIDIANS[name])
     margin, nclose = _loop_margin(pts)
     assert least <= nclose <= most
-    assert polyline_self_intersection_report(pts).margin == margin
+    rep = polyline_self_intersection_report(pts)
+    assert rep.margin == margin
+    assert rep.crossings == (2 if name == "meridian_two_crossings" else 0)
 
 
 def test_cap_breaks_ties_by_distance_then_index():
@@ -276,47 +271,6 @@ def test_cap_breaks_ties_by_distance_then_index():
     at = close[CLOSE_CAP - 1]
     assert ((close < at).sum(), (close == at).sum()) == (CLOSE_CAP - 1, 2)
     assert polyline_self_intersection_report(pts).margin == _loop_margin(pts)[0]
-
-
-# ---------------------------------------------------------------------------
-# oracle: the clearance pairs from query_pairs over all points, and the
-# all-pairs arc-chunked search
-# ---------------------------------------------------------------------------
-
-def _far_pairs(pts, arclen, h, arc_min):
-    """Point index pairs (i, j), i < j, at most arc_min apart in the plane
-    and at least arc_min apart along the curve, with their distances,
-    without enumerating the pairs that are near along the curve.
-
-    The polyline is cut into runs of consecutive points whose arc span is
-    below h > 0; as chord <= arc, every point lies within h of its run's
-    head.  Two points at most arc_min apart therefore belong to runs whose
-    heads are at most arc_min + 2 h apart.  Of those run pairs (a, b), the
-    ones whose largest arc separation is below arc_min are dropped, and so
-    is each point of run a whose largest arc separation from run b is below
-    arc_min; only the rest is expanded into point pairs.
-    """
-    run = np.floor(arclen / h)
-    start = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
-    size = np.diff(np.r_[start, len(pts)])
-    last = start + size - 1
-    rho = np.linalg.norm(pts - np.repeat(pts[start], size, axis=0), axis=1)
-    runs = cKDTree(pts[start]).query_pairs(arc_min + 2.0 * float(rho.max()),
-                                           output_type="ndarray")
-    a, b = runs[:, 0], runs[:, 1]  # a < b
-    keep = arclen[last[b]] - arclen[start[a]] >= arc_min
-    a, b = a[keep], b[keep]
-    i = np.repeat(start[a], size[a]) + _ramp(size[a])
-    b = np.repeat(b, size[a])
-    keep = arclen[last[b]] - arclen[i] >= arc_min
-    i, b = i[keep], b[keep]
-    j = np.repeat(start[b], size[b]) + _ramp(size[b])
-    i = np.repeat(i, size[b])
-    dx = pts[i, 0] - pts[j, 0]
-    dy = pts[i, 1] - pts[j, 1]
-    sq = dx * dx + dy * dy
-    keep = (arclen[j] - arclen[i] >= arc_min) & (sq <= arc_min * arc_min)
-    return i[keep], j[keep], np.sqrt(sq[keep])
 
 
 def _far_pair_curves():
@@ -337,50 +291,7 @@ def _far_pair_curves():
 
 @pytest.mark.parametrize("name", sorted(_far_pair_curves()))
 def test_far_pairs_match_query_pairs(name):
+    # the margin the report takes from its far pairs is the one refined pair
+    # by pair from the far pairs of the k-d tree query
     pts = _far_pair_curves()[name]()
-    ii, jj, arclen, res, arc_min = _query_far_pairs(pts)
-    want = set(zip(ii.tolist(), jj.tolist()))
-    i, j, d = _far_pairs(pts, arclen, res, arc_min)
-    got = list(zip(i.tolist(), j.tolist()))
-    assert len(got) == len(set(got))
-    assert set(got) == want
-    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
     assert polyline_self_intersection_report(pts).margin == _loop_margin(pts)[0]
-
-
-def _clearance_curves():
-    curves = _far_pair_curves()
-    for name, args in POOL_MERIDIANS.items():
-        curves[name] = lambda args=args: _meridian_curve(*args)
-    return curves
-
-
-@pytest.mark.parametrize("name", sorted(_clearance_curves()))
-def test_clearance_pairs_hold_every_pair_that_can_set_the_margin(name):
-    # the bounded search returns far pairs only, with their exact distances,
-    # and among them the least distance and the close pairs the margin
-    # refines: all within 2 res of it, or the CLOSE_CAP first in (d, i, j)
-    pts = _clearance_curves()[name]()
-    ii, jj, arclen, res, arc_min = _query_far_pairs(pts)
-    i, j, d = _clearance_pairs(pts, arclen, res, arc_min)
-    got = list(zip(i.tolist(), j.tolist()))
-    assert len(got) == len(set(got))
-    assert set(got) <= set(zip(ii.tolist(), jj.tolist()))
-    assert np.array_equal(d, np.linalg.norm(pts[i] - pts[j], axis=1))
-    if not len(ii):
-        assert not got
-        return
-    dd = np.linalg.norm(pts[ii] - pts[jj], axis=1)
-    close = np.nonzero(dd <= dd.min() + 2.0 * res)[0]
-    close = close[np.lexsort((jj[close], ii[close], dd[close]))[:CLOSE_CAP]]
-    assert d.min() == dd.min()
-    assert set(zip(ii[close].tolist(), jj[close].tolist())) <= set(got)
-
-
-def test_clearance_search_forms_few_pairs_on_a_crossing_meridian():
-    # a work count, not a timing: the all-pairs search forms every far pair
-    pts = _meridian_curve(*POOL_MERIDIANS["meridian_two_crossings"])
-    ii, _, arclen, res, arc_min = _query_far_pairs(pts)
-    assert len(ii) == 248_718
-    assert len(_clearance_pairs(pts, arclen, res, arc_min)[0]) <= 5000
-    assert polyline_self_intersection_report(pts).crossings == 2

@@ -120,6 +120,15 @@ def test_is_embedded_loads_no_polyline_search():
     assert "scipy.spatial" not in modules_after(code)
 
 
+def test_the_polyline_reference_loads_no_scipy():
+    # the reference tests every index pair with numpy: no k-d tree
+    code = ("from bergercmc import cmc_spheres, geometry2d\n"
+            "m = cmc_spheres.reconstruct_meridian(0.02, 1.0, (-9.0, 9.0), 3000)\n"
+            "r = geometry2d.polyline_self_intersection_report(cmc_spheres.orbit_space_curve(m))\n"
+            "assert r.crossings == 1")
+    assert modules_after(code) == []
+
+
 def test_the_oracles_load_no_package_module_and_no_scipy():
     # tests/oracles.py shares no code with the routines it checks
     code = (f"sys.path.insert(0, {str(SRC.parent / 'tests')!r})\n"
