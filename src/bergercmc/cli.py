@@ -70,6 +70,7 @@ def cmd_sphere(args) -> int:
         m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
         r = classify_embedding(args.alpha, args.H)
     spec = jacobi_spectrum(args.alpha, args.H)
+    spec.eigenvalues  # solves the CSV's table, so that its contract fails before any output
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"koiso_integral = {verdict.margin:.12g}")

@@ -112,7 +112,7 @@ def check_volume_rate():
 def check_jacobi_spectrum():
     for a, H in SPHERE_GRID:
         jacobi_spectrum(a, H, n=2500)  # raises SpectrumError off its zero-mode contract
-        assert jacobi_rayleigh_C(a, H) < 1e-6, "tanh is a Jacobi function"
+        assert jacobi_rayleigh_C(a, H) < 1e-12, "tanh is a Jacobi function"
 
 
 def check_torus():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +46,9 @@ from .cmc_spheres import AREA_CUTOFF, SphereFundamentalData, artanh_ratio, funda
 from .svgplot import write_csv
 
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
-PER_MODE = 6  # eigenvalues computed per Fourier mode
+PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
+GAP_COUNTS = (3, 2, 1)  # eigenvalues of modes 0, 1, 2 that decide the gap
+RAYLEIGH_SCALE = 8.0 / (3.0 * math.sqrt(3.0))  # Int |sech^4 - 2 sech^2 tanh^2| dx
 TINY = float(np.finfo(float).tiny)  # smallest normal float
 ZERO_RTOL = 1e-3  # the computed zero eigenvalues, relative to the spectral gap
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
@@ -67,12 +70,35 @@ class SpectrumError(NumericalError):
 
 @dataclass
 class SpectrumResult:
-    """Sorted generalized eigenvalues with Fourier mode bookkeeping."""
+    """The spectral gap of S_a(H) on n grid cells; the sorted eigenvalues of modes
+    0..k_max (PER_MODE each, k != 0 twice) and their Fourier modes are solved on
+    first read of eigenvalues, modes or to_csv, and raise SpectrumError off the
+    zero-mode contract of jacobi_spectrum."""
 
-    eigenvalues: np.ndarray
-    modes: np.ndarray
+    alpha: float
+    H: float
+    k_max: int
+    n: int
     gap: float
     index, nullity = 1, 3  # for every (a, H), by the theorem of the module docstring
+
+    @cached_property
+    def _table(self):
+        vals = [_mode_eigenvalues(self.alpha, self.H, k, self.n, PER_MODE)
+                for k in range(self.k_max + 1)]
+        _certified_gap(vals)
+        lams = np.concatenate([np.repeat(v, 1 if k == 0 else 2) for k, v in enumerate(vals)])
+        ks = np.concatenate([np.full(len(v) * (1 if k == 0 else 2), k) for k, v in enumerate(vals)])
+        order = np.argsort(lams)
+        return lams[order], ks[order]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._table[0]
+
+    @property
+    def modes(self) -> np.ndarray:
+        return self._table[1]
 
     def to_csv(self, path) -> None:
         write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
@@ -206,9 +232,21 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
                             select_range=(0, min(count, n) - 1), eigvals_only=True)
 
 
+def _certified_gap(vals) -> float:
+    """The gap from per-mode eigenvalues vals[k] of modes k = 0, 1, 2, ...: the least
+    of mode 0's third, mode 1's second and each later mode's first.  Raises
+    SpectrumError unless the two computed zeros, which measure the grid, are within
+    ZERO_RTOL times the gap, the gap positive and mode 0's first negative."""
+    gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
+    if not (vals[0][0] < 0.0 < gap and max(abs(vals[0][1]), abs(vals[1][0])) <= ZERO_RTOL * gap):
+        raise SpectrumError(f"zero-mode contract failed: zeros {vals[0][1]:.3e} (mode 0) and "
+                            f"{vals[1][0]:.3e} (mode 1), gap {gap:.3e}, lowest {vals[0][0]:.3e}")
+    return gap
+
+
 def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResult:
-    """Low end of the Jacobi spectrum of S_a(H), merged over Fourier modes;
-    modes k and -k coincide, so k != 0 eigenvalues enter twice.
+    """Low end of the Jacobi spectrum of S_a(H) on n grid cells, merged over
+    Fourier modes 0..k_max; modes k and -k coincide.
 
     Index 1 and nullity 3 hold for every (a, H) (module docstring):
       - mode 0 has the eigenfunction t at 0 with one interior zero, so 0 is
@@ -218,9 +256,10 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         (k^2 - 4) Int f^2/(1 - t^2) dt > 0 on the same form domain, so by
         min-max (Courant-Hilbert I, ch. VI) mode k starts above mode 2.
     So the gap is the least of mode 0's third, mode 1's second and mode 2's
-    first eigenvalue; modes 3..k_max only lengthen the list.  Raises
-    SpectrumError unless the two computed zeros, which measure the grid, are
-    within ZERO_RTOL times the gap, the gap positive and mode 0's first negative.
+    first eigenvalue: this call solves those six (GAP_COUNTS) and no mode >= 3,
+    and raises SpectrumError off the zero-mode contract (_certified_gap).  The
+    table of modes 0..k_max, PER_MODE eigenvalues each, is solved on first read
+    of the result's eigenvalues, modes or to_csv, under the same contract.
     """
     a = as_alpha(p)
     if k_max < 2:
@@ -234,28 +273,24 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
-    vals = [_mode_eigenvalues(a, H, k, n, PER_MODE) for k in range(k_max + 1)]
-    gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
-    if not (vals[0][0] < 0.0 < gap and max(abs(vals[0][1]), abs(vals[1][0])) <= ZERO_RTOL * gap):
-        raise SpectrumError(f"zero-mode contract failed: zeros {vals[0][1]:.3e} (mode 0) and "
-                            f"{vals[1][0]:.3e} (mode 1), gap {gap:.3e}, lowest {vals[0][0]:.3e}")
-    lams = np.concatenate([np.repeat(v, 1 if k == 0 else 2) for k, v in enumerate(vals)])
-    ks = np.concatenate([np.full(len(v) * (1 if k == 0 else 2), k) for k, v in enumerate(vals)])
-    order = np.argsort(lams)
-    return SpectrumResult(eigenvalues=lams[order], modes=ks[order], gap=gap)
+    vals = [_mode_eigenvalues(a, H, k, n, count) for k, count in enumerate(GAP_COUNTS)]
+    return SpectrumResult(alpha=a, H=H, k_max=k_max, n=n, gap=_certified_gap(vals))
 
 
 def jacobi_rayleigh_C(p, H: float) -> float:
-    """Rayleigh quotient of the vertical-angle function C = tanh x.
+    """Relative residual of the vertical-angle function C = tanh x in the Jacobi form.
 
-    C is always a Jacobi function, so the quotient vanishes up to
-    quadrature error; computed as Q(C) / Int C^2 dA with the trapezoidal
-    rule of quad, independent of any grid.
+    C is always a Jacobi function, and in the flat chart its quadratic form
+    Q(C) = Int sech^4 - 2 sech^2 tanh^2 dx is the same for every (a, H), so it
+    vanishes up to quadrature error; returned as |Q(C)| over its integrand's
+    scale Int |sech^4 - 2 sech^2 tanh^2| dx = 8/(3 sqrt 3), with the
+    trapezoidal rule of quad, independent of any grid.
     """
-    d = fundamental_data(p, H)
+    as_alpha(p)
+    as_H(H)
 
     def num(x):
         sech2 = 1.0 / np.cosh(x) ** 2
         return sech2**2 - 2.0 * sech2 * np.tanh(x) ** 2
 
-    return abs(quad(num)) / quad(lambda x: np.tanh(x) ** 2 * d.conf(x))
+    return abs(quad(num)) / RAYLEIGH_SCALE

@@ -389,10 +389,13 @@ def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeyp
 @pytest.mark.parametrize("args", [
     ["sphere", "--alpha", "3e5", "--H", "1"],
     ["sphere", "--alpha", "3e5", "--H", "1", "--meridian-n", "2048"],
+    ["sphere", "--alpha", "1e5", "--H", "1"],
+    ["sphere", "--alpha", "1e5", "--H", "1", "--meridian-n", "2048"],
 ])
 def test_numerical_failure_exits_3_before_any_output(args, tmp_path, capsys):
     # the spectrum breaks its zero-mode contract, after the meridian and its
-    # verdict are computed
+    # verdict are computed: at 3e5 the gap's eigenvalues break it, at 1e5 only
+    # the CSV's table does
     out = tmp_path / "out"
     assert main(["--out", str(out), *args]) == 3
     captured = capsys.readouterr()

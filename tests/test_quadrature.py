@@ -96,7 +96,7 @@ def test_rule_against_scipy_quad_on_the_selftest_grids(monkeypatch):
                 isoperimetry.sphere_volume_rate(a, H)
         for a, H in selfcheck.SPHERE_GRID:
             stability.jacobi_rayleigh_C(a, H)
-    assert len(found) == 20 + 400 + 32 + 40
+    assert len(found) == 20 + 400 + 32 + 20
     for value, ref in found:
         assert abs(value - ref) <= 1e-12 * max(abs(ref), 1.0), (value, ref)
 
@@ -158,6 +158,6 @@ def test_rayleigh_numerator_is_zero_to_its_scale_at_the_box_corners(a, H, monkey
             quotient = stability.jacobi_rayleigh_C(a, H)
         except QuadratureError:
             return
-    numerator, denominator = parts
+    numerator, = parts
     assert abs(numerator) <= 1e-12 * RAYLEIGH_NUM_SCALE
-    assert quotient == abs(numerator) / denominator
+    assert quotient == abs(numerator) / RAYLEIGH_NUM_SCALE <= 1e-12

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -263,18 +264,35 @@ def test_spectrum_index_nullity_everywhere():
         assert s.nullity == 3, (a, H)
 
 
-def test_zero_modes_are_universal():
+def test_zero_modes_are_universal(monkeypatch):
     # the radical of the quadratic form does not depend on (alpha, H): per
     # mode, the zeros are mode 0's second and mode +-1's first eigenvalue (to
-    # the grid's accuracy), and the next eigenvalue of each mode is the gap or above
-    for a, H in ((0.3, 0.0), (2.0, 1.7)):
-        s = jacobi_spectrum(a, H, n=3000)
+    # the grid's accuracy), and the next eigenvalue of each mode is the gap or
+    # above.  The gap (3 + 2 + 1 eigenvalues) and the table (6 per mode) are
+    # separate bisections, each converged to stebz's absolute tolerance, about
+    # eps times the matrix norm, so they agree within tol = eps * max|diag|;
+    # on 8000 cells the zeros too are bisection noise below tol
+    from bergercmc import stability
+
+    diag_max = []
+
+    def recording(d, e, **kwargs):
+        diag_max.append(float(np.max(np.abs(d))))
+        return solve(d, e, **kwargs)
+
+    solve = stability.eigh_tridiagonal
+    monkeypatch.setattr(stability, "eigh_tridiagonal", recording)
+    for a, H, n in ((0.3, 0.0, 3000), (2.0, 1.7, 3000), (0.0369307, 0.309026, 8000)):
+        diag_max.clear()
+        s = jacobi_spectrum(a, H, n=n)
         mode = {k: s.eigenvalues[s.modes == k] for k in range(4)}  # modes 1-3 twice
+        tol = np.finfo(float).eps * max(diag_max)
         zeros = np.array([mode[0][1], mode[1][0], mode[1][1]])
-        assert np.max(np.abs(zeros)) <= 1e-8 * s.gap
+        assert np.max(np.abs(zeros)) <= max(1e-8 * s.gap, tol)
         assert mode[0][0] < 0.0
         firsts = [mode[0][2], mode[1][2], mode[2][0], mode[3][0]]
-        assert min(firsts) == s.gap
+        assert len(diag_max) == 3 + 4
+        assert abs(min(firsts) - s.gap) <= tol, (a, H, n)
 
 
 def test_spectra_same_signature_not_same_eigenvalues():
@@ -287,8 +305,8 @@ def test_spectra_same_signature_not_same_eigenvalues():
 
 
 def test_tanh_rayleigh_quotient():
-    for a, H in ((0.3, 0.0), (1.0, 2.0), (3.0, 0.5)):
-        assert jacobi_rayleigh_C(a, H) < 1e-6
+    for a, H in ((0.3, 0.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1e6)):
+        assert jacobi_rayleigh_C(a, H) < 1e-12
 
 
 def test_spectrum_grid_refinement():
@@ -308,14 +326,15 @@ def test_spectrum_rejects_bad_args():
 def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
     # on n = 200 cells sigma^k at the outermost node, 0.009975^k, leaves the
     # normal floats at k = 154; the check refuses that before solving a mode.
-    # k_max = 153 is solved without a warning, but its high modes lose their
-    # low eigenvalues to rounding (one comes out at -2e17), which the
-    # zero-mode contract reports as a negative gap
+    # k_max = 153 is accepted without a warning, but the table's high modes
+    # lose their low eigenvalues to rounding (one comes out at -2e17), which
+    # the table's zero-mode contract reports as a negative gap
     from bergercmc import stability
 
     with np.errstate(all="raise", under="ignore"):
+        s = jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
         with pytest.raises(SpectrumError, match="zero-mode contract failed: .* gap -2"):
-            jacobi_spectrum(0.5, 1.0, k_max=153, n=200)
+            s.eigenvalues
 
     def no_solve(*_args, **_kwargs):
         raise AssertionError("a mode was solved before the k_max check")
@@ -329,10 +348,62 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
 @pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 4000, 3), (1e5, 1.0, 4000, 3),
                                              (3e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)])
 def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
-    # at a >= 1e5 the computed zeros exceed 1e-3 of the gap; at k_max = 93 on
-    # 200 cells a high mode's first eigenvalue comes out at -2e14
-    with pytest.raises(SpectrumError, match="zero-mode contract failed"):
-        jacobi_spectrum(a, H, k_max=k_max, n=n)
+    # at a >= 1e5 the computed zeros exceed 1e-3 of the gap.  At (1e5, 1) the
+    # gap's zeros pass and only the table's (a mode-0 zero of 2.0e-5 against a
+    # gap of 1.7e-2) fail; at k_max = 93 on 200 cells the table's high mode has
+    # its first eigenvalue at -2e14.  There every read of the table refuses
+    if (a, H, n, k_max) not in ((1e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)):
+        with pytest.raises(SpectrumError, match="zero-mode contract failed"):
+            jacobi_spectrum(a, H, k_max=k_max, n=n)
+        return
+    s = jacobi_spectrum(a, H, k_max=k_max, n=n)
+    for read in (lambda: s.eigenvalues, lambda: s.modes, lambda: s.to_csv(os.devnull)):
+        with pytest.raises(SpectrumError, match="zero-mode contract failed"):
+            read()
+
+
+def test_spectrum_gap_solves_six_eigenvalues_of_modes_0_to_2(monkeypatch):
+    # the gap needs mode 0's three lowest, mode 1's two and mode 2's first;
+    # modes >= 3 and the PER_MODE table wait for the first read of the table
+    from bergercmc import stability
+
+    solved = []
+
+    def recording(alpha, H, k, n, count):
+        solved.append((k, count))
+        return solve(alpha, H, k, n, count)
+
+    solve = stability._mode_eigenvalues
+    monkeypatch.setattr(stability, "_mode_eigenvalues", recording)
+    for k_max in (2, 3, 60):
+        solved.clear()
+        s = jacobi_spectrum(0.5, 1.0, k_max=k_max, n=400)
+        assert solved == [(0, 3), (1, 2), (2, 1)]
+        s.modes
+        s.eigenvalues
+        s.to_csv(os.devnull)
+        assert solved[3:] == [(k, stability.PER_MODE) for k in range(k_max + 1)]
+
+
+def _table_csv_of_the_full_route(a, H, k_max, n):
+    # the table as jacobi_spectrum built it when it solved every mode up front
+    from bergercmc import stability
+
+    vals = [stability._mode_eigenvalues(a, H, k, n, 6) for k in range(k_max + 1)]
+    lams = np.concatenate([np.repeat(v, 1 if k == 0 else 2) for k, v in enumerate(vals)])
+    ks = np.concatenate([np.full(len(v) * (1 if k == 0 else 2), k) for k, v in enumerate(vals)])
+    order = np.argsort(lams)
+    rows = zip(ks[order], lams[order])
+    return "k,lambda\n" + "".join(f"{int(k)},{float(lam)!r}\n" for k, lam in rows)
+
+
+@pytest.mark.parametrize("a, H, k_max, n", [(0.5, 1.0, 3, 4000), (0.177834, 0.685469, 3, 4000),
+                                             (1e-4, 0.0, 3, 2000), (1.0, 0.0, 3, 4000),
+                                             (1e4, 1.0, 5, 4000), (3.2136, 3.81505, 2, 8000)])
+def test_spectrum_table_csv_is_the_full_route_byte_for_byte(a, H, k_max, n, tmp_path):
+    path = tmp_path / "spectrum.csv"
+    jacobi_spectrum(a, H, k_max=k_max, n=n).to_csv(path)
+    assert path.read_bytes() == _table_csv_of_the_full_route(a, H, k_max, n).encode()
 
 
 @pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 200, 3), (1e4, 1.0, 4000, 3),
