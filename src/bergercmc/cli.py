@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import selfcheck
 from .ambient import NumericalError, as_alpha, as_H, total_volume
 from .cmc_spheres import (area_sphere_closed, classify_embedding, meridian_range,
                           reconstruct_meridian)
@@ -173,6 +172,7 @@ def cmd_candidate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selfcheck  # the invariant suite loads only for this command
     failures = selfcheck.run(verbose=True)
     if failures:
         print(f"FAILED invariants: {', '.join(failures)}", file=sys.stderr)

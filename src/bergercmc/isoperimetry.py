@@ -132,13 +132,16 @@ class IsoperimetricProfile:
         return self._interpolate(H, 1)
 
     def invert_volume(self, V: float) -> list[float]:
-        """All H on the grid range with volume(H) = V (several if non-monotone)."""
+        """All H on the grid range with volume(H) = V (several if non-monotone).
+
+        One array pass finds the knots where V is met and the knot intervals
+        whose ends straddle it; each straddling interval gets one brentq root."""
         out = []
         vals = self.volume - V
-        for i in range(len(vals) - 1):
+        for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
             if vals[i] == 0.0:
                 out.append(float(self.H[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
+            else:
                 out.append(brentq(lambda h: self.volume_at(h) - V,
                                   self.H[i], self.H[i + 1], xtol=1e-12))
         if vals[-1] == 0.0:
@@ -285,6 +288,7 @@ def isoperimetric_candidate(p, V: float,
     which makes the two sides genuinely different).  Only stability-passing
     members compete; for a < 1/3 the ranking is reported as such (the two
     families are the known candidates, not a proven exhaustive list).
+    A given profile must be the sphere family's at this alpha.
     """
     a = as_alpha(p)
     total = total_volume(a)
@@ -292,6 +296,9 @@ def isoperimetric_candidate(p, V: float,
         raise ValueError(f"volume must lie in (0, {total}), got {V}")
 
     prof = profile if profile is not None else sphere_profile(a)
+    if prof.family != SPHERE or prof.alpha != a:
+        raise ValueError(f"the candidate at alpha={a} needs a Sphere profile at that alpha, "
+                         f"got a {prof.family} profile at alpha={prof.alpha}")
     lo, hi = candidate_reach(a, prof)
     reach = (f"spheres with H <= {prof.H[-1]:g} and stable tori enclose volumes in "
              f"[{lo:.6g}, {hi:.6g}]")

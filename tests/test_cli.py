@@ -331,9 +331,9 @@ def test_env_var_outdir(tmp_path, monkeypatch, capsys):
 
 
 def test_selftest_failure_exit_code(monkeypatch, capsys):
-    from bergercmc import cli
+    from bergercmc import cli, selfcheck
 
-    monkeypatch.setattr(cli.selfcheck, "run", lambda verbose=True: ["fake-invariant"])
+    monkeypatch.setattr(selfcheck, "run", lambda verbose=True: ["fake-invariant"])
     assert cli.main(["selftest"]) == 3
     assert "fake-invariant" in capsys.readouterr().err
 

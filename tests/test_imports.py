@@ -37,6 +37,8 @@ def test_a_module_loads_only_the_package_modules_it_imports():
         "bergercmc", "bergercmc.ambient", "bergercmc.cmc_spheres", "bergercmc.svgplot"]
     assert modules_after("import bergercmc.tori", "bergercmc") == [
         "bergercmc", "bergercmc.ambient", "bergercmc.svgplot", "bergercmc.tori"]
+    # the invariant suite loads only under selftest
+    assert "bergercmc.selfcheck" not in modules_after("import bergercmc.cli", "bergercmc")
 
 
 def test_torus_command_loads_no_scipy(tmp_path):

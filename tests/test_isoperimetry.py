@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bergercmc.ambient import total_volume
+from bergercmc.ambient import brentq, total_volume
 from bergercmc.cmc_spheres import area_sphere_closed
-from bergercmc.isoperimetry import (SPHERE, TORUS, candidate_reach, clifford_vs_minimal_sphere,
+from bergercmc.isoperimetry import (SPHERE, TORUS, IsoperimetricProfile, candidate_reach,
+                                    clifford_vs_minimal_sphere,
                                     crossing_alpha, isoperimetric_candidate,
                                     round_cap_area_volume, sphere_profile,
                                     sphere_volume, sphere_volume_rate, torus_H_at_volume,
@@ -164,6 +165,62 @@ def test_non_monotone_detection_small_alpha():
 
 
 # ---------------------------------------------------------------------------
+# volume inversion
+# ---------------------------------------------------------------------------
+
+def invert_volume_by_knot_loop(prof, V):
+    """The inversion visiting every knot in turn: the reference of the array scan."""
+    out = []
+    vals = prof.volume - V
+    for i in range(len(vals) - 1):
+        if vals[i] == 0.0:
+            out.append(float(prof.H[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            out.append(brentq(lambda h: prof.volume_at(h) - V,
+                              prof.H[i], prof.H[i + 1], xtol=1e-12))
+    if vals[-1] == 0.0:
+        out.append(float(prof.H[-1]))
+    return out
+
+
+def assert_inversion_matches_knot_loop(prof, V, roots):
+    got = prof.invert_volume(V)
+    assert [h.hex() for h in got] == [h.hex() for h in invert_volume_by_knot_loop(prof, V)]
+    assert len(got) == roots, (prof.family, prof.alpha, V)
+
+
+@pytest.mark.parametrize("family,a", [
+    (SPHERE, 0.5), (SPHERE, 1.0), (SPHERE, 3.0),           # volume falls monotonically
+    (SPHERE, 0.004), (SPHERE, 0.01), (SPHERE, 0.06),       # volume rises, then falls
+    (TORUS, 0.2)])
+def test_invert_volume_matches_the_knot_loop(family, a):
+    prof = (sphere_profile if family == SPHERE else torus_profile)(a)
+    vol = prof.volume
+    top = int(np.argmax(vol))
+    # on a knot the knot itself is a root; a rising profile meets that volume
+    # once more on the falling side, except at its peak
+    for i in (0, len(vol) // 3, len(vol) - 1):
+        V = float(vol[i])
+        assert prof.H[i] in prof.invert_volume(V)
+        assert_inversion_matches_knot_loop(prof, V, 2 if top > 0 and i < top else 1)
+    if top > 0:  # inside the hump, one root on each flank
+        assert_inversion_matches_knot_loop(prof, 0.5 * (vol[0] + vol[top]), 2)
+    for V in (0.5 * vol.min(), 1.5 * vol.max()):
+        assert_inversion_matches_knot_loop(prof, V, 0)
+
+
+def test_invert_volume_matches_the_knot_loop_on_three_flanks():
+    # a profile rising, falling and rising again meets a middle volume three times
+    H = np.linspace(0.0, 2.0, 201)
+    vol = (H - 0.5) * (H - 1.0) * (H - 1.5) + 1.0
+    prof = IsoperimetricProfile(family=SPHERE, alpha=0.5, H=H, area=np.ones_like(H),
+                                volume=vol, monotone=False)
+    assert_inversion_matches_knot_loop(prof, 1.01, 3)
+    assert_inversion_matches_knot_loop(prof, float(vol[60]), 3)  # a knot and two brackets
+    assert_inversion_matches_knot_loop(prof, 1.0, 3)  # three knots
+
+
+# ---------------------------------------------------------------------------
 # torus profile
 # ---------------------------------------------------------------------------
 
@@ -282,6 +339,13 @@ def test_candidate_rejects_out_of_range(prof_half):
         isoperimetric_candidate(0.5, 0.0, profile=prof_half)
     with pytest.raises(ValueError):
         isoperimetric_candidate(0.5, total_volume(0.5), profile=prof_half)
+
+
+@pytest.mark.parametrize("make,a", [(torus_profile, 0.5), (sphere_profile, 0.2)])
+def test_candidate_refuses_a_profile_of_another_family_or_alpha(make, a):
+    # each would rank its own knots' H and areas as spheres at alpha = 0.5
+    with pytest.raises(ValueError, match="needs a Sphere profile at that alpha"):
+        isoperimetric_candidate(0.5, 3.0, profile=make(a))
 
 
 def test_noncongruent_spheres_reported():
