@@ -11,9 +11,11 @@ x only:
     A(x)    = -(H + i sqrt(a)) / (2 den)          (<Phi_w, xi>)
     p(x)    = (1 - a)(H + i sqrt(a)) / (2 den^2)  (Hopf-differential datum)
 
-with q(x) = H^2 + a tanh^2 x + sech^2 x; the code evaluates them through
-sech^2 x / q, which cannot overflow.  The meridian y = 0 has a closed
-form too: with c = 1 + H^2, t = tanh x, s = sech x,
+with q(x) = H^2 + a tanh^2 x + sech^2 x; the code evaluates conf through
+sech^2 x / q, which cannot overflow.  tests/float_oracles.py carries C, A and
+p and checks the integrability conditions and the Gauss equation on them.
+The meridian y = 0 has a closed form too: with c = 1 + H^2, t = tanh x,
+s = sech x,
 
     gamma(x) = e^{i phi} (s + H^2 - i sqrt(a) H t, sqrt(a) t + i H (1 - s)) / sqrt(c q),
     phi(x)   = Int_0^x (a - 1) H sech^2 / (sqrt(a) q) = -(H / sqrt(a)) X t G(X t^2),
@@ -40,9 +42,8 @@ with 1 - X = (H^2 + a)/c > 0, X G(X) = sqrt(X) artanh(sqrt X) rises strictly in 
 (and is <= 0 for X <= 0), and X falls strictly in H for a < 1; so Theta rises
 while X > X_STAR = 0.69481653805..., the root of X G(X) = 1, and falls after.
 
-The module evaluates these, checks the integrability conditions and the
-Gauss equation, computes areas, evaluates the meridian curve in S^3 with
-its normal, and decides embeddedness from Theta.  The sampled route,
+The module computes areas, evaluates the meridian curve in S^3 with its
+normal, and decides embeddedness from Theta.  The sampled route,
 is_embedded, is kept as the reference that Theta is checked against: it
 counts the sign changes of Im w' on each half of the sampled meridian and
 takes its margin from the distance 2|Im w'| between mirror points.  It
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# ConsistencyError and QuadratureError stay importable from here, where callers import them
 from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
                       as_H, brentq, even_integral)
 from .svgplot import write_csv
@@ -65,7 +67,6 @@ from .svgplot import write_csv
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
 RESIDUAL_TOL = 1e-3  # meridian invariants: speed^2 vs conf, g_a(N, xi) vs tanh
 ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
-GAUSS_RTOL = 1e-12  # conformal route vs Gauss equation of the Gauss curvature
 # fewest and most meridian samples: a meridian of 10^5 points and its embeddedness
 # verdict peak about 32 MB above the import, one of 10^6 points about 314 MB
 MERIDIAN_MIN_N, MERIDIAN_MAX_N = 64, 10**5
@@ -90,7 +91,7 @@ class ReconstructionError(NumericalError):
 
 @dataclass(frozen=True)
 class SphereFundamentalData:
-    """Closed-form fundamental data of the CMC sphere S_a(H) in the w-chart."""
+    """The conformal factor of the CMC sphere S_a(H) in the w-chart, in closed form."""
 
     alpha: float
     H: float
@@ -101,117 +102,14 @@ class SphereFundamentalData:
         t, s = np.tanh(x), 1.0 / np.cosh(x)
         return s * s, self.H**2 + self.alpha * t * t + s * s
 
-    def C(self, x):
-        return np.tanh(np.asarray(x, dtype=float))
-
     def conf(self, x):
         s2, q = self._sech2_q(x)
         return (self.H**2 + self.alpha) * s2 / (q * q)
-
-    def A(self, x):
-        s2, q = self._sech2_q(x)
-        return -(self.H + 1j * math.sqrt(self.alpha)) * s2 / (2.0 * q)
-
-    def p(self, x):
-        s2, q = self._sech2_q(x)
-        return (1.0 - self.alpha) * (self.H + 1j * math.sqrt(self.alpha)) * (s2 / q) ** 2 / 2.0
-
-    def sigma_norm2(self, x):
-        """|sigma|^2 = 2 H^2 + 8 conf^-2 |p|^2 = 2 H^2 + 2 (1 - a)^2 sech^4 x / (H^2 + a)."""
-        s2, _ = self._sech2_q(x)
-        return 2.0 * self.H**2 + 2.0 * (1.0 - self.alpha) ** 2 * s2 * s2 / (self.H**2 + self.alpha)
 
 
 def fundamental_data(p, H: float) -> SphereFundamentalData:
     """Fundamental data of the CMC sphere with mean curvature H >= 0."""
     return SphereFundamentalData(alpha=as_alpha(p), H=as_H(H))
-
-
-def zchart_data(alpha: float, H: float, x):
-    """(conf, A, p) at |z| = e^x transported from the raw z-chart formulas.
-
-    Independent route used to validate the closed forms above:
-    conf = e^{2u(z)} |z|^2,  A_w = A(z) z,  p_w = p(z) z^2.
-    Overflows for |x| beyond ~80; meant for test grids.
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = np.exp(2.0 * x)  # |z|^2
-    hia = H + 1j * math.sqrt(alpha)
-    D = 4.0 * (1.0 - alpha) * r2 + (H**2 + alpha) * (r2 + 1.0) ** 2
-    e2u = 4.0 * (r2 + 1.0) ** 2 * (H**2 + alpha) / D**2
-    conf = e2u * r2
-    A_w = -2.0 * hia * r2 / D  # A(z) * z with zbar z = |z|^2
-    p_w = (2.0 * (1.0 - alpha) / hia) * A_w**2
-    return conf, A_w, p_w
-
-
-# ---------------------------------------------------------------------------
-# integrability conditions
-# ---------------------------------------------------------------------------
-
-def integrability_residual(d: SphereFundamentalData, x_range=(-5.0, 5.0), n: int = 400):
-    """Sup-norm finite-difference residuals of the four integrability equations.
-
-    In the w-chart all data depend on x only, so d/dw = d/dwbar = (1/2) d/dx.
-    Central differences make each residual O(h^2); the fourth equation is
-    algebraic and sits at machine precision.
-    """
-    if n < 16:
-        raise ValueError("grid size n must be at least 16")
-    lo, hi = float(x_range[0]), float(x_range[1])
-    if not hi > lo:
-        raise ValueError("degenerate x_range")
-    x = np.linspace(lo, hi, n)
-    h = x[1] - x[0]
-    a, H = d.alpha, d.H
-    hia = H + 1j * math.sqrt(a)
-
-    C, conf, A, p = d.C(x), d.conf(x), d.A(x), d.p(x)
-
-    def ddx(f):
-        return (f[2:] - f[:-2]) / (2.0 * h)
-
-    mid = slice(1, -1)
-    r1 = 0.5 * ddx(p) - 2.0 * (1.0 - a) * (conf * C * A)[mid]
-    r2 = 0.5 * ddx(A) - 0.5 * (conf * C)[mid] * hia
-    r3 = 0.5 * ddx(C) + (hia.conjugate() * A + 2.0 * p * A.conjugate() / conf)[mid]
-    r4 = np.abs(A) ** 2 - 0.25 * conf * (1.0 - C**2)
-
-    return {
-        "p_wbar": float(np.max(np.abs(r1))),
-        "A_wbar": float(np.max(np.abs(r2))),
-        "C_w": float(np.max(np.abs(r3))),
-        "A_norm": float(np.max(np.abs(r4))),
-        "h": float(h),
-    }
-
-
-# ---------------------------------------------------------------------------
-# curvature and area
-# ---------------------------------------------------------------------------
-
-def gauss_curvature(d: SphereFundamentalData, x):
-    """Gauss curvature K(x) for a float or an array of x, computed two independent ways.
-
-    (a) conformal route: K = -(1/2) conf^-1 (log conf)'', with the
-        logarithmic derivative of the closed form taken exactly, which
-        leaves K = (P - (1 - a) sech^2 x) q / P + 4 (1 - a) tanh^2 x, P = H^2 + a;
-    (b) ambient route: the Gauss equation
-        K = 2 H^2 - |sigma|^2 / 2 + a + 4 (1 - a) C^2.
-    They must agree to GAUSS_RTOL of the sum of (b)'s terms, else ConsistencyError.
-    """
-    a, H = d.alpha, d.H
-    P = H**2 + a
-    s2, q = d._sech2_q(x)
-    sigma2, C2 = d.sigma_norm2(x), np.tanh(np.asarray(x, dtype=float)) ** 2
-    k_conformal = (P - (1.0 - a) * s2) * q / P + 4.0 * (1.0 - a) * C2
-    k_gauss = 2.0 * H**2 - 0.5 * sigma2 + a + 4.0 * (1.0 - a) * C2
-
-    scale = 2.0 * H**2 + 0.5 * sigma2 + a + 4.0 * abs(1.0 - a) * C2
-    if np.any(np.abs(k_conformal - k_gauss) > GAUSS_RTOL * scale):
-        raise ConsistencyError(f"Gauss curvature routes disagree at x={x}: conformal "
-                               f"{k_conformal} vs Gauss equation {k_gauss}")
-    return k_conformal if np.ndim(x) else float(k_conformal)
 
 
 def area_sphere(p, H: float) -> float:
@@ -249,11 +147,6 @@ def area_sphere_closed(p, H):
     h2 = H * H
     c = 1.0 + h2
     return 2.0 * math.pi * (1.0 + (h2 + a) * artanh_ratio((1.0 - a) / c, (h2 + a) / c) / c) / c
-
-
-def gauss_bonnet_integral(d: SphereFundamentalData) -> float:
-    """2 pi Int K conf dx; equals 4 pi for every (a, H) (sphere topology)."""
-    return 2.0 * math.pi * quad(lambda x: gauss_curvature(d, x) * d.conf(x))
 
 
 # ---------------------------------------------------------------------------
@@ -385,32 +278,6 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     # a traceback keeps this frame's locals alive, so they hold no meridian arrays
     del prof
     raise ReconstructionError(msg)
-
-
-def planarity_report(points: np.ndarray) -> dict:
-    """How close a curve in R^4 is to a circle in an affine 2-plane.
-
-    plane_residual is the out-of-plane deviation (3rd singular value over
-    the 1st after centering); circle_residual is the relative radius error
-    of a least-squares circle fitted in the plane.  Both vanish for the
-    umbilical meridians.
-    """
-    ctr = points.mean(axis=0)
-    Q = points - ctr
-    U, svals, Vt = np.linalg.svd(Q, full_matrices=False)
-    uv = Q @ Vt[:2].T
-    # algebraic circle fit: u^2 + v^2 = 2 a u + 2 b v + c
-    M = np.column_stack([2.0 * uv[:, 0], 2.0 * uv[:, 1], np.ones(len(uv))])
-    rhs = (uv**2).sum(axis=1)
-    # normal equations: the centred columns u, v are orthogonal to 1 and to
-    # each other, so M^T M is (nearly) diagonal and well conditioned
-    ca, cb, cc = np.linalg.solve(M.T @ M, M.T @ rhs)
-    radius = math.sqrt(max(cc + ca**2 + cb**2, 0.0))
-    dist = np.linalg.norm(uv - np.array([ca, cb]), axis=1)
-    return {
-        "plane_residual": float(svals[2] / svals[0]),
-        "circle_residual": float(np.max(np.abs(dist - radius)) / radius),
-    }
 
 
 # ---------------------------------------------------------------------------

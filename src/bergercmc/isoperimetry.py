@@ -19,8 +19,8 @@ A/2 - 2 c K and dA/dH = -4 H K, so the right side has the derivative
 A/2 - 2 c K - A/2 + 2 H^2 K = -2 K = dV/dH.  The Hopf tori satisfy the same
 identity with Theta = pi/2: V_T + H A_T/2 = pi^2 sqrt(a).
 
-sphere_volume_rate keeps the quadrature of the u-derivative of the area
-integrand as an independent check of the rate identity (refused at H = 0, a <= 2e-3).
+tests/float_oracles.py keeps the quadrature of the u-derivative of the area
+integrand as an independent check of the rate identity.
 
 The isoperimetric candidate at a prescribed volume is the least-area
 stable member of the two families; for 1/3 <= a < 1 that settles the
@@ -61,7 +61,8 @@ VOLUME_SERIES = (
 )
 
 
-# this module's oracle integrals, a module attribute that callers can wrap or replace
+# the volume-rate oracle integrates through this module attribute, which callers can wrap
+# or replace; bench/tracer.py SPEC wraps it
 def quad(f):
     return even_integral(f, AREA_CUTOFF)
 
@@ -151,6 +152,24 @@ class IsoperimetricProfile:
     def rows(self) -> list:
         return [(self.family, h, a, v) for h, a, v in zip(self.H, self.area, self.volume)]
 
+    @cached_property
+    def reach(self) -> tuple[float, float]:
+        """The volumes (lo, total - lo) isoperimetric_candidate serves with this
+        sphere profile.
+
+        The profile spheres enclose their volumes directly or as the complement
+        (at small alpha some exceed the total), the stable tori (H <= H*(a),
+        only for a <= 1/3) theirs, and the torus at min(V, total - V) needs a
+        mean curvature of at most H_MAX.
+        """
+        a = self.alpha
+        total = total_volume(a)
+        lo = min(self.volume.min(), total - self.volume.max())
+        if a <= 1.0 / 3.0:
+            lo = min(lo, torus_area_volume(a, torus_stability_threshold(a))[1])
+        lo = max(lo, torus_area_volume(a, H_MAX)[1])
+        return float(lo), float(total - lo)
+
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
     if not 0.0 < H_max < math.inf or not PROFILE_MIN_N <= n <= PROFILE_MAX_N:
@@ -158,19 +177,6 @@ def _graded_grid(H_max: float, n: int) -> np.ndarray:
                          f"points, got H_max={H_max}, n={n}")
     s = np.linspace(0.0, 1.0, n)
     return as_H(H_max) * s**2
-
-
-def sphere_volume_rate(alpha: float, H: float) -> float:
-    """dV/dH along the sphere family by the trapezoidal rule of quad (the check
-    route of -2 koiso_integral_closed; negative where volume shrinks)."""
-    u = H * H
-
-    def integrand(x):  # d conf/du, with q = u + a tanh^2 + sech^2 a sum of nonnegative terms
-        t, s2 = np.tanh(x), 1.0 / np.cosh(x) ** 2
-        q = u + alpha * t * t + s2
-        return s2 * ((1.0 - alpha) * s2 - (u + alpha)) / q**3
-
-    return 2.0 * math.pi * quad(integrand)
 
 
 def sphere_volume(p, H) -> np.ndarray:
@@ -262,22 +268,6 @@ class CandidateReport:
     notes: str
 
 
-def candidate_reach(a: float, prof: IsoperimetricProfile) -> tuple[float, float]:
-    """The volumes (lo, total - lo) isoperimetric_candidate serves.
-
-    The profile spheres enclose their volumes directly or as the complement
-    (at small alpha some exceed the total), the stable tori (H <= H*(a),
-    only for a <= 1/3) theirs, and the torus at min(V, total - V) needs a
-    mean curvature of at most H_MAX.
-    """
-    total = total_volume(a)
-    lo = min(prof.volume.min(), total - prof.volume.max())
-    if a <= 1.0 / 3.0:
-        lo = min(lo, torus_area_volume(a, torus_stability_threshold(a))[1])
-    lo = max(lo, torus_area_volume(a, H_MAX)[1])
-    return float(lo), float(total - lo)
-
-
 def isoperimetric_candidate(p, V: float,
                             profile: IsoperimetricProfile | None = None) -> CandidateReport:
     """Least-area stable CMC candidate enclosing volume V.
@@ -299,7 +289,7 @@ def isoperimetric_candidate(p, V: float,
     if prof.family != SPHERE or prof.alpha != a:
         raise ValueError(f"the candidate at alpha={a} needs a Sphere profile at that alpha, "
                          f"got a {prof.family} profile at alpha={prof.alpha}")
-    lo, hi = candidate_reach(a, prof)
+    lo, hi = prof.reach
     reach = (f"spheres with H <= {prof.H[-1]:g} and stable tori enclose volumes in "
              f"[{lo:.6g}, {hi:.6g}]")
     if not lo <= V <= hi:
@@ -345,12 +335,3 @@ def isoperimetric_candidate(p, V: float,
     return CandidateReport(family=best["family"], H=best["H"], area=best["area"],
                            volume=V, alpha=a, complemented=best["side"] == "complement",
                            candidates=candidates, notes="; ".join(notes))
-
-
-def round_cap_area_volume(r: float) -> tuple[float, float, float]:
-    """Round-sphere oracle: geodesic sphere of radius r in the unit S^3.
-
-    Returns (H, area, volume) = (cot r, 4 pi sin^2 r, pi (2r - sin 2r)).
-    """
-    return (1.0 / math.tan(r), 4.0 * math.pi * math.sin(r) ** 2,
-            math.pi * (2.0 * r - math.sin(2.0 * r)))

@@ -85,28 +85,6 @@ def critical_constants() -> tuple[float, float, float]:
     return t0_constant(), alpha_1, alpha_root(1.0, -1)
 
 
-def F_nonnegative(p) -> tuple[bool, float]:
-    """Is F(t; alpha) = P_t(alpha), eps = sign(1 - alpha), >= 0 on all of t in [0, 1]?
-
-    F is a quartic in t, so its minimum on [0, 1] lies at t = 0, at t = 1
-    or at a real critical point of dF/dt (a cubic) inside.  True exactly
-    when alpha in [alpha_1, 1) or (1, 4/3].
-    """
-    alpha = as_alpha(p)
-    if alpha == 1.0:
-        raise ValueError("F is defined for alpha != 1 (epsilon is the sign of 1 - alpha)")
-    e = 1 if alpha < 1.0 else -1
-    # dF/dt = A' alpha^2 + B' alpha + C' collects to the cubic
-    # -4 (alpha-1)^2 t^3 + (4 - 4 alpha^2) t + 8 eps alpha (alpha - 1)
-    c3 = -4.0 * (alpha - 1.0) ** 2
-    c1 = 4.0 - 4.0 * alpha**2
-    c0 = 8.0 * e * alpha * (alpha - 1.0)
-    roots = np.roots([c3, 0.0, c1, c0])
-    crit = [float(r.real) for r in roots if abs(r.imag) < 1e-12 and 0.0 <= r.real <= 1.0]
-    fmin = float(poly_eval(np.asarray([0.0, 1.0] + crit), e, alpha).min())
-    return fmin >= 0.0, fmin
-
-
 def theorem_area_note() -> str:
     """Known wrinkle: the area-bound display quotes the sphere threshold
     while the statement uses the torus-side constant alpha_1; the artifact

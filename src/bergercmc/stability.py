@@ -42,13 +42,12 @@ import numpy as np
 
 from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq,
                       even_integral)
-from .cmc_spheres import AREA_CUTOFF, SphereFundamentalData, artanh_ratio, fundamental_data
+from .cmc_spheres import AREA_CUTOFF, artanh_ratio, fundamental_data
 from .svgplot import write_csv
 
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
 GAP_COUNTS = (3, 2, 1)  # eigenvalues of modes 0, 1, 2 that decide the gap
-RAYLEIGH_SCALE = 8.0 / (3.0 * math.sqrt(3.0))  # Int |sech^4 - 2 sech^2 tanh^2| dx
 TINY = float(np.finfo(float).tiny)  # smallest normal float
 ZERO_RTOL = 1e-3  # the computed zero eigenvalues, relative to the spectral gap
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
@@ -102,23 +101,6 @@ class SpectrumResult:
 
     def to_csv(self, path) -> None:
         write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
-
-
-# ---------------------------------------------------------------------------
-# the universal flat-chart potential
-# ---------------------------------------------------------------------------
-
-def jacobi_potential_flat(x) -> np.ndarray:
-    """q * conf = 2 / cosh^2 x, independent of (a, H)."""
-    return 2.0 / np.cosh(np.asarray(x, dtype=float)) ** 2
-
-
-def potential_from_data(d: SphereFundamentalData, x) -> np.ndarray:
-    """(|sigma|^2 + Ric(N)) * conf recomputed from the fundamental data."""
-    x = np.asarray(x, dtype=float)
-    C2 = np.tanh(x) ** 2
-    q = d.sigma_norm2(x) + 2.0 * d.alpha + 4.0 * (1.0 - d.alpha) * (1.0 - C2)
-    return q * d.conf(x)
 
 
 # ---------------------------------------------------------------------------
@@ -275,22 +257,3 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
     vals = [_mode_eigenvalues(a, H, k, n, count) for k, count in enumerate(GAP_COUNTS)]
     return SpectrumResult(alpha=a, H=H, k_max=k_max, n=n, gap=_certified_gap(vals))
-
-
-def jacobi_rayleigh_C(p, H: float) -> float:
-    """Relative residual of the vertical-angle function C = tanh x in the Jacobi form.
-
-    C is always a Jacobi function, and in the flat chart its quadratic form
-    Q(C) = Int sech^4 - 2 sech^2 tanh^2 dx is the same for every (a, H), so it
-    vanishes up to quadrature error; returned as |Q(C)| over its integrand's
-    scale Int |sech^4 - 2 sech^2 tanh^2| dx = 8/(3 sqrt 3), with the
-    trapezoidal rule of quad, independent of any grid.
-    """
-    as_alpha(p)
-    as_H(H)
-
-    def num(x):
-        sech2 = 1.0 / np.cosh(x) ** 2
-        return sech2**2 - 2.0 * sech2 * np.tanh(x) ** 2
-
-    return abs(quad(num)) / RAYLEIGH_SCALE

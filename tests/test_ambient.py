@@ -99,6 +99,19 @@ def test_volume_form_scaling(alpha, seed):
     assert np.linalg.det(G) == pytest.approx(alpha, rel=1e-10)
 
 
+def test_volume_form_at_ten_random_points():
+    # g(V, V) = alpha and det g_a = alpha on a stack of ten points, one alpha each
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((10, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a = rng.uniform(0.1, 2.5, 10)
+    vecs = frame_at(q)
+    G = np.stack([np.stack([metric_eval(a, q, u, v) for v in vecs], axis=-1)
+                  for u in vecs], axis=-2)
+    assert np.max(np.abs(G[:, 0, 0] - a)) < 1e-10
+    assert np.max(np.abs(np.linalg.det(G) - a)) < 1e-10
+
+
 def test_frame_is_round_orthonormal():
     rng = np.random.default_rng(0)
     q = rng.standard_normal((5, 4))

@@ -138,3 +138,56 @@ def test_the_oracles_load_no_package_module_and_no_scipy():
             "oracles.band_edges(mpmath, 0.01), oracles.torus_form(mpmath, 0.5, 1.0, 1, 0)")
     assert modules_after(code, "bergercmc") == []
     assert modules_after(code) == []
+
+
+GUARDED = ("ambient", "cmc_spheres", "stability", "isoperimetry", "regions", "tori")
+
+
+def _referenced_names(tree, skip=None):
+    """Names and attribute names the code of tree refers to, imported names
+    included; docstrings and other strings are not references.  skip is a
+    top-level definition whose own body does not count."""
+    names = set()
+    for node in tree.body:
+        if node is skip:
+            continue
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.alias):
+                names.add(n.name.rpartition(".")[2])
+    return names
+
+
+def _tracer_spec(root):
+    """The (module, attribute) pairs of bench/tracer.py's SPEC."""
+    tree = ast.parse((root / "bench" / "tracer.py").read_text())
+    spec, = (node.value for node in tree.body if isinstance(node, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "SPEC" for t in node.targets))
+    return {(row.elts[0].value, row.elts[1].value) for row in spec.elts}
+
+
+def test_every_public_routine_has_a_caller_outside_the_tests():
+    # a public function or class of the library modules is called by the program
+    # (a package module, its own included, cli.py or selfcheck.py), a script, or
+    # the benchmark (bench/workloads.py, or bench/tracer.py's SPEC); oracles that
+    # only the tests call belong in tests/float_oracles.py
+    root = SRC.parent
+    pkg = SRC / "bergercmc"
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(pkg.glob("*.py"))}
+    outside = set().union(*(_referenced_names(ast.parse(p.read_text())) for p in
+                            [*sorted((root / "scripts").glob("*.py")),
+                             root / "bench" / "workloads.py"]))
+    spec = _tracer_spec(root)
+    unused = []
+    for mod in GUARDED:
+        for node in trees[mod].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            callers = set().union(*(_referenced_names(t, node if m == mod else None)
+                                    for m, t in trees.items()))
+            if node.name not in callers | outside and (mod, node.name) not in spec:
+                unused.append(f"{mod}.{node.name}")
+    assert unused == []

@@ -1,8 +1,9 @@
 """The one quadrature rule of the oracle integrals, ambient.even_integral.
 
-scipy.integrate.quad is its oracle on the selftest grids, and the 50-digit
-closed forms of tests/oracles.py check every oracle integral at the corners
-of the accepted (a, H) box.
+scipy.integrate.quad is its oracle on the grids of the float oracles
+(tests/float_oracles.py) and of selftest, and the 50-digit closed forms of
+tests/oracles.py check every oracle integral at the corners of the accepted
+(a, H) box.
 """
 
 import math
@@ -13,14 +14,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import float_oracles as fo
 import oracles
 from bergercmc import ambient, cmc_spheres, isoperimetry, selfcheck, stability
 from bergercmc.ambient import QUAD_MAX_NODES, QuadratureError, even_integral
 from bergercmc.cmc_spheres import AREA_CUTOFF, fundamental_data
-
-# Int |sech^4 - 2 sech^2 tanh^2| dx = Int_{-1}^{1} |1 - 3t^2| dt, the scale of the
-# numerator of jacobi_rayleigh_C
-RAYLEIGH_NUM_SCALE = 8.0 / (3.0 * math.sqrt(3.0))
 
 
 def test_gaussian_and_sech2_to_rounding():
@@ -85,17 +83,17 @@ def test_rule_against_scipy_quad_on_the_selftest_grids(monkeypatch):
         monkeypatch.setattr(mod, "quad", both)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for a, H in selfcheck._random_spheres():
+        for a, H in fo.random_spheres():
             cmc_spheres.area_sphere(a, H)
-            cmc_spheres.gauss_bonnet_integral(fundamental_data(a, H))
+            fo.gauss_bonnet_integral(fo.oracle_data(a, H))
         for a in np.linspace(0.05, 2.5, 20):
             for H in np.linspace(0.0, 3.0, 20):
                 stability.koiso_integral_quadrature(a, H)
         for a in (0.004, stability.alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0):
             for H in (0.0, 1e-3, 1.0, 20.0):
-                isoperimetry.sphere_volume_rate(a, H)
+                fo.sphere_volume_rate(a, H)
         for a, H in selfcheck.SPHERE_GRID:
-            stability.jacobi_rayleigh_C(a, H)
+            fo.jacobi_rayleigh_C(a, H)
     assert len(found) == 20 + 400 + 32 + 20
     for value, ref in found:
         assert abs(value - ref) <= 1e-12 * max(abs(ref), 1.0), (value, ref)
@@ -127,10 +125,9 @@ def test_every_oracle_is_right_or_refuses_at_the_box_corners(a, H):
         koiso = float(oracles.koiso(mpmath, a, H))
     checks = {
         "area": (lambda: cmc_spheres.area_sphere(a, H), area),
-        "gauss-bonnet": (lambda: cmc_spheres.gauss_bonnet_integral(fundamental_data(a, H)),
-                         4.0 * math.pi),
+        "gauss-bonnet": (lambda: fo.gauss_bonnet_integral(fo.oracle_data(a, H)), 4.0 * math.pi),
         "koiso": (lambda: stability.koiso_integral_quadrature(a, H), koiso),
-        "volume rate": (lambda: isoperimetry.sphere_volume_rate(a, H), -2.0 * koiso),
+        "volume rate": (lambda: fo.sphere_volume_rate(a, H), -2.0 * koiso),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -155,9 +152,9 @@ def test_rayleigh_numerator_is_zero_to_its_scale_at_the_box_corners(a, H, monkey
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            quotient = stability.jacobi_rayleigh_C(a, H)
+            quotient = fo.jacobi_rayleigh_C(a, H)
         except QuadratureError:
             return
     numerator, = parts
-    assert abs(numerator) <= 1e-12 * RAYLEIGH_NUM_SCALE
-    assert quotient == abs(numerator) / RAYLEIGH_NUM_SCALE <= 1e-12
+    assert abs(numerator) <= 1e-12 * fo.RAYLEIGH_SCALE
+    assert quotient == abs(numerator) / fo.RAYLEIGH_SCALE <= 1e-12

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bergercmc.regions import (F_nonnegative, alpha_root, critical_constants, poly_eval,
+from bergercmc.regions import (alpha_root, critical_constants, poly_eval,
                                region_coefficients, stability_integrand, t0_constant)
 import oracles
+from float_oracles import F_nonnegative
 
 TS = st.floats(min_value=0.0, max_value=1.0)
 EPS = st.sampled_from([+1, -1])

@@ -7,13 +7,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bergercmc.cmc_spheres import fundamental_data
-from bergercmc.stability import (SpectrumError, alpha0, classify_sphere,
-                                 jacobi_potential_flat, jacobi_rayleigh_C,
-                                 jacobi_spectrum, koiso_integral,
-                                 koiso_integral_closed, koiso_integral_quadrature,
-                                 koiso_solution, potential_from_data,
+from bergercmc.selfcheck import SPHERE_GRID
+from bergercmc.stability import (SpectrumError, alpha0, classify_sphere, jacobi_spectrum,
+                                 koiso_integral, koiso_integral_closed,
+                                 koiso_integral_quadrature, koiso_solution,
                                  sphere_stability_boundary)
 import oracles
+from float_oracles import (jacobi_potential_flat, jacobi_rayleigh_C, oracle_data,
+                           potential_from_data)
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=3.0)
@@ -34,17 +35,17 @@ def test_flat_potential_values():
 
 @given(ALPHAS, HS)
 def test_potential_universality(alpha, H):
-    d = fundamental_data(alpha, H)
+    d = oracle_data(alpha, H)
     x = np.linspace(-9, 9, 37)
     assert np.max(np.abs(potential_from_data(d, x) - jacobi_potential_flat(x))) < 1e-12
 
 
 def test_potential_universality_specific_triples():
-    rng = np.random.default_rng(8)
-    x = rng.uniform(-10, 10, 100)
-    for a, H in ((0.1, 0.0), (1.0, 2.0), (3.0, 0.5)):
-        d = fundamental_data(a, H)
-        assert np.max(np.abs(potential_from_data(d, x) - jacobi_potential_flat(x))) < 1e-12
+    x = np.concatenate([np.random.default_rng(8).uniform(-10, 10, 100),
+                        np.random.default_rng(55).uniform(-8, 8, 64)])
+    for a, H in [(0.1, 0.0), (1.0, 2.0), (3.0, 0.5)] + SPHERE_GRID:
+        d = oracle_data(a, H)
+        assert np.max(np.abs(potential_from_data(d, x) - jacobi_potential_flat(x))) < 1e-12, (a, H)
 
 
 def test_LC_zero_finite_difference():
@@ -305,8 +306,8 @@ def test_spectra_same_signature_not_same_eigenvalues():
 
 
 def test_tanh_rayleigh_quotient():
-    for a, H in ((0.3, 0.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1e6)):
-        assert jacobi_rayleigh_C(a, H) < 1e-12
+    for a, H in [(0.3, 0.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1e6)] + SPHERE_GRID:
+        assert jacobi_rayleigh_C(a, H) < 1e-12, (a, H)
 
 
 def test_spectrum_grid_refinement():
