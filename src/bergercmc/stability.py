@@ -189,8 +189,8 @@ def _grid(n: int):
     return h, -1.0 + (np.arange(n) + 0.5) * h, -1.0 + np.arange(n + 1) * h
 
 
-def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
-    """Smallest eigenvalues of the Fourier-mode-k problem on t in [-1, 1].
+def _mode_matrix(alpha: float, H: float, k: int, n: int):
+    """Diagonal d and off-diagonal e of the Fourier-mode-k problem on t in [-1, 1].
 
     Eigenfunctions behave like (1 - t^2)^{k/2} at the poles, so we solve for
     the regular part g with f = (1 - t^2)^{k/2} g; the quadratic form becomes
@@ -200,7 +200,8 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
 
     with weight w sigma^k.  Everything in sight is smooth, the finite-volume
     scheme converges at second order for every mode, and the k = 1 zero mode
-    is the exact constant g = 1.
+    is the exact constant g = 1.  The grid, w and sigma are even in t, so the
+    matrix is persymmetric: d[i] = d[n-1-i] and e[i] = e[n-2-i] up to rounding.
     """
     h, t_node, t_edge = _grid(n)
     sig_node = 1.0 - t_node**2
@@ -210,8 +211,49 @@ def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.
     diag = flux[:-1] + flux[1:] + h * (k**2 + k - 2.0) * sig_node**k
     m = h * w * sig_node**k
     sm = np.sqrt(m)
-    return eigh_tridiagonal(diag / m, -flux[1:-1] / (sm[:-1] * sm[1:]), select="i",
-                            select_range=(0, min(count, n) - 1), eigvals_only=True)
+    return diag / m, -flux[1:-1] / (sm[:-1] * sm[1:])
+
+
+def _lowest(d, e, count: int) -> np.ndarray:
+    """The count smallest eigenvalues of the tridiagonal matrix (d, e), by bisection."""
+    return eigh_tridiagonal(d, e, select="i", select_range=(0, min(count, len(d)) - 1),
+                            eigvals_only=True)
+
+
+def _mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
+    """Smallest eigenvalues of the Fourier-mode-k problem on the full n-row matrix."""
+    return _lowest(*_mode_matrix(alpha, H, k, n), count)
+
+
+def _parity_blocks(d, e):
+    """The even and odd blocks of a persymmetric tridiagonal matrix (d, e), each on
+    the rows t > 0 (Cantoni and Butler, Linear Algebra Appl. 13 (1976) 275-288).
+    For n = 2m the centre coupling e[m-1] adds to (even) or subtracts from (odd)
+    d[m]; for n = 2c + 1 the even block keeps the centre row c, coupled by
+    sqrt(2) e[c], and the odd block, which vanishes there, starts at row c + 1."""
+    n = len(d)
+    c = n // 2
+    if n % 2 == 0:
+        even, odd = d[c:].copy(), d[c:].copy()
+        even[0] += e[c - 1]
+        odd[0] -= e[c - 1]
+        return (even, e[c:]), (odd, e[c:])
+    e_even = e[c:].copy()
+    e_even[0] *= math.sqrt(2.0)
+    return (d[c:], e_even), (d[c + 1:], e[c + 1:])
+
+
+def _gap_mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
+    """The count smallest eigenvalues of mode k, solved on its half-size parity
+    blocks.  The matrix is a persymmetric Jacobi matrix, so its eigenvectors
+    alternate even, odd, even from the lowest, as the eigenfunctions do by the
+    oscillation theorem: the j-th eigenvalue is the ceil(j/2)-th of the even
+    block for odd j and the (j/2)-th of the odd block for even j."""
+    vals = np.empty(count)
+    for parity, block in enumerate(_parity_blocks(*_mode_matrix(alpha, H, k, n))):
+        if count > parity:
+            vals[parity::2] = _lowest(*block, (count + 1 - parity) // 2)
+    return vals
 
 
 def _certified_gap(vals) -> float:
@@ -238,12 +280,15 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         (k^2 - 4) Int f^2/(1 - t^2) dt > 0 on the same form domain, so by
         min-max (Courant-Hilbert I, ch. VI) mode k starts above mode 2.
     So the gap is the least of mode 0's third, mode 1's second and mode 2's
-    first eigenvalue: this call solves those six (GAP_COUNTS) and no mode >= 3,
-    and raises SpectrumError off the zero-mode contract (_certified_gap).  The
-    table of modes 0..k_max, PER_MODE eigenvalues each, is solved on first read
-    of the result's eigenvalues, modes or to_csv, under the same contract.
+    first eigenvalue: this call solves those six (GAP_COUNTS) on the modes'
+    half-size parity blocks, five bisections in all (_gap_mode_eigenvalues), and
+    no mode >= 3, and raises SpectrumError off the zero-mode contract
+    (_certified_gap).  The table of modes 0..k_max, PER_MODE eigenvalues each, is
+    solved on the full matrices on first read of the result's eigenvalues, modes
+    or to_csv, under the same contract.
     """
     a = as_alpha(p)
+    H = as_H(H)
     if k_max < 2:
         raise ValueError("need k_max >= 2 to see all candidate zero modes")
     if not SPECTRUM_MIN_N <= n <= SPECTRUM_MAX_N:
@@ -255,5 +300,5 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
-    vals = [_mode_eigenvalues(a, H, k, n, count) for k, count in enumerate(GAP_COUNTS)]
+    vals = [_gap_mode_eigenvalues(a, H, k, n, count) for k, count in enumerate(GAP_COUNTS)]
     return SpectrumResult(alpha=a, H=H, k_max=k_max, n=n, gap=_certified_gap(vals))

@@ -98,10 +98,10 @@ def test_scipy_wrappers_get_one_span_name_per_module(tracer):
 
         spec = stability.jacobi_spectrum(0.5, 1.0, k_max=3, n=400)
         calls, _, _ = tracer.aggregate(t.spans)
-        assert calls["stability.eigh"] == 3  # modes 0-2, for the gap
+        assert calls["stability.eigh"] == 5  # parity blocks of modes 0-2, for the gap
         spec.eigenvalues
         calls, _, _ = tracer.aggregate(t.spans)
-        assert calls["stability.eigh"] == 3 + 4  # and the table of modes 0-3
+        assert calls["stability.eigh"] == 5 + 4  # and the table of modes 0-3
 
         isoperimetry.sphere_profile(0.5, n=60)
         calls, _, _ = tracer.aggregate(t.spans)

@@ -269,10 +269,11 @@ def test_zero_modes_are_universal(monkeypatch):
     # the radical of the quadratic form does not depend on (alpha, H): per
     # mode, the zeros are mode 0's second and mode +-1's first eigenvalue (to
     # the grid's accuracy), and the next eigenvalue of each mode is the gap or
-    # above.  The gap (3 + 2 + 1 eigenvalues) and the table (6 per mode) are
-    # separate bisections, each converged to stebz's absolute tolerance, about
-    # eps times the matrix norm, so they agree within tol = eps * max|diag|;
-    # on 8000 cells the zeros too are bisection noise below tol
+    # above.  The gap (3 + 2 + 1 eigenvalues, on five half-size parity blocks)
+    # and the table (6 per mode, on the full matrices) are separate bisections,
+    # each converged to stebz's absolute tolerance, about eps times the matrix
+    # norm, so they agree within tol = eps * max|diag|; on 8000 cells the zeros
+    # too are bisection noise below tol
     from bergercmc import stability
 
     diag_max = []
@@ -292,7 +293,7 @@ def test_zero_modes_are_universal(monkeypatch):
         assert np.max(np.abs(zeros)) <= max(1e-8 * s.gap, tol)
         assert mode[0][0] < 0.0
         firsts = [mode[0][2], mode[1][2], mode[2][0], mode[3][0]]
-        assert len(diag_max) == 3 + 4
+        assert len(diag_max) == 5 + 4
         assert abs(min(firsts) - s.gap) <= tol, (a, H, n)
 
 
@@ -340,7 +341,7 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
     def no_solve(*_args, **_kwargs):
         raise AssertionError("a mode was solved before the k_max check")
 
-    monkeypatch.setattr(stability, "_mode_eigenvalues", no_solve)
+    monkeypatch.setattr(stability, "eigh_tridiagonal", no_solve)
     for k_max in (154, 100000):
         with pytest.raises(ValueError, match="up to k_max=153$"):
             jacobi_spectrum(0.5, 1.0, k_max=k_max, n=200)
@@ -364,26 +365,121 @@ def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
 
 
 def test_spectrum_gap_solves_six_eigenvalues_of_modes_0_to_2(monkeypatch):
-    # the gap needs mode 0's three lowest, mode 1's two and mode 2's first;
-    # modes >= 3 and the PER_MODE table wait for the first read of the table
+    # the gap needs mode 0's three lowest, mode 1's two and mode 2's first: five
+    # bisections on half-size parity blocks (mode 0's even block gives two, its
+    # odd block one; mode 1's blocks one each; mode 2's even block one).  Modes
+    # >= 3 and the PER_MODE table, on the full matrices, wait for the first read
+    # of the table
     from bergercmc import stability
 
-    solved = []
+    solves, table = [], []
 
-    def recording(alpha, H, k, n, count):
-        solved.append((k, count))
-        return solve(alpha, H, k, n, count)
+    def recording_solve(d, e, **kwargs):
+        solves.append((len(d), kwargs["select_range"]))
+        return solve(d, e, **kwargs)
 
-    solve = stability._mode_eigenvalues
-    monkeypatch.setattr(stability, "_mode_eigenvalues", recording)
-    for k_max in (2, 3, 60):
-        solved.clear()
-        s = jacobi_spectrum(0.5, 1.0, k_max=k_max, n=400)
-        assert solved == [(0, 3), (1, 2), (2, 1)]
-        s.modes
-        s.eigenvalues
-        s.to_csv(os.devnull)
-        assert solved[3:] == [(k, stability.PER_MODE) for k in range(k_max + 1)]
+    def recording_table(alpha, H, k, n, count):
+        table.append((k, count))
+        return mode_eigenvalues(alpha, H, k, n, count)
+
+    solve, mode_eigenvalues = stability.eigh_tridiagonal, stability._mode_eigenvalues
+    monkeypatch.setattr(stability, "eigh_tridiagonal", recording_solve)
+    monkeypatch.setattr(stability, "_mode_eigenvalues", recording_table)
+    for n, (even, odd) in ((400, (200, 200)), (401, (201, 200))):
+        for k_max in (2, 3, 60):
+            solves.clear()
+            table.clear()
+            s = jacobi_spectrum(0.5, 1.0, k_max=k_max, n=n)
+            assert solves == [(even, (0, 1)), (odd, (0, 0)), (even, (0, 0)), (odd, (0, 0)),
+                              (even, (0, 0))]
+            assert table == []
+            s.modes
+            s.eigenvalues
+            s.to_csv(os.devnull)
+            assert table == [(k, stability.PER_MODE) for k in range(k_max + 1)]
+            assert solves[5:] == [(n, (0, stability.PER_MODE - 1))] * (k_max + 1)
+
+
+# (0.5, 1), a small, a large and a large-H point, and classify_sweep pool points
+# within 1e-6 relative of H(a) and of H*(a)
+PARITY_POINTS = [(0.5, 1.0), (0.01, 0.0), (100.0, 0.0), (0.05, 3.0),
+                 (0.0140804, 0.3485526882197894), (0.0273838, 2.8524922961107686)]
+PARITY_NS = (200, 201, 2501, 4000, 4001)
+
+
+def _gershgorin(d, e):
+    ae = np.abs(e)
+    return float(np.max(np.abs(d) + np.r_[0.0, ae] + np.r_[ae, 0.0]))
+
+
+@pytest.mark.parametrize("a, H", PARITY_POINTS)
+def test_mode_matrix_is_reflection_symmetric(a, H):
+    # the grid mirrors to one ulp; the matrix T mirrors (T = JTJ, J the reversal)
+    # to rounding: ||T - JTJ|| reaches 32 ulps of ||T|| for mode 2 at n = 200,
+    # from sigma^k's relative rounding, eps/sigma, in the pole rows
+    from bergercmc import stability
+
+    eps = np.finfo(float).eps
+    for n in PARITY_NS + (8000,):
+        _, t_node, t_edge = stability._grid(n)
+        assert np.max(np.abs(t_node + t_node[::-1])) <= eps
+        assert np.max(np.abs(t_edge + t_edge[::-1])) <= eps
+        for k in range(3):
+            d, e = stability._mode_matrix(a, H, k, n)
+            assert _gershgorin(d - d[::-1], e - e[::-1]) <= 64 * eps * _gershgorin(d, e), (n, k)
+
+
+@pytest.mark.parametrize("a, H", PARITY_POINTS)
+def test_parity_blocks_give_the_full_matrix_eigenvalues(a, H):
+    # per mode, the merged even and odd block spectra are the full matrix's lowest
+    # eigenvalues, alternating even, odd, even, ... (PER_MODE of them, so past the
+    # gap's six), within stebz's tolerance, ulp times the Gershgorin norm
+    from bergercmc import stability
+
+    eps = np.finfo(float).eps
+    for n in PARITY_NS:
+        for k in range(3):
+            d, e = stability._mode_matrix(a, H, k, n)
+            full = stability._mode_eigenvalues(a, H, k, n, stability.PER_MODE)
+            blocks = stability._gap_mode_eigenvalues(a, H, k, n, stability.PER_MODE)
+            tol = eps * _gershgorin(d, e)
+            assert np.max(np.abs(blocks - full)) <= tol, (n, k)
+            count = stability.GAP_COUNTS[k]
+            gap_vals = stability._gap_mode_eigenvalues(a, H, k, n, count)
+            assert np.max(np.abs(gap_vals - full[:count])) <= tol, (n, k)
+
+
+@pytest.mark.parametrize("n", [200, 201])
+def test_mode_eigenvectors_alternate_even_and_odd(n):
+    # the discrete counterpart of the oscillation theorem: the full matrix's
+    # eigenvectors, lowest first, are even, odd, even, ... under t -> -t
+    from bergercmc import stability
+
+    for a, H in PARITY_POINTS:
+        for k in range(3):
+            d, e = stability._mode_matrix(a, H, k, n)
+            _, vecs = stability.eigh_tridiagonal(d, e, select="i", select_range=(0, 5))
+            for j in range(6):
+                v = vecs[:, j]
+                sign = 1.0 if j % 2 == 0 else -1.0
+                assert np.max(np.abs(v[::-1] - sign * v)) <= 1e-8, (a, H, k, j)
+
+
+@pytest.mark.parametrize("H", [-1.0, 1e7, math.nan, math.inf])
+def test_spectrum_validates_H_before_solving(H, monkeypatch):
+    # H goes through as_H before any solve: a negative H, one above H_MAX, NaN
+    # and inf raise ContractViolation, not a gap or scipy's complaint about NaNs
+    from bergercmc import stability
+    from bergercmc.ambient import ContractViolation
+
+    def no_solve(*_args, **_kwargs):
+        raise AssertionError("a mode was solved before H was checked")
+
+    monkeypatch.setattr(stability, "eigh_tridiagonal", no_solve)
+    with pytest.raises(ContractViolation, match="mean curvature H"):
+        jacobi_spectrum(0.5, H, n=400)
+    with pytest.raises(ContractViolation, match="mean curvature H"):
+        jacobi_spectrum(0.5, H, k_max=1, n=400)  # before the k_max check
 
 
 def _table_csv_of_the_full_route(a, H, k_max, n):
