@@ -29,7 +29,9 @@ mode, by the oscillation theorem (Zettl, Sturm-Liouville Theory, ch. 10):
 mode 0 has the eigenfunction t at 0 with one interior zero, so 0 is its
 second eigenvalue and it is simple; modes +-1 have a form Int sigma^2 g'^2
 (f = sqrt(sigma) g, sigma = 1 - t^2) with kernel g = 1; modes |k| >= 2
-have a positive form.
+have a positive form.  jacobi_spectrum checks the discrete counterpart on its
+finite-volume grid by Sturm counts at -+1e-3 times the spectral gap: mode 0 has
+one eigenvalue below that window and one in it, modes +-1 one each in it.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ from .svgplot import write_csv
 
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
-GAP_COUNTS = (3, 2, 1)  # eigenvalues of modes 0, 1, 2 that decide the gap
-TINY = float(np.finfo(float).tiny)  # smallest normal float
-ZERO_RTOL = 1e-3  # the computed zero eigenvalues, relative to the spectral gap
+EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # ulp of 1, least normal
+ZERO_RTOL = 1e-3  # the window +-ZERO_RTOL * gap that must hold the zero eigenvalues
+COUNT_ULPS = 2.5  # a Sturm count's backward error in the off-diagonal, in ulps (_certify)
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
 
 
@@ -85,7 +87,9 @@ class SpectrumResult:
     def _table(self):
         vals = [_mode_eigenvalues(self.alpha, self.H, k, self.n, PER_MODE)
                 for k in range(self.k_max + 1)]
-        _certified_gap(vals)
+        gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
+        _certify(gap, [(f"mode {k}", _mode_matrix(self.alpha, self.H, k, self.n), expected)
+                       for k, expected in ((0, (1, 2)), (1, (0, 1)))])
         lams = np.concatenate([np.repeat(v, 1 if k == 0 else 2) for k, v in enumerate(vals)])
         ks = np.concatenate([np.full(len(v) * (1 if k == 0 else 2), k) for k, v in enumerate(vals)])
         order = np.argsort(lams)
@@ -243,29 +247,77 @@ def _parity_blocks(d, e):
     return (d[c:], e_even), (d[c + 1:], e[c + 1:])
 
 
-def _gap_mode_eigenvalues(alpha: float, H: float, k: int, n: int, count: int) -> np.ndarray:
-    """The count smallest eigenvalues of mode k, solved on its half-size parity
-    blocks.  The matrix is a persymmetric Jacobi matrix, so its eigenvectors
-    alternate even, odd, even from the lowest, as the eigenfunctions do by the
-    oscillation theorem: the j-th eigenvalue is the ceil(j/2)-th of the even
-    block for odd j and the (j/2)-th of the odd block for even j."""
-    vals = np.empty(count)
-    for parity, block in enumerate(_parity_blocks(*_mode_matrix(alpha, H, k, n))):
-        if count > parity:
-            vals[parity::2] = _lowest(*block, (count + 1 - parity) // 2)
-    return vals
+def _count_below(d, e, x: float, lo: float) -> int:
+    """The number of eigenvalues of (d, e) in (lo, x]: a value window whose tolerance
+    is its own width stops stebz's bisection at once, after the Sturm counts at its
+    ends."""
+    return len(eigh_tridiagonal(d, e, select="v", select_range=(lo, x), tol=x - lo,
+                                eigvals_only=True))
 
 
-def _certified_gap(vals) -> float:
-    """The gap from per-mode eigenvalues vals[k] of modes k = 0, 1, 2, ...: the least
-    of mode 0's third, mode 1's second and each later mode's first.  Raises
-    SpectrumError unless the two computed zeros, which measure the grid, are within
-    ZERO_RTOL times the gap, the gap positive and mode 0's first negative."""
-    gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
-    if not (vals[0][0] < 0.0 < gap and max(abs(vals[0][1]), abs(vals[1][0])) <= ZERO_RTOL * gap):
-        raise SpectrumError(f"zero-mode contract failed: zeros {vals[0][1]:.3e} (mode 0) and "
-                            f"{vals[1][0]:.3e} (mode 1), gap {gap:.3e}, lowest {vals[0][0]:.3e}")
+def _certify(gap: float, counted) -> float:
+    """The gap, once the zero-mode contract holds: counted lists (name, (d, e),
+    expected) with expected = (index, index + nullity) of that matrix, its counts of
+    eigenvalues below -delta and below +delta, delta = ZERO_RTOL * gap.
+
+    A Sturm count at x, computed in floating point, is the exact count of a matrix
+    whose off-diagonal entries differ from e by at most 2.5 ulps relative, and whose
+    diagonal moves by no more than pivmin and eps |x| (Kahan, Stanford CS41, 1966;
+    Demmel, Dhillon and Ren, ETNA 3 (1995) 116-149).  By Weyl's theorem that matrix
+    is within rho = COUNT_ULPS eps max_i (|e[i-1]| + |e[i]|) of (d, e), up to those
+    negligible diagonal terms.  So the counts at +-delta place the eigenvalues of
+    (d, e) only if delta > rho: then its index eigenvalues lie below
+    -delta + rho < 0, its nullity ones within delta + rho of 0, and the rest above
+    delta - rho > 0.  The off-diagonal row sums of these matrices are half their
+    Gershgorin norm ||T|| (0.55 of it at the centre row of an odd n's even block),
+    so the contract is refused once delta falls below about 1.25 eps ||T||.  Raises
+    SpectrumError unless the gap is positive, delta > rho for every matrix and
+    every count is as expected."""
+    if not gap > 0.0:
+        raise SpectrumError(f"zero-mode contract failed: the gap {gap:.3e} is not positive")
+    delta = ZERO_RTOL * gap
+    rows = []  # off-diagonal row sums of each matrix
+    for _, (d, e), _ in counted:
+        ae = np.abs(e)
+        rows.append(np.r_[ae, 0.0] + np.r_[0.0, ae])
+    rho = COUNT_ULPS * EPS * max(float(np.max(r)) for r in rows)
+    if delta <= rho:
+        raise SpectrumError(f"zero-mode contract failed: {ZERO_RTOL:g} x gap = {delta:.3e} "
+                            f"is within the Sturm counts' resolution {rho:.3e} (gap {gap:.3e})")
+    for (name, (d, e), expected), r in zip(counted, rows):
+        low = float(np.min(d - r))  # the lower end of the Gershgorin interval
+        lo = low - 1.0 - abs(low)  # strictly below it
+        got = (_count_below(d, e, -delta, lo), _count_below(d, e, delta, lo))
+        if got != expected:
+            raise SpectrumError(f"zero-mode contract failed: {name} has {got[0]} and {got[1]} "
+                                f"eigenvalues below -{delta:.3e} and {delta:.3e}, not "
+                                f"{expected[0]} and {expected[1]} (gap {gap:.3e})")
     return gap
+
+
+def _spectral_gap(alpha: float, H: float, n: int) -> float:
+    """The least of mode 0's third, mode 1's second and mode 2's first eigenvalue,
+    under the zero-mode contract (_certify), on the modes' half-size parity blocks.
+    The matrices are persymmetric Jacobi matrices, so their eigenvectors alternate
+    even, odd, even from the lowest, as the eigenfunctions do by the oscillation
+    theorem: these are the first eigenvalues of mode 0's even block above its
+    negative one, of mode 1's odd block and of mode 2's even block.  Only mode 2's
+    is bisected from the Gershgorin interval.  Mode 0's even block, then mode 1's
+    odd block, are solved only in the window (0, gap], gap the least eigenvalue
+    found so far; mode 0's first eigenvalue is negative and lies below it.  Mode
+    0's block goes first: its eigenvalue is most often the least, and mode 1's
+    window is then usually empty, which two Sturm counts show."""
+    (even0, odd0), (even1, odd1), (even2, _) = (_parity_blocks(*_mode_matrix(alpha, H, k, n))
+                                                for k in range(3))
+    gap = float(_lowest(*even2, 1)[0])
+    for block in (even0, odd1):
+        if gap > 0.0:
+            found = eigh_tridiagonal(*block, select="v", select_range=(0.0, gap),
+                                     eigvals_only=True)
+            gap = float(min([gap, *found]))
+    return _certify(gap, (("mode 0's even block", even0, (1, 1)),
+                          ("mode 0's odd block", odd0, (0, 1)),
+                          ("mode 1's even block", even1, (0, 1))))
 
 
 def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResult:
@@ -280,12 +332,15 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         (k^2 - 4) Int f^2/(1 - t^2) dt > 0 on the same form domain, so by
         min-max (Courant-Hilbert I, ch. VI) mode k starts above mode 2.
     So the gap is the least of mode 0's third, mode 1's second and mode 2's
-    first eigenvalue: this call solves those six (GAP_COUNTS) on the modes'
-    half-size parity blocks, five bisections in all (_gap_mode_eigenvalues), and
-    no mode >= 3, and raises SpectrumError off the zero-mode contract
-    (_certified_gap).  The table of modes 0..k_max, PER_MODE eigenvalues each, is
-    solved on the full matrices on first read of the result's eigenvalues, modes
-    or to_csv, under the same contract.
+    first eigenvalue, and this call solves no mode >= 3.  It bisects mode 2's
+    first eigenvalue from the Gershgorin interval and finds the other two in the
+    window below it, on the modes' half-size parity blocks (_spectral_gap).  The
+    index and nullity are then certified by Sturm counts at -+ZERO_RTOL * gap, not
+    by computed zeros (_certify); off that zero-mode contract, or when the counts
+    cannot resolve ZERO_RTOL * gap, it raises SpectrumError.  The table of modes
+    0..k_max, PER_MODE eigenvalues each, is solved on the full matrices on first
+    read of the result's eigenvalues, modes or to_csv, under the same contract on
+    the full matrices of modes 0 and 1.
     """
     a = as_alpha(p)
     H = as_H(H)
@@ -300,5 +355,4 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "
                          f"weight sigma^k stays a normal float only up to k_max={k_top}")
-    vals = [_gap_mode_eigenvalues(a, H, k, n, count) for k, count in enumerate(GAP_COUNTS)]
-    return SpectrumResult(alpha=a, H=H, k_max=k_max, n=n, gap=_certified_gap(vals))
+    return SpectrumResult(alpha=a, H=H, k_max=k_max, n=n, gap=_spectral_gap(a, H, n))

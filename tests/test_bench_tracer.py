@@ -98,10 +98,11 @@ def test_scipy_wrappers_get_one_span_name_per_module(tracer):
 
         spec = stability.jacobi_spectrum(0.5, 1.0, k_max=3, n=400)
         calls, _, _ = tracer.aggregate(t.spans)
-        assert calls["stability.eigh"] == 5  # parity blocks of modes 0-2, for the gap
+        # the gap: one bisection and two windows on parity blocks, six Sturm counts
+        assert calls["stability.eigh"] == 9
         spec.eigenvalues
         calls, _, _ = tracer.aggregate(t.spans)
-        assert calls["stability.eigh"] == 5 + 4  # and the table of modes 0-3
+        assert calls["stability.eigh"] == 9 + 8  # and the table of modes 0-3, four counts
 
         isoperimetry.sphere_profile(0.5, n=60)
         calls, _, _ = tracer.aggregate(t.spans)

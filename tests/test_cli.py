@@ -214,7 +214,7 @@ def test_torus_huge_cutoff_without_traceback(tmp_path):
 
 
 def test_sphere_uncertified_spectrum_exit_code(tmp_path, capsys):
-    # at a = 1e5 the computed zero modes exceed 1e-3 of the spectral gap
+    # at a = 1e5, 1e-3 of the spectral gap is below what a Sturm count resolves
     assert main(["--out", str(tmp_path), "sphere", "--alpha", "1e5", "--H", "0"]) == 3
     out = capsys.readouterr()
     assert "numerical contract failure: zero-mode contract failed" in out.err
@@ -392,8 +392,8 @@ def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeyp
 ])
 def test_numerical_failure_exits_3_before_any_output(args, tmp_path, capsys):
     # the spectrum breaks its zero-mode contract, after the meridian and its
-    # verdict are computed: at 3e5 the gap's eigenvalues break it, at 1e5 only
-    # the CSV's table does
+    # verdict are computed: at both points 1e-3 of the gap is below the
+    # resolution of the Sturm counts that certify index and nullity
     out = tmp_path / "out"
     assert main(["--out", str(out), *args]) == 3
     captured = capsys.readouterr()

@@ -269,11 +269,11 @@ def test_zero_modes_are_universal(monkeypatch):
     # the radical of the quadratic form does not depend on (alpha, H): per
     # mode, the zeros are mode 0's second and mode +-1's first eigenvalue (to
     # the grid's accuracy), and the next eigenvalue of each mode is the gap or
-    # above.  The gap (3 + 2 + 1 eigenvalues, on five half-size parity blocks)
-    # and the table (6 per mode, on the full matrices) are separate bisections,
-    # each converged to stebz's absolute tolerance, about eps times the matrix
-    # norm, so they agree within tol = eps * max|diag|; on 8000 cells the zeros
-    # too are bisection noise below tol
+    # above.  The gap (one bisection, two windows and six Sturm counts on the
+    # half-size parity blocks) and the table (6 per mode on the full matrices,
+    # and four counts) are separate solves, each converged to stebz's absolute
+    # tolerance, about eps times the matrix norm, so they agree within
+    # tol = eps * max|diag|; on 8000 cells the zeros too are bisection noise below tol
     from bergercmc import stability
 
     diag_max = []
@@ -293,7 +293,7 @@ def test_zero_modes_are_universal(monkeypatch):
         assert np.max(np.abs(zeros)) <= max(1e-8 * s.gap, tol)
         assert mode[0][0] < 0.0
         firsts = [mode[0][2], mode[1][2], mode[2][0], mode[3][0]]
-        assert len(diag_max) == 5 + 4
+        assert len(diag_max) == 9 + 8
         assert abs(min(firsts) - s.gap) <= tol, (a, H, n)
 
 
@@ -350,12 +350,12 @@ def test_spectrum_k_max_within_the_normal_floats(monkeypatch):
 @pytest.mark.parametrize("a, H, n, k_max", [(1e5, 0.0, 4000, 3), (1e5, 1.0, 4000, 3),
                                              (3e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)])
 def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
-    # at a >= 1e5 the computed zeros exceed 1e-3 of the gap.  At (1e5, 1) the
-    # gap's zeros pass and only the table's (a mode-0 zero of 2.0e-5 against a
-    # gap of 1.7e-2) fail; at k_max = 93 on 200 cells the table's high mode has
-    # its first eigenvalue at -2e14.  There every read of the table refuses
-    if (a, H, n, k_max) not in ((1e5, 1.0, 4000, 3), (0.5, 1.0, 200, 93)):
-        with pytest.raises(SpectrumError, match="zero-mode contract failed"):
+    # at a >= 1e5 on 4000 cells, 1e-3 of the gap is below the Sturm counts'
+    # resolution, so the gap's own contract refuses; at k_max = 93 on 200 cells
+    # only the table's does, as its high mode has its first eigenvalue at -2e14.
+    # There every read of the table refuses
+    if k_max != 93:
+        with pytest.raises(SpectrumError, match="zero-mode contract failed: .* resolution"):
             jacobi_spectrum(a, H, k_max=k_max, n=n)
         return
     s = jacobi_spectrum(a, H, k_max=k_max, n=n)
@@ -364,18 +364,26 @@ def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
             read()
 
 
-def test_spectrum_gap_solves_six_eigenvalues_of_modes_0_to_2(monkeypatch):
-    # the gap needs mode 0's three lowest, mode 1's two and mode 2's first: five
-    # bisections on half-size parity blocks (mode 0's even block gives two, its
-    # odd block one; mode 1's blocks one each; mode 2's even block one).  Modes
-    # >= 3 and the PER_MODE table, on the full matrices, wait for the first read
-    # of the table
+def test_spectrum_gap_bisects_once_then_solves_windows_and_counts(monkeypatch):
+    # the gap bisects mode 2's even block from its Gershgorin interval, then
+    # solves mode 0's even and mode 1's odd block in the window (0, gap], and
+    # certifies by two Sturm counts on each of mode 0's blocks and mode 1's even
+    # block.  Modes >= 3 and the PER_MODE table, on the full matrices, wait for
+    # the first read of the table, whose contract counts twice on modes 0 and 1
     from bergercmc import stability
 
     solves, table = [], []
 
     def recording_solve(d, e, **kwargs):
-        solves.append((len(d), kwargs["select_range"]))
+        lo, hi = kwargs["select_range"]
+        if kwargs["select"] == "i":
+            solves.append(("index", len(d), (lo, hi)))
+        elif "tol" in kwargs:
+            assert kwargs["tol"] == hi - lo and abs(hi) < 1e-2
+            solves.append(("count", len(d)))
+        else:
+            assert lo == 0.0 and 0.0 < hi < 10.0
+            solves.append(("window", len(d)))
         return solve(d, e, **kwargs)
 
     def recording_table(alpha, H, k, n, count):
@@ -390,14 +398,16 @@ def test_spectrum_gap_solves_six_eigenvalues_of_modes_0_to_2(monkeypatch):
             solves.clear()
             table.clear()
             s = jacobi_spectrum(0.5, 1.0, k_max=k_max, n=n)
-            assert solves == [(even, (0, 1)), (odd, (0, 0)), (even, (0, 0)), (odd, (0, 0)),
-                              (even, (0, 0))]
+            assert solves == [("index", even, (0, 0)), ("window", even), ("window", odd),
+                              ("count", even), ("count", even), ("count", odd),
+                              ("count", odd), ("count", even), ("count", even)]
             assert table == []
             s.modes
             s.eigenvalues
             s.to_csv(os.devnull)
             assert table == [(k, stability.PER_MODE) for k in range(k_max + 1)]
-            assert solves[5:] == [(n, (0, stability.PER_MODE - 1))] * (k_max + 1)
+            assert solves[9:] == ([("index", n, (0, stability.PER_MODE - 1))] * (k_max + 1)
+                                  + [("count", n)] * 4)
 
 
 # (0.5, 1), a small, a large and a large-H point, and classify_sweep pool points
@@ -433,20 +443,25 @@ def test_mode_matrix_is_reflection_symmetric(a, H):
 def test_parity_blocks_give_the_full_matrix_eigenvalues(a, H):
     # per mode, the merged even and odd block spectra are the full matrix's lowest
     # eigenvalues, alternating even, odd, even, ... (PER_MODE of them, so past the
-    # gap's six), within stebz's tolerance, ulp times the Gershgorin norm
+    # gap's), within stebz's tolerance, ulp times the Gershgorin norm; the gap from
+    # the blocks is the least of mode 0's third, mode 1's second and mode 2's first
     from bergercmc import stability
 
     eps = np.finfo(float).eps
+    half = stability.PER_MODE // 2
     for n in PARITY_NS:
+        full, tol = [], 0.0
         for k in range(3):
             d, e = stability._mode_matrix(a, H, k, n)
-            full = stability._mode_eigenvalues(a, H, k, n, stability.PER_MODE)
-            blocks = stability._gap_mode_eigenvalues(a, H, k, n, stability.PER_MODE)
-            tol = eps * _gershgorin(d, e)
-            assert np.max(np.abs(blocks - full)) <= tol, (n, k)
-            count = stability.GAP_COUNTS[k]
-            gap_vals = stability._gap_mode_eigenvalues(a, H, k, n, count)
-            assert np.max(np.abs(gap_vals - full[:count])) <= tol, (n, k)
+            full.append(stability._mode_eigenvalues(a, H, k, n, stability.PER_MODE))
+            tol = max(tol, eps * _gershgorin(d, e))
+            even, odd = stability._parity_blocks(d, e)
+            blocks = np.empty(stability.PER_MODE)
+            blocks[0::2] = stability._lowest(*even, half)
+            blocks[1::2] = stability._lowest(*odd, half)
+            assert np.max(np.abs(blocks - full[k])) <= eps * _gershgorin(d, e), (n, k)
+        gap = min(full[0][2], full[1][1], full[2][0])
+        assert abs(stability._spectral_gap(a, H, n) - gap) <= tol, n
 
 
 @pytest.mark.parametrize("n", [200, 201])
@@ -511,13 +526,64 @@ def test_spectrum_certified_at_extremes(a, H, n, k_max):
 
 
 def test_spectrum_contract_holds_on_a_fine_grid_and_for_many_modes():
-    # a = 1e4 on 8000 cells and 61 modes on 2000 cells pass the zero-mode
-    # contract; the gap lies in modes 0-2, so more modes leave it unchanged
-    s = jacobi_spectrum(1e4, 0.0, n=8000)
-    assert (s.index, s.nullity) == (1, 3) and 0.0 < s.gap < math.inf
+    # a = 1e4 on 8000 cells is refused: 1e-3 of its gap is 0.92 eps times the
+    # Gershgorin norm of its blocks, below what a Sturm count resolves.  61 modes
+    # on 2000 cells pass the zero-mode contract; the gap lies in modes 0-2, so
+    # more modes leave it unchanged
+    with pytest.raises(SpectrumError, match="within the Sturm counts' resolution"):
+        jacobi_spectrum(1e4, 0.0, n=8000)
     many = jacobi_spectrum(0.5, 1.0, k_max=60, n=2000)
     assert (many.index, many.nullity) == (1, 3)
     assert many.gap == jacobi_spectrum(0.5, 1.0, k_max=3, n=2000).gap
+
+
+# (a, H, n) where 1e-3 of the gap is at least 4 times the counts' resolution;
+# at (1e4, 0, 4000) it is 2.9 times
+INERTIA_POINTS = [(a, H, n) for a in (1e-4, 0.01, 0.5, 1.0, 30.0, 1e3, 1e4)
+                  for H in (0.0, 1.0, 30.0) for n in (200, 401, 4000)
+                  if (a, H, n) != (1e4, 0.0, 4000)]
+
+
+@pytest.mark.parametrize("a, H, n", INERTIA_POINTS)
+def test_sturm_counts_match_the_inertia_of_the_full_matrix_eigenvalues(a, H, n):
+    # the counts the contract makes, on the parity blocks (the gap's) and on the
+    # full matrices (the table's), against an independent oracle: the inertia of
+    # the full matrix's lowest PER_MODE computed eigenvalues, at +-1e-3 gap and
+    # at the midpoints between those eigenvalues.  The verdict is the oracle's:
+    # index 1 and nullity 3 within 1e-3 of the gap
+    from bergercmc import stability
+
+    eps = np.finfo(float).eps
+    full = [stability._mode_eigenvalues(a, H, k, n, stability.PER_MODE) for k in range(3)]
+    gap = min(full[0][2], full[1][1], full[2][0])
+    delta = stability.ZERO_RTOL * gap
+    for k in range(3):
+        d, e = stability._mode_matrix(a, H, k, n)
+        blocks = stability._parity_blocks(d, e)
+        rho = 0.0
+        for _, e_ in ((d, e), *blocks):
+            ae = np.abs(e_)
+            rho = max(rho, stability.COUNT_ULPS * eps * np.max(np.r_[ae, 0.0] + np.r_[0.0, ae]))
+        assert delta >= 4 * rho, (k, delta / rho)
+        lo = -2.0 * _gershgorin(d, e)  # below the spectra of the matrix and its blocks
+        # midpoints of the pairs 8 rho apart or more: at small a, mode 2's first
+        # two eigenvalues, of the two pole layers, are closer
+        pairs = np.c_[full[k][:-1], full[k][1:]]
+        mids = [(lo_ + hi_) / 2 for lo_, hi_ in pairs if hi_ - lo_ >= 8 * rho]
+        for x in (-delta, delta, *mids):
+            oracle = int(np.sum(full[k] < x))
+            assert stability._count_below(d, e, x, lo) == oracle, (k, x)
+            assert sum(stability._count_below(*b, x, lo) for b in blocks) == oracle, (k, x)
+    inertia = [(int(np.sum(v < -delta)), int(np.sum(v < delta))) for v in full]
+    try:
+        s = jacobi_spectrum(a, H, n=n)
+        s.eigenvalues  # the table's contract too
+        accepted = True
+    except SpectrumError:
+        accepted = False
+    assert accepted == (inertia == [(1, 2), (0, 1), (0, 0)])
+    assert abs(s.gap - gap) <= eps * max(_gershgorin(*stability._mode_matrix(a, H, k, n))
+                                         for k in range(3))
 
 
 @pytest.mark.parametrize("n", [200, 201, 333, 2000, 4000, 8000, 12345])
