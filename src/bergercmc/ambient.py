@@ -70,8 +70,13 @@ def as_alpha(p) -> float:
     return a
 
 
-def as_H(H) -> float:
-    """Accept a mean curvature 0 <= H <= H_MAX (so not NaN or inf)."""
+def as_H(H):
+    """Accept a mean curvature 0 <= H <= H_MAX (so not NaN or inf): a number, returned
+    as a float, or an array, returned as it is once its min and max pass."""
+    if isinstance(H, np.ndarray):
+        as_H(H.min())  # a NaN entry propagates to the min and the max,
+        as_H(H.max())  # so these two calls check every entry
+        return H
     h = float(H)
     if not 0.0 <= h <= H_MAX:
         raise ContractViolation(f"mean curvature H must lie in [0, {H_MAX:g}], got {h}")

@@ -19,9 +19,8 @@ import numpy as np
 from .ambient import NumericalError, as_alpha, as_H, total_volume
 from .cmc_spheres import (area_sphere_closed, classify_embedding, meridian_range,
                           reconstruct_meridian)
-from .isoperimetry import (PROFILE_COLUMNS, crossing_alpha, isoperimetric_candidate,
-                           sphere_profile, torus_profile)
-from .regions import alpha_curve_csv, critical_constants, theorem_area_note
+from .isoperimetry import crossing_alpha, isoperimetric_candidate, sphere_profile, torus_profile
+from .regions import alpha_curve_csv, critical_constants
 from .stability import alpha0, classify_sphere, jacobi_spectrum, sphere_stability_boundary
 from .svgplot import polyline_svg, write_csv
 from .tori import (classify_torus, lambda1_closed_form, torus_data, torus_spectrum,
@@ -31,15 +30,17 @@ EMBEDDED_TAG = {True: "embedded", False: "non-embedded"}
 # points of each regions boundary curve, the one grid this module builds:
 # a curve needs two
 REGIONS_MIN_N, REGIONS_MAX_N = 2, 10**6
+# the source's area-bound display quotes the sphere threshold alpha_0 while the
+# statement uses the torus-side constant alpha_1; the output follows alpha_1
+AREA_BOUND_NOTE = ("note: the area-bound range is taken as [alpha_1, 1), matching the "
+                   "stability statement; the source display also shows alpha_0 and the "
+                   "discrepancy is left unresolved here")
 
 
 def _check_args(args) -> None:
-    """Turn --alphas and --Hs into lists of checked floats and bound the
-    regions grid; the library checks every other size and range before it
-    allocates, and each command computes before its first output."""
-    if args.command == "regions" and not REGIONS_MIN_N <= args.n <= REGIONS_MAX_N:
-        raise ValueError(f"--n must be at least {REGIONS_MIN_N} and at most {REGIONS_MAX_N} "
-                         f"for regions, got {args.n}")
+    """Turn --alphas and --Hs into lists of checked floats; the library and
+    cmd_regions check every other size and range before they allocate, and
+    each command computes before its first output."""
     for name, check in (("alphas", as_alpha), ("Hs", as_H)):
         if getattr(args, name, None) is not None:
             setattr(args, name, [check(v) for v in getattr(args, name).split(",")])
@@ -78,13 +79,14 @@ def cmd_sphere(args) -> int:
     print(f"nullity = {spec.nullity}")
     print(f"spectral_gap = {spec.gap:.12g}")
     out = _outdir(args) / f"sphere_spectrum_alpha{args.alpha:g}_H{args.H:g}.csv"
-    spec.to_csv(out)
+    write_csv(out, ("k", "lambda"), zip(spec.modes, spec.eigenvalues))
     print(f"wrote {out}")
     if args.meridian_n:
         print(f"embeddedness = {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g}, "
               f"crossings {r.crossings})")
         mpath = _outdir(args) / f"meridian_alpha{args.alpha:g}_H{args.H:g}.csv"
-        m.to_csv(mpath)
+        write_csv(mpath, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
+                  np.column_stack([m.x, m.points, m.metric_residual, m.C_residual]))
         print(f"wrote {mpath}")
     return 0
 
@@ -98,12 +100,15 @@ def cmd_torus(args) -> int:
     print(f"lambda1 = {lam1:.12g}")
     print(f"jacobi_margin = {verdict.margin:.12g}")
     out = _outdir(args) / f"torus_spectrum_alpha{args.alpha:g}_H{args.H:g}.csv"
-    spec.to_csv(out)
+    write_csv(out, ("lambda", "multiplicity"), zip(spec.eigenvalues, spec.multiplicities))
     print(f"wrote {out}")
     return 0
 
 
 def cmd_regions(args) -> int:
+    if not REGIONS_MIN_N <= args.n <= REGIONS_MAX_N:
+        raise ValueError(f"--n must be at least {REGIONS_MIN_N} and at most {REGIONS_MAX_N} "
+                         f"for regions, got {args.n}")
     a0 = alpha0()
     t0, a1, ah = critical_constants()
     rows2 = sphere_stability_boundary(np.linspace(a0 * 0.02, a0 * 0.995, args.n))
@@ -112,7 +117,7 @@ def cmd_regions(args) -> int:
     print(f"t0 = {t0:.12g}")
     print(f"alpha1 = {a1:.12g}")
     print(f"alpha_hyperbolic = {ah:.12g}")
-    print(theorem_area_note())
+    print(AREA_BOUND_NOTE)
     write_csv(out / "figure2_sphere_boundary.csv", ("alpha", "H_of_alpha"), rows2)
     write_csv(out / "figure3_torus_boundary.csv", ("alpha", "H_threshold"), rows3)
     alpha_curve_csv(out / "alpha_roots.csv")
@@ -148,7 +153,9 @@ def cmd_profiles(args) -> int:
     out = _outdir(args)
     for a, sp, tp in profiles:
         path = out / f"figure4_profiles_alpha{a:.6g}.csv"
-        write_csv(path, PROFILE_COLUMNS, sp.rows() + tp.rows())
+        write_csv(path, ("family", "H", "area", "volume"),
+                  [(p.family, h, ar, v) for p in (sp, tp)
+                   for h, ar, v in zip(p.H, p.area, p.volume)])
         if sp.notes:
             print(f"alpha={a:.6g}: {sp.notes}")
         if args.format == "csv+svg":
@@ -173,7 +180,13 @@ def cmd_candidate(args) -> int:
 
 def cmd_selftest(args) -> int:
     from . import selfcheck  # the invariant suite loads only for this command
-    failures = selfcheck.run(verbose=True)
+    failures = []
+    for name, exc in selfcheck.run():
+        if exc is None:
+            print(f"PASS {name}")
+        else:
+            failures.append(name)
+            print(f"FAIL {name}: {exc}")
     if failures:
         print(f"FAILED invariants: {', '.join(failures)}", file=sys.stderr)
         return 3
@@ -187,9 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=None, help="output directory (default: $BERGERCMC_OUT or .)")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("constants", help="the five reproduced constants")
+    def command(run, text):
+        """The subcommand named after its handler run, cmd_<name>."""
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=text)
+        p.set_defaults(run=run)
+        return p
 
-    sp = sub.add_parser("sphere", help="classify a CMC sphere, spectrum + area")
+    command(cmd_constants, "the five reproduced constants")
+
+    sp = command(cmd_sphere, "classify a CMC sphere, spectrum + area")
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--H", type=float, required=True)
     sp.add_argument("--meridian-n", type=int, default=0,
@@ -197,48 +216,38 @@ def build_parser() -> argparse.ArgumentParser:
                          "(CSV export + embeddedness verdict from the turning angle)")
     sp.add_argument("--x-max", type=float, default=8.0)
 
-    tp = sub.add_parser("torus", help="classify a CMC flat torus, lambda1 + spectrum")
+    tp = command(cmd_torus, "classify a CMC flat torus, lambda1 + spectrum")
     tp.add_argument("--alpha", type=float, required=True)
     tp.add_argument("--H", type=float, required=True)
     tp.add_argument("--N", type=int, default=12)
 
-    rg = sub.add_parser("regions", help="stability boundary curves (figures 2 and 3)")
+    rg = command(cmd_regions, "stability boundary curves (figures 2 and 3)")
     rg.add_argument("--n", type=int, default=60)
     rg.add_argument("--format", choices=("csv", "csv+svg"), default="csv")
 
-    em = sub.add_parser("embeddedness", help="embeddedness scan by the turning angle (figure 1)")
+    em = command(cmd_embeddedness, "embeddedness scan by the turning angle (figure 1)")
     em.add_argument("--alphas", default="0.01,0.02,0.04,0.08,0.12")
     em.add_argument("--Hs", default="0,0.5,1,1.5,2")
 
-    pr = sub.add_parser("profiles", help="area/volume profiles (figure 4)")
+    pr = command(cmd_profiles, "area/volume profiles (figure 4)")
     pr.add_argument("--alphas", default=None)
     pr.add_argument("--H-max", type=float, default=20.0)
     pr.add_argument("--n", type=int, default=300)
     pr.add_argument("--format", choices=("csv", "csv+svg"), default="csv")
 
-    cd = sub.add_parser("candidate", help="least-area stable candidate at a volume")
+    cd = command(cmd_candidate, "least-area stable candidate at a volume")
     cd.add_argument("--alpha", type=float, required=True)
     cd.add_argument("--V", type=float, required=True)
 
-    sub.add_parser("selftest", help="run the invariant suite; exit 0 iff all pass")
+    command(cmd_selftest, "run the invariant suite; exit 0 iff all pass")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler = {
-        "constants": cmd_constants,
-        "sphere": cmd_sphere,
-        "torus": cmd_torus,
-        "regions": cmd_regions,
-        "embeddedness": cmd_embeddedness,
-        "profiles": cmd_profiles,
-        "candidate": cmd_candidate,
-        "selftest": cmd_selftest,
-    }[args.command]
     try:
         _check_args(args)
-        code = handler(args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed stdout raises here, not in the interpreter's last flush
         return code
     except BrokenPipeError:

@@ -61,7 +61,6 @@ import numpy as np
 # ConsistencyError and QuadratureError stay importable from here, where callers import them
 from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
                       as_H, brentq, even_integral)
-from .svgplot import write_csv
 
 # conf(L)/conf(0) <= 4e^{-2L}/min(a, 1)^2 = 1e-16 at a = ALPHA_MIN: the cutoff L = 46.7
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
@@ -143,7 +142,7 @@ def artanh_ratio(x, one_minus_x):
 
 def area_sphere_closed(p, H):
     """Closed-form area 2 pi (1 + (H^2 + a) G(X)/c)/c for a float or an array of H."""
-    a = as_alpha(p)
+    a, H = as_alpha(p), as_H(H)
     h2 = H * H
     c = 1.0 + h2
     return 2.0 * math.pi * (1.0 + (h2 + a) * artanh_ratio((1.0 - a) / c, (h2 + a) / c) / c) / c
@@ -184,11 +183,6 @@ class MeridianProfile:
     def holds_contract(self) -> bool:
         """Both residuals within RESIDUAL_TOL; a NaN or inf is a violation."""
         return self.max_metric_residual <= RESIDUAL_TOL and self.max_C_residual <= RESIDUAL_TOL
-
-    def to_csv(self, path) -> None:
-        """CSV columns: x, re(z), im(z), re(w), im(w), metric_residual, C_residual."""
-        write_csv(path, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
-                  np.column_stack([self.x, self.points, self.metric_residual, self.C_residual]))
 
 
 def meridian_range(x_range) -> tuple[float, float]:
@@ -291,7 +285,7 @@ def turning_angle(p, H):
     cancel, so Theta = (H/sqrt a)(d atan r1 + r2 atan(d/(1 + r1 r2))) sums positive
     ones: r1 = sqrt(a)/H, r2 = sqrt(-X), d = r1 - r2 = (a + H^2)/(H^2 c (r1 + r2)),
     c = 1 + H^2; with u = H/sqrt a, e = u d = (1 + u^2)/(c (1 + u r2)) is 1 at H = 0."""
-    a = as_alpha(p)
+    a, H = as_alpha(p), as_H(H)
     sa = math.sqrt(a)
     c = 1.0 + H * H
     scalar = isinstance(c, float)

@@ -43,7 +43,6 @@ from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 
 SPHERE = "Sphere"
 TORUS = "Torus"
-PROFILE_COLUMNS = ("family", "H", "area", "volume")
 PROFILE_MIN_N, PROFILE_MAX_N = 50, 10**6  # fewest and most points of a graded H grid
 # sphere_volume = pi sum_n P_n(a) H^-(2n + 1), n = 1 ... 9, from H^2 >= 16 max(a, 4) on,
 # where the closed form cancels towards (4 pi/3) H^-3 and the first omitted term is
@@ -149,9 +148,6 @@ class IsoperimetricProfile:
             out.append(float(self.H[-1]))
         return out
 
-    def rows(self) -> list:
-        return [(self.family, h, a, v) for h, a, v in zip(self.H, self.area, self.volume)]
-
     @cached_property
     def reach(self) -> tuple[float, float]:
         """The volumes (lo, total - lo) isoperimetric_candidate serves with this
@@ -184,7 +180,7 @@ def sphere_volume(p, H) -> np.ndarray:
     the minimal sphere) for an array of H: 2 pi sqrt(a) Theta - H A/2 of the
     module docstring, and VOLUME_SERIES where that difference cancels."""
     a = as_alpha(p)
-    H = np.asarray(H, dtype=float)
+    H = as_H(np.asarray(H, dtype=float))
     vol = np.asarray(2.0 * math.pi * math.sqrt(a) * turning_angle(a, H)
                      - 0.5 * H * area_sphere_closed(a, H))
     far = H * H >= 16.0 * max(a, 4.0)
@@ -226,7 +222,7 @@ def torus_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile:
 
 def torus_H_at_volume(alpha: float, V: float) -> float:
     """Invert the torus volume closed form on the smaller-volume branch."""
-    half = math.pi**2 * math.sqrt(alpha)
+    half = math.pi**2 * math.sqrt(as_alpha(alpha))
     if not 0.0 < V <= half:
         raise ValueError("torus volumes cover (0, half-total]")
     t = V / half  # s = 1 - t, and 1 - s^2 = t (2 - t) without cancellation

@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .ambient import as_alpha, brentq
-from .svgplot import write_csv
 
 ALPHA_CURVE_N = 401  # rows of the root-curve CSV
 
@@ -85,15 +84,6 @@ def critical_constants() -> tuple[float, float, float]:
     return t0_constant(), alpha_1, alpha_root(1.0, -1)
 
 
-def theorem_area_note() -> str:
-    """Known wrinkle: the area-bound display quotes the sphere threshold
-    while the statement uses the torus-side constant alpha_1; the artifact
-    follows alpha_1."""
-    return ("note: the area-bound range is taken as [alpha_1, 1), matching the "
-            "stability statement; the source display also shows alpha_0 and the "
-            "discrepancy is left unresolved here")
-
-
 def stability_integrand(p, H: float, c: float) -> float:
     """Integrand of the paired harmonic test functions on a stable surface:
 
@@ -108,6 +98,7 @@ def stability_integrand(p, H: float, c: float) -> float:
 
 def alpha_curve_csv(path) -> None:
     """CSV of the two root curves: columns t, alpha_root_plus, alpha_root_minus."""
+    from .svgplot import write_csv  # the one writer outside the CLI; the checks need no svgplot
     ts = np.linspace(0.0, 1.0, ALPHA_CURVE_N).tolist()
     write_csv(path, ("t", "alpha_root_plus", "alpha_root_minus"),
               [(t, alpha_root(t, +1), alpha_root(t, -1)) for t in ts])

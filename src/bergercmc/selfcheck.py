@@ -132,19 +132,14 @@ CHECKS = [check_areas, check_koiso, check_jacobi_spectrum, check_torus, check_re
           check_integrand_sign, check_isoperimetry, check_reconstruction, check_embedding]
 
 
-def run(verbose: bool = True) -> list[str]:
-    """Run every check; returns the names of the failures, each the function
-    name without "check_" and with hyphens."""
-    failures = []
+def run():
+    """Run every check in turn, yielding (name, the exception it raised or None);
+    the name is the function name without "check_" and with hyphens."""
     for fn in CHECKS:
         name = fn.__name__.removeprefix("check_").replace("_", "-")
         try:
             fn()
         except Exception as exc:  # noqa: BLE001 - report and keep going
-            failures.append(name)
-            if verbose:
-                print(f"FAIL {name}: {exc}")
+            yield name, exc
         else:
-            if verbose:
-                print(f"PASS {name}")
-    return failures
+            yield name, None

@@ -45,7 +45,6 @@ import numpy as np
 from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq,
                       even_integral)
 from .cmc_spheres import AREA_CUTOFF, artanh_ratio, fundamental_data
-from .svgplot import write_csv
 
 KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
@@ -73,7 +72,7 @@ class SpectrumError(NumericalError):
 class SpectrumResult:
     """The spectral gap of S_a(H) on n grid cells; the sorted eigenvalues of modes
     0..k_max (PER_MODE each, k != 0 twice) and their Fourier modes are solved on
-    first read of eigenvalues, modes or to_csv, and raise SpectrumError off the
+    first read of eigenvalues or modes, and raise SpectrumError off the
     zero-mode contract of jacobi_spectrum."""
 
     alpha: float
@@ -103,9 +102,6 @@ class SpectrumResult:
     def modes(self) -> np.ndarray:
         return self._table[1]
 
-    def to_csv(self, path) -> None:
-        write_csv(path, ("k", "lambda"), zip(self.modes, self.eigenvalues))
-
 
 # ---------------------------------------------------------------------------
 # Koiso solution and its integral
@@ -128,7 +124,7 @@ def koiso_integral_closed(p, H):
     """Closed form pi/(2c^2) (3 + (H^2 + 3a - 2) G((1 - a)/c)/c) of Int f dA over
     S_a(H), c = 1 + H^2, for a float or an array of H; it is pi kappa(X)/(2c^2),
     X = (1 - a)/c, whose sign decides stability (module docstring)."""
-    a = as_alpha(p)
+    a, H = as_alpha(p), as_H(H)
     h2 = H * H
     c = h2 + 1.0
     G = artanh_ratio((1.0 - a) / c, (h2 + a) / c)
@@ -339,7 +335,7 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
     by computed zeros (_certify); off that zero-mode contract, or when the counts
     cannot resolve ZERO_RTOL * gap, it raises SpectrumError.  The table of modes
     0..k_max, PER_MODE eigenvalues each, is solved on the full matrices on first
-    read of the result's eigenvalues, modes or to_csv, under the same contract on
+    read of the result's eigenvalues or modes, under the same contract on
     the full matrices of modes 0 and 1.
     """
     a = as_alpha(p)

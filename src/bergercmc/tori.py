@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H
-from .svgplot import write_csv
 
 GROUP_TOL = 1e-9  # eigenvalues within this relative distance of a group's first are one
 LAMBDA1_RTOL = 1e-10  # enumerated lambda_1 vs lambda1_closed_form
@@ -70,9 +69,6 @@ class TorusSpectrum:
     multiplicities: np.ndarray
     lambda1: float
     shell_min: float  # smallest form value on the enumeration boundary
-
-    def to_csv(self, path) -> None:
-        write_csv(path, ("lambda", "multiplicity"), zip(self.eigenvalues, self.multiplicities))
 
 
 class CutoffError(NumericalError):
@@ -128,9 +124,10 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
 
 def torus_stability_threshold(alpha: float) -> float:
     """H*(a) = (1 - 3a) / (2 sqrt(a (1 - 2a))) for a <= 1/3 (else no stable H)."""
-    if not 0.0 < alpha <= 1.0 / 3.0:
+    a = as_alpha(alpha)
+    if a > 1.0 / 3.0:
         raise ValueError("threshold defined for 0 < alpha <= 1/3")
-    return (1.0 - 3.0 * alpha) / (2.0 * math.sqrt(alpha * (1.0 - 2.0 * alpha)))
+    return (1.0 - 3.0 * a) / (2.0 * math.sqrt(a * (1.0 - 2.0 * a)))
 
 
 def _shortest_norm(t: TorusData) -> float:
@@ -193,9 +190,7 @@ def torus_area_volume(p, H):
     then holds arrays of the same shape.
     """
     a = as_alpha(p)
-    H = np.asarray(H, dtype=float)
-    as_H(H.min())  # a NaN entry propagates to the min and the max,
-    as_H(H.max())  # so these two calls check every entry
+    H = as_H(np.asarray(H, dtype=float))
     c = np.sqrt(1.0 + H**2)
     area = 2.0 * math.pi**2 * np.sqrt(a / (1.0 + H**2))
     volume = math.pi**2 * math.sqrt(a) / (c * (c + H))  # 1 - H/c without the cancellation

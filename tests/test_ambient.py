@@ -38,6 +38,28 @@ def test_mean_curvature_validation():
     for big in (math.nextafter(ambient.H_MAX, math.inf), 1e10, 1e100, 1e200):
         with pytest.raises(ContractViolation, match="mean curvature H"):
             ambient.as_H(big)
+    # an array passes as it is, or fails on any one bad entry
+    H = np.array([0.0, 1.0, ambient.H_MAX])
+    assert ambient.as_H(H) is H
+    for bad in (-1.0, math.nan, math.inf, 2e6):
+        with pytest.raises(ContractViolation, match="mean curvature H"):
+            ambient.as_H(np.array([0.5, bad, 1.0]))
+
+
+@pytest.mark.parametrize("H", [-1.0, math.nan, math.inf, 1.000001e6,
+                               np.array([0.0, 0.5, math.nan, 2.0])])
+@pytest.mark.parametrize("closed_form", ["cmc_spheres.turning_angle",
+                                         "cmc_spheres.area_sphere_closed",
+                                         "isoperimetry.sphere_volume",
+                                         "stability.koiso_integral_closed"])
+def test_closed_forms_refuse_a_bad_H(closed_form, H):
+    # as classify_sphere and torus_area_volume do: no value for an H off [0, H_MAX]
+    import importlib
+
+    module, name = closed_form.split(".")
+    fn = getattr(importlib.import_module(f"bergercmc.{module}"), name)
+    with pytest.raises(ContractViolation, match="mean curvature H"):
+        fn(0.5, H)
 
 
 def test_hopf_field_values():

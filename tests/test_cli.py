@@ -333,9 +333,12 @@ def test_env_var_outdir(tmp_path, monkeypatch, capsys):
 def test_selftest_failure_exit_code(monkeypatch, capsys):
     from bergercmc import cli, selfcheck
 
-    monkeypatch.setattr(selfcheck, "run", lambda verbose=True: ["fake-invariant"])
+    monkeypatch.setattr(selfcheck, "run",
+                        lambda: iter([("fake-invariant", AssertionError("broken"))]))
     assert cli.main(["selftest"]) == 3
-    assert "fake-invariant" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "FAIL fake-invariant: broken\n"
+    assert "fake-invariant" in err
 
 
 SELFTEST_NAMES = ["areas", "koiso", "jacobi-spectrum", "torus", "regions", "integrand-sign",
@@ -381,7 +384,8 @@ def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeyp
     # the one check that asserts the meridian's identities, run through run()
     monkeypatch.setattr(selfcheck, "CHECKS", [selfcheck.check_reconstruction])
     monkeypatch.setattr(selfcheck, "reconstruct_meridian", broken)
-    assert selfcheck.run(verbose=False) == ["reconstruction"]
+    [(name, exc)] = selfcheck.run()
+    assert name == "reconstruction" and isinstance(exc, AssertionError)
 
 
 @pytest.mark.parametrize("args", [

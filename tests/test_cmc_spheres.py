@@ -926,16 +926,23 @@ def test_nonembedded_band_edges(a, lo, hi):
     assert classify_embedding(a, H_hi * (1.0 + 1e-6)).embedded
 
 
-def test_csv_roundtrip(tmp_path):
+def test_csv_roundtrip(tmp_path, capsys):
+    from bergercmc.cli import main
+
+    assert main(["--out", str(tmp_path), "sphere", "--alpha", "0.5", "--H", "1",
+                 "--meridian-n", "512", "--x-max", "6"]) == 0
+    capsys.readouterr()
     m = reconstruct_meridian(0.5, 1.0, (-6, 6), 512)
-    path = tmp_path / "meridian.csv"
-    m.to_csv(path)
-    data = path.read_text().splitlines()
+    data = (tmp_path / "meridian_alpha0.5_H1.csv").read_text().splitlines()
     assert data[0] == "x,re_z,im_z,re_w,im_w,metric_residual,C_residual"
     assert len(data) == 513
     row = data[256].split(",")
     assert len(row) == 7
     assert float(row[0]) == pytest.approx(m.x[255])
+    # shortest round-trip floats: every cell reads back as the computed value
+    cells = np.array([[float(v) for v in line.split(",")] for line in data[1:]])
+    assert np.array_equal(cells, np.column_stack([m.x, m.points, m.metric_residual,
+                                                  m.C_residual]))
 
 
 def test_minimal_meridian_is_great_circle():

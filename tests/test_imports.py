@@ -34,11 +34,20 @@ def test_a_module_loads_only_the_package_modules_it_imports():
     # the package namespace re-exports nothing, so it loads no module itself
     assert modules_after("import bergercmc", "bergercmc") == ["bergercmc"]
     assert modules_after("import bergercmc.cmc_spheres", "bergercmc") == [
-        "bergercmc", "bergercmc.ambient", "bergercmc.cmc_spheres", "bergercmc.svgplot"]
+        "bergercmc", "bergercmc.ambient", "bergercmc.cmc_spheres"]
     assert modules_after("import bergercmc.tori", "bergercmc") == [
-        "bergercmc", "bergercmc.ambient", "bergercmc.svgplot", "bergercmc.tori"]
+        "bergercmc", "bergercmc.ambient", "bergercmc.tori"]
     # the invariant suite loads only under selftest
     assert "bergercmc.selfcheck" not in modules_after("import bergercmc.cli", "bergercmc")
+
+
+def test_the_numerical_modules_load_no_output_module():
+    # the CLI is the one output layer: the computations and the checks write no
+    # file.  selfcheck imports the four numerical modules, so one probe covers all
+    loaded = modules_after("import bergercmc.selfcheck", "bergercmc")
+    assert {f"bergercmc.{m}" for m in ("cmc_spheres", "stability", "tori", "isoperimetry",
+                                       "selfcheck")} <= set(loaded)
+    assert "bergercmc.svgplot" not in loaded
 
 
 def test_torus_command_loads_no_scipy(tmp_path):
@@ -191,3 +200,13 @@ def test_every_public_routine_has_a_caller_outside_the_tests():
             if node.name not in callers | outside and (mod, node.name) not in spec:
                 unused.append(f"{mod}.{node.name}")
     assert unused == []
+
+
+def test_every_python_file_parses_as_python_3_10():
+    # requires-python is >= 3.10, so syntax of a later version (except*, type
+    # parameters) would fail there on import, on a version tier-1 may not run
+    root = SRC.parent
+    files = sorted(p for d in ("src", "tests", "scripts", "bench") for p in (root / d).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -381,6 +381,15 @@ def test_torus_volume_inversion_tiny_volumes():
             assert torus_area_volume(a, H)[1] == pytest.approx(V, rel=1e-9)
 
 
+def test_torus_H_at_volume_checks_alpha():
+    from bergercmc.ambient import ContractViolation
+
+    # a negative alpha used to fail inside math.sqrt with "math domain error"
+    for a in (-1.0, 0.0, 1e-300, math.nan):
+        with pytest.raises(ContractViolation, match="alpha must be positive"):
+            torus_H_at_volume(a, 1.0)
+
+
 @pytest.mark.parametrize("a", [0.004, 0.05, 0.3, 0.5, 3.0])
 def test_candidate_reach(a):
     prof = sphere_profile(a, n=300)

@@ -12,6 +12,7 @@ from bergercmc.stability import (SpectrumError, alpha0, classify_sphere, jacobi_
                                  koiso_integral, koiso_integral_closed,
                                  koiso_integral_quadrature, koiso_solution,
                                  sphere_stability_boundary)
+from bergercmc.svgplot import write_csv
 import oracles
 from float_oracles import (jacobi_potential_flat, jacobi_rayleigh_C, oracle_data,
                            potential_from_data)
@@ -359,7 +360,8 @@ def test_spectrum_refuses_uncertified_index(a, H, n, k_max):
             jacobi_spectrum(a, H, k_max=k_max, n=n)
         return
     s = jacobi_spectrum(a, H, k_max=k_max, n=n)
-    for read in (lambda: s.eigenvalues, lambda: s.modes, lambda: s.to_csv(os.devnull)):
+    for read in (lambda: s.eigenvalues, lambda: s.modes,
+                 lambda: write_csv(os.devnull, ("k", "lambda"), zip(s.modes, s.eigenvalues))):
         with pytest.raises(SpectrumError, match="zero-mode contract failed"):
             read()
 
@@ -404,7 +406,7 @@ def test_spectrum_gap_bisects_once_then_solves_windows_and_counts(monkeypatch):
             assert table == []
             s.modes
             s.eigenvalues
-            s.to_csv(os.devnull)
+            write_csv(os.devnull, ("k", "lambda"), zip(s.modes, s.eigenvalues))
             assert table == [(k, stability.PER_MODE) for k in range(k_max + 1)]
             assert solves[9:] == ([("index", n, (0, stability.PER_MODE - 1))] * (k_max + 1)
                                   + [("count", n)] * 4)
@@ -513,8 +515,10 @@ def _table_csv_of_the_full_route(a, H, k_max, n):
                                              (1e-4, 0.0, 3, 2000), (1.0, 0.0, 3, 4000),
                                              (1e4, 1.0, 5, 4000), (3.2136, 3.81505, 2, 8000)])
 def test_spectrum_table_csv_is_the_full_route_byte_for_byte(a, H, k_max, n, tmp_path):
+    # written as the sphere command writes it
     path = tmp_path / "spectrum.csv"
-    jacobi_spectrum(a, H, k_max=k_max, n=n).to_csv(path)
+    s = jacobi_spectrum(a, H, k_max=k_max, n=n)
+    write_csv(path, ("k", "lambda"), zip(s.modes, s.eigenvalues))
     assert path.read_bytes() == _table_csv_of_the_full_route(a, H, k_max, n).encode()
 
 

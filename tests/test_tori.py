@@ -365,6 +365,16 @@ def test_area_volume_rejects_bad_H(H):
         torus_area_volume(0.3, H)
 
 
+def test_stability_threshold_checks_alpha():
+    from bergercmc.ambient import ContractViolation
+
+    # below ALPHA_MIN the closed form would return about 5e149
+    with pytest.raises(ContractViolation, match="alpha must be positive"):
+        torus_stability_threshold(1e-300)
+    with pytest.raises(ValueError, match="threshold defined for 0 < alpha <= 1/3"):
+        torus_stability_threshold(0.4)
+
+
 def test_volume_monte_carlo_oracle():
     # seeded MC sanity check of the solid-torus volume at one parameter point
     alpha, H = 0.25, 1.0
