@@ -22,10 +22,12 @@ s = sech x,
 
 with X = (1 - a)/c and G = artanh_ratio, the one function behind the
 artanh (a < 1) and arctan (a > 1) branches of every closed form of the
-family.  The surface is (x, y) -> exp(yW) gamma(x) with the exact generator
-W = [[i, -H], [H, i H^2]]/c.  W has the eigenvalues 0 and i; its kernel
-vector (H, i)/sqrt(c) gives the invariant coordinate (H z - i w)/sqrt(c)
-of the orbit space.
+family.  With xi = i gamma / sqrt(a), E1 = (-conj w, conj z) and E2 = i E1, the
+g_a-unit normal is N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2), so
+g_a(N, xi) = tanh x = C(x) and N = E2 at the equator.  The surface is
+(x, y) -> exp(yW) gamma(x) with the exact generator W = [[i, -H], [H, i H^2]]/c.
+W has the eigenvalues 0 and i; its kernel vector (H, i)/sqrt(c) gives the
+invariant coordinate (H z - i w)/sqrt(c) of the orbit space.
 
 In that coordinate the meridian is the planar curve
 w'(t) = e^{i phi} (H - i sqrt(a) t)/sqrt(q), t in (-1, 1), with
@@ -157,9 +159,10 @@ class MeridianProfile:
     """Meridian of S_a(H) with its adapted frame and residuals.
 
     points[i] is the curve in S^3 (4 real coordinates), normals[i] the
-    g_a-unit normal.  metric_residual is the relative error of the
-    analytic speed^2 g_a(gamma_x, gamma_x) against conf(x); C_residual is
-    the closed-form identity g_a(N, xi) = tanh x.
+    g_a-unit normal N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2) of the
+    module docstring.  metric_residual is the relative error of the analytic
+    speed^2 g_a(gamma_x, gamma_x) against conf(x); C_residual is g_a(N, xi) -
+    tanh x = sqrt(a) <N, i gamma> - tanh x on the stored points and normals.
     """
 
     alpha: float
@@ -195,69 +198,65 @@ def meridian_range(x_range) -> tuple[float, float]:
     return lo, hi
 
 
-def _as_real(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Rows (Re z, Im z, Re w, Im w): the complex pairs (z, w) viewed as reals."""
-    return np.stack([z, w], axis=1).view(np.float64)
-
-
 def _phase(a: float, H: float, t, q):
-    """(H / sqrt a) X t G(X t^2), X = (1 - a)/c, c = 1 + H^2, from q = c (1 - X t^2):
-    -phi of the module docstring, and the turning angle past atan2(sqrt(a) t, H)."""
+    """(H / sqrt a) X t G(X t^2), X = (1 - a)/c, c = 1 + H^2, q = c (1 - X t^2): -phi of
+    the module docstring, and the turning angle past atan2(sqrt(a) t, H).  Odd in t, it is
+    (H / sqrt a) sqrt(X) artanh(sqrt(X) t) for X > 0, artanh r = log1p(2r(1 + r) c/q)/2 at
+    |t| (1 + r cancels for t < 0), else -(H / sqrt a) sqrt(-X) atan(sqrt(-X) t)."""
     c = 1.0 + H * H
     X = (1.0 - a) / c
-    return (H / math.sqrt(a)) * X * t * artanh_ratio(X * t * t, q / c)
+    if X > 0.0:
+        r = math.sqrt(X) * np.abs(t)
+        return np.copysign((0.5 * H * math.sqrt(X / a)) * np.log1p(2.0 * c * r * (1.0 + r) / q), t)
+    r = math.sqrt(-X)
+    return (-H * r / math.sqrt(a)) * np.arctan(r * t)
 
 
 def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
     """The closed-form meridian at the samples xs, residuals not yet checked."""
-    sa = math.sqrt(a)
-    c = 1.0 + H * H
-    t = np.tanh(xs)
-    s = 1.0 / np.cosh(xs)
+    sa, c = math.sqrt(a), 1.0 + H * H
+    t, s = np.tanh(xs), 1.0 / np.cosh(xs)
     # q = den sech^2 x; H^2 + a t^2 + s^2 sums nonnegative terms, where
     # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
     q = H * H + a * t * t + s * s
     e = np.exp(-1j * _phase(a, H, t, q)) / np.sqrt(c * q)
-    z = e * ((s + H * H) - 1j * (sa * H) * t)
-    w = e * (sa * t + 1j * H * (1.0 - s))
-    # gamma_x and W gamma both carry a factor sech x, taken out: else the
-    # squared norm of their cross product, of order sech^4 x, underflows to 0
-    # from |x| ~ 187 and the normal is 0/0
+    # rows (z, w) of gamma and of N, viewed as rows (Re z, Im z, Re w, Im w)
+    gamma = np.empty((len(xs), 2), dtype=complex)
+    z = np.multiply(e, (s + H * H) - 1j * (sa * H) * t, out=gamma[:, 0])
+    w = np.multiply(e, sa * t + 1j * H * (1.0 - s), out=gamma[:, 1])
+    # before N: its temporaries set the peak memory, and fewer fresh pages make a faster call
+    metric_residual = _metric_residual(a, H, t, s, q, e, z, w)
+    # N = (i t / sqrt a) gamma + i s e^{2 i phi} (-conj w, conj z), e^{2 i phi} = c q e^2
+    normal = np.empty_like(gamma)
+    vert, horiz = (1j / sa) * t, (1j * c) * (s * q) * e * e
+    np.subtract(vert * z, horiz * w.conj(), out=normal[:, 0])
+    np.add(vert * w, horiz * z.conj(), out=normal[:, 1])
+    g_n_xi = sa * (normal[:, 0] * z.conj() + normal[:, 1] * w.conj()).imag
+    return MeridianProfile(alpha=a, H=H, x=xs, points=gamma.view(np.float64),
+                           normals=normal.view(np.float64),
+                           metric_residual=metric_residual, C_residual=g_n_xi - t)
+
+
+def _metric_residual(a, H, t, s, q, e, z, w):
+    """|speed^2 - conf| / conf over s^2: speed^2 from the analytic gamma_x / sech x as the
+    squared norm of its coefficients on xi, E1 + i E2 (no cancellation at small a)."""
+    sa = math.sqrt(a)
     f = ((a - 1.0) * s / q) * (1j * H / sa - t)
     zx = f * z + e * (-t - 1j * (sa * H) * s)
     wx = f * w + e * (sa * s + 1j * H * t)
-    # coefficients on the g_a-orthonormal xi = i gamma / sqrt(a), E1 + i E2 (E1 = (-conj w, conj z)):
-    # gamma_x's computed, W gamma = (i e, H e)'s in closed form by H z - i w = e c (H - i sqrt(a) t)
     cx0 = sa * (zx * z.conj() + wx * w.conj()).imag
     cx12 = z * wx - w * zx
-    cy0 = sa * s / q
-    cy12 = c * e * e * (H - 1j * sa * t)
-    # N = n0 xi + n1 E1 + n2 E2 along the cross product (W gamma) x gamma_x: N = E2 at x = 0
-    n0 = (cy12.conj() * cx12).imag
-    n12 = 1j * (cy0 * cx12 - cx0 * cy12)
-    norm = np.sqrt(n0 * n0 + n12.real * n12.real + n12.imag * n12.imag)
-    n0, n12 = n0 / norm, n12 / norm
-    xi0 = 1j * n0 / sa
-    normals = _as_real(xi0 * z - n12 * w.conj(), xi0 * w + n12 * z.conj())
-
-    # speed^2 g_a(gamma_x, gamma_x), the squared norm of its orthonormal
-    # coefficients (which leaves no cancellation at small a), against
-    # conf = (H^2 + a) s^2 / q^2, both divided by s^2
     speed2 = cx0 * cx0 + cx12.real * cx12.real + cx12.imag * cx12.imag
     conf_s2 = (H * H + a) / (q * q)
-    return MeridianProfile(alpha=a, H=H, x=xs, points=_as_real(z, w), normals=normals,
-                           metric_residual=np.abs(speed2 - conf_s2) / conf_s2,
-                           C_residual=n0 - t)
+    return np.abs(speed2 - conf_s2) / conf_s2
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
     """The meridian y = 0 of S_a(H) on n equispaced samples, validated.
 
-    Evaluates the closed form of the module docstring: the curve gamma and
-    the g_a-unit normal N, built from the analytic gamma_x and the orbit
-    tangent W gamma in the frame (xi, E1, E2) and oriented so
-    that N = E2 at the equator x = 0.  Raises ReconstructionError if a
-    residual breaks RESIDUAL_TOL.
+    Evaluates the closed forms of the module docstring: the curve gamma and
+    its g_a-unit normal N, which is E2 at the equator x = 0.  Raises
+    ReconstructionError if a residual breaks RESIDUAL_TOL.
     """
     a, H = as_alpha(p), as_H(H)
     if not MERIDIAN_MIN_N <= n <= MERIDIAN_MAX_N:

@@ -437,8 +437,8 @@ def test_meridian_postprocessing_matches_per_sample_loop():
     # the component-wise frame arithmetic against one sample at a time: gamma_x
     # from the 30-digit closed form by mpmath.diff, (xi, E1, E2) from frame_at,
     # the coefficients of gamma_x and of W gamma from metric_eval, and the
-    # normal from np.cross.  Measured: 1.4e-13 on the normals (|N| ~ 1/sqrt(a)
-    # = 10), 1.5e-14 on C, 3.9e-14 on the metric residual
+    # normal from np.cross.  Measured: 1.2e-13 on the normals (|N| ~ 1/sqrt(a)
+    # = 10), 1.2e-14 on C, 3.9e-14 on the metric residual
     import mpmath
     from bergercmc.ambient import frame_at, metric_eval
 
@@ -595,13 +595,96 @@ def test_sign_count_agrees_with_theta_over_the_embed_scan_box(a, H, n, x_max):
         assert (r.embedded, r.crossings) == (v.embedded, v.crossings)
 
 
-@pytest.mark.parametrize("a,H,metric,C", [(1e12, 1e6, 1.48e-4, 5.32e-5),
-                                          (1e10, 1e5, 2.10e-6, 3.53e-7)])
+@pytest.mark.parametrize("a,H,metric,C", [(1e12, 1e6, 1.48e-4, 1e-15),
+                                          (1e10, 1e5, 2.10e-6, 1e-15)])
 def test_meridian_residuals_at_large_a_H_no_worse(a, H, metric, C):
-    # the closed form loses digits at large a H; these bounds are its residuals
-    # before the component-wise frame arithmetic, rounded up in the third digit
+    # the analytic gamma_x loses digits at large a H: the metric bounds are its
+    # residuals, rounded up in the third digit; the closed-form normal keeps
+    # g_a(N, xi) = tanh x to roundoff (measured 5.6e-16 and 6.7e-16)
     m = reconstruct_meridian(a, H, (-700.0, 700.0), 4001)
     assert m.max_metric_residual <= metric and m.max_C_residual <= C
+
+
+ORACLE_XS = [-700.0, -30.0, -3.0, -0.7, -0.1, 0.0, 0.05, 0.7, 2.0, 9.0, 30.0, 700.0]
+
+
+def _oracle_normal_error(a, H, m):
+    """Largest error of m's normals and points against the mpmath closed form,
+    each sample at 30 digits beyond those that W gamma ~ sech x loses at the
+    poles: gamma from oracles.meridian, gamma_x by mpmath.diff, W gamma from
+    the exact W, and N along the cross product (W gamma) x gamma_x of their
+    coefficients on the g_a-orthonormal (xi, E1, E2).  The normal's error is
+    measured on those coefficients, g_a-unit for every a."""
+    import mpmath
+
+    def inner(u, v):
+        return (u[0] * mpmath.conj(v[0]) + u[1] * mpmath.conj(v[1])).real
+
+    worst_n = worst_p = 0.0
+    for x, P, N in zip(m.x.tolist(), m.points, m.normals):
+        with mpmath.workdps(30 + int(abs(x) / 2.3)):
+            xm, A, Hm = mpmath.mpf(x), mpmath.mpf(a), mpmath.mpf(H)
+            z, w = oracles.meridian(mpmath, a, H, xm)
+            gx = [mpmath.diff(lambda u: oracles.meridian(mpmath, a, H, u)[k], xm)
+                  for k in (0, 1)]
+            wg = [(1j * z - Hm * w) / (1 + Hm * Hm), (Hm * z + 1j * Hm * Hm * w) / (1 + Hm * Hm)]
+            E1 = [-mpmath.conj(w), mpmath.conj(z)]
+
+            def coeff(v):
+                return mpmath.matrix([mpmath.sqrt(A) * inner(v, [1j * z, 1j * w]),
+                                      inner(v, E1), inner(v, [1j * E1[0], 1j * E1[1]])])
+
+            cw, cg = coeff(wg), coeff(gx)
+            n = mpmath.matrix([cw[1] * cg[2] - cw[2] * cg[1], cw[2] * cg[0] - cw[0] * cg[2],
+                               cw[0] * cg[1] - cw[1] * cg[0]])
+            n /= mpmath.norm(n)
+            got = coeff([mpmath.mpc(N[0], N[1]), mpmath.mpc(N[2], N[3])])
+            worst_n = max(worst_n, float(mpmath.norm(got - n)))
+            worst_p = max(worst_p, float(max(abs(mpmath.mpc(P[0], P[1]) - z),
+                                             abs(mpmath.mpc(P[2], P[3]) - w))))
+    return worst_n, worst_p
+
+
+# large a H (where a cross-product normal lost up to 8e-5), a = 1 (X = 0), a > 1,
+# a < 1, and tiny a and H, where X -> 1 and the phase's 1 + sqrt(X) t cancels for
+# t < 0.  Measured errors (normal, points): 3.1e-16, 2.2e-16; 3.3e-16, 1.8e-16;
+# 6.3e-16, 2.3e-16; 2.6e-16, 2.1e-16; 7.4e-16, 4.6e-16; 1.1e-12, 3.0e-16 (the
+# stored N carries t/sqrt(a) = 1e6 along i gamma, so its horizontal part keeps
+# 1e-12 of it)
+@pytest.mark.parametrize("a,H,normal_tol", [(1e10, 1e5, 1e-15), (1e12, 1e6, 1e-15),
+                                            (1.0, 0.7, 1e-15), (3.0, 2.0, 1e-15),
+                                            (0.05, 1.2, 2e-15), (1e-12, 1e-6, 3e-12)])
+def test_closed_form_normal_matches_the_30_digit_oracle(a, H, normal_tol):
+    m = cmc_spheres._meridian_profile(a, H, np.array(ORACLE_XS))
+    normal_err, point_err = _oracle_normal_error(a, H, m)
+    assert normal_err <= normal_tol
+    assert point_err <= 1e-15
+
+
+@pytest.mark.parametrize("a,H", [(1e10, 1e5), (1e12, 1e6), (1.0, 0.7), (3.0, 2.0),
+                                 (0.05, 1.2), (1e-12, 1e-6), (1e-6, 1e-3)])
+def test_phase_matches_the_30_digit_oracle_and_is_odd(a, H):
+    # (H / sqrt a) X t G(X t^2) against mpmath, with t and q as the meridian
+    # takes them; measured at most 3.1e-16 of max(1, |phase|), and exactly 0
+    # at a = 1.  The X > 0 branch evaluates artanh at sqrt(X)|t|: at (1e-12,
+    # 1e-6) and x = -700, log1p(2r(1 + r)c/q) at r = sqrt(X) t < 0 is NaN
+    import mpmath
+
+    def phase(xs):
+        t, s = np.tanh(xs), 1.0 / np.cosh(xs)
+        with np.errstate(all="raise", under="ignore"):
+            return cmc_spheres._phase(a, H, t, H * H + a * t * t + s * s)
+
+    got = phase(np.array(ORACLE_XS))
+    assert np.array_equal(phase(-np.array(ORACLE_XS)), -got)
+    with mpmath.workdps(30):
+        X = oracles.X_at(mpmath, a, H)
+        for g, x in zip(got.tolist(), ORACLE_XS):
+            tm = mpmath.tanh(mpmath.mpf(x))
+            want = H / mpmath.sqrt(a) * X * tm * oracles.G(mpmath, X * tm * tm)
+            assert abs(g - want) <= 4e-16 * max(1, abs(want)), x
+    if a == 1.0:
+        assert not got.any()
 
 
 @given(st.floats(min_value=-6.0, max_value=4.0), st.floats(min_value=0.0, max_value=1e3),
