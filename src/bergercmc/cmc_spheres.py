@@ -24,8 +24,11 @@ with X = (1 - a)/c and G = artanh_ratio, the one function behind the
 artanh (a < 1) and arctan (a > 1) branches of every closed form of the
 family.  With xi = i gamma / sqrt(a), E1 = (-conj w, conj z) and E2 = i E1, the
 g_a-unit normal is N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2), so
-g_a(N, xi) = tanh x = C(x) and N = E2 at the equator.  The surface is
-(x, y) -> exp(yW) gamma(x) with the exact generator W = [[i, -H], [H, i H^2]]/c.
+g_a(N, xi) = tanh x = C(x) and N = E2 at the equator.  As t and phi are odd in
+x, s and q even, gamma(-x) = (conj z, -conj w) and N(-x) = (conj N_z, -conj N_w):
+the isometry (z, w) -> (conj z, -conj w) maps S_a(H) to itself, so the meridian
+is evaluated at x >= 0 and reflected.  The surface is (x, y) -> exp(yW) gamma(x)
+with the exact generator W = [[i, -H], [H, i H^2]]/c.
 W has the eigenvalues 0 and i; its kernel vector (H, i)/sqrt(c) gives the
 invariant coordinate (H z - i w)/sqrt(c) of the orbit space.
 
@@ -47,8 +50,8 @@ while X > X_STAR = 0.69481653805..., the root of X G(X) = 1, and falls after.
 The module computes areas, evaluates the meridian curve in S^3 with its
 normal, and decides embeddedness from Theta.  The sampled route,
 is_embedded, is kept as the reference that Theta is checked against: it
-counts the sign changes of Im w' on each half of the sampled meridian and
-takes its margin from the distance 2|Im w'| between mirror points.  It
+counts the sign changes of Im w' on the half x > 0 of the sampled meridian
+and takes its margin from the distance 2|Im w'| between mirror points.  It
 refuses a sampling on which the turning angle of w' moves by pi or more
 between two samples, where a sign count would miss zeros of Im w'.
 """
@@ -189,12 +192,14 @@ class MeridianProfile:
 
 
 def meridian_range(x_range) -> tuple[float, float]:
-    """Validated meridian endpoints (lo, hi): finite, lo < 0 < hi, both within
+    """Validated meridian endpoints (lo, hi): finite, lo = -hi < 0, within
     MERIDIAN_X_LIMIT of the equator."""
     lo, hi = float(x_range[0]), float(x_range[1])
     if not -MERIDIAN_X_LIMIT <= lo < 0.0 < hi <= MERIDIAN_X_LIMIT:
         raise ValueError(f"x_range must contain the equator x = 0 and lie within "
                          f"+-{MERIDIAN_X_LIMIT:g}, got ({lo}, {hi})")
+    if lo != -hi:
+        raise ValueError(f"x_range must be symmetric about the equator, got ({lo}, {hi})")
     return lo, hi
 
 
@@ -212,29 +217,37 @@ def _phase(a: float, H: float, t, q):
     return (-H * r / math.sqrt(a)) * np.arctan(r * t)
 
 
-def _meridian_profile(a: float, H: float, xs: np.ndarray) -> MeridianProfile:
-    """The closed-form meridian at the samples xs, residuals not yet checked."""
+def _meridian_profile(a: float, H: float, xs: np.ndarray, m: int = 0) -> MeridianProfile:
+    """The closed-form meridian at the samples xs, residuals not yet checked; on an odd
+    grid (xs[::-1] == -xs), m = len(xs) // 2 evaluates xs[m:] >= 0 and reflects the rest."""
+    n, x = len(xs), xs[m:]
     sa, c = math.sqrt(a), 1.0 + H * H
-    t, s = np.tanh(xs), 1.0 / np.cosh(xs)
+    t, s = np.tanh(x), 1.0 / np.cosh(x)
     # q = den sech^2 x; H^2 + a t^2 + s^2 sums nonnegative terms, where
     # c - (1 - a) t^2 cancels and leaves |gamma| - 1 = 5e-11 at a = 1e-6
     q = H * H + a * t * t + s * s
     e = np.exp(-1j * _phase(a, H, t, q)) / np.sqrt(c * q)
     # rows (z, w) of gamma and of N, viewed as rows (Re z, Im z, Re w, Im w)
-    gamma = np.empty((len(xs), 2), dtype=complex)
-    z = np.multiply(e, (s + H * H) - 1j * (sa * H) * t, out=gamma[:, 0])
-    w = np.multiply(e, sa * t + 1j * H * (1.0 - s), out=gamma[:, 1])
+    gamma, metric_residual, C_residual = np.empty((n, 2), dtype=complex), np.empty(n), np.empty(n)
+    z = np.multiply(e, (s + H * H) - 1j * (sa * H) * t, out=gamma[m:, 0])
+    w = np.multiply(e, sa * t + 1j * H * (1.0 - s), out=gamma[m:, 1])
     # before N: its temporaries set the peak memory, and fewer fresh pages make a faster call
-    metric_residual = _metric_residual(a, H, t, s, q, e, z, w)
+    metric_residual[m:] = _metric_residual(a, H, t, s, q, e, z, w)
     # N = (i t / sqrt a) gamma + i s e^{2 i phi} (-conj w, conj z), e^{2 i phi} = c q e^2
     normal = np.empty_like(gamma)
     vert, horiz = (1j / sa) * t, (1j * c) * (s * q) * e * e
-    np.subtract(vert * z, horiz * w.conj(), out=normal[:, 0])
-    np.add(vert * w, horiz * z.conj(), out=normal[:, 1])
-    g_n_xi = sa * (normal[:, 0] * z.conj() + normal[:, 1] * w.conj()).imag
+    np.subtract(vert * z, horiz * w.conj(), out=normal[m:, 0])
+    np.add(vert * w, horiz * z.conj(), out=normal[m:, 1])
+    g_n_xi = sa * (normal[m:, 0] * z.conj() + normal[m:, 1] * w.conj()).imag
+    np.subtract(g_n_xi, t, out=C_residual[m:])
+    for arr in (gamma, normal):  # rows n - 1, n - 2, ... reflected to rows 0, 1, ...
+        np.conjugate(arr[:n - m - 1:-1], out=arr[:m])
+        np.negative(arr[:m, 1], out=arr[:m, 1])
+    metric_residual[:m] = metric_residual[:n - m - 1:-1]  # even; C odd
+    np.negative(C_residual[:n - m - 1:-1], out=C_residual[:m])
     return MeridianProfile(alpha=a, H=H, x=xs, points=gamma.view(np.float64),
                            normals=normal.view(np.float64),
-                           metric_residual=metric_residual, C_residual=g_n_xi - t)
+                           metric_residual=metric_residual, C_residual=C_residual)
 
 
 def _metric_residual(a, H, t, s, q, e, z, w):
@@ -252,18 +265,20 @@ def _metric_residual(a, H, t, s, q, e, z, w):
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
-    """The meridian y = 0 of S_a(H) on n equispaced samples, validated.
+    """The meridian y = 0 of S_a(H) on n equispaced samples, exactly symmetric about
+    the equator, validated.
 
-    Evaluates the closed forms of the module docstring: the curve gamma and
-    its g_a-unit normal N, which is E2 at the equator x = 0.  Raises
-    ReconstructionError if a residual breaks RESIDUAL_TOL.
+    Evaluates the closed forms of the module docstring at x >= 0, the curve gamma
+    and its g_a-unit normal N (E2 at the equator x = 0), and reflects them to
+    x < 0.  Raises ReconstructionError if a residual breaks RESIDUAL_TOL.
     """
     a, H = as_alpha(p), as_H(H)
     if not MERIDIAN_MIN_N <= n <= MERIDIAN_MAX_N:
         raise ValueError(f"need {MERIDIAN_MIN_N} <= n <= {MERIDIAN_MAX_N} meridian samples, "
                          f"got {n}")
-    lo, hi = meridian_range(x_range)
-    prof = _meridian_profile(a, H, np.linspace(lo, hi, n))
+    hi = meridian_range(x_range)[1]
+    # odd to the bit (j / (n - 1) and hi v round alike for +-j); x = 0 is a sample for odd n
+    prof = _meridian_profile(a, H, hi * (np.arange(1 - n, n, 2) / (n - 1)), n // 2)
     if prof.holds_contract:
         return prof
     msg = (f"reconstruction invariants violated: metric {prof.max_metric_residual:.3e}, "
@@ -396,13 +411,6 @@ def _turning_angles(a: float, H: float, x: np.ndarray) -> np.ndarray:
     return np.arctan2(math.sqrt(a) * t, H) + _phase(a, H, t, 1.0 + H * H - (1.0 - a) * t * t)
 
 
-def _sign_changes(v: np.ndarray) -> int:
-    """Sign changes along v, exact zeros left out."""
-    s = np.sign(v)
-    s = s[s != 0.0]
-    return int(np.count_nonzero(s[1:] != s[:-1]))
-
-
 def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     """Decide embeddedness of the CMC sphere from its sampled meridian: the
     reference route that classify_embedding is checked against.
@@ -411,12 +419,12 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     orbit generator (orbit_space_curve).  As w'(-t) = conj w'(t) and |w'|
     rises strictly in |t|, the curve meets itself only on the real axis,
     once for each zero of Im w' on either half.  The crossings are the sign
-    changes of Im w' over the samples with x > 0, and separately over those
-    with x < 0, exact zeros left out; the smaller count holds the crossings
-    whose both branches are sampled.  The margin of a curve without
-    crossings is the least distance 2|Im w'| between mirror points over the
-    samples at least ARC_FACTOR/2 times the longest segment of arc from the
-    equator, capped at ARC_FACTOR times it; a crossing curve has margin 0.
+    changes of Im w' over the samples with x > 0, exact zeros left out: on the
+    odd grid of reconstruct_meridian, Im w' at -x is minus Im w' at x.  The
+    margin of a curve without crossings is the least distance 2|Im w'|
+    between mirror points over the samples at least ARC_FACTOR/2 times the
+    longest segment of arc from the equator, capped at ARC_FACTOR times it; a
+    crossing curve has margin 0.
     A margin below 10x the longest segment yields an undecided verdict.
 
     Raises ReconstructionError unless the meridian holds its contract and the
@@ -437,7 +445,9 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
                                       f"samples (at least pi); refine the grid")
     curve = orbit_space_curve(m)
     im = curve[:, 1]
-    crossings = min(_sign_changes(im[pos:]), _sign_changes(im[:neg]))
+    sign = np.sign(im[pos:])
+    sign = sign[sign != 0.0]
+    crossings = int(np.count_nonzero(sign[1:] != sign[:-1]))
     if crossings > 0:
         return EmbeddednessResult(False, 0.0, crossings)
     seglen = np.hypot(np.diff(curve[:, 0]), np.diff(im))
