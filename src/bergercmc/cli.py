@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .ambient import NumericalError, as_alpha, as_H, total_volume
-from .cmc_spheres import (area_sphere_closed, classify_embedding, meridian_range,
-                          reconstruct_meridian)
+from .cmc_spheres import area_sphere, classify_embedding, meridian_range, reconstruct_meridian
 from .isoperimetry import crossing_alpha, isoperimetric_candidate, sphere_profile, torus_profile
 from .regions import alpha_curve_csv, critical_constants
 from .stability import alpha0, classify_sphere, jacobi_spectrum, sphere_stability_boundary
@@ -65,7 +64,7 @@ def cmd_constants(args) -> int:
 def cmd_sphere(args) -> int:
     x_range = meridian_range((-args.x_max, args.x_max))
     verdict = classify_sphere(args.alpha, args.H)
-    area = area_sphere_closed(args.alpha, args.H)
+    area = area_sphere(args.alpha, args.H)
     if args.meridian_n:  # before the spectrum, so that a bad --meridian-n fails fast
         m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
         r = classify_embedding(args.alpha, args.H)

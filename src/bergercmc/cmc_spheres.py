@@ -11,9 +11,10 @@ x only:
     A(x)    = -(H + i sqrt(a)) / (2 den)          (<Phi_w, xi>)
     p(x)    = (1 - a)(H + i sqrt(a)) / (2 den^2)  (Hopf-differential datum)
 
-with q(x) = H^2 + a tanh^2 x + sech^2 x; the code evaluates conf through
-sech^2 x / q, which cannot overflow.  tests/float_oracles.py carries C, A and
-p and checks the integrability conditions and the Gauss equation on them.
+with q(x) = H^2 + a tanh^2 x + sech^2 x; conf = (H^2 + a) sech^2 x / q^2 cannot
+overflow.  tests/float_oracles.py carries conf, C, A and p, checks the
+integrability conditions and the Gauss equation on them, and integrates conf
+by quadrature, the oracle of the closed-form area.
 The meridian y = 0 has a closed form too: with c = 1 + H^2, t = tanh x,
 s = sech x,
 
@@ -78,7 +79,8 @@ MERIDIAN_X_LIMIT = 700.0  # largest |x| endpoint; math.cosh overflows from about
 X_STAR = 0.6948165380537966  # the root of X G(X) = 1, where Theta turns from rising to falling
 
 
-# this module's oracle integrals, a module attribute that callers can wrap or replace
+# the rule of the tests' oracle integrals over this module's data, a module
+# attribute that callers can wrap or replace; no routine here calls it
 def quad(f):
     return even_integral(f, AREA_CUTOFF)
 
@@ -91,34 +93,6 @@ def solve_ivp(*args, **kwargs):
 
 class ReconstructionError(NumericalError):
     """A meridian violated a profile invariant."""
-
-
-@dataclass(frozen=True)
-class SphereFundamentalData:
-    """The conformal factor of the CMC sphere S_a(H) in the w-chart, in closed form."""
-
-    alpha: float
-    H: float
-
-    def _sech2_q(self, x):
-        """(sech^2 x, q(x)) with q = den sech^2 = H^2 + a tanh^2 x + sech^2 x >= min(1, a)."""
-        x = np.asarray(x, dtype=float)
-        t, s = np.tanh(x), 1.0 / np.cosh(x)
-        return s * s, self.H**2 + self.alpha * t * t + s * s
-
-    def conf(self, x):
-        s2, q = self._sech2_q(x)
-        return (self.H**2 + self.alpha) * s2 / (q * q)
-
-
-def fundamental_data(p, H: float) -> SphereFundamentalData:
-    """Fundamental data of the CMC sphere with mean curvature H >= 0."""
-    return SphereFundamentalData(alpha=as_alpha(p), H=as_H(H))
-
-
-def area_sphere(p, H: float) -> float:
-    """Area of S_a(H): 2 pi Int conf(x) dx by the trapezoidal rule of quad."""
-    return 2.0 * math.pi * quad(fundamental_data(p, H).conf)
 
 
 def artanh_ratio(x, one_minus_x):
@@ -145,8 +119,9 @@ def artanh_ratio(x, one_minus_x):
     return out
 
 
-def area_sphere_closed(p, H):
-    """Closed-form area 2 pi (1 + (H^2 + a) G(X)/c)/c for a float or an array of H."""
+def area_sphere(p, H):
+    """Area 2 pi Int conf dx of S_a(H) in closed form, 2 pi (1 + (H^2 + a) G(X)/c)/c,
+    c = 1 + H^2, X = (1 - a)/c, for a float or an array of H."""
     a, H = as_alpha(p), as_H(H)
     h2 = H * H
     c = 1.0 + h2

@@ -5,7 +5,7 @@ holding V(0) = pi^2 sqrt(a) at the minimal sphere, has the rate
 
     dV/dH = d(area)/du |_{u = H^2} = -2 K,   K = Int f dA,
 
-where f solves Lf = 1 (the Koiso function of the stability module).  The
+where f solves Lf = 1 and K is stability.koiso_integral.  The
 first equality is the first-variation identity dA = 2H dV written in
 u = H^2, which is regular at H = 0; the second makes the rate the closed
 Koiso integral, so the volume falls exactly where the spheres are stable.
@@ -37,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .ambient import H_MAX, as_alpha, as_H, brentq, even_integral, total_volume
-from .cmc_spheres import AREA_CUTOFF, area_sphere_closed, turning_angle
-from .stability import classify_sphere, koiso_integral_closed
+from .cmc_spheres import AREA_CUTOFF, area_sphere, turning_angle
+from .stability import classify_sphere, koiso_integral
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
 
 SPHERE = "Sphere"
@@ -182,7 +182,7 @@ def sphere_volume(p, H) -> np.ndarray:
     a = as_alpha(p)
     H = as_H(np.asarray(H, dtype=float))
     vol = np.asarray(2.0 * math.pi * math.sqrt(a) * turning_angle(a, H)
-                     - 0.5 * H * area_sphere_closed(a, H))
+                     - 0.5 * H * area_sphere(a, H))
     far = H * H >= 16.0 * max(a, 4.0)
     u = 1.0 / H[far]
     series = 0.0
@@ -200,7 +200,7 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile
     and volume rates dV/dH = -2 Int f dA."""
     a = as_alpha(p)
     H = _graded_grid(H_max, n)
-    rate = -2.0 * koiso_integral_closed(a, H)
+    rate = -2.0 * koiso_integral(a, H)
     monotone = bool(np.all(rate <= 1e-12))
     notes = ""
     if not monotone:
@@ -208,7 +208,7 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile
         notes = (f"volume is not monotone in H (increasing near H in "
                  f"[{inc.min():.3f}, {inc.max():.3f}]): noncongruent spheres "
                  f"enclose equal volumes")
-    return IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area_sphere_closed(a, H),
+    return IsoperimetricProfile(family=SPHERE, alpha=a, H=H, area=area_sphere(a, H),
                                 volume=sphere_volume(a, H), monotone=monotone, notes=notes)
 
 
@@ -237,17 +237,17 @@ def clifford_vs_minimal_sphere(p) -> tuple[float, float, str]:
     """
     a = as_alpha(p)
     a_torus = 2.0 * math.pi**2 * math.sqrt(a)
-    a_sphere = area_sphere_closed(a, 0.0)
+    a_sphere = area_sphere(a, 0.0)
     return a_torus, a_sphere, (SPHERE if a_sphere <= a_torus else TORUS)
 
 
 def crossing_alpha() -> float:
     """The deformation where minimal sphere and Clifford torus have equal area.
 
-    Root of 2 pi^2 sqrt(a) = area_sphere_closed(a, 0) on (0, 1/3); near 0.166.
+    Root of 2 pi^2 sqrt(a) = area_sphere(a, 0) on (0, 1/3); near 0.166.
     """
     def f(a):
-        return 2.0 * math.pi**2 * math.sqrt(a) - area_sphere_closed(a, 0.0)
+        return 2.0 * math.pi**2 * math.sqrt(a) - area_sphere(a, 0.0)
 
     return brentq(f, 1e-6, 1.0 / 3.0, xtol=1e-12, rtol=8.9e-16)
 

@@ -5,8 +5,9 @@ same after conformally flattening: the potential times the conformal
 factor is the (a, H)-independent function 2/cosh^2 x.  Stability is then
 decided by the Koiso criterion (the surface has index one and mean-zero
 Jacobi functions): S_a(H) is stable iff the solution f of Lf = 1
-integrates to a nonnegative value.  Both f and its integral have closed
-forms through G = cmc_spheres.artanh_ratio.  As H^2 + 3a - 2 = c (1 - 3X),
+integrates to a nonnegative value.  The integral has a closed form through
+G = cmc_spheres.artanh_ratio, koiso_integral; f and its quadrature are test
+oracles only.  As H^2 + 3a - 2 = c (1 - 3X),
 c = 1 + H^2, X = (1 - a)/c, the integral is pi kappa(X)/(2 c^2) with
 kappa(X) = 3 + (1 - 3X) G(X): kappa > 0 for X <= 1/3 (G > 0), kappa' =
 -3G + (1 - 3X) G' < 0 on (1/3, 1) (G, G' > 0) and kappa -> -inf as X -> 1,
@@ -42,11 +43,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H, brentq,
-                      even_integral)
-from .cmc_spheres import AREA_CUTOFF, artanh_ratio, fundamental_data
+from .ambient import NumericalError, StabilityVerdict, as_alpha, as_H, brentq, even_integral
+from .cmc_spheres import AREA_CUTOFF, artanh_ratio
 
-KOISO_RTOL = 1e-6  # closed form vs quadrature of the Koiso integral
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
 EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # ulp of 1, least normal
 ZERO_RTOL = 1e-3  # the window +-ZERO_RTOL * gap that must hold the zero eigenvalues
@@ -54,7 +53,8 @@ COUNT_ULPS = 2.5  # a Sturm count's backward error in the off-diagonal, in ulps 
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
 
 
-# module attributes that callers can wrap or replace; scipy loads on first call
+# module attributes that callers can wrap or replace; scipy loads on first call.
+# quad is the rule of the tests' oracle integrals; no routine here calls it
 def quad(f):
     return even_integral(f, AREA_CUTOFF)
 
@@ -104,26 +104,14 @@ class SpectrumResult:
 
 
 # ---------------------------------------------------------------------------
-# Koiso solution and its integral
+# the Koiso integral
 # ---------------------------------------------------------------------------
 
-def koiso_solution(p, H: float, x):
-    """The solution f = (1 - h^2 G(h^2)) / (2c) of Lf = 1 on S_a(H), in the
-    flat chart, with c = 1 + H^2, h^2 = (1 - a) tanh^2 x / c and
-    G = artanh_ratio; at a = 1 it is the constant 1/(2c)."""
-    a = as_alpha(p)
-    c = H**2 + 1.0
-    x = np.asarray(x, dtype=float)
-    t2 = np.tanh(x) ** 2
-    h2 = (1.0 - a) / c * t2
-    q = H**2 + a * t2 + 1.0 / np.cosh(x) ** 2  # c (1 - h^2), a sum of nonnegative terms
-    return (1.0 - h2 * artanh_ratio(h2, q / c)) / (2.0 * c)
-
-
-def koiso_integral_closed(p, H):
+def koiso_integral(p, H):
     """Closed form pi/(2c^2) (3 + (H^2 + 3a - 2) G((1 - a)/c)/c) of Int f dA over
-    S_a(H), c = 1 + H^2, for a float or an array of H; it is pi kappa(X)/(2c^2),
-    X = (1 - a)/c, whose sign decides stability (module docstring)."""
+    S_a(H), f the solution of Lf = 1 and c = 1 + H^2, for a float or an array of H;
+    it is pi kappa(X)/(2c^2), X = (1 - a)/c, whose sign decides stability (module
+    docstring)."""
     a, H = as_alpha(p), as_H(H)
     h2 = H * H
     c = h2 + 1.0
@@ -131,38 +119,21 @@ def koiso_integral_closed(p, H):
     return math.pi * (3.0 + (h2 + 3.0 * a - 2.0) * G / c) / (2.0 * c * c)
 
 
-def koiso_integral_quadrature(p, H: float) -> float:
-    """Independent quadrature route: 2 pi Int f(x) conf(x) dx, by the trapezoidal rule."""
-    d = fundamental_data(p, H)
-    return 2.0 * math.pi * quad(lambda x: koiso_solution(d.alpha, H, x) * d.conf(x))
-
-
-def koiso_integral(p, H: float) -> float:
-    """Int f dA by the closed form, cross-checked against quadrature."""
-    closed = koiso_integral_closed(p, H)
-    quadr = koiso_integral_quadrature(p, H)
-    scale = max(abs(closed), abs(quadr), 1e-12)
-    if abs(closed - quadr) > KOISO_RTOL * scale:
-        raise ConsistencyError(
-            f"Koiso integral mismatch: closed {closed} vs quadrature {quadr}")
-    return closed
-
-
 def classify_sphere(p, H: float) -> StabilityVerdict:
     """Koiso criterion: S_a(H) is stable iff Int f dA >= 0."""
     a = as_alpha(p)
     H = as_H(H)
-    margin = koiso_integral_closed(a, H)
+    margin = koiso_integral(a, H)
     return StabilityVerdict(stable=margin >= 0.0, margin=margin, alpha=a, H=H)
 
 
 def alpha0() -> float:
     """The threshold deformation 1 - X_K: below it some spheres are unstable.
 
-    Root of koiso_integral_closed(a, 0) on (0, 1/3); the minimal sphere
+    Root of koiso_integral(a, 0) on (0, 1/3); the minimal sphere
     S_a(0) changes stability here.
     """
-    return brentq(lambda a: koiso_integral_closed(a, 0.0), 1e-9, 1.0 / 3.0,
+    return brentq(lambda a: koiso_integral(a, 0.0), 1e-9, 1.0 / 3.0,
                   xtol=1e-14, rtol=8.9e-16)
 
 

@@ -3,12 +3,13 @@ computes in closed form.
 
 Each routine here re-derives one identity of the CMC sphere family in
 double precision (the z-chart data, the integrability conditions, the
-Gauss equation, Gauss-Bonnet, the universal flat potential, the Jacobi
-field tanh x, the volume rate, the round caps, the sign of F).  None is on
-a command's path; the tests check the closed forms of bergercmc against
-them.  The integrals go through the production modules' `quad` attribute
-(cmc_spheres.quad, stability.quad, isoperimetry.quad), looked up at each
-call, so a test that wraps one of those sees these integrals too.
+Gauss equation, Gauss-Bonnet, the area, the Koiso function and its
+integral, the universal flat potential, the Jacobi field tanh x, the volume
+rate, the round caps, the sign of F).  None is on a command's path; the
+tests check the closed forms of bergercmc against them.  The integrals go
+through the production modules' `quad` attribute (cmc_spheres.quad,
+stability.quad, isoperimetry.quad), looked up at each call, so a test that
+wraps one of those sees these integrals too.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 
 from bergercmc import cmc_spheres, isoperimetry, stability
 from bergercmc.ambient import ConsistencyError, as_alpha, as_H
+from bergercmc.cmc_spheres import artanh_ratio
 from bergercmc.regions import poly_eval
 
 GAUSS_RTOL = 1e-12  # conformal route vs Gauss equation of the Gauss curvature
@@ -35,8 +37,22 @@ def random_spheres():
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OracleData(cmc_spheres.SphereFundamentalData):
-    """SphereFundamentalData with the rest of the w-chart data: C, A, p and |sigma|^2."""
+class OracleData:
+    """The w-chart data of the CMC sphere S_a(H) in closed form: conf, C, A, p and
+    |sigma|^2."""
+
+    alpha: float
+    H: float
+
+    def _sech2_q(self, x):
+        """(sech^2 x, q(x)) with q = den sech^2 = H^2 + a tanh^2 x + sech^2 x >= min(1, a)."""
+        x = np.asarray(x, dtype=float)
+        t, s = np.tanh(x), 1.0 / np.cosh(x)
+        return s * s, self.H**2 + self.alpha * t * t + s * s
+
+    def conf(self, x):
+        s2, q = self._sech2_q(x)
+        return (self.H**2 + self.alpha) * s2 / (q * q)
 
     def C(self, x):
         return np.tanh(np.asarray(x, dtype=float))
@@ -56,9 +72,8 @@ class OracleData(cmc_spheres.SphereFundamentalData):
 
 
 def oracle_data(p, H: float) -> OracleData:
-    """The fundamental data of S_a(H), checked as cmc_spheres.fundamental_data checks them."""
-    d = cmc_spheres.fundamental_data(p, H)
-    return OracleData(alpha=d.alpha, H=d.H)
+    """The fundamental data of S_a(H), a and H checked as the closed forms check them."""
+    return OracleData(alpha=as_alpha(p), H=as_H(H))
 
 
 def zchart_data(alpha: float, H: float, x):
@@ -146,6 +161,11 @@ def gauss_bonnet_integral(d: OracleData) -> float:
     return 2.0 * math.pi * cmc_spheres.quad(lambda x: gauss_curvature(d, x) * d.conf(x))
 
 
+def area_sphere_quadrature(p, H: float) -> float:
+    """2 pi Int conf dx by cmc_spheres.quad: the check route of cmc_spheres.area_sphere."""
+    return 2.0 * math.pi * cmc_spheres.quad(oracle_data(p, H).conf)
+
+
 def planarity_report(points: np.ndarray) -> dict:
     """How close a curve in R^4 is to a circle in an affine 2-plane.
 
@@ -173,7 +193,7 @@ def planarity_report(points: np.ndarray) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi operator: flat potential and the Jacobi field tanh x
+# the Jacobi operator: flat potential, the Koiso function, the Jacobi field tanh x
 # ---------------------------------------------------------------------------
 
 def jacobi_potential_flat(x) -> np.ndarray:
@@ -187,6 +207,34 @@ def potential_from_data(d: OracleData, x) -> np.ndarray:
     C2 = np.tanh(x) ** 2
     q = d.sigma_norm2(x) + 2.0 * d.alpha + 4.0 * (1.0 - d.alpha) * (1.0 - C2)
     return q * d.conf(x)
+
+
+def koiso_solution(p, H: float, x):
+    """The solution f = (1 - h^2 G(h^2)) / (2c) of Lf = 1 on S_a(H), in the
+    flat chart, with c = 1 + H^2, h^2 = (1 - a) tanh^2 x / c and
+    G = artanh_ratio; at a = 1 it is the constant 1/(2c)."""
+    a = as_alpha(p)
+    c = H**2 + 1.0
+    x = np.asarray(x, dtype=float)
+    t2 = np.tanh(x) ** 2
+    h2 = (1.0 - a) / c * t2
+    q = H**2 + a * t2 + 1.0 / np.cosh(x) ** 2  # c (1 - h^2), a sum of nonnegative terms
+    return (1.0 - h2 * artanh_ratio(h2, q / c)) / (2.0 * c)
+
+
+def koiso_scale(a: float, H: float) -> float:
+    """pi/(2c^2) (3 + |(H^2 + 3a - 2) G(X)/c|), c = 1 + H^2, X = (1 - a)/c: the sum of
+    the sizes of the two terms of stability.koiso_integral, the scale on which its
+    rounding is measured where the integral itself vanishes (at H(a))."""
+    c = 1.0 + H * H
+    G = artanh_ratio((1.0 - a) / c, (H * H + a) / c)
+    return math.pi * (3.0 + abs((H * H + 3.0 * a - 2.0) * G / c)) / (2.0 * c * c)
+
+
+def koiso_integral_quadrature(p, H: float) -> float:
+    """2 pi Int f conf dx by stability.quad: the check route of stability.koiso_integral."""
+    d = oracle_data(p, H)
+    return 2.0 * math.pi * stability.quad(lambda x: koiso_solution(d.alpha, H, x) * d.conf(x))
 
 
 def jacobi_rayleigh_C(p, H: float) -> float:
@@ -214,7 +262,7 @@ def jacobi_rayleigh_C(p, H: float) -> float:
 def sphere_volume_rate(alpha: float, H: float) -> float:
     """dV/dH along the sphere family by isoperimetry.quad: the quadrature of the
     u-derivative of the area integrand, u = H^2 (the check route of
-    -2 koiso_integral_closed; negative where volume shrinks)."""
+    -2 stability.koiso_integral; negative where volume shrinks)."""
     u = H * H
 
     def integrand(x):  # d conf/du, with q = u + a tanh^2 + sech^2 a sum of nonnegative terms

@@ -14,7 +14,7 @@ import numpy as np
 from bergercmc.cmc_spheres import classify_embedding, is_embedded, reconstruct_meridian
 from bergercmc.isoperimetry import clifford_vs_minimal_sphere, crossing_alpha
 from bergercmc.regions import critical_constants, stability_integrand
-from bergercmc.stability import alpha0, koiso_integral_closed, sphere_stability_boundary
+from bergercmc.stability import alpha0, koiso_integral, sphere_stability_boundary
 from bergercmc.tori import (classify_torus, lambda1_closed_form, torus_data, torus_spectrum,
                             torus_stability_threshold)
 
@@ -60,8 +60,8 @@ def test_criterion_04_clifford_comparison():
 def test_criterion_06_koiso_closed_vs_quadrature():
     rows = sphere_stability_boundary(np.linspace(0.015, alpha0() * 0.97, 10))
     for a, Ha in rows:
-        assert koiso_integral_closed(a, Ha + 1e-6) > 0
-        assert koiso_integral_closed(a, Ha - 1e-6) < 0
+        assert koiso_integral(a, Ha + 1e-6) > 0
+        assert koiso_integral(a, Ha - 1e-6) < 0
     ok(6, "the Koiso integral changes sign across H(alpha)")
 
 

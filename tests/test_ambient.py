@@ -49,9 +49,9 @@ def test_mean_curvature_validation():
 @pytest.mark.parametrize("H", [-1.0, math.nan, math.inf, 1.000001e6,
                                np.array([0.0, 0.5, math.nan, 2.0])])
 @pytest.mark.parametrize("closed_form", ["cmc_spheres.turning_angle",
-                                         "cmc_spheres.area_sphere_closed",
+                                         "cmc_spheres.area_sphere",
                                          "isoperimetry.sphere_volume",
-                                         "stability.koiso_integral_closed"])
+                                         "stability.koiso_integral"])
 def test_closed_forms_refuse_a_bad_H(closed_form, H):
     # as classify_sphere and torus_area_volume do: no value for an H off [0, H_MAX]
     import importlib

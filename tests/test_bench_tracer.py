@@ -36,21 +36,31 @@ def test_install_wraps_every_traced_name_and_uninstall_restores(tracer):
         assert getattr(mods[m], attr) is orig, f"{m}.{attr} not restored"
 
 
-def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer):
-    from bergercmc import isoperimetry
+def test_sphere_profile_and_candidate_make_no_quadrature_calls(tracer, tmp_path):
+    # the closed forms are the one route: no command and no selftest check runs a
+    # quadrature, which only the tests' oracles do
+    from bergercmc import cli, isoperimetry
 
     t = tracer.Tracer()
     patches = tracer.install(t)
     try:
         prof = isoperimetry.sphere_profile(0.5, n=100)
         isoperimetry.isoperimetric_candidate(0.5, math.pi**2 * math.sqrt(0.5), profile=prof)
+        calls, _, _ = tracer.aggregate(t.spans)
+        assert calls["isoperimetry.profile"] == 1
+        assert calls["isoperimetry.volume_ode"] == 0
+        for argv in (["constants"],
+                     ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048"],
+                     ["torus", "--alpha", "0.5", "--H", "0"],
+                     ["regions", "--format", "csv+svg"], ["embeddedness"],
+                     ["profiles", "--format", "csv+svg"],
+                     ["candidate", "--alpha", "0.5", "--V", "6.9"], ["selftest"]):
+            assert cli.main(["--out", str(tmp_path), *argv]) == 0, argv
+            calls, _, _ = tracer.aggregate(t.spans)
+            for name in ("cmc_spheres.quad", "stability.quad", "isoperimetry.quad"):
+                assert calls[name] == 0, (argv, name)
     finally:
         tracer.uninstall(patches)
-    calls, _, _ = tracer.aggregate(t.spans)
-    assert calls["isoperimetry.profile"] == 1
-    assert calls["isoperimetry.volume_ode"] == 0
-    assert calls["isoperimetry.quad"] == 0
-    assert calls["cmc_spheres.quad"] == 0
 
 
 def test_embeddedness_spans_measure_the_figure1_layers(tracer):
@@ -78,6 +88,7 @@ def test_scipy_wrappers_get_one_span_name_per_module(tracer):
     # own first-use scipy wrappers; install() wraps a bergercmc-defined function under
     # every name that binds it, so a shared object would merge the per-module spans
     from bergercmc import cmc_spheres, isoperimetry, stability
+    import float_oracles
 
     own = {(mod, attr): getattr(mod, attr)
            for mod, attr in ((cmc_spheres, "quad"), (cmc_spheres, "solve_ivp"),
@@ -90,7 +101,7 @@ def test_scipy_wrappers_get_one_span_name_per_module(tracer):
     t = tracer.Tracer()
     patches = tracer.install(t)
     try:
-        stability.koiso_integral(0.5, 1.0)
+        float_oracles.koiso_integral_quadrature(0.5, 1.0)
         calls, _, _ = tracer.aggregate(t.spans)
         assert calls["stability.quad"] >= 1
         assert calls["isoperimetry.quad"] == 0

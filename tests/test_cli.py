@@ -361,11 +361,12 @@ def _normals_not_unit(m):
 
 def _normals_tilted_toward_orbit(m):
     # still g_a-unit, but no longer g_a-orthogonal to d Phi / dy = W gamma
-    from bergercmc.cmc_spheres import fit_orbit_generator, fundamental_data
+    from bergercmc.cmc_spheres import fit_orbit_generator
+    from float_oracles import oracle_data
 
     wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
     phi_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)
-    unit = phi_y / np.sqrt(fundamental_data(m.alpha, m.H).conf(m.x))[:, None]
+    unit = phi_y / np.sqrt(oracle_data(m.alpha, m.H).conf(m.x))[:, None]
     m.normals = math.cos(1e-6) * m.normals + math.sin(1e-6) * unit
 
 

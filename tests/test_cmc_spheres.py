@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
 from bergercmc.ambient import ConsistencyError
-from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb,
-                                   area_sphere, area_sphere_closed, artanh_ratio,
-                                   classify_embedding, fit_orbit_generator,
-                                   fundamental_data, is_embedded, nonembedded_band,
-                                   reconstruct_meridian, turning_angle)
+from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb, area_sphere, artanh_ratio,
+                                   classify_embedding, fit_orbit_generator, is_embedded,
+                                   nonembedded_band, reconstruct_meridian, turning_angle)
 import oracles
-from float_oracles import (gauss_bonnet_integral, gauss_curvature, integrability_residual,
-                           oracle_data, planarity_report, random_spheres, zchart_data)
+from float_oracles import (area_sphere_quadrature, gauss_bonnet_integral, gauss_curvature,
+                           integrability_residual, oracle_data, planarity_report,
+                           random_spheres, zchart_data)
 from scipy.integrate import quad, solve_ivp
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
@@ -34,7 +33,7 @@ def test_round_minimal_is_mercator():
 
 
 def test_conf_at_equator_third():
-    d = fundamental_data(1 / 3, 0.0)
+    d = oracle_data(1 / 3, 0.0)
     assert float(d.conf(0.0)) == pytest.approx(1 / 3, abs=1e-15)
 
 
@@ -70,9 +69,9 @@ def test_C_is_tanh_and_conf_decays():
 
 def test_fundamental_data_rejects_bad_args():
     with pytest.raises(Exception):
-        fundamental_data(-0.5, 0.0)
+        oracle_data(-0.5, 0.0)
     with pytest.raises(ValueError):
-        fundamental_data(0.5, -1.0)
+        oracle_data(0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +202,15 @@ def test_area_examples():
 def test_area_closed_forms_match_quadrature():
     for a in (0.1, 0.5, 1.0, 1.7, 3.0):
         for H in (0.0, 0.8, 2.5):
-            assert area_sphere(a, H) == pytest.approx(area_sphere_closed(a, H), rel=1e-10)
-    assert area_sphere_closed(0.4, 0.0) == pytest.approx(area_sphere(0.4, 0.0), rel=1e-10)
+            assert area_sphere_quadrature(a, H) == pytest.approx(area_sphere(a, H), rel=1e-10)
+    assert area_sphere(0.4, 0.0) == pytest.approx(area_sphere_quadrature(0.4, 0.0), rel=1e-10)
 
 
 def test_area_closed_array_matches_scalars():
     H = np.array([0.0, 1e-3, 0.8, 2.5, 40.0, 1e6])
     for a in (1e-6, 0.1, 1.0, 1.7, 1e4):
-        want = np.array([area_sphere_closed(a, float(h)) for h in H])
-        np.testing.assert_allclose(area_sphere_closed(a, H), want, rtol=1e-15, atol=0.0)
+        want = np.array([area_sphere(a, float(h)) for h in H])
+        np.testing.assert_allclose(area_sphere(a, H), want, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +255,11 @@ def test_closed_forms_keep_their_digits_as_X_nears_one(a, H):
     import mpmath
 
     from bergercmc.isoperimetry import sphere_volume
-    from bergercmc.stability import koiso_integral_closed
+    from bergercmc.stability import koiso_integral
 
     c = 1.0 + H * H
-    got = [artanh_ratio((1.0 - a) / c, (H * H + a) / c), area_sphere_closed(a, H),
-           koiso_integral_closed(a, H), turning_angle(a, H),
+    got = [artanh_ratio((1.0 - a) / c, (H * H + a) / c), area_sphere(a, H),
+           koiso_integral(a, H), turning_angle(a, H),
            float(sphere_volume(a, np.array([H]))[0])]
     with mpmath.workdps(50):
         # each value with the sum of its terms' magnitudes
@@ -404,7 +403,7 @@ def _ode_meridian(a, H, xs):
     V, E1, E2 = frame_at(points)
     xi = V / math.sqrt(a)
     normals = coeff_n[:, 0:1] * xi + coeff_n[:, 1:2] * E1 + coeff_n[:, 2:3] * E2
-    ev = np.sqrt(fundamental_data(a, H).conf(xs))[:, None]
+    ev = np.sqrt(oracle_data(a, H).conf(xs))[:, None]
     phi_y = ev * (coeff_b[:, 0:1] * xi + coeff_b[:, 1:2] * E1 + coeff_b[:, 2:3] * E2)
     return points, normals, phi_y, coeff_n[:, 0] - np.tanh(xs)
 
@@ -476,7 +475,7 @@ def test_meridian_postprocessing_matches_per_sample_loop():
 
     a, H, n = 0.01, 1.0, 2048
     m = reconstruct_meridian(a, H, (-9, 9), n)
-    conf = fundamental_data(a, H).conf(m.x)
+    conf = oracle_data(a, H).conf(m.x)
     W = fit_orbit_generator(m)
     for i in [*range(0, n, 37), n - 1]:
         with mpmath.workdps(30):

@@ -78,9 +78,10 @@ def test_selftest_loads_only_scipy_linalg():
 
 
 def test_oracle_integrals_load_no_scipy():
-    code = ("from bergercmc import cmc_spheres, stability\n"
-            "stability.koiso_integral(0.5, 1.0)\n"
-            "cmc_spheres.area_sphere(0.5, 1.0)")
+    code = (f"sys.path.insert(0, {str(SRC.parent / 'tests')!r})\n"
+            "import float_oracles as fo\n"
+            "fo.koiso_integral_quadrature(0.5, 1.0)\n"
+            "fo.area_sphere_quadrature(0.5, 1.0)")
     assert modules_after(code) == []
 
 

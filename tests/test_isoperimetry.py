@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from bergercmc.ambient import brentq, total_volume
-from bergercmc.cmc_spheres import area_sphere_closed
+from bergercmc.cmc_spheres import area_sphere
 from bergercmc.isoperimetry import (SPHERE, TORUS, IsoperimetricProfile,
                                     clifford_vs_minimal_sphere, crossing_alpha,
                                     isoperimetric_candidate, sphere_profile, sphere_volume,
                                     torus_H_at_volume, torus_profile)
-from bergercmc.stability import alpha0, koiso_integral_closed
+from bergercmc.stability import alpha0, koiso_integral
 from bergercmc.tori import torus_area_volume
 import oracles
-from float_oracles import round_cap_area_volume, sphere_volume_rate
+from float_oracles import (area_sphere_quadrature, koiso_scale, round_cap_area_volume,
+                           sphere_volume_rate)
 
 CROSSING_REF = 0.1664476396914846
 
@@ -73,7 +74,7 @@ def test_profile_decays(prof_half):
 def test_first_variation_identity_sphere():
     # uniform grid so the central differences are second order
     H = np.linspace(0.0, 4.0, 401)
-    A, V = area_sphere_closed(0.5, H), sphere_volume(0.5, H)
+    A, V = area_sphere(0.5, H), sphere_volume(0.5, H)
     dA = (A[2:] - A[:-2]) / (H[2:] - H[:-2])
     dV = (V[2:] - V[:-2]) / (H[2:] - H[:-2])
     Hm = H[1:-1]
@@ -86,17 +87,19 @@ def test_volume_rate_is_first_variation():
     a = 0.7
     for H in (0.4, 1.1):
         h = 1e-4
-        dA = (area_sphere_closed(a, H + h) - area_sphere_closed(a, H - h)) / (2 * h)
+        dA = (area_sphere(a, H + h) - area_sphere(a, H - h)) / (2 * h)
         assert sphere_volume_rate(a, H) == pytest.approx(dA / (2 * H), rel=1e-6)
 
 
-@pytest.mark.parametrize("a", [0.004, alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0])
-@pytest.mark.parametrize("H", [0.0, 1e-3, 1.0, 20.0])
+@pytest.mark.parametrize("H, a", [(H, a) for H in (0.0, 1e-3, 1.0, 20.0) for a in
+                                  (0.004, alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0)]
+                         + [(0.0659486, 0.11706)])
 def test_closed_volume_rate_is_minus_twice_koiso_integral(a, H):
-    # the profile's volume rate against the quadrature of d(area)/du; the
-    # absolute floor covers (alpha0, 0), where the rate vanishes
-    closed = -2.0 * koiso_integral_closed(a, H)
-    assert closed == pytest.approx(sphere_volume_rate(a, H), rel=1e-9, abs=1e-12)
+    # the profile's volume rate against the quadrature of d(area)/du, within 1e-12
+    # of the closed form's term sizes 2 koiso_scale: also where the rate vanishes,
+    # at (alpha0, 0) and next to H(a) at (0.11706, 0.0659486)
+    closed = -2.0 * koiso_integral(a, H)
+    assert abs(closed - sphere_volume_rate(a, H)) <= 1e-12 * 2.0 * koiso_scale(a, H)
 
 
 def test_sphere_volume_against_mpmath():
@@ -128,7 +131,7 @@ def test_torus_volume_plus_half_H_area_is_half_the_total():
 
 
 def test_sphere_volume_closed_form_integrates_the_rate():
-    # d/dH of the closed form is -2 koiso_integral_closed, and V(0) = pi^2 sqrt(a)
+    # d/dH of the closed form is -2 koiso_integral, and V(0) = pi^2 sqrt(a)
     import mpmath
 
     with mpmath.workdps(30):
@@ -137,7 +140,7 @@ def test_sphere_volume_closed_form_integrates_the_rate():
                 float(mpmath.pi**2 * mpmath.sqrt(a)), rel=1e-15)
             for H in (0.3, 1.0, 20.0):
                 rate = mpmath.diff(lambda h: oracles.volume(mpmath, a, h), H)
-                assert float(rate) == pytest.approx(-2.0 * koiso_integral_closed(a, H),
+                assert float(rate) == pytest.approx(-2.0 * koiso_integral(a, H),
                                                     rel=1e-12)
 
 
@@ -149,10 +152,8 @@ def test_sphere_volume_round_sphere():
 
 
 def test_sphere_profile_is_the_closed_forms(prof_half):
-    from bergercmc.cmc_spheres import area_sphere_closed
-
     assert np.array_equal(prof_half.volume, sphere_volume(0.5, prof_half.H))
-    assert np.array_equal(prof_half.area, area_sphere_closed(0.5, prof_half.H))
+    assert np.array_equal(prof_half.area, area_sphere(0.5, prof_half.H))
 
 
 def test_non_monotone_detection_small_alpha():
@@ -285,10 +286,8 @@ def test_crossing_alpha_defining_property():
 
 def test_crossing_alpha_area_against_quadrature():
     # the closed minimal-sphere area at the root, checked by the area quadrature
-    from bergercmc.cmc_spheres import area_sphere, area_sphere_closed
-
     ca = crossing_alpha()
-    assert area_sphere(ca, 0.0) == pytest.approx(area_sphere_closed(ca, 0.0), rel=1e-9)
+    assert area_sphere_quadrature(ca, 0.0) == pytest.approx(area_sphere(ca, 0.0), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

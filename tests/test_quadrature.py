@@ -1,9 +1,9 @@
 """The one quadrature rule of the oracle integrals, ambient.even_integral.
 
 scipy.integrate.quad is its oracle on the grids of the float oracles
-(tests/float_oracles.py) and of selftest, and the 50-digit closed forms of
-tests/oracles.py check every oracle integral at the corners of the accepted
-(a, H) box.
+(tests/float_oracles.py) and of the tests that run them, and the 50-digit
+closed forms of tests/oracles.py check every oracle integral at the corners
+of the accepted (a, H) box.
 """
 
 import math
@@ -18,7 +18,7 @@ import float_oracles as fo
 import oracles
 from bergercmc import ambient, cmc_spheres, isoperimetry, selfcheck, stability
 from bergercmc.ambient import QUAD_MAX_NODES, QuadratureError, even_integral
-from bergercmc.cmc_spheres import AREA_CUTOFF, fundamental_data
+from bergercmc.cmc_spheres import AREA_CUTOFF
 
 
 def test_gaussian_and_sech2_to_rounding():
@@ -84,11 +84,11 @@ def test_rule_against_scipy_quad_on_the_selftest_grids(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for a, H in fo.random_spheres():
-            cmc_spheres.area_sphere(a, H)
+            fo.area_sphere_quadrature(a, H)
             fo.gauss_bonnet_integral(fo.oracle_data(a, H))
         for a in np.linspace(0.05, 2.5, 20):
             for H in np.linspace(0.0, 3.0, 20):
-                stability.koiso_integral_quadrature(a, H)
+                fo.koiso_integral_quadrature(a, H)
         for a in (0.004, stability.alpha0(), 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 3.0, 50.0):
             for H in (0.0, 1e-3, 1.0, 20.0):
                 fo.sphere_volume_rate(a, H)
@@ -101,13 +101,13 @@ def test_rule_against_scipy_quad_on_the_selftest_grids(monkeypatch):
 
 def test_cutoff_covers_the_smallest_alpha():
     # the claim of AREA_CUTOFF at a = ALPHA_MIN, H = 0: conf(L)/conf(0) = 4e^-2L/a^2 < 1e-16
-    d = fundamental_data(ambient.ALPHA_MIN, 0.0)
+    d = fo.oracle_data(ambient.ALPHA_MIN, 0.0)
     assert d.conf(AREA_CUTOFF) / d.conf(0.0) < 1e-16
     with mpmath.workdps(50):
         area = oracles.area(mpmath, ambient.ALPHA_MIN, 0)
         koiso = oracles.koiso(mpmath, ambient.ALPHA_MIN, 0)
-        assert abs(cmc_spheres.area_sphere(ambient.ALPHA_MIN, 0.0) - area) <= 1e-14 * area
-        assert (abs(stability.koiso_integral_quadrature(ambient.ALPHA_MIN, 0.0) - koiso)
+        assert abs(fo.area_sphere_quadrature(ambient.ALPHA_MIN, 0.0) - area) <= 1e-14 * area
+        assert (abs(fo.koiso_integral_quadrature(ambient.ALPHA_MIN, 0.0) - koiso)
                 <= 1e-14 * abs(koiso))
 
 
@@ -124,9 +124,9 @@ def test_every_oracle_is_right_or_refuses_at_the_box_corners(a, H):
         area = float(oracles.area(mpmath, a, H))
         koiso = float(oracles.koiso(mpmath, a, H))
     checks = {
-        "area": (lambda: cmc_spheres.area_sphere(a, H), area),
+        "area": (lambda: fo.area_sphere_quadrature(a, H), area),
         "gauss-bonnet": (lambda: fo.gauss_bonnet_integral(fo.oracle_data(a, H)), 4.0 * math.pi),
-        "koiso": (lambda: stability.koiso_integral_quadrature(a, H), koiso),
+        "koiso": (lambda: fo.koiso_integral_quadrature(a, H), koiso),
         "volume rate": (lambda: fo.sphere_volume_rate(a, H), -2.0 * koiso),
     }
     with warnings.catch_warnings():

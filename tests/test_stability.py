@@ -6,16 +6,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from bergercmc.cmc_spheres import fundamental_data
 from bergercmc.selfcheck import SPHERE_GRID
 from bergercmc.stability import (SpectrumError, alpha0, classify_sphere, jacobi_spectrum,
-                                 koiso_integral, koiso_integral_closed,
-                                 koiso_integral_quadrature, koiso_solution,
-                                 sphere_stability_boundary)
+                                 koiso_integral, sphere_stability_boundary)
 from bergercmc.svgplot import write_csv
 import oracles
-from float_oracles import (jacobi_potential_flat, jacobi_rayleigh_C, oracle_data,
-                           potential_from_data)
+from float_oracles import (jacobi_potential_flat, jacobi_rayleigh_C, koiso_integral_quadrature,
+                           koiso_scale, koiso_solution, oracle_data, potential_from_data)
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
 HS = st.floats(min_value=0.0, max_value=3.0)
@@ -79,7 +76,7 @@ def test_koiso_solution_alpha_one_limit():
 
 def test_koiso_solution_solves_ode():
     a, H = 0.5, 1.0
-    d = fundamental_data(a, H)
+    d = oracle_data(a, H)
     x = np.linspace(-10, 10, 2000)
     h = x[1] - x[0]
     f = koiso_solution(a, H, x)
@@ -90,7 +87,7 @@ def test_koiso_solution_solves_ode():
 
 def test_koiso_solution_ode_second_order():
     a, H = 2.5, 0.4
-    d = fundamental_data(a, H)
+    d = oracle_data(a, H)
 
     def sup_res(n):
         x = np.linspace(-10, 10, n)
@@ -112,36 +109,38 @@ def test_koiso_integral_clifford_value():
 
 @given(st.floats(min_value=1.001, max_value=6.0), HS)
 def test_koiso_integral_positive_above_one(alpha, H):
-    assert koiso_integral_closed(alpha, H) > 0
+    assert koiso_integral(alpha, H) > 0
 
 
-def test_koiso_integral_closed_array_matches_scalars():
+def test_koiso_integral_array_matches_scalars():
     H = np.array([0.0, 1e-3, 0.5, 3.0, 40.0, 1e6])
     for a in (1e-6, alpha0(), 0.5, 1.0, 1 + 1e-9, 2.5, 1e4):
-        want = np.array([koiso_integral_closed(a, float(h)) for h in H])
-        np.testing.assert_allclose(koiso_integral_closed(a, H), want, rtol=1e-15, atol=0.0)
+        want = np.array([koiso_integral(a, float(h)) for h in H])
+        np.testing.assert_allclose(koiso_integral(a, H), want, rtol=1e-15, atol=0.0)
 
 
 def test_koiso_integral_negative_small_alpha():
-    assert koiso_integral_closed(0.05, 0.0) < 0
+    assert koiso_integral(0.05, 0.0) < 0
 
 
 def test_koiso_closed_vs_quadrature_lattice():
-    alphas = np.linspace(0.05, 2.5, 20)
-    Hs = np.linspace(0.0, 3.0, 20)
-    for a in alphas:
-        for H in Hs:
-            closed = koiso_integral_closed(a, H)
-            quadr = koiso_integral_quadrature(a, H)
-            assert abs(closed - quadr) <= 1e-6 * max(abs(closed), abs(quadr), 1e-12)
+    # within 1e-12 of the closed form's term sizes koiso_scale, also where the integral
+    # vanishes: near H(a) at (0.11706, 0.0659486), at (alpha0, 0) and at (0.05, H(0.05));
+    # at a = 1 the Koiso function is the constant 1/(2c)
+    points = [(a, H) for a in np.linspace(0.05, 2.5, 20) for H in np.linspace(0.0, 3.0, 20)]
+    points += [(0.11706, 0.0659486), (alpha0(), 0.0),
+               (0.05, float(sphere_stability_boundary([0.05])[0, 1])), (1.0, 0.7)]
+    for a, H in points:
+        err = abs(koiso_integral(a, H) - koiso_integral_quadrature(a, H))
+        assert err <= 1e-12 * koiso_scale(a, H), (a, H, err)
 
 
 def test_koiso_continuity_at_alpha_one():
     for H in (0.0, 1.5):
         lim = 2 * math.pi / (H**2 + 1) ** 2
-        assert koiso_integral_closed(1 - 1e-8, H) == pytest.approx(lim, rel=1e-6)
-        assert koiso_integral_closed(1 + 1e-8, H) == pytest.approx(lim, rel=1e-6)
-        assert koiso_integral_closed(1.0, H) == pytest.approx(lim, rel=1e-14)
+        assert koiso_integral(1 - 1e-8, H) == pytest.approx(lim, rel=1e-6)
+        assert koiso_integral(1 + 1e-8, H) == pytest.approx(lim, rel=1e-6)
+        assert koiso_integral(1.0, H) == pytest.approx(lim, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +159,9 @@ def test_alpha0_value_and_root_property():
     a0 = alpha0()
     assert abs(a0 - ALPHA0_REF) <= 2 * math.ulp(ALPHA0_REF)
     assert a0 == pytest.approx(0.121, abs=5e-4)  # printed precision
-    assert abs(koiso_integral_closed(a0, 0.0)) < 1e-9
-    assert koiso_integral_closed(a0 + 1e-3, 0.0) > 0
-    assert koiso_integral_closed(a0 - 1e-3, 0.0) < 0
+    assert abs(koiso_integral(a0, 0.0)) < 1e-9
+    assert koiso_integral(a0 + 1e-3, 0.0) > 0
+    assert koiso_integral(a0 - 1e-3, 0.0) < 0
 
 
 def test_boundary_meets_zero_at_alpha0():
@@ -608,11 +607,6 @@ def test_spectrum_refine_check():
     drift = np.abs(coarse.eigenvalues - fine.eigenvalues)
     assert np.max(drift / np.maximum(1.0, np.abs(fine.eigenvalues))) <= 1e-4
     assert fine.index == 1 and fine.nullity == 3
-
-
-def test_koiso_checked_at_alpha_one():
-    val = koiso_integral(1.0, 0.7)  # quadrature cross-check runs inside
-    assert val == pytest.approx(2 * math.pi / (1 + 0.49) ** 2, rel=1e-12)
 
 
 def _shoot_ground_state(alpha, H, lam, n=20000):
