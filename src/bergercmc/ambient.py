@@ -6,10 +6,10 @@ family of metrics
     g_a(X, Y) = <X, Y> + (a - 1) <X, V> <Y, V>,      a > 0,
 
 where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
-a = 1 is the round sphere.  Points and tangent vectors are stored as
-4 real coordinates (Re z, Im z, Re w, Im w); the complex structure is
-applied by component shuffles.  The module also holds what every other
-module shares: the input checks, the error classes, StabilityVerdict, brentq.
+a = 1 is the round sphere.  Points and tangent vectors are complex rows (z, w),
+read by frame_coordinates on the g_a-orthonormal frame {V/sqrt(a), E1, E2},
+E1 = (-conj w, conj z), E2 = i E1; there is no 4-real frame.  The module also holds
+what every other module shares: input checks, error classes, brentq, even_integral.
 """
 
 from __future__ import annotations
@@ -162,32 +162,15 @@ def even_integral(f, cutoff: float) -> float:
     raise QuadratureError(f"no convergence on {n} nodes: |T(h) - T(2h)| = {change}, f(L) = {edge}")
 
 
-def metric_eval(alpha: float, q, x, y):
-    """g_a(x, y) for tangent vectors x, y at the point q of S^3.
-
-    q, x and y are arrays of shape (..., 4) that broadcast together; the
-    result has their common leading shape (a float for single vectors).
-    """
-    V = frame_at(q)[0]
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return (x * y).sum(axis=-1) + (alpha - 1.0) * (x * V).sum(axis=-1) * (y * V).sum(axis=-1)
-
-
 def total_volume(p) -> float:
     """Riemannian volume of the Berger sphere: 2 pi^2 sqrt(a)."""
     return 2.0 * math.pi**2 * math.sqrt(as_alpha(p))
 
 
-def frame_at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round-orthonormal global frame (V, E1, E2) at q = (z, w).
-
-    V = (iz, iw), E1 = (-wbar, zbar), E2 = (-i wbar, i zbar).  All three are
-    unit and mutually orthogonal for the round metric; V is vertical, E1 and
-    E2 are horizontal, so {V/sqrt(a), E1, E2} is g_a-orthonormal.  A stack
-    of points q of shape (..., 4) gives frame vectors of the same shape.
-    """
-    x1, y1, x2, y2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
-    V = np.stack([-y1, x1, -y2, x2], axis=-1)
-    E1 = np.stack([-x2, y2, x1, -y1], axis=-1)
-    E2 = np.stack([-y2, -x2, y1, x1], axis=-1)
-    return V, E1, E2
+def frame_coordinates(alpha: float, z, w, uz, uw):
+    """The coordinates (u0, u12) of the tangent vector u = (uz, uw) at the point (z, w)
+    of S^3 on the g_a-orthonormal frame: u0 = sqrt(a) Im(uz conj z + uw conj w) on
+    V/sqrt(a), u12 = z uw - w uz = <u, E1> + i <u, E2> on E1 + i E2, so that
+    g_a(u, v) = u0 v0 + Re(u12 conj v12).  Arrays broadcast together."""
+    u0 = math.sqrt(alpha) * (uz * np.conj(z) + uw * np.conj(w)).imag
+    return u0, z * uw - w * uz

@@ -23,15 +23,16 @@ s = sech x,
 
 with X = (1 - a)/c and G = artanh_ratio, the one function behind the
 artanh (a < 1) and arctan (a > 1) branches of every closed form of the
-family.  With xi = i gamma / sqrt(a), E1 = (-conj w, conj z) and E2 = i E1, the
-g_a-unit normal is N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2), so
+family.  On the g_a-orthonormal frame (xi, E1 + i E2), xi = i gamma / sqrt(a),
+E1 = (-conj w, conj z), E2 = i E1, whose coordinates ambient.frame_coordinates reads,
+gamma_x = (s/q) (-H s, e^{2 i phi} (sqrt(a) + i H t)), of squared g_a-norm conf, and
+the g_a-unit normal is N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2), so
 g_a(N, xi) = tanh x = C(x) and N = E2 at the equator.  As t and phi are odd in
 x, s and q even, gamma(-x) = (conj z, -conj w) and N(-x) = (conj N_z, -conj N_w):
 the isometry (z, w) -> (conj z, -conj w) maps S_a(H) to itself, so the meridian
-is evaluated at x >= 0 and reflected.  The surface is (x, y) -> exp(yW) gamma(x)
-with the exact generator W = [[i, -H], [H, i H^2]]/c.
-W has the eigenvalues 0 and i; its kernel vector (H, i)/sqrt(c) gives the
-invariant coordinate (H z - i w)/sqrt(c) of the orbit space.
+is evaluated at x >= 0 and reflected.  The surface is (x, y) -> exp(yW) gamma(x) with
+the exact generator W = [[i, -H], [H, i H^2]]/c, of eigenvalues 0 and i; its kernel
+vector (H, i)/sqrt(c) gives the invariant coordinate (H z - i w)/sqrt(c) of the orbits.
 
 In that coordinate the meridian is the planar curve
 w'(t) = e^{i phi} (H - i sqrt(a) t)/sqrt(q), t in (-1, 1), with
@@ -66,7 +67,7 @@ import numpy as np
 
 # ConsistencyError and QuadratureError stay importable from here, where callers import them
 from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
-                      as_H, brentq, even_integral)
+                      as_H, brentq, even_integral, frame_coordinates)
 
 # conf(L)/conf(0) <= 4e^{-2L}/min(a, 1)^2 = 1e-16 at a = ALPHA_MIN: the cutoff L = 46.7
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
@@ -134,14 +135,11 @@ def area_sphere(p, H):
 
 @dataclass
 class MeridianProfile:
-    """Meridian of S_a(H) with its adapted frame and residuals.
-
-    points[i] is the curve in S^3 (4 real coordinates), normals[i] the
-    g_a-unit normal N = tanh x xi + sech x (-sin 2phi E1 + cos 2phi E2) of the
-    module docstring.  metric_residual is the relative error of the analytic
-    speed^2 g_a(gamma_x, gamma_x) against conf(x); C_residual is g_a(N, xi) -
-    tanh x = sqrt(a) <N, i gamma> - tanh x on the stored points and normals.
-    """
+    """Meridian of S_a(H) with its normal and residuals: points[i] is the curve in S^3 and
+    normals[i] its g_a-unit normal N (module docstring), rows (Re z, Im z, Re w, Im w)
+    that view as complex rows (z, w).  metric_residual is the relative error of the
+    closed-form g_a(gamma_x, gamma_x) against conf(x); C_residual is g_a(N, xi) - tanh x
+    read by ambient.frame_coordinates off the stored points and normals."""
 
     alpha: float
     H: float
@@ -207,14 +205,13 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray, m: int = 0) -> Meridia
     z = np.multiply(e, (s + H * H) - 1j * (sa * H) * t, out=gamma[m:, 0])
     w = np.multiply(e, sa * t + 1j * H * (1.0 - s), out=gamma[m:, 1])
     # before N: its temporaries set the peak memory, and fewer fresh pages make a faster call
-    metric_residual[m:] = _metric_residual(a, H, t, s, q, e, z, w)
+    metric_residual[m:] = _metric_residual(a, H, t, s, q, e)
     # N = (i t / sqrt a) gamma + i s e^{2 i phi} (-conj w, conj z), e^{2 i phi} = c q e^2
     normal = np.empty_like(gamma)
     vert, horiz = (1j / sa) * t, (1j * c) * (s * q) * e * e
     np.subtract(vert * z, horiz * w.conj(), out=normal[m:, 0])
     np.add(vert * w, horiz * z.conj(), out=normal[m:, 1])
-    g_n_xi = sa * (normal[m:, 0] * z.conj() + normal[m:, 1] * w.conj()).imag
-    np.subtract(g_n_xi, t, out=C_residual[m:])
+    C_residual[m:] = frame_coordinates(a, z, w, normal[m:, 0], normal[m:, 1])[0] - t
     for arr in (gamma, normal):  # rows n - 1, n - 2, ... reflected to rows 0, 1, ...
         np.conjugate(arr[:n - m - 1:-1], out=arr[:m])
         np.negative(arr[:m, 1], out=arr[:m, 1])
@@ -225,16 +222,13 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray, m: int = 0) -> Meridia
                            metric_residual=metric_residual, C_residual=C_residual)
 
 
-def _metric_residual(a, H, t, s, q, e, z, w):
-    """|speed^2 - conf| / conf over s^2: speed^2 from the analytic gamma_x / sech x as the
-    squared norm of its coefficients on xi, E1 + i E2 (no cancellation at small a)."""
-    sa = math.sqrt(a)
-    f = ((a - 1.0) * s / q) * (1j * H / sa - t)
-    zx = f * z + e * (-t - 1j * (sa * H) * s)
-    wx = f * w + e * (sa * s + 1j * H * t)
-    cx0 = sa * (zx * z.conj() + wx * w.conj()).imag
-    cx12 = z * wx - w * zx
-    speed2 = cx0 * cx0 + cx12.real * cx12.real + cx12.imag * cx12.imag
+def _metric_residual(a, H, t, s, q, e):
+    """|speed^2 - conf| / conf over s^2: speed^2 from the closed-form coordinates of
+    gamma_x / sech x on (V / sqrt a, E1 + i E2), -H s / q and c e^2 (sqrt(a) + i H t),
+    e^2 = e^{2 i phi} / (c q): their squared norms sum to (H^2 + a) / q^2 = conf / s^2."""
+    u0 = (-H * s) / q
+    u12 = ((1.0 + H * H) * e) * e * (math.sqrt(a) + 1j * H * t)
+    speed2 = u0 * u0 + u12.real * u12.real + u12.imag * u12.imag
     conf_s2 = (H * H + a) / (q * q)
     return np.abs(speed2 - conf_s2) / conf_s2
 

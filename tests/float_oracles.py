@@ -5,7 +5,8 @@ Each routine here re-derives one identity of the CMC sphere family in
 double precision (the z-chart data, the integrability conditions, the
 Gauss equation, Gauss-Bonnet, the area, the Koiso function and its
 integral, the universal flat potential, the Jacobi field tanh x, the volume
-rate, the round caps, the sign of F).  None is on a command's path; the
+rate, the round caps, the sign of F), and the 4-real frame and metric of
+the moving-frame meridian oracles.  None is on a command's path; the
 tests check the closed forms of bergercmc against them.  The integrals go
 through the production modules' `quad` attribute (cmc_spheres.quad,
 stability.quad, isoperimetry.quad), looked up at each call, so a test that
@@ -164,6 +165,27 @@ def gauss_bonnet_integral(d: OracleData) -> float:
 def area_sphere_quadrature(p, H: float) -> float:
     """2 pi Int conf dx by cmc_spheres.quad: the check route of cmc_spheres.area_sphere."""
     return 2.0 * math.pi * cmc_spheres.quad(oracle_data(p, H).conf)
+
+
+def frame_at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Round-orthonormal global frame (V, E1, E2) at q = (z, w), in 4 real coordinates
+    (Re z, Im z, Re w, Im w): V = (iz, iw), E1 = (-wbar, zbar), E2 = (-i wbar, i zbar).
+    V is vertical and E1, E2 are horizontal, so {V/sqrt(a), E1, E2} is g_a-orthonormal.
+    A stack of points q of shape (..., 4) gives frame vectors of the same shape."""
+    x1, y1, x2, y2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    V = np.stack([-y1, x1, -y2, x2], axis=-1)
+    E1 = np.stack([-x2, y2, x1, -y1], axis=-1)
+    E2 = np.stack([-y2, -x2, y1, x1], axis=-1)
+    return V, E1, E2
+
+
+def metric_eval(alpha: float, q, x, y):
+    """g_a(x, y) = <x, y> + (a - 1) <x, V> <y, V> for tangent vectors x, y at the point q
+    of S^3, all of shape (..., 4) and broadcasting together: the definition, not the
+    frame coordinates of ambient.frame_coordinates."""
+    V = frame_at(q)[0]
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return (x * y).sum(axis=-1) + (alpha - 1.0) * (x * V).sum(axis=-1) * (y * V).sum(axis=-1)
 
 
 def planarity_report(points: np.ndarray) -> dict:

@@ -6,19 +6,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergercmc import ambient
-from bergercmc.ambient import ContractViolation, frame_at, metric_eval, total_volume
+from bergercmc.ambient import ContractViolation, frame_coordinates, total_volume
 
 ALPHAS = st.floats(min_value=0.02, max_value=5.0, allow_nan=False)
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 
 
 def _point_and_tangents(rng, k=2):
-    """A uniform random point q of S^3 and k random tangent vectors at q."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    X = rng.standard_normal((k, 4))
-    X -= np.outer(X @ q, q)
-    return q, X
+    """A uniform random point p = (z, w) of S^3 and k random tangent vectors at p,
+    complex rows."""
+    p = rng.standard_normal(4).view(complex)
+    p /= np.linalg.norm(p)
+    X = rng.standard_normal((k, 4)).view(complex)
+    X -= np.outer(_dot(X, p), p)
+    return p, X
+
+
+def _dot(u, v):
+    """The round metric <u, v> = Re(u conj v) summed over the last axis."""
+    return (u * np.conj(v)).real.sum(axis=-1)
+
+
+def _g_definition(alpha, p, u, v):
+    """g_a(u, v) = <u, v> + (a - 1) <u, V> <v, V> with the Hopf field V = i p."""
+    return _dot(u, v) + (alpha - 1.0) * _dot(u, 1j * p) * _dot(v, 1j * p)
+
+
+def _g(alpha, p, u, v):
+    """g_a(u, v) = u0 v0 + Re(u12 conj v12) on frame_coordinates."""
+    u0, u12 = frame_coordinates(alpha, p[..., 0], p[..., 1], u[..., 0], u[..., 1])
+    v0, v12 = frame_coordinates(alpha, p[..., 0], p[..., 1], v[..., 0], v[..., 1])
+    return u0 * v0 + (u12 * np.conj(v12)).real
+
+
+def _frame(p):
+    """The round-orthonormal frame (V, E1, E2) at p: V = i p, E1 = (-conj w, conj z),
+    E2 = i E1."""
+    E1 = np.stack([-np.conj(p[..., 1]), np.conj(p[..., 0])], axis=-1)
+    return 1j * p, E1, 1j * E1
 
 
 def test_berger_param_validation():
@@ -62,48 +87,50 @@ def test_closed_forms_refuse_a_bad_H(closed_form, H):
         fn(0.5, H)
 
 
-def test_hopf_field_values():
-    # V = (iz, iw): (i, 0) at (1, 0) and (0, i) at (0, 1)
-    assert frame_at([1.0, 0.0, 0.0, 0.0])[0].tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert frame_at([0.0, 0.0, 1.0, 0.0])[0].tolist() == [0.0, 0.0, 0.0, 1.0]
-
-
-def test_metric_on_hopf_field_round():
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    V = frame_at(q)[0]
-    assert metric_eval(1.0, q, V, V) == pytest.approx(1.0, abs=1e-15)
-    assert metric_eval(0.5, q, V, V) == pytest.approx(0.5, abs=1e-15)
-    E = np.array([0.0, 0.0, 1.0, 0.0])  # horizontal at (1, 0)
-    assert metric_eval(2.0, q, E, E) == pytest.approx(1.0, abs=1e-15)
+def test_hopf_field_coordinates():
+    # V = (iz, iw) has the coordinates (sqrt a, 0): g_a(V, V) = a; at (1, 0) the
+    # horizontal E = (0, 1) is E1, with the coordinates (0, 1)
+    for p in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8j]):
+        p = np.array(p, dtype=complex)
+        for alpha in (0.5, 1.0, 2.0):
+            u0, u12 = frame_coordinates(alpha, p[0], p[1], 1j * p[0], 1j * p[1])
+            assert u0 == pytest.approx(math.sqrt(alpha), abs=1e-15) and u12 == 0.0
+    u0, u12 = frame_coordinates(2.0, 1.0 + 0j, 0j, 0j, 1.0 + 0j)
+    assert (u0, u12) == (0.0, 1.0)
 
 
 @given(ALPHAS, SEEDS)
-def test_metric_symmetric_and_killing_norm(alpha, seed):
-    q, (X, Y) = _point_and_tangents(np.random.default_rng(seed))
-    assert metric_eval(alpha, q, X, Y) == pytest.approx(metric_eval(alpha, q, Y, X), abs=1e-10)
-    V = frame_at(q)[0]
-    assert metric_eval(alpha, q, V, V) == pytest.approx(alpha, abs=1e-10)
+def test_frame_coordinates_match_the_definition(alpha, seed):
+    p, (X, Y) = _point_and_tangents(np.random.default_rng(seed))
+    want = _g_definition(alpha, p, X, Y)
+    assert _g(alpha, p, X, Y) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert _g(alpha, p, X, Y) == pytest.approx(_g(alpha, p, Y, X), abs=1e-12)
+    V = 1j * p
+    assert _g(alpha, p, V, V) == pytest.approx(alpha, rel=1e-12)
 
 
 @given(ALPHAS, SEEDS)
 def test_metric_bilinear(alpha, seed):
-    q, (X, Y) = _point_and_tangents(np.random.default_rng(seed))
-    lhs = metric_eval(alpha, q, 2.5 * X + Y, Y)
-    rhs = 2.5 * metric_eval(alpha, q, X, Y) + metric_eval(alpha, q, Y, Y)
+    p, (X, Y) = _point_and_tangents(np.random.default_rng(seed))
+    lhs = _g(alpha, p, 2.5 * X + Y, Y)
+    rhs = 2.5 * _g(alpha, p, X, Y) + _g(alpha, p, Y, Y)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
-def test_metric_on_stacks_matches_rows():
-    rng = np.random.default_rng(4)
-    rows = [_point_and_tangents(rng) for _ in range(6)]
-    q = np.array([r[0] for r in rows])
-    X = np.array([r[1][0] for r in rows])
-    Y = np.array([r[1][1] for r in rows])
-    a = rng.uniform(0.1, 3.0, 6)
-    got = metric_eval(a, q, X, Y)
-    assert got.shape == (6,)
-    want = [metric_eval(a[i], q[i], X[i], Y[i]) for i in range(6)]
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+def test_frame_is_round_orthonormal_and_E1_E2_horizontal_unit():
+    # on five points: (V, E1, E2) round-orthonormal and tangent, E1 and E2 horizontal
+    # (no V coordinate) and g_a-unit, with the coordinates (0, 1) and (0, i)
+    rng = np.random.default_rng(0)
+    p = rng.standard_normal((5, 4)).view(complex)
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    F = _frame(p)
+    G = np.array([[_dot(u, v) for v in F] for u in F])  # (3, 3, 5)
+    assert np.abs(G - np.eye(3)[:, :, None]).max() < 1e-12
+    assert max(np.abs(_dot(u, p)).max() for u in F) < 1e-12
+    for E, want in ((F[1], 1.0), (F[2], 1j)):
+        u0, u12 = frame_coordinates(0.3, p[:, 0], p[:, 1], E[:, 0], E[:, 1])
+        assert np.abs(u0).max() < 1e-15 and np.abs(u12 - want).max() < 1e-15
+        assert np.abs(_g_definition(0.3, p, E, E) - 1.0).max() < 1e-15
 
 
 def test_total_volume():
@@ -115,32 +142,23 @@ def test_total_volume():
 @given(ALPHAS, SEEDS)
 def test_volume_form_scaling(alpha, seed):
     # det of g_a in a round-orthonormal frame is alpha everywhere
-    q, _ = _point_and_tangents(np.random.default_rng(seed))
-    vecs = frame_at(q)
-    G = np.array([[metric_eval(alpha, q, u, v) for v in vecs] for u in vecs])
+    p, _ = _point_and_tangents(np.random.default_rng(seed))
+    vecs = _frame(p)
+    G = np.array([[_g(alpha, p, u, v) for v in vecs] for u in vecs])
     assert np.linalg.det(G) == pytest.approx(alpha, rel=1e-10)
 
 
 def test_volume_form_at_ten_random_points():
-    # g(V, V) = alpha and det g_a = alpha on a stack of ten points, one alpha each
+    # g(V, V) = alpha and det g_a = alpha on a stack of ten points, at three alphas
     rng = np.random.default_rng(11)
-    q = rng.standard_normal((10, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    a = rng.uniform(0.1, 2.5, 10)
-    vecs = frame_at(q)
-    G = np.stack([np.stack([metric_eval(a, q, u, v) for v in vecs], axis=-1)
-                  for u in vecs], axis=-2)
-    assert np.max(np.abs(G[:, 0, 0] - a)) < 1e-10
-    assert np.max(np.abs(np.linalg.det(G) - a)) < 1e-10
-
-
-def test_frame_is_round_orthonormal():
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal((5, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    F = np.stack(frame_at(q), axis=1)  # (5, 3, 4): V, E1, E2 at each point
-    assert np.abs(F @ F.transpose(0, 2, 1) - np.eye(3)).max() < 1e-12
-    assert np.abs(np.einsum("kij,kj->ki", F, q)).max() < 1e-12
+    p = rng.standard_normal((10, 4)).view(complex)
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    vecs = _frame(p)
+    for a in (0.1, 1.0, 2.5):
+        G = np.stack([np.stack([_g(a, p, u, v) for v in vecs], axis=-1) for u in vecs],
+                     axis=-2)
+        assert np.max(np.abs(G[:, 0, 0] - a)) < 1e-10
+        assert np.max(np.abs(np.linalg.det(G) - a)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb, area_sphere, 
                                    classify_embedding, fit_orbit_generator, is_embedded,
                                    nonembedded_band, reconstruct_meridian, turning_angle)
 import oracles
-from float_oracles import (area_sphere_quadrature, gauss_bonnet_integral, gauss_curvature,
-                           integrability_residual, oracle_data, planarity_report,
-                           random_spheres, zchart_data)
+from float_oracles import (area_sphere_quadrature, frame_at, gauss_bonnet_integral,
+                           gauss_curvature, integrability_residual, metric_eval, oracle_data,
+                           planarity_report, random_spheres, zchart_data)
 from scipy.integrate import quad, solve_ivp
 
 ALPHAS = st.floats(min_value=0.05, max_value=4.0)
@@ -340,8 +340,6 @@ def test_reconstruction_errors():
 
 
 def test_normal_is_unit_and_orthogonal():
-    from bergercmc.ambient import metric_eval
-
     m = reconstruct_meridian(0.7, 0.5, (-8, 8), 512)
     h = m.x[1] - m.x[0]
     dgam = (m.points[2:] - m.points[:-2]) / (2 * h)
@@ -354,8 +352,6 @@ def test_normal_is_unit_and_orthogonal():
 
 def _frame_rhs_reference(alpha, H, x, y):
     """The moving-frame right-hand side in array form, frame from frame_at."""
-    from bergercmc.ambient import frame_at
-
     sa = math.sqrt(alpha)
     ha = H**2 + alpha
     c1 = (alpha - 2.0) / sa
@@ -396,8 +392,6 @@ def _two_sided_states(a, H, xs):
 
 def _ode_meridian(a, H, xs):
     """(points, normals, Phi_y, C_residual) of the moving-frame ODE at xs."""
-    from bergercmc.ambient import frame_at
-
     out = _two_sided_states(a, H, xs)
     points, coeff_b, coeff_n = out[:, 0:4], out[:, 7:10], out[:, 10:13]
     V, E1, E2 = frame_at(points)
@@ -465,13 +459,12 @@ def test_reflected_rows_equal_the_closed_form_at_negative_x(a, H, L, n):
 
 
 def test_meridian_postprocessing_matches_per_sample_loop():
-    # the component-wise frame arithmetic against one sample at a time: gamma_x
-    # from the 30-digit closed form by mpmath.diff, (xi, E1, E2) from frame_at,
-    # the coefficients of gamma_x and of W gamma from metric_eval, and the
-    # normal from np.cross.  Measured: 1.2e-13 on the normals (|N| ~ 1/sqrt(a)
-    # = 10), 1.2e-14 on C, 3.9e-14 on the metric residual
+    # the complex-row frame arithmetic against one sample at a time: gamma_x
+    # from the 30-digit closed form by mpmath.diff, (xi, E1, E2) from the 4-real
+    # oracle frame_at, the coefficients of gamma_x and of W gamma from its
+    # metric_eval, and the normal from np.cross.  Measured: 1.2e-13 on the normals
+    # (|N| ~ 1/sqrt(a) = 10), 1.2e-14 on C, 5.2e-14 on the metric residual
     import mpmath
-    from bergercmc.ambient import frame_at, metric_eval
 
     a, H, n = 0.01, 1.0, 2048
     m = reconstruct_meridian(a, H, (-9, 9), n)
@@ -497,15 +490,16 @@ def test_meridian_postprocessing_matches_per_sample_loop():
 
 
 def test_analytic_metric_residual_measures_the_closed_form():
-    # the analytic speed^2 of gamma_x against conf, on every sample out to the
+    # the closed-form speed^2 of gamma_x against conf, on every sample out to the
     # x limit, where the finite-difference quotient of the samples reads 0
+    # (measured 1.7e-15)
     xs = np.concatenate([np.linspace(-cmc_spheres.MERIDIAN_X_LIMIT,
                                      cmc_spheres.MERIDIAN_X_LIMIT, 2001),
                          np.linspace(-30.0, 30.0, 601)])
     worst = max(cmc_spheres._meridian_profile(a, H, xs).max_metric_residual
                 for a in np.geomspace(1e-6, 1e4, 21).tolist()
                 for H in (0.0, 1e-3, 0.3, 1.0, 3.0, 30.0, 1e3))
-    assert worst <= 1e-10
+    assert worst <= 1e-13
     # x = +-30 on 2048 samples: the closed form holds, and the sampled route
     # decides this meridian, which a finite-difference speed would miss by far
     m = reconstruct_meridian(0.5, 1.0, (-30.0, 30.0), 2048)
@@ -626,14 +620,28 @@ def test_sign_count_agrees_with_theta_over_the_embed_scan_box(a, H, n, x_max):
         assert (r.embedded, r.crossings) == (v.embedded, v.crossings)
 
 
-@pytest.mark.parametrize("a,H,metric,C", [(1e12, 1e6, 1.48e-4, 1e-15),
-                                          (1e10, 1e5, 2.10e-6, 1e-15)])
-def test_meridian_residuals_at_large_a_H_no_worse(a, H, metric, C):
-    # the analytic gamma_x loses digits at large a H: the metric bounds are its
-    # residuals, rounded up in the third digit; the closed-form normal keeps
-    # g_a(N, xi) = tanh x to roundoff (measured 5.6e-16 and 6.7e-16)
+@pytest.mark.parametrize("a,H,C", [(1e12, 1e6, 1e-15), (1e10, 1e5, 1e-15)])
+def test_meridian_residuals_at_large_a_H_no_worse(a, H, C):
+    # gamma_x's frame coordinates in closed form keep speed^2 = conf to roundoff at
+    # large a H (measured 1.0e-15 and 9.0e-16; the form f z + e (...) of gamma_x
+    # cancelled to 1.5e-4 and 2.1e-6 here), and so does the closed-form normal's
+    # g_a(N, xi) = tanh x (measured 5.6e-16 and 6.7e-16)
     m = reconstruct_meridian(a, H, (-700.0, 700.0), 4001)
-    assert m.max_metric_residual <= metric and m.max_C_residual <= C
+    assert m.max_metric_residual <= 1e-13 and m.max_C_residual <= C
+
+
+def test_meridian_residuals_over_the_input_box():
+    # 49 a in [ALPHA_MIN, ALPHA_MAX], H = 0 and 25 H in [1e-6, H_MAX], both ranges:
+    # speed^2 = conf within 1e-13 (measured 2.1e-15, at (3.2e7, 316), x_max = 8), and
+    # g_a(N, xi) = sqrt(a) Im(N_z conj z + N_w conj w) = tanh x within 8 eps max(1, sqrt a),
+    # as sqrt(a) scales the rounding of the stored N (measured 5.5; 8.2e-11 at (1e12, 1))
+    eps = np.finfo(float).eps
+    for a in np.geomspace(1e-12, 1e12, 49).tolist():
+        for H in [0.0, *np.geomspace(1e-6, 1e6, 25).tolist()]:
+            for L in (8.0, 700.0):
+                m = reconstruct_meridian(a, H, (-L, L), 4001)
+                assert m.max_metric_residual <= 1e-13, (a, H, L)
+                assert m.max_C_residual <= 8.0 * eps * max(1.0, math.sqrt(a)), (a, H, L)
 
 
 ORACLE_XS = [-700.0, -30.0, -3.0, -0.7, -0.1, 0.0, 0.05, 0.7, 2.0, 9.0, 30.0, 700.0]
