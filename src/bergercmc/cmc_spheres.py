@@ -50,7 +50,8 @@ with 1 - X = (H^2 + a)/c > 0, X G(X) = sqrt(X) artanh(sqrt X) rises strictly in 
 while X > X_STAR = 0.69481653805..., the root of X G(X) = 1, and falls after.
 
 The module computes areas, evaluates the meridian curve in S^3 with its
-normal, and decides embeddedness from Theta.  The sampled route,
+normal, checked on the stored rows for g_a(N, W gamma) = 0 and g_a(N, xi) = tanh x,
+and decides embeddedness from Theta.  The sampled route,
 is_embedded, is kept as the reference that Theta is checked against: it
 counts the sign changes of Im w' on the half x > 0 of the sampled meridian
 and takes its margin from the distance 2|Im w'| between mirror points.  It
@@ -71,7 +72,10 @@ from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureErr
 
 # conf(L)/conf(0) <= 4e^{-2L}/min(a, 1)^2 = 1e-16 at a = ALPHA_MIN: the cutoff L = 46.7
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
-RESIDUAL_TOL = 1e-3  # meridian invariants: speed^2 vs conf, g_a(N, xi) vs tanh
+# the meridian's residuals within this times max(1, sqrt a, 1/sqrt a), the rounding of the stored
+# N along xi and across it; on 49 a in [1e-12, 1e12] by 26 H, x_max 8 and 700, n = 4001 and 10^5
+# they reach 1.75 and 4.0 eps times that
+RESIDUAL_TOL = 16.0 * 2.0**-52
 ARC_FACTOR = 20.0  # least arc between is_embedded's mirror pairs, and its margin cap, in longest segments
 # fewest and most meridian samples: a meridian of 10^5 points and its embeddedness
 # verdict peak about 32 MB above the import, one of 10^6 points about 314 MB
@@ -137,9 +141,10 @@ def area_sphere(p, H):
 class MeridianProfile:
     """Meridian of S_a(H) with its normal and residuals: points[i] is the curve in S^3 and
     normals[i] its g_a-unit normal N (module docstring), rows (Re z, Im z, Re w, Im w)
-    that view as complex rows (z, w).  metric_residual is the relative error of the
-    closed-form g_a(gamma_x, gamma_x) against conf(x); C_residual is g_a(N, xi) - tanh x
-    read by ambient.frame_coordinates off the stored points and normals."""
+    that view as complex rows (z, w).  The residuals are read by ambient.frame_coordinates
+    off the stored points and normals, and both are odd in x: metric_residual is
+    g_a(N, W gamma) / max(1, sqrt a), N against the orbit field W gamma = d Phi / dy
+    of g_a-norm sqrt(conf) <= max(1, sqrt a); C_residual is g_a(N, xi) - tanh x."""
 
     alpha: float
     H: float
@@ -151,17 +156,24 @@ class MeridianProfile:
 
     @property
     def max_metric_residual(self) -> float:
-        """Largest residual; NaN if a sample is NaN."""
-        return float(np.max(self.metric_residual))
+        """Largest |residual|; NaN if a sample is NaN."""
+        return float(np.max(np.abs(self.metric_residual)))
 
     @property
     def max_C_residual(self) -> float:
         return float(np.max(np.abs(self.C_residual)))
 
     @property
+    def residual_tol(self) -> float:
+        """The bound of both residuals, RESIDUAL_TOL max(1, sqrt a, 1/sqrt a)."""
+        sa = math.sqrt(self.alpha)
+        return RESIDUAL_TOL * max(1.0, sa, 1.0 / sa)
+
+    @property
     def holds_contract(self) -> bool:
-        """Both residuals within RESIDUAL_TOL; a NaN or inf is a violation."""
-        return self.max_metric_residual <= RESIDUAL_TOL and self.max_C_residual <= RESIDUAL_TOL
+        """Both residuals within residual_tol; a NaN or inf is a violation."""
+        tol = self.residual_tol
+        return self.max_metric_residual <= tol and self.max_C_residual <= tol
 
 
 def meridian_range(x_range) -> tuple[float, float]:
@@ -204,33 +216,28 @@ def _meridian_profile(a: float, H: float, xs: np.ndarray, m: int = 0) -> Meridia
     gamma, metric_residual, C_residual = np.empty((n, 2), dtype=complex), np.empty(n), np.empty(n)
     z = np.multiply(e, (s + H * H) - 1j * (sa * H) * t, out=gamma[m:, 0])
     w = np.multiply(e, sa * t + 1j * H * (1.0 - s), out=gamma[m:, 1])
-    # before N: its temporaries set the peak memory, and fewer fresh pages make a faster call
-    metric_residual[m:] = _metric_residual(a, H, t, s, q, e)
     # N = (i t / sqrt a) gamma + i s e^{2 i phi} (-conj w, conj z), e^{2 i phi} = c q e^2
     normal = np.empty_like(gamma)
     vert, horiz = (1j / sa) * t, (1j * c) * (s * q) * e * e
     np.subtract(vert * z, horiz * w.conj(), out=normal[m:, 0])
     np.add(vert * w, horiz * z.conj(), out=normal[m:, 1])
-    C_residual[m:] = frame_coordinates(a, z, w, normal[m:, 0], normal[m:, 1])[0] - t
+    del e, q, vert, horiz  # fewer live temporaries, fewer fresh pages: a faster call
+    n0, n12 = frame_coordinates(a, z, w, normal[m:, 0], normal[m:, 1])
+    C_residual[m:] = n0 - t
+    # g_a(N, W gamma) / max(1, sqrt a), where max(1, sqrt a) bounds |W gamma| = sqrt(conf), on
+    # W gamma's coordinates (sqrt(a) |z + i H w|^2, H (z^2 + w^2) + i (H^2 - 1) z w) / c
+    k = 1.0 / (c * max(1.0, sa))
+    wg12 = H * (z * z + w * w) + (1j * (H * H - 1.0)) * (z * w)
+    np.multiply(n0, (sa * k) * np.abs(z + (1j * H) * w) ** 2, out=metric_residual[m:])
+    metric_residual[m:] += k * (n12 * wg12.conj()).real
     for arr in (gamma, normal):  # rows n - 1, n - 2, ... reflected to rows 0, 1, ...
         np.conjugate(arr[:n - m - 1:-1], out=arr[:m])
         np.negative(arr[:m, 1], out=arr[:m, 1])
-    metric_residual[:m] = metric_residual[:n - m - 1:-1]  # even; C odd
-    np.negative(C_residual[:n - m - 1:-1], out=C_residual[:m])
+    for arr in (metric_residual, C_residual):  # odd in x
+        np.negative(arr[:n - m - 1:-1], out=arr[:m])
     return MeridianProfile(alpha=a, H=H, x=xs, points=gamma.view(np.float64),
                            normals=normal.view(np.float64),
                            metric_residual=metric_residual, C_residual=C_residual)
-
-
-def _metric_residual(a, H, t, s, q, e):
-    """|speed^2 - conf| / conf over s^2: speed^2 from the closed-form coordinates of
-    gamma_x / sech x on (V / sqrt a, E1 + i E2), -H s / q and c e^2 (sqrt(a) + i H t),
-    e^2 = e^{2 i phi} / (c q): their squared norms sum to (H^2 + a) / q^2 = conf / s^2."""
-    u0 = (-H * s) / q
-    u12 = ((1.0 + H * H) * e) * e * (math.sqrt(a) + 1j * H * t)
-    speed2 = u0 * u0 + u12.real * u12.real + u12.imag * u12.imag
-    conf_s2 = (H * H + a) / (q * q)
-    return np.abs(speed2 - conf_s2) / conf_s2
 
 
 def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> MeridianProfile:
@@ -239,7 +246,8 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
 
     Evaluates the closed forms of the module docstring at x >= 0, the curve gamma
     and its g_a-unit normal N (E2 at the equator x = 0), and reflects them to
-    x < 0.  Raises ReconstructionError if a residual breaks RESIDUAL_TOL.
+    x < 0.  Raises ReconstructionError if a residual of the stored rows breaks the
+    contract, RESIDUAL_TOL max(1, sqrt a, 1/sqrt a).
     """
     a, H = as_alpha(p), as_H(H)
     if not MERIDIAN_MIN_N <= n <= MERIDIAN_MAX_N:
@@ -250,8 +258,8 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     prof = _meridian_profile(a, H, hi * (np.arange(1 - n, n, 2) / (n - 1)), n // 2)
     if prof.holds_contract:
         return prof
-    msg = (f"reconstruction invariants violated: metric {prof.max_metric_residual:.3e}, "
-           f"C {prof.max_C_residual:.3e} (tol {RESIDUAL_TOL})")
+    msg = (f"reconstruction invariants violated: g_a(N, W gamma) {prof.max_metric_residual:.3e}, "
+           f"C {prof.max_C_residual:.3e} (tol {prof.residual_tol:.3e})")
     # a traceback keeps this frame's locals alive, so they hold no meridian arrays
     del prof
     raise ReconstructionError(msg)

@@ -20,6 +20,8 @@ from bergercmc.cmc_spheres import (MERIDIAN_MAX_N, MERIDIAN_X_LIMIT, Consistency
 from bergercmc.isoperimetry import PROFILE_MAX_N
 from bergercmc.stability import SpectrumError
 from bergercmc.tori import CutoffError
+from test_slip_injection import (normal_not_unit, normal_tilted_toward_orbit, off_sphere,
+                                 slip_meridian_rows)
 
 
 def run_cli(args, tmp_path, name):
@@ -351,42 +353,15 @@ def test_selftest_prints_each_check(capsys):
         [f"PASS {name}" for name in SELFTEST_NAMES] + ["all invariants passed"])
 
 
-def _off_sphere(m):
-    m.points *= 1.0 + 1e-9
-
-
-def _normals_not_unit(m):
-    m.normals *= 1.0 + 1e-9
-
-
-def _normals_tilted_toward_orbit(m):
-    # still g_a-unit, but no longer g_a-orthogonal to d Phi / dy = W gamma
-    from bergercmc.cmc_spheres import fit_orbit_generator
-    from float_oracles import oracle_data
-
-    wg = (m.points[:, 0::2] + 1j * m.points[:, 1::2]) @ fit_orbit_generator(m).T
-    phi_y = np.stack([wg.real, wg.imag], axis=-1).reshape(-1, 4)
-    unit = phi_y / np.sqrt(oracle_data(m.alpha, m.H).conf(m.x))[:, None]
-    m.normals = math.cos(1e-6) * m.normals + math.sin(1e-6) * unit
-
-
-@pytest.mark.parametrize("breakage", [_off_sphere, _normals_not_unit,
-                                      _normals_tilted_toward_orbit])
+@pytest.mark.parametrize("breakage", [off_sphere, normal_not_unit, normal_tilted_toward_orbit])
 def test_selftest_reconstruction_check_catches_broken_meridian(breakage, monkeypatch):
     from bergercmc import selfcheck
 
-    real = selfcheck.reconstruct_meridian
-
-    def broken(*args, **kwargs):
-        m = real(*args, **kwargs)
-        breakage(m)
-        return m
-
-    # the one check that asserts the meridian's identities, run through run()
+    # the meridian's rows broken before its contract reads them, run through run()
+    slip_meridian_rows(monkeypatch, breakage)
     monkeypatch.setattr(selfcheck, "CHECKS", [selfcheck.check_reconstruction])
-    monkeypatch.setattr(selfcheck, "reconstruct_meridian", broken)
     [(name, exc)] = selfcheck.run()
-    assert name == "reconstruction" and isinstance(exc, AssertionError)
+    assert name == "reconstruction" and isinstance(exc, ReconstructionError)
 
 
 @pytest.mark.parametrize("args", [

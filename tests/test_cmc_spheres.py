@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bergercmc import cmc_spheres
-from bergercmc.ambient import ConsistencyError
+from bergercmc.ambient import ConsistencyError, frame_coordinates
 from bergercmc.cmc_spheres import (ReconstructionError, alpha_emb, area_sphere, artanh_ratio,
                                    classify_embedding, fit_orbit_generator, is_embedded,
                                    nonembedded_band, reconstruct_meridian, turning_angle)
@@ -298,7 +298,21 @@ def test_reconstruction_residuals():
     m = reconstruct_meridian(0.5, 1.0, (-8, 8), 4096)
     assert m.max_metric_residual < 1e-4
     assert m.max_C_residual < 1e-4
-    assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) < 1e-9
+    assert np.max(np.abs(np.linalg.norm(m.points, axis=1) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("a,H", [(1.0, 0.0), (1.0, 1.0), (0.5, 1.0), (1 / 3, 0.0), (2.0, 0.7)])
+def test_stored_normal_is_unit_and_orbit_speed_is_conf(a, H):
+    # the identities that the contract leaves out, on the stored rows: g_a(N, N) = 1, and
+    # g_a(W gamma, W gamma) = conf with W fitted to the points and conf from the oracle
+    # (measured 2.4e-15 and 3.1e-13)
+    m = reconstruct_meridian(a, H, (-8, 8), 4096)
+    z, w = m.points.view(complex).T
+    n0, n12 = frame_coordinates(a, z, w, *m.normals.view(complex).T)
+    assert np.max(np.abs(n0 * n0 + np.abs(n12) ** 2 - 1.0)) <= 1e-12
+    wg0, wg12 = frame_coordinates(a, z, w, *(m.points.view(complex) @ fit_orbit_generator(m).T).T)
+    conf = oracle_data(a, H).conf(m.x)
+    assert np.max(np.abs((wg0 * wg0 + np.abs(wg12) ** 2) / conf - 1.0)) <= 1e-10
 
 
 def test_reconstruction_round_is_planar_circle():
@@ -463,7 +477,9 @@ def test_meridian_postprocessing_matches_per_sample_loop():
     # from the 30-digit closed form by mpmath.diff, (xi, E1, E2) from the 4-real
     # oracle frame_at, the coefficients of gamma_x and of W gamma from its
     # metric_eval, and the normal from np.cross.  Measured: 1.2e-13 on the normals
-    # (|N| ~ 1/sqrt(a) = 10), 1.2e-14 on C, 5.2e-14 on the metric residual
+    # (|N| ~ 1/sqrt(a) = 10), 1.2e-14 on C, 5.2e-14 on speed^2 against conf and
+    # 5.2e-16 on g_a(N, W gamma) by metric_eval against the stored metric residual,
+    # which is g_a(N, W gamma) itself as max(1, sqrt a) = 1
     import mpmath
 
     a, H, n = 0.01, 1.0, 2048
@@ -485,25 +501,27 @@ def test_meridian_postprocessing_matches_per_sample_loop():
         nvec /= np.linalg.norm(nvec)
         np.testing.assert_allclose(m.normals[i], nvec @ frame, rtol=0, atol=3e-13)
         assert abs(m.C_residual[i] - (nvec[0] - math.tanh(m.x[i]))) <= 3e-14
-        speed_residual = abs(metric_eval(a, gam, gx, gx) / conf[i] - 1.0)
-        assert abs(speed_residual - m.metric_residual[i]) <= 1e-13
+        assert abs(metric_eval(a, gam, gx, gx) / conf[i] - 1.0) <= 1e-13
+        assert abs(metric_eval(a, gam, m.normals[i], wg) - m.metric_residual[i]) <= 2e-15
 
 
 def test_analytic_metric_residual_measures_the_closed_form():
-    # the closed-form speed^2 of gamma_x against conf, on every sample out to the
-    # x limit, where the finite-difference quotient of the samples reads 0
-    # (measured 1.7e-15)
+    # g_a(N, W gamma) / max(1, sqrt a) on the stored rows, on every sample out to the
+    # x limit, where the finite-difference quotient of the samples reads 0: within
+    # 4 eps max(1, sqrt a, 1/sqrt a) (measured 1.25, at (1, 1e-3))
+    eps = np.finfo(float).eps
     xs = np.concatenate([np.linspace(-cmc_spheres.MERIDIAN_X_LIMIT,
                                      cmc_spheres.MERIDIAN_X_LIMIT, 2001),
                          np.linspace(-30.0, 30.0, 601)])
     worst = max(cmc_spheres._meridian_profile(a, H, xs).max_metric_residual
+                / max(1.0, math.sqrt(a), 1.0 / math.sqrt(a))
                 for a in np.geomspace(1e-6, 1e4, 21).tolist()
                 for H in (0.0, 1e-3, 0.3, 1.0, 3.0, 30.0, 1e3))
-    assert worst <= 1e-13
-    # x = +-30 on 2048 samples: the closed form holds, and the sampled route
-    # decides this meridian, which a finite-difference speed would miss by far
+    assert worst <= 4.0 * eps
+    # x = +-30 on 2048 samples: the contract holds (measured 9.7e-17), and the sampled
+    # route decides this meridian, which a finite-difference speed would miss by far
     m = reconstruct_meridian(0.5, 1.0, (-30.0, 30.0), 2048)
-    assert m.max_metric_residual <= 1e-14
+    assert m.max_metric_residual <= 1e-15
     assert is_embedded(m).embedded is True
 
 
@@ -622,25 +640,27 @@ def test_sign_count_agrees_with_theta_over_the_embed_scan_box(a, H, n, x_max):
 
 @pytest.mark.parametrize("a,H,C", [(1e12, 1e6, 1e-15), (1e10, 1e5, 1e-15)])
 def test_meridian_residuals_at_large_a_H_no_worse(a, H, C):
-    # gamma_x's frame coordinates in closed form keep speed^2 = conf to roundoff at
-    # large a H (measured 1.0e-15 and 9.0e-16; the form f z + e (...) of gamma_x
-    # cancelled to 1.5e-4 and 2.1e-6 here), and so does the closed-form normal's
-    # g_a(N, xi) = tanh x (measured 5.6e-16 and 6.7e-16)
+    # the closed-form normal keeps g_a(N, xi) = tanh x to roundoff at large a H
+    # (measured 5.6e-16 and 6.7e-16), and g_a(N, W gamma) / max(1, sqrt a) too
+    # (measured 1.5e-28 and 1.6e-26: there |W gamma| = sqrt(conf) is at most 1.4e-6
+    # and 1.4e-5, and 1e6 and 1e5 divide it)
     m = reconstruct_meridian(a, H, (-700.0, 700.0), 4001)
-    assert m.max_metric_residual <= 1e-13 and m.max_C_residual <= C
+    assert m.max_metric_residual <= 1e-25 and m.max_C_residual <= C
 
 
 def test_meridian_residuals_over_the_input_box():
     # 49 a in [ALPHA_MIN, ALPHA_MAX], H = 0 and 25 H in [1e-6, H_MAX], both ranges:
-    # speed^2 = conf within 1e-13 (measured 2.1e-15, at (3.2e7, 316), x_max = 8), and
-    # g_a(N, xi) = sqrt(a) Im(N_z conj z + N_w conj w) = tanh x within 8 eps max(1, sqrt a),
-    # as sqrt(a) scales the rounding of the stored N (measured 5.5; 8.2e-11 at (1e12, 1))
+    # g_a(N, W gamma) / max(1, sqrt a) = 0 within 4 eps max(1, sqrt a, 1/sqrt a) (measured
+    # 1.5, at (1, 3.2e-4), x_max = 8), and g_a(N, xi) = sqrt(a) Im(N_z conj z + N_w conj w)
+    # = tanh x within 8 eps max(1, sqrt a), as sqrt(a) scales the rounding of the stored N
+    # (measured 5.5; 8.2e-11 at (1e12, 1))
     eps = np.finfo(float).eps
     for a in np.geomspace(1e-12, 1e12, 49).tolist():
         for H in [0.0, *np.geomspace(1e-6, 1e6, 25).tolist()]:
             for L in (8.0, 700.0):
                 m = reconstruct_meridian(a, H, (-L, L), 4001)
-                assert m.max_metric_residual <= 1e-13, (a, H, L)
+                assert m.max_metric_residual <= 4.0 * eps * max(1.0, math.sqrt(a),
+                                                                1.0 / math.sqrt(a)), (a, H, L)
                 assert m.max_C_residual <= 8.0 * eps * max(1.0, math.sqrt(a)), (a, H, L)
 
 
