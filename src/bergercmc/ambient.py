@@ -9,7 +9,8 @@ where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
 a = 1 is the round sphere.  Points and tangent vectors are complex rows (z, w),
 read by frame_coordinates on the g_a-orthonormal frame {V/sqrt(a), E1, E2},
 E1 = (-conj w, conj z), E2 = i E1; there is no 4-real frame.  The module also holds
-what every other module shares: input checks, error classes, brentq, even_integral.
+what every other module shares: error classes, brentq, even_integral and the one set
+of input checks, as_alpha, as_H and as_count, each raising a ValueError (CLI exit 2).
 """
 
 from __future__ import annotations
@@ -81,6 +82,13 @@ def as_H(H):
     if not 0.0 <= h <= H_MAX:
         raise ContractViolation(f"mean curvature H must lie in [0, {H_MAX:g}], got {h}")
     return h
+
+
+def as_count(n, lo: int, hi, name: str) -> int:
+    """Accept a size lo <= n <= hi: a Python or numpy integer, not a bool or a float."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+        raise ValueError(f"need {lo} <= {name} <= {hi}, got {n!r}")
+    return int(n)
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16) -> float:

@@ -1,10 +1,12 @@
 """Command-line frontend: constants, classifications, figure data, selftest.
 
 Exit codes: 0 success, 1 stdout closed before the output ended, 2
-configuration errors, 3 numerical-contract failures (with the failing
-invariant named).  Output is byte-stable across runs for identical
-configurations; CSV floats use the shortest round-trip representation.
-The default output directory is BERGERCMC_OUT or the current directory.
+configuration errors (a bad value, or an unusable output directory), 3
+numerical-contract failures (with the failing invariant named).  Each command
+computes, then writes its files, then prints, so exit 2 or 3 prints nothing.
+Output is byte-stable across runs for identical configurations; CSV floats use
+the shortest round-trip representation.  The output directory is --out,
+else BERGERCMC_OUT, else the current directory.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ambient import NumericalError, as_alpha, as_H, total_volume
+from .ambient import NumericalError, as_alpha, as_count, as_H, total_volume
 from .cmc_spheres import area_sphere, classify_embedding, meridian_range, reconstruct_meridian
 from .isoperimetry import crossing_alpha, isoperimetric_candidate, sphere_profile, torus_profile
 from .regions import alpha_curve_csv, critical_constants
@@ -26,8 +28,7 @@ from .tori import (classify_torus, lambda1_closed_form, torus_data, torus_spectr
                    torus_stability_threshold)
 
 EMBEDDED_TAG = {True: "embedded", False: "non-embedded"}
-# points of each regions boundary curve, the one grid this module builds:
-# a curve needs two
+# points of each regions boundary curve, the one grid the CLI builds: a curve needs two
 REGIONS_MIN_N, REGIONS_MAX_N = 2, 10**6
 # the source's area-bound display quotes the sphere threshold alpha_0 while the
 # statement uses the torus-side constant alpha_1; the output follows alpha_1
@@ -38,8 +39,7 @@ AREA_BOUND_NOTE = ("note: the area-bound range is taken as [alpha_1, 1), matchin
 
 def _check_args(args) -> None:
     """Turn --alphas and --Hs into lists of checked floats; the library and
-    cmd_regions check every other size and range before they allocate, and
-    each command computes before its first output."""
+    cmd_regions check every other size and range before they allocate."""
     for name, check in (("alphas", as_alpha), ("Hs", as_H)):
         if getattr(args, name, None) is not None:
             setattr(args, name, [check(v) for v in getattr(args, name).split(",")])
@@ -52,11 +52,9 @@ def _outdir(args) -> Path:
 
 
 def cmd_constants(args) -> int:
-    a0 = alpha0()
     t0, a1, ah = critical_constants()
-    ca = crossing_alpha()
-    for name, val in (("alpha0", a0), ("alpha1", a1), ("t0", t0),
-                      ("alpha_hyperbolic", ah), ("crossing_alpha", ca)):
+    for name, val in (("alpha0", alpha0()), ("alpha1", a1), ("t0", t0),
+                      ("alpha_hyperbolic", ah), ("crossing_alpha", crossing_alpha())):
         print(f"{name} = {val:.12g}")
     return 0
 
@@ -69,7 +67,14 @@ def cmd_sphere(args) -> int:
         m = reconstruct_meridian(args.alpha, args.H, x_range, args.meridian_n)
         r = classify_embedding(args.alpha, args.H)
     spec = jacobi_spectrum(args.alpha, args.H)
-    spec.eigenvalues  # solves the CSV's table, so that its contract fails before any output
+    rows = list(zip(spec.modes, spec.eigenvalues))  # the table's contract is read here
+    out = _outdir(args)
+    path, mpath = (out / f"{kind}_alpha{args.alpha:g}_H{args.H:g}.csv"
+                   for kind in ("sphere_spectrum", "meridian"))
+    write_csv(path, ("k", "lambda"), rows)
+    if args.meridian_n:
+        write_csv(mpath, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
+                  np.column_stack([m.x, m.points, m.metric_residual, m.C_residual]))
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"koiso_integral = {verdict.margin:.12g}")
@@ -77,15 +82,10 @@ def cmd_sphere(args) -> int:
     print(f"index = {spec.index}")
     print(f"nullity = {spec.nullity}")
     print(f"spectral_gap = {spec.gap:.12g}")
-    out = _outdir(args) / f"sphere_spectrum_alpha{args.alpha:g}_H{args.H:g}.csv"
-    write_csv(out, ("k", "lambda"), zip(spec.modes, spec.eigenvalues))
-    print(f"wrote {out}")
+    print(f"wrote {path}")
     if args.meridian_n:
         print(f"embeddedness = {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g}, "
               f"crossings {r.crossings})")
-        mpath = _outdir(args) / f"meridian_alpha{args.alpha:g}_H{args.H:g}.csv"
-        write_csv(mpath, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
-                  np.column_stack([m.x, m.points, m.metric_residual, m.C_residual]))
         print(f"wrote {mpath}")
     return 0
 
@@ -94,53 +94,49 @@ def cmd_torus(args) -> int:
     verdict = classify_torus(args.alpha, args.H)
     lam1 = lambda1_closed_form(args.alpha, args.H)
     spec = torus_spectrum(torus_data(args.alpha, args.H), N=args.N)
+    out = _outdir(args) / f"torus_spectrum_alpha{args.alpha:g}_H{args.H:g}.csv"
+    write_csv(out, ("lambda", "multiplicity"), zip(spec.eigenvalues, spec.multiplicities))
     print(f"torus alpha={args.alpha:.12g} H={args.H:.12g}")
     print(f"verdict = {'stable' if verdict.stable else 'unstable'}")
     print(f"lambda1 = {lam1:.12g}")
     print(f"jacobi_margin = {verdict.margin:.12g}")
-    out = _outdir(args) / f"torus_spectrum_alpha{args.alpha:g}_H{args.H:g}.csv"
-    write_csv(out, ("lambda", "multiplicity"), zip(spec.eigenvalues, spec.multiplicities))
     print(f"wrote {out}")
     return 0
 
 
 def cmd_regions(args) -> int:
-    if not REGIONS_MIN_N <= args.n <= REGIONS_MAX_N:
-        raise ValueError(f"--n must be at least {REGIONS_MIN_N} and at most {REGIONS_MAX_N} "
-                         f"for regions, got {args.n}")
+    n = as_count(args.n, REGIONS_MIN_N, REGIONS_MAX_N, "--n")
     a0 = alpha0()
     t0, a1, ah = critical_constants()
-    rows2 = sphere_stability_boundary(np.linspace(a0 * 0.02, a0 * 0.995, args.n))
-    rows3 = [(a, torus_stability_threshold(a)) for a in np.linspace(0.004, 1.0 / 3.0, args.n)]
+    rows2 = sphere_stability_boundary(np.linspace(a0 * 0.02, a0 * 0.995, n))
+    rows3 = np.array([(a, torus_stability_threshold(a)) for a in np.linspace(0.004, 1.0 / 3.0, n)])
     out = _outdir(args)
-    print(f"t0 = {t0:.12g}")
-    print(f"alpha1 = {a1:.12g}")
-    print(f"alpha_hyperbolic = {ah:.12g}")
-    print(AREA_BOUND_NOTE)
     write_csv(out / "figure2_sphere_boundary.csv", ("alpha", "H_of_alpha"), rows2)
     write_csv(out / "figure3_torus_boundary.csv", ("alpha", "H_threshold"), rows3)
-    alpha_curve_csv(out / "alpha_roots.csv")
+    alpha_curve_csv(out / "alpha_roots.csv")  # a fixed table of closed forms, solved as written
     if args.format == "csv+svg":
         polyline_svg(out / "figure2_sphere_boundary.svg",
                      [(rows2[:, 0], rows2[:, 1], "H(alpha)")],
                      title="Sphere stability boundary", xlabel="alpha", ylabel="H")
-        r3 = np.asarray(rows3)
         polyline_svg(out / "figure3_torus_boundary.svg",
-                     [(r3[:, 0], r3[:, 1], "H*(alpha)")],
+                     [(rows3[:, 0], rows3[:, 1], "H*(alpha)")],
                      title="Torus stability boundary", xlabel="alpha", ylabel="H")
-    print(f"wrote {out / 'figure2_sphere_boundary.csv'}")
-    print(f"wrote {out / 'figure3_torus_boundary.csv'}")
-    print(f"wrote {out / 'alpha_roots.csv'}")
+    print(f"t0 = {t0:.12g}")
+    print(f"alpha1 = {a1:.12g}")
+    print(f"alpha_hyperbolic = {ah:.12g}")
+    print(AREA_BOUND_NOTE)
+    for name in ("figure2_sphere_boundary.csv", "figure3_torus_boundary.csv", "alpha_roots.csv"):
+        print(f"wrote {out / name}")
     return 0
 
 
 def cmd_embeddedness(args) -> int:
     verdicts = [classify_embedding(a, H) for a in args.alphas for H in args.Hs]
-    for r in verdicts:
-        print(f"alpha={r.alpha:g} H={r.H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
     path = _outdir(args) / "figure1_embeddedness.csv"
     write_csv(path, ("alpha", "H", "embedded", "margin"),
               [(r.alpha, r.H, r.embedded, r.margin) for r in verdicts])
+    for r in verdicts:
+        print(f"alpha={r.alpha:g} H={r.H:g}: {EMBEDDED_TAG[r.embedded]} (margin {r.margin:.6g})")
     print(f"wrote {path}")
     return 0
 
@@ -151,18 +147,18 @@ def cmd_profiles(args) -> int:
                 for a in args.alphas or [0.25, crossing_alpha(), 0.14, 0.06]]
     out = _outdir(args)
     for a, sp, tp in profiles:
-        path = out / f"figure4_profiles_alpha{a:.6g}.csv"
-        write_csv(path, ("family", "H", "area", "volume"),
+        write_csv(out / f"figure4_profiles_alpha{a:.6g}.csv", ("family", "H", "area", "volume"),
                   [(p.family, h, ar, v) for p in (sp, tp)
                    for h, ar, v in zip(p.H, p.area, p.volume)])
-        if sp.notes:
-            print(f"alpha={a:.6g}: {sp.notes}")
         if args.format == "csv+svg":
             polyline_svg(out / f"figure4_profiles_alpha{a:.6g}.svg",
                          [(sp.volume, sp.area, "sphere"), (tp.volume, tp.area, "torus")],
                          title=f"area vs volume, alpha={a:.6g}",
                          xlabel="enclosed volume", ylabel="area")
-        print(f"wrote {path}")
+    for a, sp, _ in profiles:
+        if sp.notes:
+            print(f"alpha={a:.6g}: {sp.notes}")
+        print(f"wrote {out / f'figure4_profiles_alpha{a:.6g}.csv'}")
     return 0
 
 
@@ -254,7 +250,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("bergercmc: stdout closed before the output ended", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad value, or an --out that cannot be written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

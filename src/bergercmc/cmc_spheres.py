@@ -68,7 +68,7 @@ import numpy as np
 
 # ConsistencyError and QuadratureError stay importable from here, where callers import them
 from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
-                      as_H, brentq, even_integral, frame_coordinates)
+                      as_count, as_H, brentq, even_integral, frame_coordinates)
 
 # conf(L)/conf(0) <= 4e^{-2L}/min(a, 1)^2 = 1e-16 at a = ALPHA_MIN: the cutoff L = 46.7
 AREA_CUTOFF = 0.5 * math.log(4e16 / ALPHA_MIN**2)
@@ -249,10 +249,7 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     x < 0.  Raises ReconstructionError if a residual of the stored rows breaks the
     contract, RESIDUAL_TOL max(1, sqrt a, 1/sqrt a).
     """
-    a, H = as_alpha(p), as_H(H)
-    if not MERIDIAN_MIN_N <= n <= MERIDIAN_MAX_N:
-        raise ValueError(f"need {MERIDIAN_MIN_N} <= n <= {MERIDIAN_MAX_N} meridian samples, "
-                         f"got {n}")
+    a, H, n = as_alpha(p), as_H(H), as_count(n, MERIDIAN_MIN_N, MERIDIAN_MAX_N, "n")
     hi = meridian_range(x_range)[1]
     # odd to the bit (j / (n - 1) and hi v round alike for +-j); x = 0 is a sample for odd n
     prof = _meridian_profile(a, H, hi * (np.arange(1 - n, n, 2) / (n - 1)), n // 2)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import H_MAX, as_alpha, as_H, brentq, even_integral, total_volume
+from .ambient import H_MAX, as_alpha, as_count, as_H, brentq, even_integral, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere, turning_angle
 from .stability import classify_sphere, koiso_integral
 from .tori import classify_torus, torus_area_volume, torus_stability_threshold
@@ -168,11 +168,10 @@ class IsoperimetricProfile:
 
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
-    if not 0.0 < H_max < math.inf or not PROFILE_MIN_N <= n <= PROFILE_MAX_N:
-        raise ValueError(f"need H_max > 0 and {PROFILE_MIN_N} <= n <= {PROFILE_MAX_N} grid "
-                         f"points, got H_max={H_max}, n={n}")
-    s = np.linspace(0.0, 1.0, n)
-    return as_H(H_max) * s**2
+    n = as_count(n, PROFILE_MIN_N, PROFILE_MAX_N, "n")
+    if not 0.0 < H_max < math.inf:
+        raise ValueError(f"need H_max > 0, got H_max={H_max}")
+    return as_H(H_max) * np.linspace(0.0, 1.0, n)**2
 
 
 def sphere_volume(p, H) -> np.ndarray:

@@ -43,7 +43,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .ambient import NumericalError, StabilityVerdict, as_alpha, as_H, brentq, even_integral
+from .ambient import (NumericalError, StabilityVerdict, as_alpha, as_count, as_H, brentq,
+                      even_integral)
 from .cmc_spheres import AREA_CUTOFF, artanh_ratio
 
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
@@ -311,10 +312,8 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
     """
     a = as_alpha(p)
     H = as_H(H)
-    if k_max < 2:
-        raise ValueError("need k_max >= 2 to see all candidate zero modes")
-    if not SPECTRUM_MIN_N <= n <= SPECTRUM_MAX_N:
-        raise ValueError(f"need {SPECTRUM_MIN_N} <= n <= {SPECTRUM_MAX_N} grid cells, got {n}")
+    k_max = as_count(k_max, 2, math.inf, "k_max")  # 2: every candidate zero mode
+    n = as_count(n, SPECTRUM_MIN_N, SPECTRUM_MAX_N, "n")
     # the mode-k mass carries sigma^k, smallest at the outermost node; below
     # the normal floats the mass matrix loses digits and then reaches 0
     sig_min = float(np.min(1.0 - _grid(n)[1] ** 2))

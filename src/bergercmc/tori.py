@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_H
+from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_count,
+                      as_H)
 
 GROUP_TOL = 1e-9  # eigenvalues within this relative distance of a group's first are one
 LAMBDA1_RTOL = 1e-10  # enumerated lambda_1 vs lambda1_closed_form
@@ -85,8 +86,7 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     lambda1_closed_form within LAMBDA1_RTOL.  Only the values below shell_min
     are complete: above it, points outside the box are missing.
     """
-    if not TORUS_MIN_N <= N <= TORUS_MAX_N:
-        raise ValueError(f"need enumeration cutoff {TORUS_MIN_N} <= N <= {TORUS_MAX_N}, got {N}")
+    N = as_count(N, TORUS_MIN_N, TORUS_MAX_N, "N")
     G = t.dual_gram
     m, n = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
     vals = t.pairing((m, n), (m, n)).ravel()

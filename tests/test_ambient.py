@@ -1,4 +1,6 @@
+import argparse
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +87,46 @@ def test_closed_forms_refuse_a_bad_H(closed_form, H):
     fn = getattr(importlib.import_module(f"bergercmc.{module}"), name)
     with pytest.raises(ContractViolation, match="mean curvature H"):
         fn(0.5, H)
+
+
+def test_count_validation():
+    assert ambient.as_count(8, 2, 8, "n") == 8
+    for n in (np.int64(2), np.int32(5), np.uint16(8)):
+        assert type(ambient.as_count(n, 2, 8, "n")) is int and ambient.as_count(n, 2, 8, "n") == n
+    for bad in (1, 9, -5, 10**30, 5.5, 8.0, np.float64(5.0), True, np.bool_(True), "8", None):
+        with pytest.raises(ValueError, match=f"^need 2 <= n <= 8, got {re.escape(repr(bad))}$"):
+            ambient.as_count(bad, 2, 8, "n")
+
+
+def _regions(n):
+    from bergercmc.cli import cmd_regions
+
+    return cmd_regions(argparse.Namespace(n=n, format="csv", out=None))
+
+
+def _sizes():
+    from bergercmc.cmc_spheres import reconstruct_meridian
+    from bergercmc.isoperimetry import sphere_profile, torus_profile
+    from bergercmc.stability import jacobi_spectrum
+    from bergercmc.tori import torus_data, torus_spectrum
+
+    return {"meridian": lambda n: reconstruct_meridian(0.5, 1.0, n=n),
+            "spectrum": lambda n: jacobi_spectrum(0.5, 1.0, n=n),
+            "k_max": lambda n: jacobi_spectrum(0.5, 1.0, k_max=n, n=400).eigenvalues,
+            "torus_spectrum": lambda n: torus_spectrum(torus_data(0.5, 0.0), N=n),
+            "sphere_profile": lambda n: sphere_profile(0.5, n=n),
+            "torus_profile": lambda n: torus_profile(0.5, n=n),
+            "regions": _regions}
+
+
+@pytest.mark.parametrize("bad", [5.5, 8.0, True, "8"])
+@pytest.mark.parametrize("size", ["meridian", "spectrum", "k_max", "torus_spectrum",
+                                  "sphere_profile", "torus_profile", "regions"])
+def test_every_size_is_an_integer_checked_by_as_count(size, bad):
+    # a float, a bool or a string is refused before any grid is built: as_count's
+    # ValueError, not a TypeError, SpectrumError or ConsistencyError from a solver
+    with pytest.raises(ValueError, match=rf"^need \d+ <= \S+ <= \S+, got {re.escape(repr(bad))}$"):
+        _sizes()[size](bad)
 
 
 def test_hopf_field_coordinates():

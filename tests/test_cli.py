@@ -144,10 +144,10 @@ def test_huge_mean_curvature_without_traceback(tmp_path):
     assert "configuration error" in proc.stderr and "Traceback" not in proc.stderr
 
 
-# the refusal of a bad --n: the regions grid is bounded by the CLI, the others
-# by the library routine that allocates the grid
-GRID_SIZE_MESSAGE = {"regions": "--n must be at least 2",
-                     "profiles": "need H_max > 0 and 50 <= n <= 1000000 grid points"}
+# the refusal of a bad --n by ambient.as_count: the regions grid is bounded by the
+# CLI, the others by the library routine that allocates the grid
+GRID_SIZE_MESSAGE = {"regions": "need 2 <= --n <= 1000000",
+                     "profiles": "need 50 <= n <= 1000000"}
 
 
 @pytest.mark.parametrize("args,least", [
@@ -168,8 +168,45 @@ def test_torus_cutoff_out_of_range_exit_code(N, tmp_path, capsys):
     assert main(["--out", str(tmp_path / "out"), "torus", "--alpha", "0.5", "--H", "0",
                  "--N", N]) == 2
     captured = capsys.readouterr()
-    assert f"configuration error: need enumeration cutoff 3 <= N <= 1000, got {N}" in captured.err
+    assert f"configuration error: need 3 <= N <= 1000, got {N}" in captured.err
     assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
+WRITING_COMMANDS = {
+    "sphere": ["sphere", "--alpha", "0.5", "--H", "1"],
+    "torus": ["torus", "--alpha", "0.5", "--H", "0"],
+    "regions": ["regions", "--n", "5"],
+    "embeddedness": ["embeddedness", "--alphas", "0.5", "--Hs", "1"],
+    "profiles": ["profiles", "--alphas", "0.5", "--n", "50"],
+}
+
+
+@pytest.mark.parametrize("where", ["out_is_a_file", "out_under_a_file", "env_is_a_file"])
+@pytest.mark.parametrize("command", sorted(WRITING_COMMANDS))
+def test_unusable_output_directory_exits_2_with_nothing_printed(command, where, tmp_path,
+                                                                monkeypatch, capsys):
+    # every value is computed before the directory is made; making it fails, and
+    # stdout stays empty and the file is untouched
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = {"out_is_a_file": ["--out", str(blocker)],
+           "out_under_a_file": ["--out", str(blocker / "sub")], "env_is_a_file": []}[where]
+    monkeypatch.setenv("BERGERCMC_OUT", str(blocker))
+    assert main([*out, *WRITING_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: ") and str(blocker) in captured.err
+    assert captured.out == "" and blocker.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_unusable_output_directory_without_traceback(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    proc = subprocess.run([sys.executable, "-m", "bergercmc.cli", "--out", str(blocker),
+                           "torus", "--alpha", "0.5", "--H", "0"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("configuration error: ") and "Traceback" not in proc.stderr
 
 
 def test_torus_huge_alpha_groups_eigenvalues_relatively(tmp_path, capsys):
@@ -482,7 +519,7 @@ def test_profile_range_above_H_MAX_exit_code(H_max, tmp_path, capsys):
     ["sphere", "--alpha", "0.5", "--H", "1", "--meridian-n", "2048", "--x-max", x]
     for x in ("200", "300", "400", "700")],
     ids=["sphere200", "sphere300", "sphere400", "sphere700"])
-def test_wide_meridian_range_fails_contract_without_warnings(args, tmp_path):
+def test_wide_meridian_range_holds_contract_without_warnings(args, tmp_path):
     # sphere exports these meridians, whose closed form holds its contract, and
     # is_embedded decides them.  At a = 1e-4 the turning angle moves by more
     # than pi from the equator to the first sample on the same range, and

@@ -4,6 +4,7 @@ test that owns it.  The slip is set on the name in the owning test module's name
 and the owning test is called in process, not through pytest.  The meridian's rows are
 slipped where reconstruct_meridian has written them, before its contract reads them."""
 
+import dataclasses
 import importlib
 import math
 from functools import partial
@@ -40,6 +41,25 @@ def _property(exact):
     return property(lambda self: exact.fget(self) * (1.0 + SLIP))
 
 
+def _entry(i):  # the i-th value of a returned tuple alone
+    def slip(exact):
+        return lambda *args: tuple(v * (1.0 + SLIP * (j == i)) for j, v in enumerate(exact(*args)))
+    slip.__name__ = f"_entry{i}"
+    return slip
+
+
+def _radius(field):  # one radius of the returned TorusData
+    def slip(exact):
+        def slipped(*args):
+            t = exact(*args)
+            return dataclasses.replace(t, **{field: getattr(t, field) * (1.0 + SLIP)})
+        return slipped
+    slip.__name__ = f"_{field}"
+    return slip
+
+
+
+
 # (closed form, dotted from the owning test module's namespace, how it slips, owning
 # test module, owning test, that test's arguments; that test's bound)
 OWNERS = [
@@ -68,6 +88,22 @@ OWNERS = [
     # contract moves (a 1e-6 slip leaves them at 2-9e-16): the 30-digit gamma_x owns it
     ("cmc_spheres._phase", _scaled, "test_cmc_spheres",
      "test_meridian_postprocessing_matches_per_sample_loop", ()),  # 3e-13 on N
+    ("torus_data", _radius("r1"), "test_tori",
+     "test_torus_radii_match_mpmath_up_to_H_MAX", ()),  # rel 4e-16
+    ("torus_data", _radius("r2"), "test_tori",
+     "test_torus_radii_match_mpmath_up_to_H_MAX", ()),  # rel 4e-16
+    ("regions.region_coefficients", _entry(2), "test_regions",
+     "test_value_at_one_is_four", ()),  # P_t(1) = 4 within 1e-12
+    ("alpha0", _scaled, "test_stability", "test_alpha0_value_and_root_property", ()),  # 2 ulp
+    ("critical_constants", _entry(0), "test_regions", "test_critical_constants", ()),  # 1e-12
+    ("critical_constants", _entry(1), "test_regions",
+     "test_alpha1_is_the_real_root_of_the_resultant_cubic", ()),  # 1 ulp
+    ("critical_constants", _entry(2), "test_regions", "test_critical_constants", ()),  # 1e-12
+    ("crossing_alpha", _scaled, "test_isoperimetry", "test_crossing_alpha_value", ()),
+    # the gap from the parity blocks against the full matrices' eigenvalues, at stebz's
+    # tolerance; its distance from the converged gap is item 2's (FOUND 52 in CHANGES.md)
+    ("stability._spectral_gap", _scaled, "test_stability",
+     "test_parity_blocks_give_the_full_matrix_eigenvalues", (0.5, 1.0)),  # eps Gershgorin
 ]
 
 
@@ -79,8 +115,8 @@ def test_a_slip_in_a_closed_form_fails_its_owning_test(monkeypatch, name, slip, 
     owner = importlib.import_module(module)
     *path, attr = name.split(".")
     target = owner
-    for part in path:
-        target = getattr(target, part)
+    for part in path:  # a package module the owning test does not import by name
+        target = getattr(target, part, None) or importlib.import_module(f"bergercmc.{part}")
     monkeypatch.setattr(target, attr, slip(getattr(target, attr)))
     with pytest.raises(AssertionError):
         getattr(owner, test)(*args)
@@ -153,11 +189,22 @@ MERIDIAN_SLIPS = {"z_rotated_1e-9": partial(_z_rotated, 1e-9),
                   "normal_tilted_toward_orbit": normal_tilted_toward_orbit}
 
 
+# slips that pass the contract, whose tolerance scales with a alone where |W gamma| is
+# far below max(1, sqrt a) (FOUND 98 in CHANGES.md)
+WEAK_CONTRACT = {(1e12, 1e6): ("z_rotated_1e-9", "normal_horizontal_scaled", "off_sphere",
+                               "normal_not_unit"),
+                 (1e-6, 0.3): ("normal_horizontal_scaled",)}
+
+
 # H > 0: at H = 0 rotating z is the orbit action, which keeps the points on the surface
-@pytest.mark.parametrize("a, H", [(0.5, 1.0), (2.0, 0.7), (0.01, 1.0)])
-@pytest.mark.parametrize("slip", MERIDIAN_SLIPS.values(), ids=list(MERIDIAN_SLIPS))
-def test_a_slip_in_the_meridian_rows_breaks_its_contract(monkeypatch, slip, a, H):
+@pytest.mark.parametrize("a, H, name", [
+    pytest.param(a, H, name, id=f"{name}-{a}-{H}", marks=[pytest.mark.xfail(
+        strict=True, reason="FOUND 98: the contract is weak where |W gamma| is small")]
+        if name in WEAK_CONTRACT.get((a, H), ()) else [])
+    for name in MERIDIAN_SLIPS
+    for a, H in [(0.5, 1.0), (2.0, 0.7), (0.01, 1.0), (1e12, 1e6), (1e-6, 0.3)]])
+def test_a_slip_in_the_meridian_rows_breaks_its_contract(monkeypatch, a, H, name):
     assert reconstruct_meridian(a, H, (-8, 8), 1024).holds_contract
-    slip_meridian_rows(monkeypatch, slip)
+    slip_meridian_rows(monkeypatch, MERIDIAN_SLIPS[name])
     with pytest.raises(ReconstructionError):
         reconstruct_meridian(a, H, (-8, 8), 1024)

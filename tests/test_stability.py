@@ -258,6 +258,16 @@ def test_spectrum_round_sphere():
     assert s.gap == pytest.approx(4.0, abs=1e-4)
 
 
+@pytest.mark.xfail(strict=True, reason="FOUND 52: the finite-difference gap is 1.56e-7 low; "
+                                        "ROADMAP item 2 resolves it")
+@pytest.mark.parametrize("H", [0.0, 1.0, 3.0])
+def test_spectrum_gap_of_the_round_sphere_is_exact(H):
+    # at a = 1 the weight is constant and S_1(H) is umbilic with curvature 1 + H^2: the
+    # Jacobi operator is -Laplacian - 2 (1 + H^2), on levels l (l + 1) (1 + H^2), so
+    # index 1 (l = 0), nullity 3 (l = 1) and the gap is the l = 2 level 4 (1 + H^2)
+    assert jacobi_spectrum(1.0, H).gap == pytest.approx(4.0 * (1.0 + H * H), rel=1e-12)
+
+
 def test_spectrum_index_nullity_everywhere():
     for a, H in ((0.3, 0.0), (2.0, 1.7), (0.05, 0.0), (5.0, 0.2), (0.01, 3.0)):
         s = jacobi_spectrum(a, H, n=2500)
