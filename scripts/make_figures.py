@@ -6,6 +6,9 @@ Equivalent to running the CLI subcommands one after another; kept as a
 single script so a full reproduction is one command:
 
     python scripts/make_figures.py [outdir]
+
+An outdir that cannot be made is refused before the first job: exit 2 with a
+message on stderr and nothing on stdout, as the CLI refuses an unusable --out.
 """
 
 import sys
@@ -15,7 +18,11 @@ from bergercmc.cli import main
 
 
 def run(outdir: str) -> int:
-    Path(outdir).mkdir(parents=True, exist_ok=True)
+    try:
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     jobs = [
         ["constants"],
         ["--out", outdir, "regions", "--n", "80", "--format", "csv+svg"],

@@ -9,16 +9,17 @@ where <,> is the round metric and V_(z,w) = (iz, iw) is the Hopf field.
 a = 1 is the round sphere.  Points and tangent vectors are complex rows (z, w),
 read by frame_coordinates on the g_a-orthonormal frame {V/sqrt(a), E1, E2},
 E1 = (-conj w, conj z), E2 = i E1; there is no 4-real frame.  The module also holds
-what every other module shares: error classes, brentq, even_integral and the one set
-of input checks, as_alpha, as_H and as_count, each raising a ValueError (CLI exit 2).
+what every other module shares: error classes, brentq, even_integral, linspace and the
+one set of input checks, as_alpha, as_H and as_count, each raising a ValueError (CLI exit 2).
+The numerical modules import numpy in the body of each array route, not when they load,
+so the routes on Python floats run without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 # Largest accepted mean curvature, well below where the routes break: the
 # torus radius r2^2 = 1/2 - H/(2 sqrt(1 + H^2)) rounds to 0 from about
@@ -74,7 +75,8 @@ def as_alpha(p) -> float:
 def as_H(H):
     """Accept a mean curvature 0 <= H <= H_MAX (so not NaN or inf): a number, returned
     as a float, or an array, returned as it is once its min and max pass."""
-    if isinstance(H, np.ndarray):
+    np = sys.modules.get("numpy")  # not loaded, so H is no array
+    if np is not None and isinstance(H, np.ndarray):
         as_H(H.min())  # a NaN entry propagates to the min and the max,
         as_H(H.max())  # so these two calls check every entry
         return H
@@ -86,9 +88,18 @@ def as_H(H):
 
 def as_count(n, lo: int, hi, name: str) -> int:
     """Accept a size lo <= n <= hi: a Python or numpy integer, not a bool or a float."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not lo <= n <= hi:
+    np = sys.modules.get("numpy")  # not loaded, so n is no numpy integer
+    integer = isinstance(n, int) or (np is not None and isinstance(n, np.integer))
+    if isinstance(n, bool) or not integer or not lo <= n <= hi:
         raise ValueError(f"need {lo} <= {name} <= {hi}, got {n!r}")
     return int(n)
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """numpy.linspace(lo, hi, n), n >= 2, as a list of floats equal to the bit: entry i
+    is i step + lo, step = (hi - lo)/(n - 1), and the last is hi."""
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [float(hi)]
 
 
 def brentq(f, a, b, xtol=2e-12, rtol=8.881784197001252e-16) -> float:
@@ -149,6 +160,8 @@ def even_integral(f, cutoff: float) -> float:
     new midpoints only, until T(h) - T(2h) and f(cutoff) are within QUAD_RTOL of Int |f|.
     Raises QuadratureError past QUAD_MAX_NODES, or where Int |f| > 100 max(|T|, 1): the
     rounding of so cancelling an integrand may pass 1e-12 of T unseen by the halving."""
+    import numpy as np
+
     n = max(1, round(cutoff / QUAD_STEP))
     h = cutoff / n
     y = f(np.arange(n + 1) * h)
@@ -180,5 +193,5 @@ def frame_coordinates(alpha: float, z, w, uz, uw):
     of S^3 on the g_a-orthonormal frame: u0 = sqrt(a) Im(uz conj z + uw conj w) on
     V/sqrt(a), u12 = z uw - w uz = <u, E1> + i <u, E2> on E1 + i E2, so that
     g_a(u, v) = u0 v0 + Re(u12 conj v12).  Arrays broadcast together."""
-    u0 = math.sqrt(alpha) * (uz * np.conj(z) + uw * np.conj(w)).imag
+    u0 = math.sqrt(alpha) * (uz * z.conjugate() + uw * w.conjugate()).imag
     return u0, z * uw - w * uz

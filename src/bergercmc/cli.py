@@ -16,13 +16,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .ambient import NumericalError, as_alpha, as_count, as_H, total_volume
+from .ambient import NumericalError, as_alpha, as_count, as_H, linspace, total_volume
 from .cmc_spheres import area_sphere, classify_embedding, meridian_range, reconstruct_meridian
 from .isoperimetry import crossing_alpha, isoperimetric_candidate, sphere_profile, torus_profile
 from .regions import alpha_curve_csv, critical_constants
-from .stability import alpha0, classify_sphere, jacobi_spectrum, sphere_stability_boundary
+from .stability import alpha0, classify_sphere, jacobi_spectrum, sphere_stability_rows
 from .svgplot import polyline_svg, write_csv
 from .tori import (classify_torus, lambda1_closed_form, torus_data, torus_spectrum,
                    torus_stability_threshold)
@@ -73,6 +71,8 @@ def cmd_sphere(args) -> int:
                    for kind in ("sphere_spectrum", "meridian"))
     write_csv(path, ("k", "lambda"), rows)
     if args.meridian_n:
+        import numpy as np  # the one array the CLI builds; the float commands load no numpy
+
         write_csv(mpath, ("x", "re_z", "im_z", "re_w", "im_w", "metric_residual", "C_residual"),
                   np.column_stack([m.x, m.points, m.metric_residual, m.C_residual]))
     print(f"sphere alpha={args.alpha:.12g} H={args.H:.12g}")
@@ -108,18 +108,16 @@ def cmd_regions(args) -> int:
     n = as_count(args.n, REGIONS_MIN_N, REGIONS_MAX_N, "--n")
     a0 = alpha0()
     t0, a1, ah = critical_constants()
-    rows2 = sphere_stability_boundary(np.linspace(a0 * 0.02, a0 * 0.995, n))
-    rows3 = np.array([(a, torus_stability_threshold(a)) for a in np.linspace(0.004, 1.0 / 3.0, n)])
+    rows2 = sphere_stability_rows(linspace(a0 * 0.02, a0 * 0.995, n))
+    rows3 = [(a, torus_stability_threshold(a)) for a in linspace(0.004, 1.0 / 3.0, n)]
     out = _outdir(args)
     write_csv(out / "figure2_sphere_boundary.csv", ("alpha", "H_of_alpha"), rows2)
     write_csv(out / "figure3_torus_boundary.csv", ("alpha", "H_threshold"), rows3)
     alpha_curve_csv(out / "alpha_roots.csv")  # a fixed table of closed forms, solved as written
     if args.format == "csv+svg":
-        polyline_svg(out / "figure2_sphere_boundary.svg",
-                     [(rows2[:, 0], rows2[:, 1], "H(alpha)")],
+        polyline_svg(out / "figure2_sphere_boundary.svg", [(*zip(*rows2), "H(alpha)")],
                      title="Sphere stability boundary", xlabel="alpha", ylabel="H")
-        polyline_svg(out / "figure3_torus_boundary.svg",
-                     [(rows3[:, 0], rows3[:, 1], "H*(alpha)")],
+        polyline_svg(out / "figure3_torus_boundary.svg", [(*zip(*rows3), "H*(alpha)")],
                      title="Torus stability boundary", xlabel="alpha", ylabel="H")
     print(f"t0 = {t0:.12g}")
     print(f"alpha1 = {a1:.12g}")

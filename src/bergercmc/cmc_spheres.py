@@ -64,8 +64,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # ConsistencyError and QuadratureError stay importable from here, where callers import them
 from .ambient import (ALPHA_MIN, ConsistencyError, NumericalError, QuadratureError, as_alpha,
                       as_count, as_H, brentq, even_integral, frame_coordinates)
@@ -114,6 +112,8 @@ def artanh_ratio(x, one_minus_x):
             r = math.sqrt(-x)
             return math.atan(r) / r
         return 1.0
+    import numpy as np
+
     x, one_minus_x = np.broadcast_arrays(np.asarray(x, dtype=float), one_minus_x)
     r = np.sqrt(np.abs(x))
     out = np.ones_like(x)
@@ -157,11 +157,11 @@ class MeridianProfile:
     @property
     def max_metric_residual(self) -> float:
         """Largest |residual|; NaN if a sample is NaN."""
-        return float(np.max(np.abs(self.metric_residual)))
+        return float(abs(self.metric_residual).max())
 
     @property
     def max_C_residual(self) -> float:
-        return float(np.max(np.abs(self.C_residual)))
+        return float(abs(self.C_residual).max())
 
     @property
     def residual_tol(self) -> float:
@@ -193,6 +193,8 @@ def _phase(a: float, H: float, t, q):
     the module docstring, and the turning angle past atan2(sqrt(a) t, H).  Odd in t, it is
     (H / sqrt a) sqrt(X) artanh(sqrt(X) t) for X > 0, artanh r = log1p(2r(1 + r) c/q)/2 at
     |t| (1 + r cancels for t < 0), else -(H / sqrt a) sqrt(-X) atan(sqrt(-X) t)."""
+    import numpy as np
+
     c = 1.0 + H * H
     X = (1.0 - a) / c
     if X > 0.0:
@@ -205,6 +207,8 @@ def _phase(a: float, H: float, t, q):
 def _meridian_profile(a: float, H: float, xs: np.ndarray, m: int = 0) -> MeridianProfile:
     """The closed-form meridian at the samples xs, residuals not yet checked; on an odd
     grid (xs[::-1] == -xs), m = len(xs) // 2 evaluates xs[m:] >= 0 and reflects the rest."""
+    import numpy as np
+
     n, x = len(xs), xs[m:]
     sa, c = math.sqrt(a), 1.0 + H * H
     t, s = np.tanh(x), 1.0 / np.cosh(x)
@@ -249,6 +253,8 @@ def reconstruct_meridian(p, H: float, x_range=(-8.0, 8.0), n: int = 1024) -> Mer
     x < 0.  Raises ReconstructionError if a residual of the stored rows breaks the
     contract, RESIDUAL_TOL max(1, sqrt a, 1/sqrt a).
     """
+    import numpy as np
+
     a, H, n = as_alpha(p), as_H(H), as_count(n, MERIDIAN_MIN_N, MERIDIAN_MAX_N, "n")
     hi = meridian_range(x_range)[1]
     # odd to the bit (j / (n - 1) and hi v round alike for +-j); x = 0 is a sample for odd n
@@ -277,11 +283,16 @@ def turning_angle(p, H):
     sa = math.sqrt(a)
     c = 1.0 + H * H
     scalar = isinstance(c, float)
-    atan = math.atan2(sa, H) if scalar else np.arctan2(sa, H)
+    if scalar:
+        atan2, sqrt, arctan = math.atan2, math.sqrt, math.atan
+    else:
+        import numpy as np
+
+        atan2, sqrt, arctan = np.arctan2, np.sqrt, np.arctan
+    atan = atan2(sa, H)
     if a <= 1.0:
         X = (1.0 - a) / c
         return atan + (H / sa) * X * artanh_ratio(X, (H * H + a) / c)
-    sqrt, arctan = (math.sqrt, math.atan) if scalar else (np.sqrt, np.arctan)
     u = H / sa
     r2 = sqrt((a - 1.0) / c)
     e = (1.0 + u * u) / (c * (1.0 + u * r2))
@@ -353,6 +364,8 @@ def fit_orbit_generator(m: MeridianProfile) -> np.ndarray:
     y-flow closes with period 2 pi), with the unit eigenvectors
     (H, i)/sqrt(1 + H^2) and (1, -i H)/sqrt(1 + H^2).
     """
+    import numpy as np
+
     H = m.H
     return np.array([[1j, -H], [H, 1j * H * H]]) / (1.0 + H * H)
 
@@ -365,6 +378,8 @@ def orbit_space_curve(m: MeridianProfile) -> np.ndarray:
     the meridian becomes a planar curve inside the closed unit disk, and
     the immersed sphere is embedded iff this curve is simple.
     """
+    import numpy as np
+
     u = np.array([m.H, 1j]) / math.sqrt(1.0 + m.H * m.H)
     zw = np.ascontiguousarray(m.points).view(np.complex128)  # rows (z, w)
     wprime = np.conj(u[0]) * zw[:, 0] + np.conj(u[1]) * zw[:, 1]
@@ -381,6 +396,8 @@ class EmbeddednessResult:
 def _turning_angles(a: float, H: float, x: np.ndarray) -> np.ndarray:
     """theta(x) = atan2(sqrt(a) t, H) + (H / sqrt a) X t G(X t^2), t = tanh x: the angle
     the orbit-space curve w' turns through from the equator to x; Theta at t = 1."""
+    import numpy as np
+
     t = np.tanh(x)
     return np.arctan2(math.sqrt(a) * t, H) + _phase(a, H, t, 1.0 + H * H - (1.0 - a) * t * t)
 
@@ -406,6 +423,8 @@ def is_embedded(m: MeridianProfile) -> EmbeddednessResult:
     first sample and between samples on either half: as theta is monotone for
     a < 1 and within pi/2 for a >= 1, each zero of Im w' is then one sign change.
     """
+    import numpy as np
+
     if not m.holds_contract:
         raise ReconstructionError("meridian residuals too large for an embeddedness verdict")
     a, H, x = m.alpha, m.H, m.x

@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .ambient import H_MAX, as_alpha, as_count, as_H, brentq, even_integral, total_volume
 from .cmc_spheres import AREA_CUTOFF, area_sphere, turning_angle
 from .stability import classify_sphere, koiso_integral
@@ -75,6 +73,8 @@ def solve_ivp(*args, **kwargs):
 def _pchip_end_slope(h0, h1, m0, m1):
     """Moler's one-sided three-point slope at an end knot, set to 0 where its sign
     differs from the end interval's and capped at 3 m0 where the data turn."""
+    import numpy as np
+
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
     flip = np.sign(d) != np.sign(m0)
     steep = (np.sign(m0) != np.sign(m1)) & (np.abs(d) > 3.0 * np.abs(m0))
@@ -103,6 +103,8 @@ class IsoperimetricProfile:
         interval i the interpolant is c3[i] + c2[i] s + c1[i] s^2 + c0[i] s^3,
         s = H - knots[i].  The knot slopes are the weighted harmonic mean of the
         adjacent secants where they agree in sign, else 0, and one-sided at the ends."""
+        import numpy as np
+
         y = np.column_stack([self.area, self.volume])
         h = np.diff(self.H)[:, None]
         m = np.diff(y, axis=0) / h
@@ -136,6 +138,8 @@ class IsoperimetricProfile:
 
         One array pass finds the knots where V is met and the knot intervals
         whose ends straddle it; each straddling interval gets one brentq root."""
+        import numpy as np
+
         out = []
         vals = self.volume - V
         for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
@@ -168,6 +172,8 @@ class IsoperimetricProfile:
 
 
 def _graded_grid(H_max: float, n: int) -> np.ndarray:
+    import numpy as np
+
     n = as_count(n, PROFILE_MIN_N, PROFILE_MAX_N, "n")
     if not 0.0 < H_max < math.inf:
         raise ValueError(f"need H_max > 0, got H_max={H_max}")
@@ -178,6 +184,8 @@ def sphere_volume(p, H) -> np.ndarray:
     """Volume enclosed by S_a(H) (the side that holds V(0) = pi^2 sqrt(a) at
     the minimal sphere) for an array of H: 2 pi sqrt(a) Theta - H A/2 of the
     module docstring, and VOLUME_SERIES where that difference cancels."""
+    import numpy as np
+
     a = as_alpha(p)
     H = as_H(np.asarray(H, dtype=float))
     vol = np.asarray(2.0 * math.pi * math.sqrt(a) * turning_angle(a, H)
@@ -200,7 +208,7 @@ def sphere_profile(p, H_max: float = 20.0, n: int = 400) -> IsoperimetricProfile
     a = as_alpha(p)
     H = _graded_grid(H_max, n)
     rate = -2.0 * koiso_integral(a, H)
-    monotone = bool(np.all(rate <= 1e-12))
+    monotone = bool((rate <= 1e-12).all())
     notes = ""
     if not monotone:
         inc = H[rate > 1e-12]

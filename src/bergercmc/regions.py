@@ -18,16 +18,20 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .ambient import as_alpha, brentq
+from .ambient import as_alpha, brentq, linspace
 
 ALPHA_CURVE_N = 401  # rows of the root-curve CSV
 
 
 def region_coefficients(t, epsilon: int):
     """(A, B, C) of P_t for epsilon = +-1; t a float or an array in [0, 1]."""
-    if not np.all((np.asarray(t) >= 0.0) & (np.asarray(t) <= 1.0)):
+    if isinstance(t, (int, float)):
+        inside = 0.0 <= t <= 1.0
+    else:
+        import numpy as np
+
+        inside = np.all((np.asarray(t) >= 0.0) & (np.asarray(t) <= 1.0))
+    if not inside:
         raise ValueError("t must lie in [0, 1]")
     if epsilon not in (+1, -1):
         raise ValueError("epsilon must be +1 or -1")
@@ -99,6 +103,6 @@ def stability_integrand(p, H: float, c: float) -> float:
 def alpha_curve_csv(path) -> None:
     """CSV of the two root curves: columns t, alpha_root_plus, alpha_root_minus."""
     from .svgplot import write_csv  # the one writer outside the CLI; the checks need no svgplot
-    ts = np.linspace(0.0, 1.0, ALPHA_CURVE_N).tolist()
+    ts = linspace(0.0, 1.0, ALPHA_CURVE_N)
     write_csv(path, ("t", "alpha_root_plus", "alpha_root_minus"),
               [(t, alpha_root(t, +1), alpha_root(t, -1)) for t in ts])

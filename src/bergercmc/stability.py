@@ -38,17 +38,16 @@ one eigenvalue below that window and one in it, modes +-1 one each in it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .ambient import (NumericalError, StabilityVerdict, as_alpha, as_count, as_H, brentq,
                       even_integral)
 from .cmc_spheres import AREA_CUTOFF, artanh_ratio
 
 PER_MODE = 6  # eigenvalues per Fourier mode in SpectrumResult's table
-EPS, TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # ulp of 1, least normal
+EPS, TINY = sys.float_info.epsilon, sys.float_info.min  # ulp of 1, least normal
 ZERO_RTOL = 1e-3  # the window +-ZERO_RTOL * gap that must hold the zero eigenvalues
 COUNT_ULPS = 2.5  # a Sturm count's backward error in the off-diagonal, in ulps (_certify)
 SPECTRUM_MIN_N, SPECTRUM_MAX_N = 200, 10**6  # fewest and most Jacobi-spectrum grid cells
@@ -85,6 +84,8 @@ class SpectrumResult:
 
     @cached_property
     def _table(self):
+        import numpy as np
+
         vals = [_mode_eigenvalues(self.alpha, self.H, k, self.n, PER_MODE)
                 for k in range(self.k_max + 1)]
         gap = float(min(vals[0][2], vals[1][1], *(v[0] for v in vals[2:])))
@@ -138,17 +139,26 @@ def alpha0() -> float:
                   xtol=1e-14, rtol=8.9e-16)
 
 
-def sphere_stability_boundary(alpha_grid) -> np.ndarray:
-    """Rows (a, H(a)), H(a) = sqrt((alpha0 - a)/(1 - alpha0)), on a grid of a in
-    (0, alpha0): S_a(H) is stable iff H >= H(a) (module docstring).  alpha0 - a
+def sphere_stability_rows(alphas) -> list[tuple[float, float]]:
+    """Rows (a, H(a)), H(a) = sqrt((alpha0 - a)/(1 - alpha0)), for the floats a of
+    alphas in (0, alpha0): S_a(H) is stable iff H >= H(a) (module docstring).  alpha0 - a
     is exact near alpha0 (Sterbenz), where (1 - a)/X_K - 1 would cancel.
     Raises ValueError naming the first entry that is NaN or not in (0, alpha0)."""
     a0 = alpha0()
+    rows = []
+    for a in map(float, alphas):
+        if not 0.0 < a < a0:
+            raise ValueError(f"alpha={a} is not in (0, alpha0={a0:.6f})")
+        rows.append((a, math.sqrt((a0 - a) / (1.0 - a0))))
+    return rows
+
+
+def sphere_stability_boundary(alpha_grid) -> np.ndarray:
+    """sphere_stability_rows of a number or an array of a, as an (n, 2) array."""
+    import numpy as np
+
     a = np.atleast_1d(np.asarray(alpha_grid, dtype=float))
-    bad = ~((0.0 < a) & (a < a0))
-    if bad.any():
-        raise ValueError(f"alpha={a[bad][0]} is not in (0, alpha0={a0:.6f})")
-    return np.column_stack([a, np.sqrt((a0 - a) / (1.0 - a0))])
+    return np.array(sphere_stability_rows(a.tolist()), dtype=float).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +167,8 @@ def sphere_stability_boundary(alpha_grid) -> np.ndarray:
 
 def _grid(n: int):
     """Cell width, cell centres and cell edges of n cells on t in [-1, 1]."""
+    import numpy as np
+
     h = 2.0 / n
     return h, -1.0 + (np.arange(n) + 0.5) * h, -1.0 + np.arange(n + 1) * h
 
@@ -175,6 +187,8 @@ def _mode_matrix(alpha: float, H: float, k: int, n: int):
     is the exact constant g = 1.  The grid, w and sigma are even in t, so the
     matrix is persymmetric: d[i] = d[n-1-i] and e[i] = e[n-2-i] up to rounding.
     """
+    import numpy as np
+
     h, t_node, t_edge = _grid(n)
     sig_node = 1.0 - t_node**2
     w = (H**2 + alpha) / (1.0 + H**2 - (1.0 - alpha) * t_node**2) ** 2
@@ -241,6 +255,8 @@ def _certify(gap: float, counted) -> float:
     so the contract is refused once delta falls below about 1.25 eps ||T||.  Raises
     SpectrumError unless the gap is positive, delta > rho for every matrix and
     every count is as expected."""
+    import numpy as np
+
     if not gap > 0.0:
         raise SpectrumError(f"zero-mode contract failed: the gap {gap:.3e} is not positive")
     delta = ZERO_RTOL * gap
@@ -316,7 +332,7 @@ def jacobi_spectrum(p, H: float, k_max: int = 3, n: int = 4000) -> SpectrumResul
     n = as_count(n, SPECTRUM_MIN_N, SPECTRUM_MAX_N, "n")
     # the mode-k mass carries sigma^k, smallest at the outermost node; below
     # the normal floats the mass matrix loses digits and then reaches 0
-    sig_min = float(np.min(1.0 - _grid(n)[1] ** 2))
+    sig_min = float((1.0 - _grid(n)[1] ** 2).min())
     if sig_min**k_max < TINY:
         k_top = math.floor(math.log(TINY) / math.log(sig_min))
         raise ValueError(f"k_max={k_max} is beyond the grid: on n={n} cells the mode "

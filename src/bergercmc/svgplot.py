@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import numbers
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 WIDTH, HEIGHT = 640, 480  # SVG canvas in pixels
 
 
 def _cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
+    if isinstance(v, float):  # most cells, numpy's float64 too: no test against an ABC
+        return repr(float(v))
     if isinstance(v, str):
         return v
+    if isinstance(v, numbers.Integral):  # int, bool and numpy's integers
+        return str(int(v))
     return repr(float(v))
 
 
@@ -32,16 +35,16 @@ def write_csv(path, header, rows) -> None:
 def polyline_svg(path, curves, title="", xlabel="", ylabel="") -> None:
     """Write polyline curves to an SVG file.
 
-    curves: iterable of (x, y, label) with array-likes x, y.  Axes with five
-    ticks per side; fixed palette; output is byte-stable for equal input.
+    curves: iterable of (x, y, label) with x, y sequences or arrays of numbers.  Only
+    the points where both are finite are drawn.  Axes with five ticks per side; fixed
+    palette; output is byte-stable for equal input.
     """
-    curves = [(np.asarray(x, float), np.asarray(y, float), str(lab)) for x, y, lab in curves]
-    finite = [(x[np.isfinite(x) & np.isfinite(y)], y[np.isfinite(x) & np.isfinite(y)])
-              for x, y, _ in curves]
-    xs = np.concatenate([c[0] for c in finite])
-    ys = np.concatenate([c[1] for c in finite])
-    x0, x1 = float(xs.min()), float(xs.max())
-    y0, y1 = float(ys.min()), float(ys.max())
+    curves = [([(a, b) for a, b in zip(map(float, x), map(float, y))
+                if math.isfinite(a) and math.isfinite(b)], str(lab)) for x, y, lab in curves]
+    xs = [a for points, _ in curves for a, _ in points]
+    ys = [b for points, _ in curves for _, b in points]
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -76,10 +79,9 @@ def polyline_svg(path, curves, title="", xlabel="", ylabel="") -> None:
                  f'font-size="12">{xlabel}</text>')
     lines.append(f'<text x="18" y="{mt+ph/2:.1f}" text-anchor="middle" font-size="12" '
                  f'transform="rotate(-90 18 {mt+ph/2:.1f})">{ylabel}</text>')
-    for i, (x, y, lab) in enumerate(curves):
+    for i, (points, lab) in enumerate(curves):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in zip(x, y)
-                       if np.isfinite(a) and np.isfinite(b))
+        pts = " ".join(f"{X(a):.2f},{Y(b):.2f}" for a, b in points)
         lines.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         lines.append(f'<text x="{ml+pw-8}" y="{mt+16+14*i}" text-anchor="end" fill="{color}" '
                      f'font-size="11">{lab}</text>')

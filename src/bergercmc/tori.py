@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .ambient import (ConsistencyError, NumericalError, StabilityVerdict, as_alpha, as_count,
                       as_H)
 
@@ -39,6 +37,8 @@ class TorusData:
     def dual_gram(self) -> np.ndarray:
         """g^-1 = [[1/a + 1/u^2, b], [b, 1/a + u^2]], u = r1/r2, b = (1 - a)/a
         (not 1/a - 1, which loses digits near a = 1)."""
+        import numpy as np
+
         u = self.H + math.sqrt(1.0 + self.H**2)
         b = (1.0 - self.alpha) / self.alpha
         return np.array([[1.0 / self.alpha + 1.0 / u**2, b], [b, 1.0 / self.alpha + u**2]])
@@ -86,6 +86,8 @@ def torus_spectrum(t: TorusData, N: int = 8) -> TorusSpectrum:
     lambda1_closed_form within LAMBDA1_RTOL.  Only the values below shell_min
     are complete: above it, points outside the box are missing.
     """
+    import numpy as np
+
     N = as_count(N, TORUS_MIN_N, TORUS_MAX_N, "N")
     G = t.dual_gram
     m, n = np.meshgrid(np.arange(-N, N + 1), np.arange(-N, N + 1), indexing="ij")
@@ -189,6 +191,8 @@ def torus_area_volume(p, H):
     at most half of the total for H >= 0.  H may be an array; the result
     then holds arrays of the same shape.
     """
+    import numpy as np
+
     a = as_alpha(p)
     H = as_H(np.asarray(H, dtype=float))
     c = np.sqrt(1.0 + H**2)

@@ -98,6 +98,16 @@ def test_count_validation():
             ambient.as_count(bad, 2, 8, "n")
 
 
+def test_linspace_is_numpys_to_the_bit():
+    # the grids of regions and of its root-curve CSV, and others
+    a0 = 0.12088346807439844
+    ends = [(a0 * 0.02, a0 * 0.995), (0.004, 1.0 / 3.0), (0.0, 1.0), (-2.5, 7.1), (1e-12, 1e12),
+            (3.0, -1.0 / 7.0)]
+    for lo, hi in ends:
+        for n in [*range(2, 200), 401, 1001]:
+            assert ambient.linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist(), (lo, hi, n)
+
+
 def _regions(n):
     from bergercmc.cli import cmd_regions
 

@@ -223,7 +223,7 @@ def test_regions_computes_before_any_output(tmp_path, monkeypatch, capsys):
     def fail(_grid):
         raise ConsistencyError("boundary root not certified")
 
-    monkeypatch.setattr(cli, "sphere_stability_boundary", fail)
+    monkeypatch.setattr(cli, "sphere_stability_rows", fail)
     out = tmp_path / "out"
     assert main(["--out", str(out), "regions", "--n", "5"]) == 3
     captured = capsys.readouterr()
@@ -335,6 +335,17 @@ def test_make_figures_writes_the_same_14_files_twice(tmp_path):
         assert proc.returncode == 0, proc.stderr
         files.append({p.name: p.read_bytes() for p in (tmp_path / run).iterdir()})
     assert len(files[0]) == 14 and files[0] == files[1]
+
+
+@pytest.mark.parametrize("name", ["embeddedness_scan.py", "make_figures.py"])
+def test_scripts_refuse_a_file_as_the_output_directory(name, tmp_path):
+    # each script computes, then writes, then prints: a refused run prints nothing
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    proc = run_script(name, blocker)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("configuration error: ") and "Traceback" not in proc.stderr
+    assert blocker.read_text() == "kept\n"
 
 
 def test_closed_stdout_exits_1_without_traceback(tmp_path):

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -48,6 +50,19 @@ def test_the_numerical_modules_load_no_output_module():
     assert {f"bergercmc.{m}" for m in ("cmc_spheres", "stability", "tori", "isoperimetry",
                                        "selfcheck")} <= set(loaded)
     assert "bergercmc.svgplot" not in loaded
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ([], None), (["constants"], 0), (["regions", "--format", "csv+svg"], 0),
+    (["embeddedness"], 0), (["regions", "--n", "1"], 2)])
+def test_the_float_commands_load_no_numpy(argv, exit_code, tmp_path):
+    # constants, regions and embeddedness evaluate closed forms on Python floats, and
+    # the numerical modules import numpy only inside their array routes; [] is the import
+    code = "import bergercmc.cli\n"
+    if argv:
+        code += (f"assert bergercmc.cli.main(['--out', {str(tmp_path)!r}, *{argv!r}]) == "
+                 f"{exit_code}\n")
+    assert modules_after(code, "numpy") == []
 
 
 def test_torus_command_loads_no_scipy(tmp_path):

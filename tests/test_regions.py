@@ -166,6 +166,20 @@ def test_coefficients_reject_t_outside_unit_interval(t):
         alpha_root(t, -1)
 
 
+def test_coefficients_range_check_is_the_same_on_floats_and_arrays():
+    # the float path checks t without numpy; it refuses exactly what the array path refuses
+    for t in (0.0, -0.0, 1.0, 0.5, 5e-324, -5e-324, math.nextafter(1.0, 2.0), -1.0,
+              math.nan, math.inf, -math.inf):
+        refused = []
+        for arg in (t, np.array([t]), np.array([0.5, t])):
+            try:
+                region_coefficients(arg, +1)
+                refused.append(False)
+            except ValueError:
+                refused.append(True)
+        assert refused in ([False] * 3, [True] * 3), t
+
+
 @pytest.mark.parametrize("eps", [0, 2, -2, 0.5])
 def test_coefficients_reject_bad_epsilon(eps):
     with pytest.raises(ValueError, match="epsilon"):

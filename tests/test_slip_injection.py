@@ -33,6 +33,10 @@ def _H_column(exact):  # the rows (a, H(a)) of sphere_stability_boundary
     return lambda alphas: exact(alphas) * np.array([1.0, 1.0 + SLIP])
 
 
+def _H_entries(exact):  # the float rows (a, H(a)) of sphere_stability_rows
+    return lambda alphas: [(a, H * (1.0 + SLIP)) for a, H in exact(alphas)]
+
+
 def _both_edges(exact):  # the band (H_lo, H_hi)
     return lambda a: tuple(H * (1.0 + SLIP) for H in exact(a))
 
@@ -80,6 +84,8 @@ OWNERS = [
      "test_artanh_ratio_float_and_array_paths_agree", ()),  # 1 ulp of the float path
     ("sphere_stability_boundary", _H_column, "test_stability",
      "test_boundary_flips_verdict_and_decreases", ()),  # rel 7e-15
+    ("sphere_stability_rows", _H_entries, "test_stability",
+     "test_boundary_rows_flip_the_verdict", ()),  # rel 7e-15
     ("nonembedded_band", _both_edges, "test_cmc_spheres",
      "test_nonembedded_band_edges", (0.01, 0.08385, 2.96250)),  # rel 2.4e-15
     ("TorusData.dual_gram", _property, "test_tori",

@@ -7,8 +7,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bergercmc.selfcheck import SPHERE_GRID
+from bergercmc.ambient import linspace
 from bergercmc.stability import (SpectrumError, alpha0, classify_sphere, jacobi_spectrum,
-                                 koiso_integral, sphere_stability_boundary)
+                                 koiso_integral, sphere_stability_boundary, sphere_stability_rows)
 from bergercmc.svgplot import write_csv
 import oracles
 from float_oracles import (jacobi_potential_flat, jacobi_rayleigh_C, koiso_integral_quadrature,
@@ -181,6 +182,32 @@ def test_boundary_flips_verdict_and_decreases():
         # the least offset that flips every verdict: 6.5e-15 fails at a = 0.98 alpha0
         assert classify_sphere(a, Ha * (1 + 7e-15)).stable
         assert not classify_sphere(a, Ha * (1 - 7e-15)).stable
+
+
+def test_boundary_rows_flip_the_verdict():
+    # the float rows that regions writes, on its grid
+    a0 = alpha0()
+    for a, Ha in sphere_stability_rows(linspace(a0 * 0.02, a0 * 0.98, 12)):
+        assert classify_sphere(a, Ha * (1 + 7e-15)).stable
+        assert not classify_sphere(a, Ha * (1 - 7e-15)).stable
+
+
+def test_boundary_rows_and_arrays_agree_to_the_bit():
+    # the float rows, the array API and numpy's expression of H(a), from the least
+    # positive float to the float below alpha0
+    a0 = alpha0()
+    grid = [5e-324, 1e-300, *np.linspace(1e-6, a0, 201)[1:-1].tolist(), math.nextafter(a0, 0.0)]
+    a = np.array(grid)
+    numpy_rows = np.column_stack([a, np.sqrt((a0 - a) / (1.0 - a0))])
+    rows = sphere_stability_rows(grid)
+    assert list(map(list, rows)) == sphere_stability_boundary(a).tolist() == numpy_rows.tolist()
+    assert all(type(v) is float for row in rows for v in row)
+    for bad in ([0.0], [a0], [0.05, math.nan]):
+        with pytest.raises(ValueError) as rows_error:
+            sphere_stability_rows(bad)
+        with pytest.raises(ValueError) as array_error:
+            sphere_stability_boundary(np.array(bad))
+        assert str(rows_error.value) == str(array_error.value)
 
 
 def test_boundary_rejects_alpha_above_alpha0():
